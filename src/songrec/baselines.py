@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .util import make_rng, top_k_indices
+from .core import embed_lookup
+from .util import Recommender, make_rng
 
 
 def _session_items(sessions):
@@ -30,7 +31,7 @@ def _session_items(sessions):
 
 
 @dataclass
-class ItemEmbeddings:
+class ItemEmbeddings(Recommender):
     """Center (v_in) and context (v_out) vectors per song."""
 
     model_type = "w2v"
@@ -43,20 +44,23 @@ class ItemEmbeddings:
     def n_songs(self) -> int:
         return self.v_in.shape[0]
 
-    def score_catalog(self, u, context) -> np.ndarray:
+    def score_batch(self, users, contexts) -> np.ndarray:
         """Cosine of every song's center vector to the mean context vector.
 
-        The user index is ignored: this model carries no per-user state.
+        The users are ignored: this model carries no per-user state.
         """
-        query = self.v_in[np.asarray(context)].mean(axis=0)
-        qn = np.linalg.norm(query)
+        contexts = np.asarray(contexts)
+        if contexts.ndim != 2 or contexts.shape[1] == 0:
+            raise ValueError(f"contexts must be (B, L) with L >= 1, got {contexts.shape}")
+        query = embed_lookup(contexts, self.v_in).mean(axis=1)
+        qn = np.linalg.norm(query, axis=1)
         norms = np.linalg.norm(self.v_in, axis=1)
-        denom = np.maximum(norms * qn, 1e-12)
-        return (self.v_in @ query) / denom
+        denom = np.maximum(qn[:, None] * norms, 1e-12)
+        return (query @ self.v_in.T) / denom
 
     def to_checkpoint(self):
         meta = {"n_songs": self.n_songs, "d": int(self.v_in.shape[1])}
-        return "w2v", meta, {"v_in": self.v_in, "v_out": self.v_out}
+        return self.model_type, meta, {"v_in": self.v_in, "v_out": self.v_out}
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
@@ -168,21 +172,13 @@ def w2v_train(
     return emb
 
 
-def w2v_recommend(context, embeddings: ItemEmbeddings, k: int) -> np.ndarray:
-    """Top-k catalog songs by cosine to the mean of the context's center
-    vectors. Context items are not excluded (repeat listening is common)."""
-    if len(context) == 0:
-        raise ValueError("context must be non-empty")
-    return top_k_indices(embeddings.score_catalog(None, context), k)
-
-
 # ---------------------------------------------------------------------------
 # Weighted matrix factorization (implicit feedback, ALS)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class WmfFactors:
+class WmfFactors(Recommender):
     """User/item factors of the confidence-weighted binary factorization."""
 
     model_type = "wmf"
@@ -201,13 +197,10 @@ class WmfFactors:
     def rank(self) -> int:
         return self.x.shape[1]
 
-    def score_catalog(self, u, context) -> np.ndarray:
-        """Predicted preference of user u for every song; the sequence
-        context is deliberately ignored."""
-        u = int(u)
-        if not 0 <= u < self.x.shape[0]:
-            raise IndexError(f"user {u} out of range [0, {self.x.shape[0]})")
-        return self.y @ self.x[u]
+    def score_batch(self, users, contexts) -> np.ndarray:
+        """Predicted preference of each user for every song; the sequence
+        contexts are deliberately ignored."""
+        return embed_lookup(users, self.x) @ self.y.T
 
     def to_checkpoint(self):
         meta = {
@@ -217,7 +210,7 @@ class WmfFactors:
             "alpha": self.alpha,
             "lam": self.lam,
         }
-        return "wmf", meta, {"x": self.x, "y": self.y}
+        return self.model_type, meta, {"x": self.x, "y": self.y}
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
@@ -316,21 +309,18 @@ def wmf_train(
     return factors
 
 
-def wmf_recommend(u, factors: WmfFactors, k: int) -> np.ndarray:
-    return top_k_indices(factors.score_catalog(u, None), k)
-
-
 # ---------------------------------------------------------------------------
 # Factorized first-order Markov chain with pairwise ranking
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class FpmcFactors:
+class FpmcFactors(Recommender):
     """Four factor blocks: user<->item preference (v_ui, v_iu) and
     previous-item -> item transition (v_li, v_il); all share rank f."""
 
     model_type = "fpmc"
+    order = 1
 
     v_ui: np.ndarray  # (U, f) user side of user-item term
     v_iu: np.ndarray  # (N, f) item side of user-item term
@@ -344,20 +334,11 @@ class FpmcFactors:
     def n_songs(self) -> int:
         return self.v_iu.shape[0]
 
-    def score_catalog(self, u, context) -> np.ndarray:
+    def score_batch(self, users, contexts) -> np.ndarray:
         """Scores for every candidate next song given the last played one."""
-        u = int(u)
-        prev = int(np.asarray(context).reshape(-1)[-1])
-        self._check(u, prev)
-        return self.v_iu @ self.v_ui[u] + self.v_il @ self.v_li[prev]
-
-    def _check(self, u, prev, i=None):
-        if not 0 <= u < self.v_ui.shape[0]:
-            raise IndexError(f"user {u} out of range [0, {self.v_ui.shape[0]})")
-        n = self.n_songs
-        for name, v in (("prev", prev),) + ((("item", i),) if i is not None else ()):
-            if not 0 <= v < n:
-                raise IndexError(f"{name} index {v} out of range [0, {n})")
+        prev = np.asarray(contexts)[:, -1]
+        return (embed_lookup(users, self.v_ui) @ self.v_iu.T
+                + embed_lookup(prev, self.v_li) @ self.v_il.T)
 
     def to_checkpoint(self):
         meta = {
@@ -373,7 +354,7 @@ class FpmcFactors:
             "v_il": self.v_il,
             "v_li": self.v_li,
         }
-        return "fpmc", meta, tensors
+        return self.model_type, meta, tensors
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
@@ -390,14 +371,6 @@ class FpmcFactors:
             tensors["v_ui"], tensors["v_iu"], tensors["v_il"], tensors["v_li"],
             lr=meta["lr"], lam=meta["lam"],
         )
-
-
-def fpmc_score(u: int, prev: int, i: int, factors: FpmcFactors) -> float:
-    """<v_ui[u], v_iu[i]> + <v_il[i], v_li[prev]>."""
-    factors._check(u, prev, i)
-    return float(
-        factors.v_ui[u] @ factors.v_iu[i] + factors.v_il[i] @ factors.v_li[prev]
-    )
 
 
 def fpmc_init(
@@ -480,7 +453,3 @@ def fpmc_train(
             total += fpmc_sbpr_update(factors, u, prev, pos, neg)
         factors.loss_history.append(total / n)
     return factors
-
-
-def fpmc_recommend(u, prev, factors: FpmcFactors, k: int) -> np.ndarray:
-    return top_k_indices(factors.score_catalog(u, [prev]), k)

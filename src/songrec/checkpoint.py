@@ -87,18 +87,23 @@ def load(path) -> tuple[str, dict, dict]:
     return header["model_type"], header["meta"], tensors
 
 
+def _families(base) -> dict:
+    """model_type -> class, over every subclass of ``base`` that names one."""
+    out = {}
+    for cls in base.__subclasses__():
+        if cls.model_type:
+            out[cls.model_type] = cls
+        out.update(_families(cls))
+    return out
+
+
 def load_model(path):
     """Reconstruct the right model object from a checkpoint file."""
-    from . import baselines, models
+    from . import baselines, models  # noqa: F401  (defines every family)
+    from .util import Recommender
 
-    registry = {
-        "cnnrec": models.CnnRecParams.from_checkpoint,
-        "nnrec": models.NnRecParams.from_checkpoint,
-        "w2v": baselines.ItemEmbeddings.from_checkpoint,
-        "wmf": baselines.WmfFactors.from_checkpoint,
-        "fpmc": baselines.FpmcFactors.from_checkpoint,
-    }
+    families = _families(Recommender)
     model_type, meta, tensors = load(path)
-    if model_type not in registry:
+    if model_type not in families:
         raise ValueError(f"unknown model type {model_type!r} in {path}")
-    return registry[model_type](meta, tensors)
+    return families[model_type].from_checkpoint(meta, tensors)

@@ -21,6 +21,7 @@ from . import __version__, checkpoint
 from .baselines import fpmc_train, play_count_matrix, w2v_train, wmf_train
 from .config import ExperimentConfig, apply_override
 from .data import (
+    _train_song_sets,
     drop_unknown_users,
     extract_examples,
     open_event_stream,
@@ -54,6 +55,7 @@ def _write_manifest(cfg: ExperimentConfig, command: str, artifacts: dict, timing
         "timings_sec": {k: round(v, 3) for k, v in timings.items()},
         "version": f"songrec {__version__}",
     }
+    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"{command}_manifest.json")
     atomic_write_json(path, manifest)
     return path
@@ -64,7 +66,7 @@ def _loss_history_csv(path, history):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def cmd_prepare(cfg: ExperimentConfig, workers: int = 1) -> int:
+def cmd_prepare(cfg: ExperimentConfig) -> int:
     data_cfg = cfg.data
     if not data_cfg.raw_path:
         raise ValueError("prepare needs data.raw_path in the config")
@@ -175,7 +177,7 @@ def _save_checkpoint(path, model):
     checkpoint.load(path)  # validate the written container before reporting success
 
 
-def cmd_train(cfg: ExperimentConfig, workers: int = 1) -> int:
+def cmd_train(cfg: ExperimentConfig) -> int:
     prepared = read_prepared(cfg.prepared_dir())
     t0 = time.perf_counter()
     model, history = fit_model(cfg, prepared)
@@ -199,22 +201,12 @@ def cmd_train(cfg: ExperimentConfig, workers: int = 1) -> int:
 
 
 def _eval_order(model, cfg: ExperimentConfig) -> int:
-    hyper = getattr(model, "hyper", None)
-    if hyper is not None:
-        return hyper.j
-    if getattr(model, "model_type", "") == "fpmc":
-        return 1
-    return cfg.model.j
+    """Context length of the test examples: the model's own order, else
+    the configured j for families that accept any length."""
+    return model.order or cfg.model.j
 
 
-def _train_user_songs(train_sessions) -> dict:
-    songs: dict = {}
-    for s in train_sessions:
-        songs.setdefault(s.user, set()).update(s.items)
-    return songs
-
-
-def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str, workers: int = 1) -> int:
+def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str) -> int:
     model = checkpoint.load_model(ckpt_path)
     prepared = read_prepared(cfg.prepared_dir())
     if model.n_songs != prepared.n_songs:
@@ -234,9 +226,8 @@ def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str, workers: int = 1) -> int
         model,
         examples,
         eval_config,
-        train_user_songs=_train_user_songs(split.train),
-        label=getattr(model, "model_type", type(model).__name__),
-        workers=workers,
+        train_user_songs=_train_song_sets(split.train),
+        label=model.model_type,
     )
     t_eval = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -258,7 +249,7 @@ def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str, workers: int = 1) -> int
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig, orders: list[int], workers: int = 1) -> int:
+def cmd_sweep(cfg: ExperimentConfig, orders: list[int]) -> int:
     if cfg.model.family not in ("cnnrec", "nnrec"):
         raise ValueError("order sweeps support the cnnrec and nnrec families")
     prepared = read_prepared(cfg.prepared_dir())
@@ -321,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config entry by dotted key, e.g. --set model.j=3",
         )
-        p.add_argument("--workers", type=int, default=1, help="worker threads (1 = bitwise reproducible)")
         p.add_argument("--log-level", default="INFO", help="DEBUG, INFO, WARNING, ...")
 
     common(sub.add_parser("prepare", help="build the prepared dataset directory"))
@@ -347,14 +337,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         if args.command == "prepare":
-            return cmd_prepare(cfg, args.workers)
+            return cmd_prepare(cfg)
         if args.command == "train":
-            return cmd_train(cfg, args.workers)
+            return cmd_train(cfg)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint, args.workers)
+            return cmd_evaluate(cfg, args.checkpoint)
         if args.command == "sweep":
             orders = [int(tok) for tok in args.orders.split(",") if tok]
-            return cmd_sweep(cfg, orders, args.workers)
+            return cmd_sweep(cfg, orders)
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, OSError, KeyError) as exc:
         logger.error("%s", exc)

@@ -128,10 +128,6 @@ class ModelConfig:
             dropout_p=drop,
         )
 
-    def order(self) -> int:
-        """Context length used for example extraction per family."""
-        return 1 if self.family == "fpmc" else self.j
-
 
 @dataclass
 class EvalSettings:

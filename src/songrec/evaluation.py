@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Session, drop_unknown_users, extract_examples
+from .data import (
+    Session,
+    _train_song_sets,
+    drop_unknown_users,
+    examples_to_arrays,
+    extract_examples,
+)
 from .util import atomic_write_text, config_hash, derive_seed, make_rng
 
 logger = logging.getLogger(__name__)
@@ -22,6 +28,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_KS = (1, 5, 10, 20, 50, 100, 150, 200, 500)
 
 PROTOCOLS = ("full", "sampled")
+
+# most score cells (examples x catalog) one evaluation chunk holds: this
+# bounds evaluation memory whatever the test set or catalog size
+CHUNK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -124,44 +134,49 @@ class EvalReport:
         return cls.from_dict(json.loads(text))
 
 
-def rank_of_target(scores: np.ndarray, target: int, candidates: np.ndarray) -> int:
-    """1-based rank of the target among the candidates under the
-    deterministic total order (score descending, index ascending)."""
-    candidates = np.asarray(candidates)
-    if not np.any(candidates == target):
-        raise ValueError(f"target {target} not among candidates")
-    st = scores[target]
-    cand_scores = scores[candidates]
-    greater = int(np.count_nonzero(cand_scores > st))
-    equal_lower = int(
-        np.count_nonzero((cand_scores == st) & (candidates < target))
-    )
-    return 1 + greater + equal_lower
+def rank_of_target(
+    scores: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """1-based rank of each row's target under the deterministic total
+    order (score descending, index ascending).
+
+    ``scores`` is (B, N) and ``targets`` (B,). The rank is 1 + the number
+    of higher scores + the number of equal scores at a lower index,
+    counting only the candidates where the (B, N) boolean ``mask`` is set
+    (every song when it is None).
+    """
+    targets = np.asarray(targets)
+    rows = np.arange(targets.shape[0])
+    st = scores[rows, targets][:, None]
+    ahead = (scores > st) | ((scores == st) & (np.arange(scores.shape[1]) < targets[:, None]))
+    if mask is not None:
+        if not mask[rows, targets].all():
+            raise ValueError("target not among candidates")
+        ahead &= mask
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
-def _full_catalog_rank(scores: np.ndarray, target: int) -> int:
-    st = scores[target]
-    greater = int(np.count_nonzero(scores > st))
-    equal_lower = int(np.count_nonzero(scores[:target] == st))
-    return 1 + greater + equal_lower
+# perfbench/spans.py looks these two names up when it installs its
+# wrappers; nothing in songrec calls them
+_example_rank = rank_of_target
+_full_catalog_rank = rank_of_target
 
 
-def _example_rank(model, e, position, config: EvalConfig, train_user_songs, n_songs) -> int:
-    scores = model.score_catalog(e.user, e.context)
-    if config.protocol == "full" and not config.exclude_train_songs:
-        return _full_catalog_rank(scores, e.target)
-    heard = train_user_songs.get(e.user, set())
-    unheard = np.array(
-        [s for s in range(n_songs) if s not in heard and s != e.target],
-        dtype=np.int64,
-    )
-    if config.protocol == "sampled" and unheard.size > config.n_neg:
+def _candidate_row(heard: np.ndarray, target: int, position: int, config: EvalConfig):
+    """Boolean candidate row of one example: the target plus every song
+    the user did not hear in training or, under the sampled protocol,
+    ``n_neg`` of those drawn without replacement."""
+    row = ~heard
+    row[target] = False
+    if config.protocol == "sampled" and np.count_nonzero(row) > config.n_neg:
         # per-example subseed: results do not depend on evaluation order
-        # or worker count, only on (config seed, example position)
+        # or chunking, only on (config seed, example position)
         rng = make_rng(derive_seed(config.seed, f"neg:{position}"))
-        unheard = rng.choice(unheard, size=config.n_neg, replace=False)
-    candidates = np.concatenate((unheard, [e.target]))
-    return rank_of_target(scores, e.target, candidates)
+        picked = rng.choice(np.flatnonzero(row), size=config.n_neg, replace=False)
+        row[:] = False
+        row[picked] = True
+    row[target] = True
+    return row
 
 
 def evaluate(
@@ -170,16 +185,15 @@ def evaluate(
     config: EvalConfig,
     train_user_songs: dict | None = None,
     label: str | None = None,
-    workers: int = 1,
 ) -> EvalReport:
     """Rank the true next song for every test example and report recall@k.
 
-    ``model`` must expose ``score_catalog(user, context) -> scores over
-    the catalog`` and ``n_songs``. The sampled protocol (and the
-    exclude-train-songs flag) needs ``train_user_songs``: user index ->
-    set of songs that user played in training. Scoring over examples is
-    independent, so ``workers`` > 1 threads it; hit counts are integers,
-    making the merged result identical at any worker count.
+    ``model`` must expose ``score_batch(users, contexts) -> (B, N)`` and
+    ``n_songs`` (see :class:`songrec.util.Recommender`). The sampled
+    protocol (and the exclude-train-songs flag) needs ``train_user_songs``:
+    user index -> set of songs that user played in training. Examples are
+    scored in chunks of at most ``CHUNK_CELLS`` score cells; a non-finite
+    score raises ``ValueError``.
     """
     if not examples:
         raise ValueError("empty test set")
@@ -190,23 +204,29 @@ def evaluate(
     if needs_history and train_user_songs is None:
         raise ValueError("this protocol needs per-user training songs")
 
-    def rank_at(i):
-        return _example_rank(model, examples[i], i, config, train_user_songs, n_songs)
+    users, contexts, targets = examples_to_arrays(examples)
+    heard = {}  # user -> boolean mask of the songs heard in training
+    ranks = np.empty(len(targets), dtype=np.int64)
+    rows = max(1, CHUNK_CELLS // n_songs)
+    for start in range(0, len(targets), rows):
+        chunk = slice(start, start + rows)
+        scores = model.score_batch(users[chunk], contexts[chunk])
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            position = start + int(np.argmin(finite))
+            raise ValueError(f"non-finite scores for test example {position}")
+        mask = None
+        if needs_history:
+            mask = np.empty(scores.shape, dtype=bool)
+            for i, (u, t) in enumerate(zip(users[chunk].tolist(), targets[chunk].tolist())):
+                if u not in heard:
+                    heard[u] = np.zeros(n_songs, dtype=bool)
+                    heard[u][list(train_user_songs.get(u, ()))] = True
+                mask[i] = _candidate_row(heard[u], t, start + i, config)
+        ranks[chunk] = rank_of_target(scores, targets[chunk], mask)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ranks = list(pool.map(rank_at, range(len(examples)), chunksize=64))
-    else:
-        ranks = [rank_at(i) for i in range(len(examples))]
-
-    hits = {k: 0 for k in config.ks}
-    for rank in ranks:
-        for k in config.ks:
-            if rank <= k:
-                hits[k] += 1
-    report = EvalReport(
+    hits = {k: int(np.count_nonzero(ranks <= k)) for k in config.ks}
+    return EvalReport(
         label=label or type(model).__name__,
         ks=config.ks,
         hits=hits,
@@ -214,7 +234,6 @@ def evaluate(
         protocol=config.protocol if config.protocol == "full" else f"sampled({config.n_neg})",
         config_hash=config_hash(config.to_dict()),
     )
-    return report
 
 
 def sweep_order(
@@ -235,12 +254,13 @@ def sweep_order(
     if not orders or orders[0] < 1 or orders[-1] > 10:
         raise ValueError(f"orders must lie in [1, 10], got {orders}")
     kept_test = drop_unknown_users(test_sessions, train_sessions)
+    train_songs = _train_song_sets(train_sessions)
     results = []
     for j in orders:
         train_ex = extract_examples(train_sessions, j)
         test_ex = extract_examples(kept_test, j)
         model = trainer(j, train_ex)
-        report = evaluate(model, test_ex, config, label=f"j={j}")
+        report = evaluate(model, test_ex, config, train_user_songs=train_songs, label=f"j={j}")
         results.append((j, report))
         logger.info("order %d: recall@%d = %.4f", j, config.ks[0], report.recall[config.ks[0]])
     return results

@@ -34,7 +34,7 @@ from .core import (
     relu_backward,
     softmax_xent_backward,
 )
-from .util import make_rng, top_k_indices
+from .util import Recommender, make_rng
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,9 @@ class Hyperparams:
         return replace(self, j=j)
 
 
-class _NeuralParams:
+class _NeuralParams(Recommender):
     """Shared plumbing for both architectures: embeddings, hidden layer,
     catalog softmax, Adagrad state, checkpoint tensors."""
-
-    model_type: str = ""
 
     def __init__(self, n_songs, n_users, hyper: Hyperparams, rng=None, dtype=np.float64):
         if n_songs < 1 or n_users < 1:
@@ -96,6 +94,10 @@ class _NeuralParams:
         }
 
     # subclasses define _init_tensors, tensors, _feature_forward, _feature_backward
+
+    @property
+    def order(self) -> int:
+        return self.hyper.j
 
     def _glorot(self, fan_in, fan_out, rng, shape=None):
         return glorot_init(fan_in, fan_out, rng, shape).astype(self.dtype)
@@ -178,21 +180,9 @@ class _NeuralParams:
         grads = self.backward_batch(probs, targets, cache, dense_embed_grads)
         return float(np.mean(losses)), grads
 
-    def forward(self, u, context, mode: str = "eval", rng=None) -> np.ndarray:
-        """Probability vector over the catalog for one (user, context)."""
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        if len(context) != self.hyper.j:
-            raise ValueError(
-                f"context length {len(context)} != j={self.hyper.j}"
-            )
-        probs, _ = self.forward_batch(
-            np.asarray([u]), np.asarray([context]), train=(mode == "train"), rng=rng
-        )
-        return probs[0]
-
-    def score_catalog(self, u, context) -> np.ndarray:
-        return self.forward(u, context, mode="eval")
+    def score_batch(self, users, contexts) -> np.ndarray:
+        """Next-song probabilities, dropout off."""
+        return self.forward_batch(users, contexts)[0]
 
     def tensor_names(self):
         return list(self.tensors())
@@ -295,14 +285,6 @@ class NnRecParams(_NeuralParams):
         return dfeat.reshape(s_shape), {}
 
 
-def cnnrec_forward(u, context, params: CnnRecParams, mode="eval", rng=None):
-    return params.forward(u, context, mode, rng)
-
-
-def nnrec_forward(u, context, params: NnRecParams, mode="eval", rng=None):
-    return params.forward(u, context, mode, rng)
-
-
 def train_step(batch, params: _NeuralParams, rng) -> float:
     """One minibatch update; returns the pre-update mean loss.
 
@@ -355,10 +337,3 @@ def train(examples, params: _NeuralParams, rng, callbacks=None) -> list[float]:
         for cb in callbacks or ():
             cb(epoch, params, epoch_loss)
     return history
-
-
-def predict_topk(params: _NeuralParams, u, context, k: int) -> np.ndarray:
-    """Indices of the k most probable next songs, descending; equal
-    probabilities rank lower index first."""
-    probs = params.forward(u, context, mode="eval")
-    return top_k_indices(probs, k)

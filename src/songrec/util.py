@@ -1,4 +1,5 @@
-"""Shared plumbing: seeding, deterministic ranking, atomic file writes.
+"""Shared plumbing: seeding, deterministic ranking, the scoring interface
+every model family implements, atomic file writes.
 
 All randomness in the repository flows through ``numpy.random.Generator``
 instances backed by the PCG64 bit generator (``np.random.default_rng``).
@@ -45,6 +46,29 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     # lexsort: last key is primary. -scores descending, arange breaks ties ascending.
     order = np.lexsort((np.arange(scores.shape[0]), -scores))
     return order[:k]
+
+
+class Recommender:
+    """The one interface evaluation, checkpoints and the CLI use for every
+    model family.
+
+    ``score_batch(users, contexts)`` returns a (B, n_songs) score matrix,
+    higher meaning more likely next; ``contexts`` is (B, L) oldest first.
+    ``order`` is the context length L the family consumes, or None when it
+    accepts any length. ``model_type`` names the family in checkpoints.
+    An out-of-range user or song index raises ``IndexError``.
+    """
+
+    model_type: str = ""
+    order: int | None = None
+    n_songs: int
+
+    def score_batch(self, users, contexts) -> np.ndarray:
+        raise NotImplementedError
+
+    def score_catalog(self, u, context) -> np.ndarray:
+        """Scores over the catalog for one (user, context)."""
+        return self.score_batch([u], [context])[0]
 
 
 def config_hash(obj) -> str:

@@ -131,8 +131,9 @@ class UniformScorer:
         self.n_songs = n_songs
         self.rng = make_rng(seed)
 
-    def score_catalog(self, u, context):
-        return self.rng.random(self.n_songs)
+    def score_batch(self, users, contexts):
+        # one (B, N) draw is the same PCG64 stream as B draws of N
+        return self.rng.random((len(users), self.n_songs))
 
 
 class StatelessScorer:
@@ -142,11 +143,14 @@ class StatelessScorer:
         self.n_songs = n_songs
         self.salt = salt
 
-    def score_catalog(self, u, context):
+    def score_batch(self, users, contexts):
         from songrec.util import derive_seed
 
-        key = f"{self.salt}:{u}:{','.join(str(c) for c in context)}"
-        return make_rng(derive_seed(0, key)).random(self.n_songs)
+        rows = []
+        for u, context in zip(users, contexts):
+            key = f"{self.salt}:{u}:{','.join(str(c) for c in context)}"
+            rows.append(make_rng(derive_seed(0, key)).random(self.n_songs))
+        return np.stack(rows)
 
 
 class PerfectScorer:
@@ -157,9 +161,10 @@ class PerfectScorer:
         self.n_songs = n_songs
         self.lookup = {(e.user, tuple(e.context)): e.target for e in examples}
 
-    def score_catalog(self, u, context):
-        scores = np.zeros(self.n_songs)
-        scores[self.lookup[(u, tuple(context))]] = 1.0
+    def score_batch(self, users, contexts):
+        scores = np.zeros((len(users), self.n_songs))
+        for i, (u, context) in enumerate(zip(users, contexts)):
+            scores[i, self.lookup[(int(u), tuple(int(c) for c in context))]] = 1.0
         return scores
 
 

@@ -7,20 +7,26 @@ from songrec.baselines import (
     ItemEmbeddings,
     WmfFactors,
     fpmc_init,
-    fpmc_recommend,
     fpmc_sbpr_update,
-    fpmc_score,
     fpmc_train,
     play_count_matrix,
     sgns_pair_loss,
-    w2v_recommend,
     w2v_train,
     wmf_objective,
-    wmf_recommend,
     wmf_train,
 )
 from songrec.data import Session, TrainingExample
-from songrec.util import make_rng
+from songrec.util import make_rng, top_k_indices
+
+
+def recommend(model, u, context, k):
+    """Top-k songs of one (user, context) under the repository tie rule."""
+    return top_k_indices(model.score_catalog(u, context), k)
+
+
+def margin(factors, u, prev, pos, neg):
+    scores = factors.score_catalog(u, [prev])
+    return scores[pos] - scores[neg]
 
 
 class TestSgnsLoss:
@@ -96,7 +102,7 @@ class TestW2vRecommend:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         emb = ItemEmbeddings(v, np.zeros_like(v))
         for s in range(6):
-            assert w2v_recommend([s], emb, 1)[0] == s
+            assert recommend(emb, 0, [s], 1)[0] == s
 
     def test_matches_brute_force_cosine_sort(self):
         rng = make_rng(35)
@@ -106,17 +112,17 @@ class TestW2vRecommend:
         query = v[context].mean(axis=0)
         cos = v @ query / (np.linalg.norm(v, axis=1) * np.linalg.norm(query))
         want = sorted(range(10), key=lambda i: (-cos[i], i))
-        assert w2v_recommend(context, emb, 10).tolist() == want
+        assert recommend(emb, 0, context, 10).tolist() == want
 
     def test_k_equals_catalog_is_permutation(self):
         v = make_rng(36).standard_normal((7, 3))
         emb = ItemEmbeddings(v, np.zeros_like(v))
-        assert sorted(w2v_recommend([2], emb, 7).tolist()) == list(range(7))
+        assert sorted(recommend(emb, 0, [2], 7).tolist()) == list(range(7))
 
     def test_empty_context_error(self):
         emb = ItemEmbeddings(np.eye(3), np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            w2v_recommend([], emb, 1)
+            recommend(emb, 0, [], 1)
 
 
 def random_counts(shape, density, max_count, rng):
@@ -193,23 +199,23 @@ class TestWmfRecommend:
     def test_k_equals_catalog_is_permutation(self):
         rng = make_rng(45)
         factors = WmfFactors(rng.standard_normal((3, 2)), rng.standard_normal((6, 2)))
-        assert sorted(wmf_recommend(1, factors, 6).tolist()) == list(range(6))
+        assert sorted(recommend(factors, 1, [0], 6).tolist()) == list(range(6))
 
     def test_rigged_rank_one_ordering(self):
         x = np.array([[2.0]])
         y = np.array([[0.5], [3.0], [-1.0], [1.0]])
         factors = WmfFactors(x, y)
         # scores: 1, 6, -2, 2 -> order 1, 3, 0, 2
-        assert wmf_recommend(0, factors, 4).tolist() == [1, 3, 0, 2]
+        assert recommend(factors, 0, [0], 4).tolist() == [1, 3, 0, 2]
 
     def test_equal_scores_prefer_lower_index(self):
         factors = WmfFactors(np.ones((1, 1)), np.ones((4, 1)))
-        assert wmf_recommend(0, factors, 2).tolist() == [0, 1]
+        assert recommend(factors, 0, [0], 2).tolist() == [0, 1]
 
     def test_unknown_user_error(self):
         factors = WmfFactors(np.ones((2, 1)), np.ones((3, 1)))
         with pytest.raises(IndexError):
-            wmf_recommend(5, factors, 1)
+            recommend(factors, 5, [0], 1)
 
 
 class TestFpmcScore:
@@ -218,7 +224,7 @@ class TestFpmcScore:
         return FpmcFactors(z(3, f), z(6, f), z(6, f), z(6, f))
 
     def test_all_zero_factors_score_zero(self):
-        assert fpmc_score(0, 1, 2, self._factors()) == 0.0
+        assert self._factors().score_catalog(0, [1])[2] == 0.0
 
     def test_hand_case(self):
         factors = self._factors()
@@ -226,20 +232,20 @@ class TestFpmcScore:
         factors.v_iu[4, 0] = 3.0
         factors.v_il[4, 0] = 1.0
         factors.v_li[2, 0] = -4.0
-        assert fpmc_score(1, 2, 4, factors) == 2.0  # 2*3 + 1*(-4)
+        assert factors.score_catalog(1, [2])[4] == 2.0  # 2*3 + 1*(-4)
 
     def test_linear_in_item_preference_factor(self):
         rng = make_rng(50)
         factors = fpmc_init(3, 6, f=4, rng=rng)
-        base = fpmc_score(1, 2, 4, factors)
+        base = factors.score_catalog(1, [2])[4]
         factors.v_iu[4] *= 3.0
-        tripled = fpmc_score(1, 2, 4, factors)
+        tripled = factors.score_catalog(1, [2])[4]
         transition = float(factors.v_il[4] @ factors.v_li[2])
         assert np.isclose(tripled - transition, 3.0 * (base - transition))
 
     def test_out_of_range_error(self):
         with pytest.raises(IndexError):
-            fpmc_score(0, 9, 2, self._factors())
+            self._factors().score_catalog(0, [9])[2]
 
 
 class TestFpmcTrain:
@@ -254,9 +260,9 @@ class TestFpmcTrain:
             u, prev = int(rng.integers(4)), int(rng.integers(8))
             pos = int(rng.integers(8))
             neg = (pos + 1 + int(rng.integers(7))) % 8
-            before = fpmc_score(u, prev, pos, factors) - fpmc_score(u, prev, neg, factors)
+            before = margin(factors, u, prev, pos, neg)
             fpmc_sbpr_update(factors, u, prev, pos, neg)
-            after = fpmc_score(u, prev, pos, factors) - fpmc_score(u, prev, neg, factors)
+            after = margin(factors, u, prev, pos, neg)
             assert after > before
 
     def test_zero_lr_no_change(self):
@@ -282,23 +288,24 @@ class TestFpmcTrain:
 class TestFpmcRecommend:
     def test_k_equals_catalog_is_permutation(self):
         factors = fpmc_init(2, 7, f=3, rng=make_rng(53))
-        assert sorted(fpmc_recommend(0, 3, factors, 7).tolist()) == list(range(7))
+        assert sorted(recommend(factors, 0, [3], 7).tolist()) == list(range(7))
 
     def test_matches_brute_force_sort(self):
         rng = make_rng(54)
         factors = fpmc_init(3, 8, f=4, rng=rng)
         for t in (factors.v_ui, factors.v_iu, factors.v_il, factors.v_li):
             t[...] = rng.standard_normal(t.shape)
-        scores = [fpmc_score(1, 5, i, factors) for i in range(8)]
+        scores = [float(factors.v_ui[1] @ factors.v_iu[i] + factors.v_il[i] @ factors.v_li[5])
+                  for i in range(8)]
         want = sorted(range(8), key=lambda i: (-scores[i], i))
-        assert fpmc_recommend(1, 5, factors, 8).tolist() == want
+        assert recommend(factors, 1, [5], 8).tolist() == want
 
     def test_uniform_factors_give_index_order(self):
         factors = FpmcFactors(*(np.ones((n, 2)) for n in (2, 6, 6, 6)))
-        assert fpmc_recommend(0, 1, factors, 6).tolist() == [0, 1, 2, 3, 4, 5]
+        assert recommend(factors, 0, [1], 6).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_inference_deterministic(self):
         factors = fpmc_init(2, 9, f=3, rng=make_rng(55))
-        a = fpmc_recommend(1, 4, factors, 9)
-        b = fpmc_recommend(1, 4, factors, 9)
+        a = recommend(factors, 1, [4], 9)
+        b = recommend(factors, 1, [4], 9)
         assert np.array_equal(a, b)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from songrec import checkpoint
-from songrec.cli import main
+from songrec.cli import _eval_order, main
 from songrec.config import ExperimentConfig, apply_override
 from songrec.models import CnnRecParams
 from songrec.util import make_rng
@@ -87,8 +87,10 @@ class TestConfig:
         assert np.isclose(cfg.model.hyperparams().dropout_p, 0.3)
 
     def test_order_is_one_for_first_order_family(self):
+        from songrec.baselines import fpmc_init
+
         cfg = ExperimentConfig.from_dict({"model": {"family": "fpmc"}})
-        assert cfg.model.order() == 1
+        assert _eval_order(fpmc_init(2, 5, f=2), cfg) == 1
 
     def test_apply_override_parses_json_values(self):
         raw = {}
@@ -155,6 +157,14 @@ class TestPrepare:
         stats = json.loads((tmp / "run" / "prepared" / "stats.json").read_text())
         assert stats["deleted_overlap"] == {"val": 0, "test": 0}
         assert stats["sessions"] == {"train": 14, "val": 2, "test": 4}
+
+    def test_prepared_dir_outside_a_new_out_dir(self, workspace):
+        tmp, config = workspace
+        assert run_cli("prepare", "--config", config, "--out", tmp / "fresh_out",
+                       "--set", f"data.prepared_dir={tmp / 'prep'}") == 0
+        assert (tmp / "prep" / "stats.json").exists()
+        manifest = json.loads((tmp / "fresh_out" / "prepare_manifest.json").read_text())
+        assert manifest["artifacts"]["prepared_dir"] == str(tmp / "prep")
 
 
 @pytest.fixture
@@ -230,20 +240,6 @@ class TestTrainEvaluate:
         for name in ("e1", "e2"):
             edir = tmp / name
             assert run_cli("evaluate", *common, "--out", edir,
-                           "--checkpoint", out / "model.ckpt") == 0
-            reports.append((edir / "report.json").read_bytes())
-        assert reports[0] == reports[1]
-
-    def test_workers_flag_does_not_change_report(self, prepared):
-        tmp, config = prepared
-        out = tmp / "wk"
-        common = ["--config", config,
-                  "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}"]
-        assert run_cli("train", *common, "--out", out) == 0
-        reports = []
-        for name, workers in (("w1", 1), ("w2", 3)):
-            edir = tmp / name
-            assert run_cli("evaluate", *common, "--out", edir, "--workers", workers,
                            "--checkpoint", out / "model.ckpt") == 0
             reports.append((edir / "report.json").read_bytes())
         assert reports[0] == reports[1]
@@ -335,6 +331,19 @@ class TestSweep:
             assert (out / f"order-{j}" / "model.ckpt").exists()
             report = json.loads((out / f"order-{j}" / "report.json").read_text())
             assert report["label"] == f"j={j}"
+
+    def test_sweep_sampled_protocol(self, prepared):
+        tmp, config = prepared
+        out = tmp / "sweep-sampled"
+        assert (
+            run_cli("sweep", "--config", config, "--out", out, "--orders", "1",
+                    "--set", "model.family=nnrec",
+                    "--set", 'eval.protocol="sampled"',
+                    "--set", "eval.n_neg=20",
+                    "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
+        )
+        report = json.loads((out / "order-1" / "report.json").read_text())
+        assert report["protocol"] == "sampled(20)"
 
     def test_sweep_on_third_order_data_prefers_order_three(self, tmp_path):
         # comparison table must show the higher order winning at k=1 when

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import PerfectScorer, StatelessScorer, UniformScorer, third_order_sessions
+from songrec import evaluation
 from songrec.data import Session, TrainingExample, extract_examples
 from songrec.evaluation import (
     EvalConfig,
@@ -12,7 +13,7 @@ from songrec.evaluation import (
     sweep_order,
 )
 from songrec.models import Hyperparams, NnRecParams, train
-from songrec.util import make_rng
+from songrec.util import make_rng, top_k_indices
 
 
 def make_examples(n, n_songs, j=2, seed=0, n_users=3):
@@ -41,15 +42,20 @@ class TestEvalConfig:
             EvalConfig(protocol="leave-one-out")
 
 
+def candidate_mask(n, candidates):
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, candidates] = True
+    return mask
+
+
 class TestRankOfTarget:
     def test_unique_max_is_rank_one(self):
-        scores = np.array([0.1, 0.9, 0.3])
-        assert rank_of_target(scores, 1, np.arange(3)) == 1
+        scores = np.array([[0.1, 0.9, 0.3]])
+        assert rank_of_target(scores, [1]).tolist() == [1]
 
     def test_all_equal_smallest_index_first(self):
-        scores = np.zeros(5)
-        assert rank_of_target(scores, 0, np.arange(5)) == 1
-        assert rank_of_target(scores, 3, np.arange(5)) == 4
+        scores = np.zeros((2, 5))
+        assert rank_of_target(scores, [0, 3]).tolist() == [1, 4]
 
     def test_matches_brute_force_sort_position(self):
         rng = make_rng(1)
@@ -59,11 +65,22 @@ class TestRankOfTarget:
             candidates = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             target = int(rng.choice(candidates))
             order = sorted(candidates.tolist(), key=lambda i: (-scores[i], i))
-            assert rank_of_target(scores, target, candidates) == order.index(target) + 1
+            rank = rank_of_target(scores[None], [target], candidate_mask(n, candidates))
+            assert rank.tolist() == [order.index(target) + 1]
+
+    def test_agrees_with_top_k_indices_on_ties(self):
+        rng = make_rng(2)
+        for _ in range(20):
+            b, n = int(rng.integers(1, 8)), int(rng.integers(2, 40))
+            scores = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(b, n))  # force ties
+            targets = rng.integers(0, n, size=b)
+            want = [int(np.flatnonzero(top_k_indices(row, n) == t)[0]) + 1
+                    for row, t in zip(scores, targets)]
+            assert rank_of_target(scores, targets).tolist() == want
 
     def test_target_absent_error(self):
         with pytest.raises(ValueError):
-            rank_of_target(np.zeros(4), 2, np.array([0, 1]))
+            rank_of_target(np.zeros((1, 4)), [2], candidate_mask(4, [0, 1]))
 
 
 class TestEvaluate:
@@ -110,14 +127,38 @@ class TestEvaluate:
         b = evaluate(model, examples, cfg, train_user_songs=songs)
         assert a.to_dict() == b.to_dict()
 
-    def test_workers_do_not_change_result(self):
+    @pytest.mark.parametrize("protocol,exclude",
+                             [("full", False), ("full", True), ("sampled", False)])
+    def test_chunking_does_not_change_result(self, monkeypatch, protocol, exclude):
         examples = make_examples(80, 40, seed=8)
         model = StatelessScorer(40)
-        cfg = EvalConfig(ks=(1, 5, 20), protocol="sampled", n_neg=15, seed=9)
+        cfg = EvalConfig(ks=(1, 5, 20), protocol=protocol, n_neg=15, seed=9,
+                         exclude_train_songs=exclude)
         songs = {u: set(range(5)) for u in range(3)}
-        a = evaluate(model, examples, cfg, train_user_songs=songs, workers=1)
-        b = evaluate(model, examples, cfg, train_user_songs=songs, workers=4)
-        assert a.to_dict() == b.to_dict()
+        whole = evaluate(model, examples, cfg, train_user_songs=songs)
+        monkeypatch.setattr(evaluation, "CHUNK_CELLS", 1)  # one example per chunk
+        single = evaluate(model, examples, cfg, train_user_songs=songs)
+        assert whole.to_json() == single.to_json()
+
+    @pytest.mark.parametrize("protocol", ["full", "sampled"])
+    def test_non_finite_scores_raise(self, protocol):
+        # every comparison with NaN is false, so unchecked NaN scores would
+        # rank each target first and report recall 1.0
+        examples = make_examples(30, 20, seed=12)
+        key = (examples[7].user, examples[7].context)
+
+        class NanAtOneContext(StatelessScorer):
+            def score_batch(self, users, contexts):
+                scores = super().score_batch(users, contexts)
+                for i, (u, ctx) in enumerate(zip(users, contexts)):
+                    if (u, tuple(ctx)) == key:
+                        scores[i] = np.nan
+                return scores
+
+        first = next(i for i, e in enumerate(examples) if (e.user, e.context) == key)
+        cfg = EvalConfig(ks=(1, 5), protocol=protocol, n_neg=5)
+        with pytest.raises(ValueError, match=f"non-finite scores for test example {first}$"):
+            evaluate(NanAtOneContext(20), examples, cfg, train_user_songs={})
 
     def test_sampled_equals_full_when_all_candidates(self):
         # n_neg = N-1 and no training listens: candidate sets coincide
@@ -155,8 +196,9 @@ class TestEvaluate:
         class Fixed:
             n_songs = 5
 
-            def score_catalog(self, u, context):
-                return table[(u, tuple(context))][0]
+            def score_batch(self, users, contexts):
+                return np.stack([table[(int(u), tuple(int(c) for c in ctx))][0]
+                                 for u, ctx in zip(users, contexts)])
 
         examples = [TrainingExample(u, ctx, t) for (u, ctx), (_, t) in table.items()]
         report = evaluate(Fixed(), examples, EvalConfig(ks=(1, 2, 3)))
@@ -172,10 +214,10 @@ class TestEvaluate:
         class Biased:
             n_songs = 10
 
-            def score_catalog(self, u, context):
-                scores = np.zeros(n_songs)
-                scores[:4] = 5.0
-                scores[context[0]] = 1.0  # target gets a middling score
+            def score_batch(self, users, contexts):
+                scores = np.zeros((len(users), n_songs))
+                scores[:, :4] = 5.0
+                scores[np.arange(len(users)), np.asarray(contexts)[:, 0]] = 1.0  # middling target
                 return scores
 
         examples = [TrainingExample(0, (7,), 7)]

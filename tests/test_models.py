@@ -6,13 +6,10 @@ from songrec.models import (
     CnnRecParams,
     Hyperparams,
     NnRecParams,
-    cnnrec_forward,
-    nnrec_forward,
-    predict_topk,
     train,
     train_step,
 )
-from songrec.util import make_rng
+from songrec.util import make_rng, top_k_indices
 
 TINY = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=2, batch=2, dropout_p=0.0)
 
@@ -63,7 +60,7 @@ class TestForward:
     @pytest.mark.parametrize("cls", [CnnRecParams, NnRecParams])
     def test_valid_distribution(self, cls):
         params = cls(7, 3, TINY, rng=make_rng(1))
-        probs = params.forward(1, [0, 1, 2])
+        probs = params.score_catalog(1, [0, 1, 2])
         assert probs.shape == (7,)
         assert (probs >= 0).all()
         assert abs(probs.sum() - 1.0) <= 1e-12
@@ -75,39 +72,29 @@ class TestForward:
         rng = make_rng(2)
         for t in params.tensors().values():
             t[...] = 10.0 * rng.standard_normal(t.shape)
-        probs = params.forward(0, [6, 6, 6])
+        probs = params.score_catalog(0, [6, 6, 6])
         assert (probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-12
 
     def test_single_precision_normalization(self):
         params = CnnRecParams(40, 3, TINY, rng=make_rng(3), dtype=np.float32)
-        probs = params.forward(2, [5, 1, 9])
+        probs = params.score_catalog(2, [5, 1, 9])
         assert abs(float(probs.sum()) - 1.0) <= 1e-6
 
     def test_wrong_context_length_error(self):
         params = NnRecParams(7, 3, TINY, rng=make_rng(0))
         with pytest.raises(ValueError):
-            params.forward(0, [1, 2])
-
-    def test_bad_mode_error(self):
-        params = NnRecParams(7, 3, TINY, rng=make_rng(0))
-        with pytest.raises(ValueError):
-            params.forward(0, [1, 2, 3], mode="predict")
+            params.score_catalog(0, [1, 2])
 
     def test_unknown_user_error(self):
         params = NnRecParams(7, 3, TINY, rng=make_rng(0))
         with pytest.raises(IndexError):
-            params.forward(5, [1, 2, 3])
+            params.score_catalog(5, [1, 2, 3])
 
     def test_train_mode_needs_rng(self):
         hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, dropout_p=0.5)
         params = NnRecParams(7, 3, hy, rng=make_rng(0))
         with pytest.raises(ValueError):
-            params.forward(0, [1, 2, 3], mode="train")
-
-    @pytest.mark.parametrize("cls,fn", [(CnnRecParams, cnnrec_forward), (NnRecParams, nnrec_forward)])
-    def test_module_function_matches_method(self, cls, fn):
-        params = cls(7, 3, TINY, rng=make_rng(4))
-        assert np.array_equal(fn(1, [0, 1, 2], params), params.forward(1, [0, 1, 2]))
+            params.forward_batch([0], [[1, 2, 3]], train=True)
 
     @pytest.mark.parametrize("cls", [CnnRecParams, NnRecParams])
     def test_batched_equals_single(self, cls):
@@ -115,7 +102,7 @@ class TestForward:
         users, contexts, _ = tiny_batch()
         probs, _ = params.forward_batch(users, contexts)
         for i in range(len(users)):
-            assert np.allclose(probs[i], params.forward(users[i], contexts[i]), atol=1e-15)
+            assert np.allclose(probs[i], params.score_catalog(users[i], contexts[i]), atol=1e-15)
 
 
 class TestGradients:
@@ -179,7 +166,7 @@ class TestTrainStep:
         rng = make_rng(41)
         for _ in range(300):
             train_step(batch, params, rng)
-        assert params.forward(0, [1, 2, 3, 4, 5])[6] > 0.9
+        assert params.score_catalog(0, [1, 2, 3, 4, 5])[6] > 0.9
 
 
 class TestTrainLoop:
@@ -238,28 +225,28 @@ class TestPredictTopk:
 
     def test_known_ordering(self):
         params = self._rigged([0.1, 2.0, -1.0, 0.5, 1.0, 0.0, -2.0])
-        assert predict_topk(params, 0, [1, 2, 3], 3).tolist() == [1, 4, 3]
+        assert top_k_indices(params.score_catalog(0, [1, 2, 3]), 3).tolist() == [1, 4, 3]
 
     def test_k_equals_n_is_permutation(self):
         params = self._rigged([0.1, 2.0, -1.0, 0.5, 1.0, 0.0, -2.0])
-        top = predict_topk(params, 0, [1, 2, 3], 7)
+        top = top_k_indices(params.score_catalog(0, [1, 2, 3]), 7)
         assert sorted(top.tolist()) == list(range(7))
 
     def test_tie_prefers_lower_index(self):
         params = self._rigged([1.0, 5.0, 5.0, 1.0, 1.0, 0.0, 0.0])
-        assert predict_topk(params, 0, [1, 2, 3], 2).tolist() == [1, 2]
+        assert top_k_indices(params.score_catalog(0, [1, 2, 3]), 2).tolist() == [1, 2]
 
     def test_matches_brute_force_sort(self):
         rng = make_rng(18)
         params = NnRecParams(9, 3, TINY, rng=rng)
-        probs = params.forward(1, [4, 5, 6])
+        probs = params.score_catalog(1, [4, 5, 6])
         want = sorted(range(9), key=lambda i: (-probs[i], i))
-        assert predict_topk(params, 1, [4, 5, 6], 9).tolist() == want
+        assert top_k_indices(params.score_catalog(1, [4, 5, 6]), 9).tolist() == want
 
     def test_unknown_user_error(self):
         params = NnRecParams(7, 3, TINY, rng=make_rng(19))
         with pytest.raises(IndexError):
-            predict_topk(params, 9, [1, 2, 3], 3)
+            top_k_indices(params.score_catalog(9, [1, 2, 3]), 3)
 
 
 class TestStructuralEquivalence:
@@ -279,4 +266,4 @@ class TestStructuralEquivalence:
         cnn.conv_b[...] = 0.0
         for u in (0, 1):
             for ctx in ([0, 1], [2, 5], [4, 4]):
-                assert np.array_equal(cnn.forward(u, ctx), nn.forward(u, ctx))
+                assert np.array_equal(cnn.score_catalog(u, ctx), nn.score_catalog(u, ctx))
