@@ -22,14 +22,17 @@ MAGIC = b"SNGREC01"
 
 
 def save(path, model_type: str, meta: dict, tensors: dict) -> None:
-    """Write a checkpoint atomically (temp file + rename)."""
+    """Write a checkpoint atomically (temp file + rename).
+
+    Each tensor's little-endian buffer is written as it stands; only a
+    tensor that is not already contiguous and little-endian is copied.
+    """
     manifest = []
     payloads = []
     offset = 0
     for name, t in tensors.items():
         t = np.ascontiguousarray(t)
         le = t.astype(t.dtype.newbyteorder("<"), copy=False)
-        blob = le.tobytes()
         manifest.append(
             {
                 "name": name,
@@ -38,8 +41,8 @@ def save(path, model_type: str, meta: dict, tensors: dict) -> None:
                 "offset": offset,
             }
         )
-        payloads.append(blob)
-        offset += len(blob)
+        payloads.append(le.reshape(-1).view(np.uint8))
+        offset += le.nbytes
     header = json.dumps(
         {"model_type": model_type, "meta": meta, "tensors": manifest},
         sort_keys=True,
@@ -63,27 +66,46 @@ def save(path, model_type: str, meta: dict, tensors: dict) -> None:
 
 
 def load(path) -> tuple[str, dict, dict]:
-    """Read a checkpoint back as (model_type, meta, {name: array})."""
+    """Read a checkpoint back as (model_type, meta, {name: array}).
+
+    The header length is checked against the file size before the header
+    is parsed, and each manifest extent before its tensor is read straight
+    into its own array, so a cut file reports truncation.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a checkpoint (magic {magic!r})")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
-    tensors = {}
-    for entry in header["tensors"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        start = entry["offset"]
-        if start + n_bytes > len(payload):
+        prefix = len(MAGIC) + 8
+        if size < prefix:
             raise ValueError(
-                f"{path}: tensor {entry['name']} overruns payload "
-                f"({start}+{n_bytes} > {len(payload)})"
+                f"{path}: truncated checkpoint: {size} bytes, header length needs {prefix}"
             )
-        arr = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)), offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).copy()
+        (header_len,) = struct.unpack("<Q", fh.read(8))
+        if prefix + header_len > size:
+            raise ValueError(
+                f"{path}: truncated checkpoint: {size} bytes, header ends at "
+                f"{prefix + header_len}"
+            )
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+        payload_start = prefix + header_len
+        payload_len = size - payload_start
+        tensors = {}
+        for entry in header["tensors"]:
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(entry["shape"])
+            n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            start = entry["offset"]
+            if start < 0 or start + n_bytes > payload_len:
+                raise ValueError(
+                    f"{path}: truncated checkpoint: tensor {entry['name']} overruns "
+                    f"payload ({start}+{n_bytes} > {payload_len})"
+                )
+            arr = np.empty(shape, dtype=dtype)
+            fh.seek(payload_start + start)
+            fh.readinto(arr.reshape(-1).view(np.uint8))
+            tensors[entry["name"]] = arr
     return header["model_type"], header["meta"], tensors
 
 

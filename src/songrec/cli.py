@@ -104,6 +104,23 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _epoch_progress(family: str, epochs: int, n_examples: int):
+    """Training callback that logs one line per epoch: loss, examples/s
+    over the epoch, and seconds since training started."""
+    start = last = time.perf_counter()
+
+    def log_epoch(epoch, params, loss):
+        nonlocal last
+        now = time.perf_counter()
+        logger.info(
+            "%s epoch %d/%d: loss %.4f, %.0f examples/s, %.1fs elapsed",
+            family, epoch + 1, epochs, loss, n_examples / (now - last), now - start,
+        )
+        last = now
+
+    return log_epoch
+
+
 def fit_model(cfg: ExperimentConfig, prepared, order: int | None = None):
     """Train the configured family on the prepared training split.
 
@@ -128,7 +145,8 @@ def fit_model(cfg: ExperimentConfig, prepared, order: int | None = None):
         examples = extract_examples(split.train, hyper.j)
         if not examples:
             raise ValueError(f"no training examples at order j={hyper.j}; sessions too short?")
-        history = train(examples, params, make_rng(cfg.subseed("train")))
+        progress = _epoch_progress(family, hyper.epochs, len(examples))
+        history = train(examples, params, make_rng(cfg.subseed("train")), [progress])
         return params, history
     if family == "w2v":
         emb = w2v_train(

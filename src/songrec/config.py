@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .data import OVERLAP_MODES, SHUFFLE_UNITS
@@ -22,6 +23,17 @@ from .util import config_hash, derive_seed
 MODEL_FAMILIES = ("cnnrec", "nnrec", "w2v", "wmf", "fpmc")
 
 
+# field annotation -> (what the value must be, its test)
+_LEAF_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    str | None: ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
 def _from_dict(cls, d: dict, path: str):
     if not isinstance(d, dict):
         raise ValueError(f"{path} must be a JSON object, got {type(d).__name__}")
@@ -29,13 +41,19 @@ def _from_dict(cls, d: dict, path: str):
     unknown = set(d) - names
     if unknown:
         raise ValueError(f"unknown config key(s) under {path}: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in d:
             continue
         value = d[f.name]
+        key = f"{path}.{f.name}"
         if f.name in _NESTED:
-            value = _from_dict(_NESTED[f.name], value, f"{path}.{f.name}")
+            value = _from_dict(_NESTED[f.name], value, key)
+        else:
+            what, ok = _LEAF_TYPES[hints[f.name]]
+            if not ok(value):
+                raise ValueError(f"{key} must be {what}, got {value!r}")
         kwargs[f.name] = value
     return cls(**kwargs)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_FLOOR = 1e-12  # probabilities are clamped here before log
+_BLOCK = 16384  # elements per block of the dense Adagrad update
 
 
 def glorot_init(
@@ -55,7 +56,8 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
         raise ValueError(
             f"affine shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}"
         )
-    y = x @ w.T + b
+    y = x @ w.T
+    y += b
     return y, (x, w)
 
 
@@ -159,18 +161,28 @@ def dropout_backward(g: np.ndarray, cache) -> np.ndarray:
     return g * mask / keep
 
 
+def softmax_inplace(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in ``x`` itself (returned).
+
+    Stable via max-subtraction: x - max, then exp, then divide by the sum.
+    """
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
 def softmax_xent(logits: np.ndarray, target):
     """Softmax probabilities and cross-entropy loss of the target class.
 
-    Stable via max-subtraction; the target probability is clamped at
-    PROB_FLOOR before the log. ``logits`` may be (N,) or (B, N) with
-    ``target`` scalar or (B,); the loss follows (scalar or (B,)).
-    The gradient w.r.t. logits is probs - onehot(target); see
-    :func:`softmax_xent_backward`.
+    The probabilities come from :func:`softmax_inplace` on a copy of
+    ``logits``; the target probability is clamped at PROB_FLOOR before
+    the log. ``logits`` may be (N,) or (B, N) with ``target`` scalar or
+    (B,); the loss follows (scalar or (B,)). The gradient w.r.t. logits
+    is probs - onehot(target); see :func:`softmax_xent_backward`.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    logits = np.asarray(logits)
+    probs = softmax_inplace(np.array(logits, dtype=np.result_type(logits, 0.0)))
     if logits.ndim == 1:
         t = int(target)
         if not 0 <= t < logits.shape[0]:
@@ -210,13 +222,35 @@ class AdagradState:
 
 
 def adagrad_step(param: np.ndarray, grad: np.ndarray, state: AdagradState) -> np.ndarray:
-    """In-place update: acc += g^2; param -= lr * g / (sqrt(acc) + eps)."""
+    """In-place update: acc += g^2; param -= (lr * g) / (sqrt(acc) + eps).
+
+    Runs over contiguous blocks of ``_BLOCK`` elements with one small
+    scratch buffer, so no full-size temporary is made. Every element sees
+    the same operations in the same order as the whole-array expression,
+    so the result is bitwise identical to it. ``grad`` is not modified.
+    """
     if param.shape != grad.shape or param.shape != state.acc.shape:
         raise ValueError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, acc {state.acc.shape}"
         )
-    state.acc += grad * grad
-    param -= state.lr * grad / (np.sqrt(state.acc) + state.eps)
+    if not (param.flags.c_contiguous and state.acc.flags.c_contiguous):
+        raise ValueError("adagrad_step needs C-contiguous param and accumulator")
+    p = param.reshape(-1)
+    acc = state.acc.reshape(-1)
+    g = grad.reshape(-1)
+    n = p.shape[0]
+    scratch = np.empty((2, min(n, _BLOCK)), dtype=np.result_type(grad, state.acc))
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        gb, ab = g[start:stop], acc[start:stop]
+        step, den = scratch[:, : stop - start]
+        np.multiply(gb, gb, out=step)
+        ab += step
+        np.sqrt(ab, out=den)
+        den += state.eps
+        np.multiply(state.lr, gb, out=step)
+        step /= den
+        p[start:stop] -= step
     return param
 
 

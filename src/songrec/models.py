@@ -11,6 +11,8 @@ the learning rate keeps its meaning across batch sizes.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,9 +34,15 @@ from .core import (
     glorot_init,
     relu,
     relu_backward,
+    softmax_inplace,
     softmax_xent_backward,
 )
 from .util import Recommender, make_rng
+
+logger = logging.getLogger(__name__)
+
+# the mean loss when every target probability sits at PROB_FLOOR
+SATURATED_LOSS = -math.log(PROB_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -136,9 +144,7 @@ class _NeuralParams(Recommender):
         a1, relu_mask = relu(h_pre)
         a1d, drop = dropout(a1, hy.dropout_p, rng, train)
         logits, aff2 = affine(a1d, self.w2, self.b2)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=-1, keepdims=True)
+        probs = softmax_inplace(logits)
         cache = (users, contexts, feat_cache, widths, aff1, relu_mask, drop, aff2)
         return probs, cache
 
@@ -150,7 +156,8 @@ class _NeuralParams(Recommender):
         """
         users, contexts, feat_cache, widths, aff1, relu_mask, drop, aff2 = cache
         b = probs.shape[0]
-        dlogits = softmax_xent_backward(probs, targets) / b
+        dlogits = softmax_xent_backward(probs, targets)
+        dlogits /= b
         da1d, dw2, db2 = affine_backward(dlogits, aff2)
         da1 = dropout_backward(da1d, drop)
         dh = relu_backward(da1, relu_mask)
@@ -308,13 +315,30 @@ def train_step(batch, params: _NeuralParams, rng) -> float:
     return float(np.mean(losses))
 
 
+def _check_epoch(params: _NeuralParams, epoch: int, loss: float) -> None:
+    """Stop on a non-finite loss or tensor; warn on a saturated loss."""
+    bad = [name for name, t in params.tensors().items() if not np.isfinite(t).all()]
+    if bad or not math.isfinite(loss):
+        raise ValueError(
+            f"training diverged in epoch {epoch + 1}: loss {loss!r}, "
+            f"non-finite tensors: {', '.join(bad) or 'none'}"
+        )
+    if abs(loss - SATURATED_LOSS) <= 0.01 * SATURATED_LOSS:
+        logger.warning(
+            "epoch %d loss %.4f is within 1%% of -log(PROB_FLOOR) = %.2f: target "
+            "probabilities sit at the floor; is the learning rate too high?",
+            epoch + 1, loss, SATURATED_LOSS,
+        )
+
+
 def train(examples, params: _NeuralParams, rng, callbacks=None) -> list[float]:
     """Epoch loop: reshuffle each epoch, minibatch steps, loss history.
 
     ``examples`` is a list of training examples or a premade
     (users, contexts, targets) array triple. Returns per-epoch mean loss,
-    one entry per epoch; optional callbacks run after each epoch as
-    callback(epoch, params, epoch_loss).
+    one entry per epoch. After each epoch a non-finite loss or tensor
+    raises ``ValueError`` and a loss at -log(PROB_FLOOR) logs a warning;
+    then optional callbacks run as callback(epoch, params, epoch_loss).
     """
     from .data import examples_to_arrays
 
@@ -334,6 +358,7 @@ def train(examples, params: _NeuralParams, rng, callbacks=None) -> list[float]:
             total += loss * len(sel)
         epoch_loss = total / n
         history.append(epoch_loss)
+        _check_epoch(params, epoch, epoch_loss)
         for cb in callbacks or ():
             cb(epoch, params, epoch_loss)
     return history

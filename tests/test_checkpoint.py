@@ -65,6 +65,32 @@ class TestContainer:
         with pytest.raises(ValueError, match="overruns"):
             checkpoint.load(path)
 
+    @pytest.mark.parametrize("cut", ["length_field", "manifest", "payload"])
+    def test_truncation_reported_at_every_cut_point(self, tmp_path, cut):
+        path = tmp_path / "m.ckpt"
+        checkpoint.save(path, "stub", {}, {"a": np.ones(3), "t": np.arange(100.0)})
+        blob = path.read_bytes()
+        header_end = 16 + int.from_bytes(blob[8:16], "little")
+        keep = {"length_field": 12, "manifest": 20, "payload": header_end + 30}[cut]
+        path.write_bytes(blob[:keep])
+        with pytest.raises(ValueError, match="truncated"):
+            checkpoint.load(path)
+
+    def test_save_writes_the_tensor_bytes_unchanged(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tensors = {"f": np.arange(6.0).reshape(2, 3).T, "h": np.arange(4, dtype=">f4"),
+                   "e": np.zeros((0, 2))}
+        checkpoint.save(path, "stub", {}, tensors)
+        blob = path.read_bytes()
+        header_end = 16 + int.from_bytes(blob[8:16], "little")
+        want = b"".join(np.ascontiguousarray(t).astype(t.dtype.newbyteorder("<")).tobytes()
+                        for t in tensors.values())
+        assert blob[header_end:] == want
+        _, _, back = checkpoint.load(path)
+        for name, t in tensors.items():
+            assert back[name].dtype == t.dtype.newbyteorder("<")
+            assert np.array_equal(back[name], t)
+
     def test_multiple_tensors_manifest_order(self, tmp_path):
         path = tmp_path / "m.ckpt"
         tensors = {"a": np.ones(2), "b": np.zeros((3, 2)), "c": np.full(4, 7.0)}

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -198,6 +199,27 @@ class TestTrainEvaluate:
         assert report["n_examples"] > 0
         curves = (out / "curves.csv").read_text().splitlines()
         assert len(curves) == 1 + 4  # header + one row per cutoff
+
+    def test_train_logs_one_progress_line_per_epoch(self, prepared, caplog):
+        tmp, config = prepared
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            assert run_cli("train", "--config", config, "--out", tmp / "progress",
+                           "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
+        lines = [r.getMessage() for r in caplog.records if " epoch " in r.getMessage()]
+        assert [line.split(":")[0] for line in lines] == ["cnnrec epoch 1/2", "cnnrec epoch 2/2"]
+        assert all("examples/s" in line and "elapsed" in line for line in lines)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+    def test_diverging_training_exits_with_one_line(self, prepared, caplog):
+        tmp, config = prepared
+        code = run_cli("train", "--config", config, "--out", tmp / "diverge",
+                       "--set", "model.lr=1e300",
+                       "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}")
+        assert code == 1
+        errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "diverged in epoch 1" in errors[0].getMessage()
+        assert "\n" not in errors[0].getMessage()
+        assert not (tmp / "diverge" / "model.ckpt").exists()
 
     def test_zero_epochs_checkpoint_equals_initialization(self, prepared):
         tmp, config = prepared
@@ -400,6 +422,14 @@ class TestCliErrors:
         bad = tmp_path / "bad.json"
         bad.write_text('{"nope": 1}')
         assert run_cli("prepare", "--config", bad) == 1
+
+    @pytest.mark.parametrize("assignment", ['model.d="x"', "model.epochs=2.5",
+                                            "eval.exclude_train_songs=1", "seed=true"])
+    def test_wrong_config_type_exit_code(self, tmp_path, caplog, assignment):
+        code = run_cli("prepare", "--set", assignment, "--out", tmp_path)
+        assert code == 1
+        key = assignment.split("=")[0]
+        assert any(f"config.{key} must be" in r.getMessage() for r in caplog.records)
 
     def test_train_without_prepared_dir_fails(self, tmp_path):
         config = write_config(tmp_path / "c.json", **{"out_dir": str(tmp_path / "o")})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from songrec.core import (
+    _BLOCK,
     AdagradState,
     adagrad_step,
     adagrad_step_rows,
@@ -18,6 +19,7 @@ from songrec.core import (
     grad_check,
     relu,
     relu_backward,
+    softmax_inplace,
     softmax_xent,
     softmax_xent_backward,
 )
@@ -318,6 +320,22 @@ class TestSoftmaxXent:
             assert np.allclose(probs[i], pi) and np.isclose(losses[i], li)
 
 
+    def test_kernel_works_in_place_and_matches_reference(self):
+        logits = make_rng(8).standard_normal((5, 40))
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        want = e / e.sum(axis=-1, keepdims=True)
+        buf = logits.copy()
+        assert softmax_inplace(buf) is buf
+        assert np.array_equal(buf, want)
+        probs, _ = softmax_xent(logits, np.zeros(5, dtype=int))
+        assert np.array_equal(probs, want)
+
+    def test_float32_stays_float32(self):
+        probs, _ = softmax_xent(np.zeros(4, dtype=np.float32), 0)
+        assert probs.dtype == np.float32
+
+
 class TestAdagrad:
     def test_zero_grad_no_change(self):
         p = np.array([1.0, 2.0])
@@ -358,6 +376,37 @@ class TestAdagrad:
     def test_shape_mismatch_error(self):
         with pytest.raises(ValueError):
             adagrad_step(np.zeros(2), np.zeros(3), AdagradState.for_param(np.zeros(2)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "shape", [(1,), (325,), (_BLOCK,), (_BLOCK + 1,), (10000, 300)], ids=str
+    )
+    def test_blocked_update_equals_reference_bitwise(self, shape, dtype):
+        rng = make_rng(12)
+        p = rng.standard_normal(shape).astype(dtype)
+        acc0 = rng.random(shape).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        g_before = g.copy()
+        state = AdagradState(acc0.copy(), lr=0.01, eps=1e-8)
+        want_acc = acc0 + g * g
+        want_p = p - state.lr * g / (np.sqrt(want_acc) + state.eps)
+        out = adagrad_step(p, g, state)
+        assert out is p
+        assert p.dtype == dtype and state.acc.dtype == dtype
+        assert np.array_equal(state.acc, want_acc)
+        assert np.array_equal(p, want_p)
+        assert np.array_equal(g, g_before)
+
+    def test_non_contiguous_param_error(self):
+        p = np.zeros((4, 6))[:, ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            adagrad_step(p, np.ones(p.shape), AdagradState.for_param(np.zeros(p.shape)))
+
+    def test_non_contiguous_accumulator_error(self):
+        p = np.zeros((3, 4))
+        state = AdagradState(np.zeros((4, 3)).T, lr=0.1)
+        with pytest.raises(ValueError, match="contiguous"):
+            adagrad_step(p, np.ones(p.shape), state)
 
     def test_sparse_rows_aggregate_duplicates(self):
         p_sparse = np.ones((4, 2))

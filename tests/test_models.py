@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from songrec.core import grad_check
 from songrec.models import (
     CnnRecParams,
     Hyperparams,
+    SATURATED_LOSS,
     NnRecParams,
     train,
     train_step,
@@ -207,6 +210,32 @@ class TestTrainLoop:
         assert len(history) == 4
         assert [e for e, _ in seen] == [0, 1, 2, 3]
         assert [l for _, l in seen] == history
+
+    def test_non_finite_tensor_stops_training(self):
+        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=3, batch=2, dropout_p=0.0)
+        params = CnnRecParams(7, 3, hy, rng=make_rng(17))
+        params.w2[2, 1] = np.nan
+        seen = []
+        with pytest.raises(ValueError, match=r"epoch 1: .*non-finite tensors: .*w2"):
+            train([_example(0, (1, 2, 3), 4)], params, make_rng(18),
+                  callbacks=[lambda *args: seen.append(args)])
+        assert seen == []  # stopped before reporting the epoch
+
+    def test_saturated_loss_warns(self, caplog):
+        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=1, batch=2, dropout_p=0.0)
+        params = NnRecParams(7, 3, hy, rng=make_rng(19))
+        params.b2[4] = -1e4  # the target's probability underflows to the floor
+        with caplog.at_level(logging.WARNING, logger="songrec"):
+            history = train([_example(0, (1, 2, 3), 4)], params, make_rng(20))
+        assert history == [pytest.approx(SATURATED_LOSS)]
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "epoch 1 loss" in warnings[0].getMessage()
+
+    def test_healthy_training_logs_no_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="songrec"):
+            train([_example(0, (1, 2, 3), 4)], NnRecParams(7, 3, TINY, rng=make_rng(21)),
+                  make_rng(22))
+        assert caplog.records == []
 
 
 def _example(user, context, target):
