@@ -232,6 +232,9 @@ def play_count_matrix(sessions, n_users: int, n_songs: int) -> sp.csr_matrix:
     )
 
 
+OBJECTIVE_CHUNK = 4096  # observed cells per gather in wmf_objective
+
+
 def wmf_objective(r: sp.spmatrix, x: np.ndarray, y: np.ndarray, alpha: float, lam: float) -> float:
     """Exact weighted objective over ALL user-item cells.
 
@@ -241,7 +244,11 @@ def wmf_objective(r: sp.spmatrix, x: np.ndarray, y: np.ndarray, alpha: float, la
     U x N matrix is formed.
     """
     coo = sp.coo_matrix(r)
-    shat = np.einsum("ij,ij->i", x[coo.row], y[coo.col])
+    # the (nnz, f) gathers go chunk by chunk, so the transient stays small
+    shat = np.empty(coo.nnz, dtype=np.result_type(x, y))
+    for lo in range(0, coo.nnz, OBJECTIVE_CHUNK):
+        hi = lo + OBJECTIVE_CHUNK
+        shat[lo:hi] = np.einsum("ij,ij->i", x[coo.row[lo:hi]], y[coo.col[lo:hi]])
     conf = 1.0 + alpha * coo.data
     full = np.trace((x.T @ x) @ (y.T @ y))
     corr = np.sum(conf * (1.0 - shat) ** 2 - shat**2)

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import logging
 import os
+import resource
 import sys
 import time
 
@@ -45,7 +46,12 @@ def _seeds(cfg: ExperimentConfig) -> dict:
     return seeds
 
 
-def _write_manifest(cfg: ExperimentConfig, command: str, artifacts: dict, timings: dict):
+def _write_manifest(
+    cfg: ExperimentConfig, command: str, artifacts: dict, timings: dict, **measured
+):
+    """Write ``<command>_manifest.json``; ``measured`` adds command-specific
+    figures next to the timings and the process's peak RSS so far."""
+    peak_rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     manifest = {
         "command": command,
         "config": cfg.to_dict(),
@@ -53,6 +59,8 @@ def _write_manifest(cfg: ExperimentConfig, command: str, artifacts: dict, timing
         "seeds": _seeds(cfg),
         "artifacts": artifacts,
         "timings_sec": {k: round(v, 3) for k, v in timings.items()},
+        "peak_rss_mb": round(peak_rss_kib / 1024, 1),
+        **measured,
         "version": f"songrec {__version__}",
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -100,6 +108,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
         "prepare",
         {"prepared_dir": out},
         {"parse": t_parse - t0, "pipeline": t_done - t_parse},
+        parse_lines_per_s=round((summary.parsed + summary.skipped) / (t_parse - t0)),
     )
     return 0
 

@@ -14,7 +14,7 @@ import logging
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 
 import numpy as np
 
@@ -33,6 +33,7 @@ OVERLAP_MODES = ("drop-seen", "keep-only-seen", "none")
 SHUFFLE_UNITS = ("session", "record")
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # 719163
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,6 +137,51 @@ def format_timestamp(epoch: int) -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime(_TS_FORMAT)
 
 
+def _midnight_epoch(prefix: str) -> int | None:
+    """``"YYYY-MM-DDT"`` in ASCII digits naming a valid date -> epoch
+    seconds of that day's UTC midnight; None for anything else."""
+    y, m, d = prefix[0:4], prefix[5:7], prefix[8:10]
+    if not (
+        prefix.isascii() and prefix[4] == prefix[7] == "-" and prefix[10] == "T"
+        and y.isdigit() and m.isdigit() and d.isdigit()
+    ):
+        return None
+    try:
+        return (date(int(y), int(m), int(d)).toordinal() - _EPOCH_ORDINAL) * 86400
+    except ValueError:  # month 13, Feb 30, year 0
+        return None
+
+
+def _timestamp_parser():
+    """A :func:`parse_timestamp` with a fast path for the canonical form.
+
+    ``YYYY-MM-DDTHH:MM:SSZ`` in ASCII digits, with a valid date and
+    h < 24, m < 60, s < 60, is converted by integer arithmetic, the epoch
+    of each date part coming from a cache. Every other string goes to
+    :func:`parse_timestamp`, so strptime decides what else is accepted
+    (lowercase t/z, one-digit fields, non-ASCII digits, ...) or rejected.
+    """
+    days: dict[str, int] = {}  # valid date parts only
+
+    def to_epoch(text: str) -> int:
+        if len(text) == 20 and text[13::3] == "::Z":  # ':' at 13 and 16, 'Z' at 19
+            prefix = text[:11]
+            day = days.get(prefix)
+            if day is None:
+                day = _midnight_epoch(prefix)
+                if day is not None:
+                    days[prefix] = day
+            hms = text[11:13] + text[14:16] + text[17:19]
+            if day is not None and hms.isascii() and hms.isdigit():
+                n = int(hms)
+                h, m, s = n // 10000, n // 100 % 100, n % 100
+                if h < 24 and m < 60 and s < 60:
+                    return day + h * 3600 + m * 60 + s
+        return parse_timestamp(text)
+
+    return to_epoch
+
+
 def parse_events(stream) -> tuple[list[ListeningEvent], ParseSummary]:
     """Parse tab-separated play-log lines into events.
 
@@ -146,11 +192,16 @@ def parse_events(stream) -> tuple[list[ListeningEvent], ParseSummary]:
     columns are often empty in the raw data so names are the usable
     identity. Lines with fewer than 6 fields, an unparseable timestamp,
     an empty user, or both name fields empty are counted and skipped.
+    Timestamps are accepted exactly as :func:`parse_timestamp` accepts
+    them. Equal user keys share one string object, and so do equal song
+    keys.
 
     Returns the events in input order plus a parse summary.
     """
     events: list[ListeningEvent] = []
     summary = ParseSummary()
+    to_epoch = _timestamp_parser()
+    keys: dict[str, str] = {}  # interning table for user and song keys
     for line in _iter_lines(stream):
         if not line:
             continue
@@ -163,11 +214,13 @@ def parse_events(stream) -> tuple[list[ListeningEvent], ParseSummary]:
             summary.skipped += 1
             continue
         try:
-            ts = parse_timestamp(ts_text)
+            ts = to_epoch(ts_text)
         except ValueError:
             summary.skipped += 1
             continue
-        events.append(ListeningEvent(user_key, ts, artist_name + SONG_KEY_SEP + track_name))
+        user_key = keys.setdefault(user_key, user_key)
+        song_key = artist_name + SONG_KEY_SEP + track_name
+        events.append(ListeningEvent(user_key, ts, keys.setdefault(song_key, song_key)))
         summary.parsed += 1
     return events, summary
 
@@ -190,14 +243,10 @@ def build_vocab(events: list[ListeningEvent], cap: int = DEFAULT_VOCAB_CAP) -> V
         raise ValueError("vocabulary cap must be >= 1")
     if not events:
         raise ValueError("no events: empty vocabulary is unusable")
-    counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-    for pos, ev in enumerate(events):
-        counts[ev.song_key] += 1
-        if ev.song_key not in first_seen:
-            first_seen[ev.song_key] = pos
-    ordered = sorted(counts, key=lambda k: (-counts[k], first_seen[k]))
-    return VocabMap(ordered[:cap])
+    # Counter keeps first-insertion order and most_common() sorts stably,
+    # so equal counts stay in order of first appearance
+    counts = Counter(ev.song_key for ev in events)
+    return VocabMap([key for key, _ in counts.most_common(cap)])
 
 
 def filter_to_vocab(

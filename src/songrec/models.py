@@ -316,7 +316,9 @@ def train_step(batch, params: _NeuralParams, rng) -> float:
 
 
 def _check_epoch(params: _NeuralParams, epoch: int, loss: float) -> None:
-    """Stop on a non-finite loss or tensor; warn on a saturated loss."""
+    """Stop on a non-finite loss or tensor; warn on a saturated loss or,
+    from the second epoch on, on a loss above log(n_songs), worse than
+    a uniform guess over the catalog."""
     bad = [name for name, t in params.tensors().items() if not np.isfinite(t).all()]
     if bad or not math.isfinite(loss):
         raise ValueError(
@@ -329,6 +331,12 @@ def _check_epoch(params: _NeuralParams, epoch: int, loss: float) -> None:
             "probabilities sit at the floor; is the learning rate too high?",
             epoch + 1, loss, SATURATED_LOSS,
         )
+    elif epoch >= 1 and loss > math.log(params.n_songs):
+        logger.warning(
+            "epoch %d loss %.4f is above log(n_songs) = %.2f, worse than a uniform "
+            "guess over the catalog; is the learning rate too high?",
+            epoch + 1, loss, math.log(params.n_songs),
+        )
 
 
 def train(examples, params: _NeuralParams, rng, callbacks=None) -> list[float]:
@@ -337,8 +345,9 @@ def train(examples, params: _NeuralParams, rng, callbacks=None) -> list[float]:
     ``examples`` is a list of training examples or a premade
     (users, contexts, targets) array triple. Returns per-epoch mean loss,
     one entry per epoch. After each epoch a non-finite loss or tensor
-    raises ``ValueError`` and a loss at -log(PROB_FLOOR) logs a warning;
-    then optional callbacks run as callback(epoch, params, epoch_loss).
+    raises ``ValueError``, and a loss at -log(PROB_FLOOR) or, after the
+    first epoch, above log(n_songs) logs a warning; then optional
+    callbacks run as callback(epoch, params, epoch_loss).
     """
     from .data import examples_to_arrays
 

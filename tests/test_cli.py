@@ -10,6 +10,8 @@ from songrec.cli import _eval_order, main
 from songrec.config import ExperimentConfig, apply_override
 from songrec.models import CnnRecParams
 from songrec.util import make_rng
+from test_golden import CONFIG as GOLDEN_CONFIG
+from test_golden import golden_log_lines
 
 
 def run_cli(*args):
@@ -220,6 +222,35 @@ class TestTrainEvaluate:
         assert len(errors) == 1 and "diverged in epoch 1" in errors[0].getMessage()
         assert "\n" not in errors[0].getMessage()
         assert not (tmp / "diverge" / "model.ckpt").exists()
+
+    def test_worse_than_uniform_loss_warns(self, tmp_path, caplog):
+        # on the 40-song golden log, lr 1e6 gives losses of about 21.7,
+        # 27.1 and 26.9: none within 1% of -log(PROB_FLOOR), all far
+        # above the log(40) = 3.69 of a uniform guess
+        log = tmp_path / "plays.tsv"
+        log.write_text("\n".join(golden_log_lines()) + "\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(GOLDEN_CONFIG), encoding="utf-8")
+        common = ["--config", config, "--set", f"data.prepared_dir={tmp_path / 'prepared'}"]
+        assert run_cli("prepare", *common, "--set", f"data.raw_path={log}", "--out", tmp_path) == 0
+        with caplog.at_level(logging.WARNING, logger="songrec"):
+            assert run_cli("train", *common, "--set", "model.lr=1e6", "--out", tmp_path / "t") == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [w.split(" loss ")[0] for w in warnings] == ["epoch 2", "epoch 3"]
+        assert all("above log(n_songs) = 3.69" in w for w in warnings)
+
+    def test_manifests_record_peak_rss_and_parse_rate(self, prepared):
+        tmp, config = prepared
+        out = tmp / "train-wmf"
+        common = ["--config", config, "--out", out, "--set", "model.family=wmf",
+                  "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}"]
+        assert run_cli("train", *common) == 0
+        assert run_cli("evaluate", *common, "--checkpoint", out / "model.ckpt") == 0
+        manifests = [tmp / "run" / "prepare_manifest.json", out / "train_manifest.json",
+                     out / "evaluate_manifest.json"]
+        for path in manifests:
+            assert json.loads(path.read_text())["peak_rss_mb"] > 0, path
+        assert json.loads(manifests[0].read_text())["parse_lines_per_s"] > 0
 
     def test_zero_epochs_checkpoint_equals_initialization(self, prepared):
         tmp, config = prepared

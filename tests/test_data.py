@@ -1,4 +1,5 @@
 import gzip
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -79,6 +80,73 @@ class TestParse:
             events, summary = parse_events(stream)
         assert summary.parsed == 1
         assert events[0].timestamp == 1241478537
+
+
+# Timestamps the canonical-form fast path must either get exactly right
+# or leave to strptime: leap days, impossible dates and times, case,
+# one-digit and space-padded fields, non-ASCII digits, misplaced
+# separators, and 19- and 21-character strings.
+ADVERSARIAL_TIMESTAMPS = [
+    "2009-05-04T23:08:57Z", "1970-01-01T00:00:00Z", "1969-12-31T23:59:59Z",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "2005-06-26T00:00:00Z",
+    "1900-02-29T00:00:00Z", "2000-02-29T00:00:00Z", "2004-02-29T12:00:00Z",
+    "2100-02-29T00:00:00Z", "2005-02-29T00:00:00Z", "1900-02-28T23:59:59Z",
+    "2005-02-30T00:00:00Z", "2005-06-31T00:00:00Z", "2005-13-01T00:00:00Z",
+    "2005-00-10T00:00:00Z", "2005-06-00T00:00:00Z", "0000-01-01T00:00:00Z",
+    "2005-06-26T24:00:00Z", "2005-06-26T23:60:00Z", "2005-06-26T23:59:60Z",
+    "2005-06-26T23:59:61Z", "2005-06-26T99:99:99Z",
+    "2005-06-26t06:25:44z", "2005-06-26t06:25:44Z", "2005-06-26T06:25:44z",
+    "2005-6-26T6:5:4Z", "2005-06-2T06:25:44Z", "2005-06-26T06:25:4Z",
+    "2005-06- 5T06:25:44Z", "2005-06-26T 6:25:44Z", "2005-06-26T06: 5:44Z",
+    "2005-06-26T06:25: 4Z",
+    "\u0662\u0660\u0660\u0665-06-26T06:25:44Z", "2005-06-26T06:25:4\u0664Z",
+    "\uff12005-06-26T06:25:44Z", "2005-06-26T0\uff16:25:44Z", "2005-0\u0666-26T06:25:44Z",
+    "2005-06-26T:6:25:44Z", "2005-06-26T06::5:44Z", "2005-06-26T06:25::4Z",
+    "2005/06/26T06:25:44Z", "2005-06-26 06:25:44Z", "2005-06-26T06.25.44Z",
+    "2005-06-26T06:25:44+", "+005-06-26T06:25:44Z", "2005-06-26T-6:25:44Z",
+    "2005-06-26T06:25:+4Z", "2005-06-26T06:25:44",
+    "2005-06-26T06:25:444Z", "2005-06-26T06:25:44Z ", " 2005-06-26T06:25:44Z",
+    "12005-06-26T06:25:44Z", "", "not-a-time",
+]
+
+
+def strptime_epoch(text):
+    """Epoch seconds the way strptime reads ``text``; None if it rejects it."""
+    try:
+        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+    except ValueError:
+        return None
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+
+class TestParseTimestamps:
+    @pytest.mark.parametrize("text", ADVERSARIAL_TIMESTAMPS)
+    def test_accepts_and_rejects_as_strptime(self, text):
+        events, summary = parse_events([f"u\t{text}\t\tA\t\tT"])
+        want = strptime_epoch(text)
+        if want is None:
+            assert events == [] and (summary.parsed, summary.skipped) == (0, 1)
+        else:
+            assert [e.timestamp for e in events] == [want] and summary.parsed == 1
+
+    def test_one_stream_agrees_line_by_line(self):
+        # one parser sees every string, so a date cached from one line
+        # must not change the verdict on another
+        texts = ADVERSARIAL_TIMESTAMPS + ADVERSARIAL_TIMESTAMPS[::-1]
+        lines = [f"u{i}\t{t}\t\tA\t\tT" for i, t in enumerate(texts)]
+        events, summary = parse_events(lines)
+        want = [(f"u{i}", strptime_epoch(t)) for i, t in enumerate(texts)]
+        want = [w for w in want if w[1] is not None]
+        assert [(e.user_key, e.timestamp) for e in events] == want
+        assert summary.skipped == len(texts) - len(want)
+
+    def test_equal_keys_share_one_object(self):
+        lines = [f"user_{i % 2}\t2009-05-04T23:08:5{i}Z\t\tA\t\tT{i % 3}" for i in range(6)]
+        events, _ = parse_events(lines)
+        for a in events:
+            for b in events:
+                assert (a.user_key is b.user_key) == (a.user_key == b.user_key)
+                assert (a.song_key is b.song_key) == (a.song_key == b.song_key)
 
 
 class TestVocab:

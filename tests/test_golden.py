@@ -9,8 +9,15 @@ scoring was batched and chunked, so a change to scoring, ranking,
 chunking or negative sampling that moves any rank shows here. The loss
 histories and checkpoint hashes were written by the training code
 before the blocked Adagrad update and the in-place softmax, so any
-change in the bits training computes shows here. To rewrite them after
-an intended change in results:
+change in the bits training computes shows here.
+
+``prepared.sha256`` pins the prepared directory built from the same log
+with one line of every malformed kind mixed in and one more user whose
+timestamps strptime accepts in non-canonical forms, under both shuffle
+units and all three overlap modes. The hashes were written by the
+parser that sent every timestamp through strptime, so a change in what
+parsing accepts, rejects or returns shows here. To rewrite the golden
+files after an intended change in results:
 
     PYTHONPATH=src:tests python3 tests/test_golden.py
 """
@@ -22,7 +29,7 @@ import os
 import pytest
 
 from songrec.cli import main
-from songrec.data import format_timestamp
+from songrec.data import OVERLAP_MODES, SHUFFLE_UNITS, format_timestamp
 from songrec.util import make_rng
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -67,10 +74,75 @@ def golden_log_lines(n_users=6, n_songs=40, sessions_per_user=12, seed=21):
     return lines
 
 
+PREPARED_FILES = ("vocab.txt", "users.txt", "train.txt", "val.txt", "test.txt", "stats.json")
+PREPARE_VARIANTS = [f"{unit}-{mode}" for unit in SHUFFLE_UNITS for mode in OVERLAP_MODES]
+
+# Lines the parser must count as skipped (blank lines are ignored, not
+# counted): too few fields, a bad timestamp, an empty user, both names empty.
+MALFORMED_LINES = [
+    "user_1\t2007-01-01T00:00:00Z\t\tartist-1",
+    "user_1\t2007-13-01T00:00:00Z\t\tartist-1\t\ttrack-1",
+    "user_1\t2007-02-30T00:00:00Z\t\tartist-1\t\ttrack-1",
+    "user_1\t1900-02-29T00:00:00Z\t\tartist-1\t\ttrack-1",
+    "user_1\t0000-01-01T00:00:00Z\t\tartist-1\t\ttrack-1",
+    "user_1\t2007-01-01T24:00:00Z\t\tartist-1\t\ttrack-1",
+    "user_1\t2007-01-01T00:00:60Z\t\tartist-1\t\ttrack-1",
+    "user_1\t2007-01-01T:0:00:00Z\t\tartist-1\t\ttrack-1",
+    "user_1\t2007-01-01T00:00:000Z\t\tartist-1\t\ttrack-1",
+    "user_1\t2007-01-01T00:00:00\t\tartist-1\t\ttrack-1",
+    "user_1\tnot-a-time\t\tartist-1\t\ttrack-1",
+    "\t2007-01-01T00:00:00Z\t\tartist-1\t\ttrack-1",
+    "user_1\t2007-01-01T00:00:00Z\tmbid\t\tmbid\t",
+    "",
+]
+# Timestamps strptime accepts although they are not in the canonical
+# form, plus leap days and a date before 1970, in playing order; gaps of
+# exactly and just under an hour decide where sessions break.
+ODD_TIMESTAMPS = [
+    "2000-02-29T00:00:00Z", "2000-02-29T00:59:59Z", "2000-02-29t01:59:59z",
+    "2000-3-1T1:5:9Z", "2000-03- 1T01:10:00Z", "\u0662\u0660\u0660\u0660-03-01T01:15:00Z",
+    "2000-03-01T01:20:0Z", "2004-02-29T12:00:00Z", "2004-02-29T12:05:00Z",
+    "1969-12-31T23:00:00Z", "1969-12-31T23:59:59Z",
+]
+
+
+def prepare_log_lines():
+    """The golden log with a malformed line after every 30th line, and
+    one more user's plays under odd-but-valid timestamps."""
+    lines = []
+    for i, line in enumerate(golden_log_lines()):
+        lines.append(line)
+        if i % 30 == 29 and i // 30 < len(MALFORMED_LINES):
+            lines.append(MALFORMED_LINES[i // 30])
+    for k, stamp in enumerate(ODD_TIMESTAMPS):
+        lines.append(f"user_odd\t{stamp}\t\tartist-{k % 7}\t\ttrack-{k}")
+    return lines
+
+
+def build_prepared_hashes(root):
+    """``prepared.sha256``: the sha256 of each prepared file, per variant."""
+    log = os.path.join(root, "prepare-plays.tsv")
+    with open(log, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(prepare_log_lines()) + "\n")
+    hashes = []
+    for variant in PREPARE_VARIANTS:
+        unit, mode = variant.split("-", 1)
+        prepared = os.path.join(root, "prepared-" + variant)
+        assert main(["prepare", "--out", root, "--set", f"seed={CONFIG['seed']}",
+                     "--set", f"data.raw_path={log}", "--set", f"data.prepared_dir={prepared}",
+                     "--set", f'data.shuffle_unit="{unit}"',
+                     "--set", f'data.overlap_mode="{mode}"']) == 0
+        for name in PREPARED_FILES:
+            with open(os.path.join(prepared, name), "rb") as fh:
+                hashes.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {variant}/{name}\n")
+    return "".join(hashes).encode("ascii")
+
+
 def build_artifacts(root):
     """{golden file name: bytes} for the fixture, via the CLI: one
     ``<family>-<protocol>.json`` report per protocol, one
-    ``<family>-loss_history.csv`` per family, and ``checkpoints.sha256``."""
+    ``<family>-loss_history.csv`` per family, ``checkpoints.sha256`` and
+    ``prepared.sha256``."""
     root = os.fspath(root)
     log = os.path.join(root, "plays.tsv")
     with open(log, "w", encoding="utf-8") as fh:
@@ -101,6 +173,7 @@ def build_artifacts(root):
             with open(os.path.join(out, "report.json"), "rb") as fh:
                 artifacts[f"{family}-{protocol}.json"] = fh.read()
     artifacts["checkpoints.sha256"] = "".join(hashes).encode("ascii")
+    artifacts["prepared.sha256"] = build_prepared_hashes(root)
     return artifacts
 
 
@@ -133,6 +206,15 @@ def test_checkpoint_sha256_matches_golden(artifacts, family):
     built = [x for x in artifacts["checkpoints.sha256"].decode().splitlines() if x.endswith(line)]
     kept = [x for x in golden("checkpoints.sha256").decode().splitlines() if x.endswith(line)]
     assert len(kept) == 1 and built == kept
+
+
+@pytest.mark.parametrize("variant", PREPARE_VARIANTS)
+def test_prepared_dir_matches_golden(artifacts, variant):
+    built = [x for x in artifacts["prepared.sha256"].decode().splitlines()
+             if x.split("  ")[1].startswith(variant + "/")]
+    kept = [x for x in golden("prepared.sha256").decode().splitlines()
+            if x.split("  ")[1].startswith(variant + "/")]
+    assert len(kept) == len(PREPARED_FILES) and built == kept
 
 
 def test_fixture_ranks_against_a_real_candidate_subset(artifacts):
