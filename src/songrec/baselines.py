@@ -427,7 +427,6 @@ def fpmc_train(
     lam: float = 0.01,
     epochs: int = 30,
     rng: np.random.Generator | None = None,
-    factors: FpmcFactors | None = None,
 ) -> FpmcFactors:
     """Sequential pairwise-ranking SGD over (user, previous song, next song)
     triples; the non-observed competitor is sampled uniformly per step.
@@ -447,8 +446,7 @@ def fpmc_train(
         triples.append((user, context[0], target))
     if rng is None:
         rng = make_rng(0)
-    if factors is None:
-        factors = fpmc_init(n_users, n_songs, f, lr, lam, rng)
+    factors = fpmc_init(n_users, n_songs, f, lr, lam, rng)
     n = len(triples)
     for _ in range(epochs):
         total = 0.0

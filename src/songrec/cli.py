@@ -31,7 +31,7 @@ from .data import (
     read_prepared,
     write_prepared,
 )
-from .evaluation import emit_curves, evaluate, sweep_order
+from .evaluation import emit_curves, evaluate
 from .models import CnnRecParams, NnRecParams, train
 from .util import atomic_write_json, atomic_write_text, make_rng
 
@@ -67,11 +67,6 @@ def _write_manifest(
     path = os.path.join(cfg.out_dir, f"{command}_manifest.json")
     atomic_write_json(path, manifest)
     return path
-
-
-def _loss_history_csv(path, history):
-    lines = ["epoch,loss"] + [f"{i},{x!r}" for i, x in enumerate(history)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> int:
@@ -130,11 +125,10 @@ def _epoch_progress(family: str, epochs: int, n_examples: int):
     return log_epoch
 
 
-def fit_model(cfg: ExperimentConfig, prepared, order: int | None = None):
+def fit_model(cfg: ExperimentConfig, prepared):
     """Train the configured family on the prepared training split.
 
-    Returns (model, per-epoch loss history). ``order`` overrides the
-    context length for the neural families (used by sweeps).
+    Returns (model, per-epoch loss history).
     """
     mc = cfg.model
     split = prepared.split
@@ -142,13 +136,6 @@ def fit_model(cfg: ExperimentConfig, prepared, order: int | None = None):
     family = mc.family
     if family in ("cnnrec", "nnrec"):
         hyper = mc.hyperparams()
-        if order is not None:
-            if family == "nnrec":
-                # the plain model has no filters; don't let an inherited
-                # filter width block low orders
-                hyper = dataclasses.replace(hyper, j=order, w=min(hyper.w, order))
-            else:
-                hyper = hyper.with_order(order)
         cls = CnnRecParams if family == "cnnrec" else NnRecParams
         params = cls(n_songs, n_users, hyper, rng=make_rng(cfg.subseed("init")), dtype=mc.dtype)
         examples = extract_examples(split.train, hyper.j)
@@ -199,9 +186,17 @@ def fit_model(cfg: ExperimentConfig, prepared, order: int | None = None):
     raise ValueError(f"unknown model family {family!r}")
 
 
-def _save_checkpoint(path, model):
-    checkpoint.save(path, *model.to_checkpoint())
-    checkpoint.load(path)  # validate the written container before reporting success
+def _write_trained(out_dir, model, history) -> tuple[str, str]:
+    """Write ``model.ckpt`` and ``loss_history.csv`` under ``out_dir``;
+    returns both paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    ckpt_path = os.path.join(out_dir, "model.ckpt")
+    checkpoint.save(ckpt_path, *model.to_checkpoint())
+    checkpoint.load(ckpt_path)  # validate the written container before reporting success
+    loss_path = os.path.join(out_dir, "loss_history.csv")
+    lines = ["epoch,loss"] + [f"{i},{x!r}" for i, x in enumerate(history)]
+    atomic_write_text(loss_path, "\n".join(lines) + "\n")
+    return ckpt_path, loss_path
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
@@ -209,11 +204,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     model, history = fit_model(cfg, prepared)
     t_train = time.perf_counter()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    ckpt_path = os.path.join(cfg.out_dir, "model.ckpt")
-    _save_checkpoint(ckpt_path, model)
-    loss_path = os.path.join(cfg.out_dir, "loss_history.csv")
-    _loss_history_csv(loss_path, history)
+    ckpt_path, loss_path = _write_trained(cfg.out_dir, model, history)
     logger.info(
         "trained %s in %.1fs (%d history points) -> %s",
         cfg.model.family, t_train - t0, len(history), ckpt_path,
@@ -233,6 +224,33 @@ def _eval_order(model, cfg: ExperimentConfig) -> int:
     return model.order or cfg.model.j
 
 
+def _evaluate_test_split(cfg: ExperimentConfig, model, prepared, label: str):
+    """Report of ``model`` on the prepared test split, under ``cfg.eval``.
+
+    Test users absent from training are dropped, and the examples take
+    their context length from :func:`_eval_order`.
+    """
+    split = prepared.split
+    order = _eval_order(model, cfg)
+    examples = extract_examples(drop_unknown_users(split.test, split.train), order)
+    if not examples:
+        raise ValueError(f"no test examples at order j={order}")
+    eval_config = cfg.eval.to_eval_config(cfg.subseed("eval"))
+    report = evaluate(
+        model,
+        examples,
+        eval_config,
+        train_user_songs=_train_song_sets(split.train),
+        label=label,
+    )
+    k = eval_config.ks[0]
+    logger.info(
+        "evaluated %s on %d examples: recall@%d = %.4f",
+        label, report.n_examples, k, report.recall[k],
+    )
+    return report
+
+
 def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str) -> int:
     model = checkpoint.load_model(ckpt_path)
     prepared = read_prepared(cfg.prepared_dir())
@@ -241,32 +259,14 @@ def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str) -> int:
             f"vocabulary mismatch: checkpoint has {model.n_songs} songs, "
             f"prepared data has {prepared.n_songs}"
         )
-    split = prepared.split
-    kept = drop_unknown_users(split.test, split.train)
-    order = _eval_order(model, cfg)
-    examples = extract_examples(kept, order)
-    if not examples:
-        raise ValueError(f"no test examples at order j={order}")
-    eval_config = cfg.eval.to_eval_config(cfg.subseed("eval"))
     t0 = time.perf_counter()
-    report = evaluate(
-        model,
-        examples,
-        eval_config,
-        train_user_songs=_train_song_sets(split.train),
-        label=model.model_type,
-    )
+    report = _evaluate_test_split(cfg, model, prepared, model.model_type)
     t_eval = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
     report_path = os.path.join(cfg.out_dir, "report.json")
     atomic_write_text(report_path, report.to_json())
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
     emit_curves([report], curves_path)
-    logger.info(
-        "evaluated %s on %d examples: recall@%d = %.4f",
-        report.label, report.n_examples, eval_config.ks[0],
-        report.recall[eval_config.ks[0]],
-    )
     _write_manifest(
         cfg,
         "evaluate",
@@ -277,32 +277,31 @@ def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, orders: list[int]) -> int:
+    """Run train + evaluate once per context order, each in
+    ``order-<j>/``, and compare the orders in ``comparison.csv``."""
     if cfg.model.family not in ("cnnrec", "nnrec"):
         raise ValueError("order sweeps support the cnnrec and nnrec families")
+    orders = sorted(set(orders))
+    if not orders or orders[0] < 1 or orders[-1] > 10:
+        raise ValueError(f"orders must lie in [1, 10], got {orders}")
+    order_cfgs = {j: dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, j=j))
+                  for j in orders}
+    for order_cfg in order_cfgs.values():
+        order_cfg.validate()
     prepared = read_prepared(cfg.prepared_dir())
-    eval_config = cfg.eval.to_eval_config(cfg.subseed("eval"))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
-    def trainer(j, examples):
-        model, history = fit_model(cfg, prepared, order=j)
-        order_dir = os.path.join(cfg.out_dir, f"order-{j}")
-        os.makedirs(order_dir, exist_ok=True)
-        _save_checkpoint(os.path.join(order_dir, "model.ckpt"), model)
-        _loss_history_csv(os.path.join(order_dir, "loss_history.csv"), history)
-        return model
-
     t0 = time.perf_counter()
-    results = sweep_order(
-        prepared.split.train, prepared.split.test, trainer, orders, eval_config
-    )
-    t_sweep = time.perf_counter()
     artifacts = {}
     reports = []
-    for j, report in results:
-        path = os.path.join(cfg.out_dir, f"order-{j}", "report.json")
+    for j, order_cfg in order_cfgs.items():
+        order_dir = os.path.join(cfg.out_dir, f"order-{j}")
+        model, history = fit_model(order_cfg, prepared)
+        _write_trained(order_dir, model, history)
+        report = _evaluate_test_split(order_cfg, model, prepared, f"j={j}")
+        path = os.path.join(order_dir, "report.json")
         atomic_write_text(path, report.to_json())
         artifacts[f"order-{j}"] = path
         reports.append(report)
+    t_sweep = time.perf_counter()
     comparison = os.path.join(cfg.out_dir, "comparison.csv")
     emit_curves(reports, comparison)
     artifacts["comparison"] = comparison

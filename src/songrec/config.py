@@ -118,7 +118,6 @@ class ModelConfig:
     batch: int = 50
     lr: float = 0.01
     dropout: float = 0.7
-    dropout_is_keep: bool = False  # flip if 0.7 should mean keep probability
     dtype: str = "float64"
     w2v: W2vConfig = field(default_factory=W2vConfig)
     wmf: WmfConfig = field(default_factory=WmfConfig)
@@ -132,18 +131,20 @@ class ModelConfig:
         self.hyperparams()  # validates the numeric fields
 
     def hyperparams(self) -> Hyperparams:
-        drop = 1.0 - self.dropout if self.dropout_is_keep else self.dropout
+        # the plain model has no filters, so its filter width must not
+        # bind the context length
+        w = min(self.w, self.j) if self.family == "nnrec" else self.w
         return Hyperparams(
             d=self.d,
             j=self.j,
             h=self.h,
             m=self.m,
-            w=self.w,
+            w=w,
             stride=self.stride,
             epochs=self.epochs,
             batch=self.batch,
             lr=self.lr,
-            dropout_p=drop,
+            dropout_p=self.dropout,
         )
 
 

@@ -304,49 +304,35 @@ def split_dataset(
     ratios: tuple[float, float, float] = DEFAULT_RATIOS,
     seed: int = 0,
 ) -> SplitDataset:
-    """Shuffle sessions by a seeded permutation and cut into train/val/test.
+    """Shuffle whole sessions and cut them into train/val/test with
+    :func:`split_events`; within-session order is never disturbed."""
+    train, val, test = split_events(sessions, ratios, seed)
+    return SplitDataset(train, val, test, seed=seed, ratios=tuple(ratios))
+
+
+def split_events(
+    items: list,
+    ratios: tuple[float, float, float] = DEFAULT_RATIOS,
+    seed: int = 0,
+) -> tuple[list, list, list]:
+    """The cut of both shuffle units: shuffle ``items`` (sessions, or
+    single plays that each part then sessionizes on its own) by a seeded
+    permutation and cut into train/val/test.
 
     Validation and test sizes are floors of their ratios; train takes the
-    remainder. Within-session order is never disturbed.
+    remainder.
     """
     if len(ratios) != 3 or any(r < 0 for r in ratios):
         raise ValueError("need three non-negative ratios")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    n = len(sessions)
+    n = len(items)
     if n < 3:
-        raise ValueError(f"need at least 3 sessions to split, got {n}")
+        raise ValueError(f"need at least 3 sessions or plays to split, got {n}")
     n_val = int(ratios[1] * n)
     n_test = int(ratios[2] * n)
     n_train = n - n_val - n_test
-    perm = make_rng(seed).permutation(n)
-    shuffled = [sessions[i] for i in perm]
-    return SplitDataset(
-        train=shuffled[:n_train],
-        val=shuffled[n_train : n_train + n_val],
-        test=shuffled[n_train + n_val :],
-        seed=seed,
-        ratios=tuple(ratios),
-    )
-
-
-def split_events(
-    events: list[ListeningEvent],
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS,
-    seed: int = 0,
-) -> tuple[list[ListeningEvent], list[ListeningEvent], list[ListeningEvent]]:
-    """Record-level alternative to :func:`split_dataset`: shuffle single
-    plays and cut; each part is then sessionized on its own."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    n = len(events)
-    if n < 3:
-        raise ValueError(f"need at least 3 events to split, got {n}")
-    n_val = int(ratios[1] * n)
-    n_test = int(ratios[2] * n)
-    n_train = n - n_val - n_test
-    perm = make_rng(seed).permutation(n)
-    shuffled = [events[i] for i in perm]
+    shuffled = [items[i] for i in make_rng(seed).permutation(n)]
     return (
         shuffled[:n_train],
         shuffled[n_train : n_train + n_val],

@@ -1,4 +1,4 @@
-"""Top-N evaluation: recall@k / precision@k curves and the context-order sweep.
+"""Top-N evaluation: recall@k / precision@k curves.
 
 Each test case has exactly one relevant item (the actually-played next
 song), so precision@k = recall@k / k by definition. Ranking uses the
@@ -9,21 +9,12 @@ every rank total and reproducible.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (
-    Session,
-    _train_song_sets,
-    drop_unknown_users,
-    examples_to_arrays,
-    extract_examples,
-)
+from .data import examples_to_arrays
 from .util import atomic_write_text, config_hash, derive_seed, make_rng
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_KS = (1, 5, 10, 20, 50, 100, 150, 200, 500)
 
@@ -234,36 +225,6 @@ def evaluate(
         protocol=config.protocol if config.protocol == "full" else f"sampled({config.n_neg})",
         config_hash=config_hash(config.to_dict()),
     )
-
-
-def sweep_order(
-    train_sessions: list[Session],
-    test_sessions: list[Session],
-    trainer,
-    orders,
-    config: EvalConfig,
-) -> list[tuple[int, EvalReport]]:
-    """Train and evaluate one fresh model per context order.
-
-    ``trainer(j, train_examples) -> model`` builds and fits a model of
-    order j; examples are re-extracted per order so every model sees the
-    contexts it can legally consume. Users absent from training are
-    dropped from the test sessions.
-    """
-    orders = sorted(set(int(j) for j in orders))
-    if not orders or orders[0] < 1 or orders[-1] > 10:
-        raise ValueError(f"orders must lie in [1, 10], got {orders}")
-    kept_test = drop_unknown_users(test_sessions, train_sessions)
-    train_songs = _train_song_sets(train_sessions)
-    results = []
-    for j in orders:
-        train_ex = extract_examples(train_sessions, j)
-        test_ex = extract_examples(kept_test, j)
-        model = trainer(j, train_ex)
-        report = evaluate(model, test_ex, config, train_user_songs=train_songs, label=f"j={j}")
-        results.append((j, report))
-        logger.info("order %d: recall@%d = %.4f", j, config.ks[0], report.recall[config.ks[0]])
-    return results
 
 
 def emit_curves(reports: list[EvalReport], path) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +77,6 @@ class Hyperparams:
     def conv_positions(self) -> int:
         """Output positions p of the valid convolution."""
         return (self.j - self.w) // self.stride + 1
-
-    def with_order(self, j: int) -> "Hyperparams":
-        return replace(self, j=j)
 
 
 class _NeuralParams(Recommender):

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -7,7 +8,9 @@ import pytest
 
 from songrec import checkpoint
 from songrec.cli import _eval_order, main
+from conftest import third_order_sessions
 from songrec.config import ExperimentConfig, apply_override
+from songrec.data import PreparedDataset, Session, SplitDataset, VocabMap, write_prepared
 from songrec.models import CnnRecParams
 from songrec.util import make_rng
 from test_golden import CONFIG as GOLDEN_CONFIG
@@ -83,12 +86,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="model"):
             ExperimentConfig.from_dict({"model": {"hidden": 10}})
 
-    def test_dropout_is_keep_resolves_to_drop_probability(self):
-        cfg = ExperimentConfig.from_dict(
-            {"model": {"dropout": 0.7, "dropout_is_keep": True}}
-        )
-        assert np.isclose(cfg.model.hyperparams().dropout_p, 0.3)
-
     def test_order_is_one_for_first_order_family(self):
         from songrec.baselines import fpmc_init
 
@@ -160,6 +157,16 @@ class TestPrepare:
         stats = json.loads((tmp / "run" / "prepared" / "stats.json").read_text())
         assert stats["deleted_overlap"] == {"val": 0, "test": 0}
         assert stats["sessions"] == {"train": 14, "val": 2, "test": 4}
+
+    @pytest.mark.parametrize("unit", ["session", "record"])
+    def test_negative_ratios_rejected(self, workspace, caplog, unit):
+        tmp, config = workspace
+        code = run_cli("prepare", "--config", config, "--set", f'data.shuffle_unit="{unit}"',
+                       "--set", "data.ratios=[1.2,-0.1,-0.1]")
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == ["need three non-negative ratios"]
+        assert not (tmp / "run" / "prepared").exists()
 
     def test_prepared_dir_outside_a_new_out_dir(self, workspace):
         tmp, config = workspace
@@ -369,6 +376,46 @@ class TestTrainEvaluate:
         assert any("7" in r.message and "110" in r.message for r in caplog.records)
 
 
+def _write_sessions_config(tmp_path, train_s, test_s, n_songs, n_users, **overrides):
+    """A prepared directory holding the given sessions, and an nnrec sweep
+    config on it that writes to ``<tmp_path>/sweep``."""
+    prepared_dir = tmp_path / "prep"
+    write_prepared(
+        prepared_dir,
+        PreparedDataset(
+            vocab=VocabMap([f"s{i}" for i in range(n_songs)]),
+            user_keys=[f"u{i}" for i in range(n_users)],
+            split=SplitDataset(train_s, [], test_s, seed=0, ratios=(0.7, 0.1, 0.2)),
+            stats={"seed": 0, "ratios": [0.7, 0.1, 0.2]},
+        ),
+    )
+    return write_config(
+        tmp_path / "c.json",
+        **{"data.prepared_dir": str(prepared_dir), "out_dir": str(tmp_path / "sweep"),
+           "model.family": "nnrec", **overrides},
+    )
+
+
+@pytest.fixture(scope="module")
+def third_order_sweep(tmp_path_factory):
+    """recall@1 per order of one nnrec sweep over orders 1-3 on data whose
+    next song is a function of the third-previous song.
+
+    Orders 1 and 2 see nothing of that song, so both sit at chance (1/30)
+    and which of the two comes out ahead depends on the root seed.
+    """
+    tmp_path = tmp_path_factory.mktemp("third-order")
+    config = _write_sessions_config(
+        tmp_path, third_order_sessions(150, seed=1), third_order_sessions(50, seed=2),
+        n_songs=30, n_users=1,
+        **{"seed": 1, "model.d": 16, "model.h": 32, "model.epochs": 30, "model.batch": 50,
+           "model.dropout": 0.0, "eval.ks": [1, 5]},
+    )
+    assert run_cli("sweep", "--config", config, "--orders", "1,2,3") == 0
+    with open(tmp_path / "sweep" / "comparison.csv", newline="") as fh:
+        return {r["model"]: float(r["recall"]) for r in csv.DictReader(fh) if r["k"] == "1"}
+
+
 class TestSweep:
     def test_sweep_orders_artifacts(self, prepared):
         tmp, config = prepared
@@ -398,46 +445,60 @@ class TestSweep:
         report = json.loads((out / "order-1" / "report.json").read_text())
         assert report["protocol"] == "sampled(20)"
 
-    def test_sweep_on_third_order_data_prefers_order_three(self, tmp_path):
-        # comparison table must show the higher order winning at k=1 when
-        # the target is a function of the 3rd-previous song
-        import csv
+    @pytest.mark.parametrize("family,order", [("cnnrec", 2), ("nnrec", 1)])
+    def test_one_order_sweep_equals_train_and_evaluate(self, prepared, family, order):
+        # nnrec at j=1 sits below the configured filter width 2, which
+        # only the convolutional model has
+        tmp, config = prepared
+        common = ["--config", config, "--set", f"model.family={family}",
+                  "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}"]
+        sweep = tmp / "sweep-one"
+        assert run_cli("sweep", *common, "--out", sweep, "--orders", order) == 0
+        single = tmp / "single"
+        assert run_cli("train", *common, "--out", single, "--set", f"model.j={order}") == 0
+        assert run_cli("evaluate", *common, "--out", single, "--set", f"model.j={order}",
+                       "--checkpoint", single / "model.ckpt") == 0
+        swept = sweep / f"order-{order}"
+        for name in ("model.ckpt", "loss_history.csv"):
+            assert (swept / name).read_bytes() == (single / name).read_bytes(), name
+        report = json.loads((swept / "report.json").read_text())
+        assert report.pop("label") == f"j={order}"
+        direct = json.loads((single / "report.json").read_text())
+        assert direct.pop("label") == family
+        assert report == direct
 
-        from conftest import third_order_sessions
-        from songrec.data import PreparedDataset, SplitDataset, VocabMap, write_prepared
+    def test_sweep_on_third_order_data_prefers_order_three(self, third_order_sweep):
+        # the comparison table must show the higher order winning at k=1
+        # when the target is a function of the 3rd-previous song
+        assert third_order_sweep["j=3"] >= 0.9
+        assert third_order_sweep["j=3"] > third_order_sweep["j=1"]
 
-        train_s = third_order_sessions(150, seed=1)
-        test_s = third_order_sessions(50, seed=2)
-        val_s = third_order_sessions(5, seed=3)
-        prepared_dir = tmp_path / "prep"
-        write_prepared(
-            prepared_dir,
-            PreparedDataset(
-                vocab=VocabMap([f"s{i}" for i in range(30)]),
-                user_keys=["u0"],
-                split=SplitDataset(train_s, val_s, test_s, seed=0, ratios=(0.7, 0.1, 0.2)),
-                stats={"seed": 0, "ratios": [0.7, 0.1, 0.2]},
-            ),
-        )
-        config = write_config(
-            tmp_path / "c.json",
-            **{
-                "data.prepared_dir": str(prepared_dir),
-                "out_dir": str(tmp_path / "sweep"),
-                "model.family": "nnrec",
-                "model.d": 16,
-                "model.h": 32,
-                "model.epochs": 30,
-                "model.batch": 50,
-                "model.dropout": 0.0,
-                "eval.ks": [1, 5],
-            },
-        )
-        assert run_cli("sweep", "--config", config, "--orders", "1,3") == 0
-        with open(tmp_path / "sweep" / "comparison.csv", newline="") as fh:
-            rows = {(r["model"], int(r["k"])): float(r["recall"]) for r in csv.DictReader(fh)}
-        assert rows[("j=3", 1)] >= 0.8
-        assert rows[("j=3", 1)] > rows[("j=1", 1)]
+    def test_recall_trend_non_decreasing_in_order(self, third_order_sweep):
+        recalls = [third_order_sweep[f"j={j}"] for j in (1, 2, 3)]
+        assert recalls == sorted(recalls)
+
+    @pytest.mark.parametrize("orders", ["0,1", "11"], ids=["zero", "eleven"])
+    def test_orders_outside_range_rejected(self, prepared, caplog, orders):
+        tmp, config = prepared
+        code = run_cli("sweep", "--config", config, "--out", tmp / "s0", "--orders", orders,
+                       "--set", "model.family=nnrec",
+                       "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}")
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "orders must lie in [1, 10]" in errors[0]
+        assert "\n" not in errors[0]
+        assert not (tmp / "s0").exists()
+
+    def test_unknown_users_dropped_from_test(self, tmp_path):
+        # user 1 plays only in the test split: of the two test sessions
+        # only user 0's survives, two examples at j=1
+        train_s = [Session(0, [1, 2, 3, 4]), Session(0, [4, 3, 2, 1])]
+        test_s = [Session(0, [1, 2, 3]), Session(1, [1, 2, 3])]
+        config = _write_sessions_config(tmp_path, train_s, test_s, n_songs=10, n_users=2)
+        assert run_cli("sweep", "--config", config, "--orders", "1",
+                       "--set", "model.epochs=1", "--set", "eval.ks=[1]") == 0
+        report = json.loads((tmp_path / "sweep" / "order-1" / "report.json").read_text())
+        assert report["n_examples"] == 2
 
     def test_sweep_rejects_baseline_families(self, prepared):
         tmp, config = prepared

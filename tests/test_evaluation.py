@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import PerfectScorer, StatelessScorer, UniformScorer, third_order_sessions
+from conftest import PerfectScorer, StatelessScorer, UniformScorer
 from songrec import evaluation
-from songrec.data import Session, TrainingExample, extract_examples
+from songrec.data import TrainingExample
 from songrec.evaluation import (
     EvalConfig,
     EvalReport,
     emit_curves,
     evaluate,
     rank_of_target,
-    sweep_order,
 )
-from songrec.models import Hyperparams, NnRecParams, train
 from songrec.util import make_rng, top_k_indices
 
 
@@ -259,68 +257,6 @@ class TestEvalReport:
                 protocol="full",
                 config_hash="x",
             )
-
-
-class TestSweepOrder:
-    def _trainer(self, n_songs, init_seed=20):
-        def trainer(j, examples):
-            hy = Hyperparams(
-                d=16, j=j, h=32, m=16, w=min(2, j), epochs=30, batch=50,
-                lr=0.01, dropout_p=0.0,
-            )
-            params = NnRecParams(n_songs, 1, hy, rng=make_rng(init_seed))
-            train(examples, params, make_rng(init_seed + 1))
-            return params
-
-        return trainer
-
-    def test_single_order_equals_direct_run(self):
-        n_songs = 30
-        train_s = third_order_sessions(60, seed=1)
-        test_s = third_order_sessions(20, seed=2)
-        cfg = EvalConfig(ks=(1, 5), seed=3)
-        trainer = self._trainer(n_songs)
-        results = sweep_order(train_s, test_s, trainer, [1], cfg)
-        assert len(results) == 1 and results[0][0] == 1
-        direct_model = self._trainer(n_songs)(1, extract_examples(train_s, 1))
-        direct = evaluate(direct_model, extract_examples(test_s, 1), cfg, label="j=1")
-        assert results[0][1].to_dict() == direct.to_dict()
-
-    def test_third_order_signal_needs_order_three(self):
-        train_s = third_order_sessions(150, seed=1)
-        test_s = third_order_sessions(50, seed=2)
-        cfg = EvalConfig(ks=(1,), seed=3)
-        results = dict(sweep_order(train_s, test_s, self._trainer(30), [1, 3], cfg))
-        assert results[3].recall[1] > results[1].recall[1]
-        assert results[3].recall[1] >= 0.9
-
-    def test_recall_trend_non_decreasing_in_order(self):
-        train_s = third_order_sessions(150, seed=1)
-        test_s = third_order_sessions(50, seed=2)
-        cfg = EvalConfig(ks=(1,), seed=3)
-        results = sweep_order(train_s, test_s, self._trainer(30), [1, 2, 3], cfg)
-        recalls = [rep.recall[1] for _, rep in results]
-        assert recalls == sorted(recalls)
-
-    def test_orders_outside_range_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_order([], [], lambda j, e: None, [0, 1], EvalConfig(ks=(1,)))
-        with pytest.raises(ValueError):
-            sweep_order([], [], lambda j, e: None, [11], EvalConfig(ks=(1,)))
-
-    def test_unknown_users_dropped_from_test(self):
-        train_s = [Session(0, [1, 2, 3, 4])]
-        test_s = [Session(0, [1, 2, 3]), Session(5, [1, 2, 3])]
-        seen = {}
-
-        def trainer(j, examples):
-            model = StatelessScorer(10)
-            seen["examples"] = examples
-            return model
-
-        results = sweep_order(train_s, test_s, trainer, [1], EvalConfig(ks=(1,)))
-        # only user 0's test session survives: 2 examples at j=1
-        assert results[0][1].n_examples == 2
 
 
 class TestEmitCurves:

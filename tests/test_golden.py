@@ -11,6 +11,13 @@ histories and checkpoint hashes were written by the training code
 before the blocked Adagrad update and the in-place softmax, so any
 change in the bits training computes shows here.
 
+The order sweep is pinned the same way, for cnnrec and nnrec at two
+orders each (nnrec down to j=1, below the configured filter width):
+each order's ``loss_history.csv`` and ``report.json``, the sha256 of
+its ``model.ckpt`` (``sweep-checkpoints.sha256``) and the sweep's
+``comparison.csv``. These files were written by the sweep that ran its
+own loop beside ``train`` and ``evaluate``.
+
 ``prepared.sha256`` pins the prepared directory built from the same log
 with one line of every malformed kind mixed in and one more user whose
 timestamps strptime accepts in non-canonical forms, under both shuffle
@@ -39,6 +46,7 @@ PROTOCOLS = {
     "sampled": ['eval.protocol="sampled"', "eval.n_neg=12"],
     "exclude_train_songs": ["eval.exclude_train_songs=true"],
 }
+SWEEPS = {"cnnrec": (2, 3), "nnrec": (1, 2)}
 CONFIG = {
     "seed": 4,
     "data": {"overlap_mode": "none"},  # keeps heard targets, so exclusion matters
@@ -173,8 +181,31 @@ def build_artifacts(root):
             with open(os.path.join(out, "report.json"), "rb") as fh:
                 artifacts[f"{family}-{protocol}.json"] = fh.read()
     artifacts["checkpoints.sha256"] = "".join(hashes).encode("ascii")
+    artifacts["sweep-checkpoints.sha256"] = build_sweeps(root, common, artifacts)
     artifacts["prepared.sha256"] = build_prepared_hashes(root)
     return artifacts
+
+
+def build_sweeps(root, common, artifacts):
+    """Run each of ``SWEEPS`` through the CLI, add its per-order loss
+    histories and reports and its ``comparison.csv`` to ``artifacts``, and
+    return ``sweep-checkpoints.sha256``."""
+    hashes = []
+    for family, orders in SWEEPS.items():
+        out = os.path.join(root, f"sweep-{family}")
+        assert main(["sweep", *common, "--set", f"model.family={family}", "--out", out,
+                     "--orders", ",".join(map(str, orders))]) == 0
+        for j in orders:
+            order_dir = os.path.join(out, f"order-{j}")
+            with open(os.path.join(order_dir, "model.ckpt"), "rb") as fh:
+                hashes.append(f"{hashlib.sha256(fh.read()).hexdigest()}  "
+                              f"sweep-{family}/order-{j}/model.ckpt\n")
+            for name, ext in (("loss_history", "csv"), ("report", "json")):
+                with open(os.path.join(order_dir, f"{name}.{ext}"), "rb") as fh:
+                    artifacts[f"sweep-{family}-order-{j}-{name}.{ext}"] = fh.read()
+        with open(os.path.join(out, "comparison.csv"), "rb") as fh:
+            artifacts[f"sweep-{family}-comparison.csv"] = fh.read()
+    return "".join(hashes).encode("ascii")
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +237,20 @@ def test_checkpoint_sha256_matches_golden(artifacts, family):
     built = [x for x in artifacts["checkpoints.sha256"].decode().splitlines() if x.endswith(line)]
     kept = [x for x in golden("checkpoints.sha256").decode().splitlines() if x.endswith(line)]
     assert len(kept) == 1 and built == kept
+
+
+@pytest.mark.parametrize("family", list(SWEEPS))
+def test_sweep_matches_golden(artifacts, family):
+    names = [f"sweep-{family}-comparison.csv"] + [
+        f"sweep-{family}-order-{j}-{name}"
+        for j in SWEEPS[family] for name in ("loss_history.csv", "report.json")
+    ]
+    for name in names:
+        assert artifacts[name] == golden(name), name
+    prefix = f"  sweep-{family}/"
+    built = [x for x in artifacts["sweep-checkpoints.sha256"].decode().splitlines() if prefix in x]
+    kept = [x for x in golden("sweep-checkpoints.sha256").decode().splitlines() if prefix in x]
+    assert len(kept) == len(SWEEPS[family]) and built == kept
 
 
 @pytest.mark.parametrize("variant", PREPARE_VARIANTS)
