@@ -8,3 +8,7 @@ listening-log preparation plus top-N evaluation pipeline around them.
 """
 
 __version__ = "0.1.0"
+
+# defines every model family, neural first: Recommender.families()
+# lists them in this order
+from . import models, baselines  # noqa: E402,F401  isort: skip

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .core import embed_lookup
-from .util import Recommender, make_rng
+from .util import Recommender
 
 
 def _session_items(sessions):
@@ -104,12 +104,13 @@ def _pair_count(length: int, window: int) -> int:
 def w2v_train(
     sessions,
     n_songs: int,
-    d: int = 60,
-    window: int = 5,
-    negatives: int = 5,
-    lr: float = 0.025,
-    epochs: int = 5,
-    rng: np.random.Generator | None = None,
+    *,
+    d: int,
+    window: int,
+    negatives: int,
+    lr: float,
+    epochs: int,
+    rng: np.random.Generator,
 ) -> ItemEmbeddings:
     """Skip-gram with negative sampling over sessions-as-sentences.
 
@@ -127,8 +128,6 @@ def w2v_train(
     items_lists = _session_items(sessions)
     if not items_lists or all(len(x) == 0 for x in items_lists):
         raise ValueError("empty sessions")
-    if rng is None:
-        rng = make_rng(0)
 
     v_in = rng.uniform(-0.5 / d, 0.5 / d, size=(n_songs, d))
     v_out = np.zeros((n_songs, d))
@@ -185,8 +184,8 @@ class WmfFactors(Recommender):
 
     x: np.ndarray  # (U, f)
     y: np.ndarray  # (N, f)
-    alpha: float = 40.0
-    lam: float = 0.1
+    alpha: float
+    lam: float
     objective_history: list = field(default_factory=list)
 
     @property
@@ -276,26 +275,24 @@ def _als_half_sweep(r_csr: sp.csr_matrix, this: np.ndarray, other: np.ndarray, a
 
 def wmf_train(
     r: sp.spmatrix,
-    f: int = 60,
-    alpha: float = 40.0,
-    lam: float = 0.1,
-    iters: int = 15,
-    rng: np.random.Generator | None = None,
-    track_objective: bool = False,
+    *,
+    f: int,
+    alpha: float,
+    lam: float,
+    iters: int,
+    rng: np.random.Generator,
 ) -> WmfFactors:
     """Alternating least squares on the confidence-weighted objective.
 
     Each half-sweep solves every user's (then every item's) regularized
-    normal equations exactly, so the objective never increases. With
-    ``track_objective`` the exact objective is recorded at initialization
-    and after every half-sweep.
+    normal equations exactly, so the objective never increases. The
+    exact objective is recorded at initialization and after every
+    half-sweep.
     """
     if lam <= 0:
         raise ValueError("regularization lam must be > 0")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if rng is None:
-        rng = make_rng(0)
     r_csr = sp.csr_matrix(r)
     if r_csr.nnz and r_csr.data.min() < 0:
         raise ValueError("count matrix must be non-negative")
@@ -304,15 +301,12 @@ def wmf_train(
     x = 0.01 * rng.standard_normal((n_users, f))
     y = 0.01 * rng.standard_normal((n_songs, f))
     factors = WmfFactors(x, y, alpha, lam)
-    if track_objective:
-        factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
+    factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
     for _ in range(iters):
         _als_half_sweep(r_csr, x, y, alpha, lam)
-        if track_objective:
-            factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
+        factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
         _als_half_sweep(rt_csr, y, x, alpha, lam)
-        if track_objective:
-            factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
+        factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
     return factors
 
 
@@ -333,8 +327,8 @@ class FpmcFactors(Recommender):
     v_iu: np.ndarray  # (N, f) item side of user-item term
     v_il: np.ndarray  # (N, f) item side of transition term
     v_li: np.ndarray  # (N, f) previous-item side of transition term
-    lr: float = 0.05
-    lam: float = 0.01
+    lr: float
+    lam: float
     loss_history: list = field(default_factory=list)
 
     @property
@@ -381,11 +375,8 @@ class FpmcFactors(Recommender):
 
 
 def fpmc_init(
-    n_users: int, n_songs: int, f: int = 32, lr: float = 0.05, lam: float = 0.01,
-    rng: np.random.Generator | None = None,
+    n_users: int, n_songs: int, *, f: int, lr: float, lam: float, rng: np.random.Generator,
 ) -> FpmcFactors:
-    if rng is None:
-        rng = make_rng(0)
     scale = 0.01
     return FpmcFactors(
         v_ui=scale * rng.standard_normal((n_users, f)),
@@ -422,11 +413,12 @@ def fpmc_train(
     examples,
     n_users: int,
     n_songs: int,
-    f: int = 32,
-    lr: float = 0.05,
-    lam: float = 0.01,
-    epochs: int = 30,
-    rng: np.random.Generator | None = None,
+    *,
+    f: int,
+    lr: float,
+    lam: float,
+    epochs: int,
+    rng: np.random.Generator,
 ) -> FpmcFactors:
     """Sequential pairwise-ranking SGD over (user, previous song, next song)
     triples; the non-observed competitor is sampled uniformly per step.
@@ -444,9 +436,7 @@ def fpmc_train(
         if len(context) != 1:
             raise ValueError("first-order model needs context length 1")
         triples.append((user, context[0], target))
-    if rng is None:
-        rng = make_rng(0)
-    factors = fpmc_init(n_users, n_songs, f, lr, lam, rng)
+    factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
     n = len(triples)
     for _ in range(epochs):
         total = 0.0

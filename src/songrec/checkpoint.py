@@ -18,6 +18,8 @@ import tempfile
 
 import numpy as np
 
+from .util import Recommender
+
 MAGIC = b"SNGREC01"
 
 
@@ -109,22 +111,9 @@ def load(path) -> tuple[str, dict, dict]:
     return header["model_type"], header["meta"], tensors
 
 
-def _families(base) -> dict:
-    """model_type -> class, over every subclass of ``base`` that names one."""
-    out = {}
-    for cls in base.__subclasses__():
-        if cls.model_type:
-            out[cls.model_type] = cls
-        out.update(_families(cls))
-    return out
-
-
 def load_model(path):
     """Reconstruct the right model object from a checkpoint file."""
-    from . import baselines, models  # noqa: F401  (defines every family)
-    from .util import Recommender
-
-    families = _families(Recommender)
+    families = Recommender.families()
     model_type, meta, tensors = load(path)
     if model_type not in families:
         raise ValueError(f"unknown model type {model_type!r} in {path}")

@@ -32,12 +32,13 @@ from .data import (
     write_prepared,
 )
 from .evaluation import emit_curves, evaluate
-from .models import CnnRecParams, NnRecParams, train
-from .util import atomic_write_json, atomic_write_text, make_rng
+from .models import train
+from .util import Recommender, atomic_write_json, atomic_write_text, make_rng
 
 logger = logging.getLogger("songrec")
 
 SEED_COMPONENTS = ("split", "init", "train", "eval")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _seeds(cfg: ExperimentConfig) -> dict:
@@ -126,64 +127,39 @@ def _epoch_progress(family: str, epochs: int, n_examples: int):
 
 
 def fit_model(cfg: ExperimentConfig, prepared):
-    """Train the configured family on the prepared training split.
+    """Train the configured family on the prepared training split, with
+    the settings of its config section.
 
     Returns (model, per-epoch loss history).
     """
     mc = cfg.model
     split = prepared.split
     n_songs, n_users = prepared.n_songs, prepared.n_users
-    family = mc.family
-    if family in ("cnnrec", "nnrec"):
-        hyper = mc.hyperparams()
-        cls = CnnRecParams if family == "cnnrec" else NnRecParams
-        params = cls(n_songs, n_users, hyper, rng=make_rng(cfg.subseed("init")), dtype=mc.dtype)
-        examples = extract_examples(split.train, hyper.j)
-        if not examples:
-            raise ValueError(f"no training examples at order j={hyper.j}; sessions too short?")
-        progress = _epoch_progress(family, hyper.epochs, len(examples))
-        history = train(examples, params, make_rng(cfg.subseed("train")), [progress])
-        return params, history
-    if family == "w2v":
-        emb = w2v_train(
-            split.train,
-            n_songs,
-            d=mc.d,
-            window=mc.w2v.window,
-            negatives=mc.w2v.negatives,
-            lr=mc.w2v.lr,
-            epochs=mc.w2v.epochs,
-            rng=make_rng(cfg.subseed("train")),
-        )
+    if mc.family == "w2v":
+        emb = w2v_train(split.train, n_songs, d=mc.d, rng=make_rng(cfg.subseed("train")),
+                        **dataclasses.asdict(mc.w2v))
         return emb, emb.loss_history
-    if family == "wmf":
+    if mc.family == "wmf":
         counts = play_count_matrix(split.train, n_users, n_songs)
-        factors = wmf_train(
-            counts,
-            f=mc.wmf.f,
-            alpha=mc.wmf.alpha,
-            lam=mc.wmf.lam,
-            iters=mc.wmf.iters,
-            rng=make_rng(cfg.subseed("init")),
-            track_objective=True,
-        )
+        factors = wmf_train(counts, rng=make_rng(cfg.subseed("init")),
+                            **dataclasses.asdict(mc.wmf))
         return factors, factors.objective_history
-    if family == "fpmc":
+    if mc.family == "fpmc":
         examples = extract_examples(split.train, 1)
         if not examples:
             raise ValueError("no training examples; sessions too short?")
-        factors = fpmc_train(
-            examples,
-            n_users,
-            n_songs,
-            f=mc.fpmc.f,
-            lr=mc.fpmc.lr,
-            lam=mc.fpmc.lam,
-            epochs=mc.fpmc.epochs,
-            rng=make_rng(cfg.subseed("train")),
-        )
+        factors = fpmc_train(examples, n_users, n_songs, rng=make_rng(cfg.subseed("train")),
+                             **dataclasses.asdict(mc.fpmc))
         return factors, factors.loss_history
-    raise ValueError(f"unknown model family {family!r}")
+    hyper = mc.hyperparams()
+    params = Recommender.families()[mc.family](
+        n_songs, n_users, hyper, rng=make_rng(cfg.subseed("init")), dtype=mc.dtype)
+    examples = extract_examples(split.train, hyper.j)
+    if not examples:
+        raise ValueError(f"no training examples at order j={hyper.j}; sessions too short?")
+    progress = _epoch_progress(mc.family, hyper.epochs, len(examples))
+    history = train(examples, params, make_rng(cfg.subseed("train")), [progress])
+    return params, history
 
 
 def _write_trained(out_dir, model, history) -> tuple[str, str]:
@@ -338,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config entry by dotted key, e.g. --set model.j=3",
         )
-        p.add_argument("--log-level", default="INFO", help="DEBUG, INFO, WARNING, ...")
+        p.add_argument("--log-level", default="INFO", type=str.upper, choices=LOG_LEVELS,
+                       help="one of %(choices)s, in any case")
 
     common(sub.add_parser("prepare", help="build the prepared dataset directory"))
     common(sub.add_parser("train", help="train the configured model"))
@@ -357,7 +334,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
-        level=getattr(logging, args.log_level.upper(), logging.INFO),
+        level=args.log_level,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
     try:

@@ -1,11 +1,10 @@
 """Experiment configuration: one JSON document, strictly validated.
 
-Defaults reproduce the reference experimental setup (catalog cap 10000,
-1-hour session gap, 7:1:2 split, embedding dim 60, context 5, hidden
-300, 325 width-2 filters, 25 epochs, batch 50, learning rate 0.01,
-dropout 0.7). Unknown keys are rejected so typos cannot silently fall
-back to defaults. All randomness fans out from the single root seed via
-named subseeds (see :func:`songrec.util.derive_seed`).
+Defaults reproduce the reference experimental setup. These dataclasses
+are the only place a reference value is written: the trainers and model
+classes take every setting from them. Unknown keys are rejected so typos
+cannot silently fall back to defaults. All randomness fans out from the
+single root seed via named subseeds (see :func:`songrec.util.derive_seed`).
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from dataclasses import dataclass, field
 from .data import OVERLAP_MODES, SHUFFLE_UNITS
 from .evaluation import DEFAULT_KS, EvalConfig
 from .models import Hyperparams
-from .util import config_hash, derive_seed
+from .util import Recommender, config_hash, derive_seed
 
-MODEL_FAMILIES = ("cnnrec", "nnrec", "w2v", "wmf", "fpmc")
+MODEL_FAMILIES = tuple(Recommender.families())
 
 
 # field annotation -> (what the value must be, its test)
@@ -48,8 +47,8 @@ def _from_dict(cls, d: dict, path: str):
             continue
         value = d[f.name]
         key = f"{path}.{f.name}"
-        if f.name in _NESTED:
-            value = _from_dict(_NESTED[f.name], value, key)
+        if dataclasses.is_dataclass(hints[f.name]):
+            value = _from_dict(hints[f.name], value, key)
         else:
             what, ok = _LEAF_TYPES[hints[f.name]]
             if not ok(value):
@@ -131,21 +130,13 @@ class ModelConfig:
         self.hyperparams()  # validates the numeric fields
 
     def hyperparams(self) -> Hyperparams:
-        # the plain model has no filters, so its filter width must not
-        # bind the context length
-        w = min(self.w, self.j) if self.family == "nnrec" else self.w
-        return Hyperparams(
-            d=self.d,
-            j=self.j,
-            h=self.h,
-            m=self.m,
-            w=w,
-            stride=self.stride,
-            epochs=self.epochs,
-            batch=self.batch,
-            lr=self.lr,
-            dropout_p=self.dropout,
-        )
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(Hyperparams)
+                  if f.name != "dropout_p"}
+        if self.family == "nnrec":
+            # the plain model has no filters, so its filter width must not
+            # bind the context length
+            values["w"] = min(self.w, self.j)
+        return Hyperparams(**values, dropout_p=self.dropout)
 
 
 @dataclass
@@ -163,16 +154,6 @@ class EvalSettings:
             seed=seed,
             exclude_train_songs=self.exclude_train_songs,
         )
-
-
-_NESTED = {
-    "data": DataConfig,
-    "model": ModelConfig,
-    "eval": EvalSettings,
-    "w2v": W2vConfig,
-    "wmf": WmfConfig,
-    "fpmc": FpmcConfig,
-}
 
 
 @dataclass

@@ -172,14 +172,21 @@ def softmax_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def softmax_xent_from_probs(probs: np.ndarray, targets) -> np.ndarray:
+    """Cross-entropy of each row's target under (B, N) ``probs``: the
+    target probability clamped at PROB_FLOOR, then -log. Returns (B,)."""
+    picked = probs[np.arange(probs.shape[0]), np.asarray(targets)]
+    return -np.log(np.maximum(picked, PROB_FLOOR))
+
+
 def softmax_xent(logits: np.ndarray, target):
     """Softmax probabilities and cross-entropy loss of the target class.
 
     The probabilities come from :func:`softmax_inplace` on a copy of
-    ``logits``; the target probability is clamped at PROB_FLOOR before
-    the log. ``logits`` may be (N,) or (B, N) with ``target`` scalar or
-    (B,); the loss follows (scalar or (B,)). The gradient w.r.t. logits
-    is probs - onehot(target); see :func:`softmax_xent_backward`.
+    ``logits``, the loss from :func:`softmax_xent_from_probs`. ``logits``
+    may be (N,) or (B, N) with ``target`` scalar or (B,); the loss
+    follows (scalar or (B,)). The gradient w.r.t. logits is
+    probs - onehot(target); see :func:`softmax_xent_backward`.
     """
     logits = np.asarray(logits)
     probs = softmax_inplace(np.array(logits, dtype=np.result_type(logits, 0.0)))
@@ -187,12 +194,8 @@ def softmax_xent(logits: np.ndarray, target):
         t = int(target)
         if not 0 <= t < logits.shape[0]:
             raise ValueError(f"target {t} out of range for {logits.shape[0]} classes")
-        loss = -np.log(max(probs[t], PROB_FLOOR))
-    else:
-        t = np.asarray(target)
-        picked = probs[np.arange(probs.shape[0]), t]
-        loss = -np.log(np.maximum(picked, PROB_FLOOR))
-    return probs, loss
+        return probs, softmax_xent_from_probs(probs[None], [t])[0]
+    return probs, softmax_xent_from_probs(probs, target)
 
 
 def softmax_xent_backward(probs: np.ndarray, target) -> np.ndarray:
@@ -213,11 +216,11 @@ class AdagradState:
     """
 
     acc: np.ndarray
-    lr: float = 0.01
+    lr: float
     eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 0.01, eps: float = 1e-8):
+    def for_param(cls, param: np.ndarray, lr: float, eps: float = 1e-8):
         return cls(np.zeros_like(param), lr, eps)
 
 

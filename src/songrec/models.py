@@ -36,6 +36,7 @@ from .core import (
     relu_backward,
     softmax_inplace,
     softmax_xent_backward,
+    softmax_xent_from_probs,
 )
 from .util import Recommender, make_rng
 
@@ -47,18 +48,19 @@ SATURATED_LOSS = -math.log(PROB_FLOOR)
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Architecture and training settings, default values used throughout."""
+    """Architecture and training settings of the neural families, checked
+    here; their reference values are those of ``config.ModelConfig``."""
 
-    d: int = 60  # embedding dimension (songs and users)
-    j: int = 5  # context length (order of the Markov chain)
-    h: int = 300  # hidden units
-    m: int = 325  # convolution filters
-    w: int = 2  # filter width
-    stride: int = 1
-    epochs: int = 25
-    batch: int = 50
-    lr: float = 0.01
-    dropout_p: float = 0.7  # drop probability, inverted scaling
+    d: int  # embedding dimension (songs and users)
+    j: int  # context length (order of the Markov chain)
+    h: int  # hidden units
+    m: int  # convolution filters
+    w: int  # filter width
+    stride: int
+    epochs: int
+    batch: int
+    lr: float
+    dropout_p: float  # drop probability, inverted scaling
 
     def __post_init__(self):
         for name in ("d", "j", "h", "m", "w", "stride", "batch"):
@@ -180,7 +182,7 @@ class _NeuralParams(Recommender):
     def loss_and_grads(self, users, contexts, targets, dense_embed_grads=True):
         """Mean loss plus full gradients, dropout off (for gradient checks)."""
         probs, cache = self.forward_batch(users, contexts, train=False)
-        _, losses = softmax_xent_from_probs(probs, targets)
+        losses = softmax_xent_from_probs(probs, targets)
         grads = self.backward_batch(probs, targets, cache, dense_embed_grads)
         return float(np.mean(losses)), grads
 
@@ -210,11 +212,6 @@ class _NeuralParams(Recommender):
                 raise ValueError(f"tensor {name}: shape {arr.shape} != {own.shape}")
             own[...] = arr
         return obj
-
-
-def softmax_xent_from_probs(probs, targets):
-    picked = probs[np.arange(probs.shape[0]), np.asarray(targets)]
-    return probs, -np.log(np.maximum(picked, PROB_FLOOR))
 
 
 class CnnRecParams(_NeuralParams):
@@ -300,7 +297,7 @@ def train_step(batch, params: _NeuralParams, rng) -> float:
     if len(targets) == 0:
         raise ValueError("empty batch")
     probs, cache = params.forward_batch(users, contexts, train=True, rng=rng)
-    _, losses = softmax_xent_from_probs(probs, targets)
+    losses = softmax_xent_from_probs(probs, targets)
     grads = params.backward_batch(probs, targets, cache)
     tensors = params.tensors()
     for name, g in grads.items():

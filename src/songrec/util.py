@@ -55,13 +55,24 @@ class Recommender:
     ``score_batch(users, contexts)`` returns a (B, n_songs) score matrix,
     higher meaning more likely next; ``contexts`` is (B, L) oldest first.
     ``order`` is the context length L the family consumes, or None when it
-    accepts any length. ``model_type`` names the family in checkpoints.
-    An out-of-range user or song index raises ``IndexError``.
+    accepts any length. ``model_type`` names the family in configs and
+    checkpoints. An out-of-range user or song index raises ``IndexError``.
     """
 
     model_type: str = ""
     order: int | None = None
     n_songs: int
+
+    @classmethod
+    def families(cls) -> dict:
+        """model_type -> class over every subclass that names a family, in
+        the order the package defines them: cnnrec, nnrec, w2v, wmf, fpmc."""
+        out = {}
+        for sub in cls.__subclasses__():
+            if sub.model_type:
+                out[sub.model_type] = sub
+            out.update(sub.families())
+        return out
 
     def score_batch(self, users, contexts) -> np.ndarray:
         raise NotImplementedError

@@ -98,6 +98,23 @@ def third_order_sessions(n_sessions, length=12, n_songs=30, perm_seed=77, seed=1
     return sessions
 
 
+def digit_chain_sessions(n_sessions, length=12, seed=1, user=0):
+    """27 songs, each three base-3 digits (hi, mid, lo). The next song's hi
+    digit is the last song's lo digit, its mid digit the second-previous
+    song's mid digit and its lo digit the third-previous song's hi digit,
+    so each of orders 1, 2 and 3 sees one more digit of the target: a
+    lookup table at order j gets about 1/9, 1/3 and all of it right. The
+    first three songs of each session are uniform."""
+    rng = make_rng(seed)
+    sessions = []
+    for _ in range(n_sessions):
+        items = [int(x) for x in rng.integers(0, 27, size=3)]
+        while len(items) < length:
+            items.append(9 * (items[-1] % 3) + 3 * (items[-2] // 3 % 3) + items[-3] // 9)
+        sessions.append(Session(user, items))
+    return sessions
+
+
 def markov_chain_sessions(n_songs=20, n_users=5, sessions_per_user=10,
                           session_len=40, succ_seed=11, start_seed=100):
     """First-order data: every song has one deterministic successor."""

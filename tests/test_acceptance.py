@@ -30,6 +30,7 @@ from songrec.baselines import (
     w2v_train,
     wmf_train,
 )
+from songrec.config import ModelConfig
 from songrec.core import grad_check
 from songrec.data import (
     build_user_index,
@@ -59,7 +60,7 @@ def _recall_at_1(model, examples):
 
 
 def test_c01_gradient_fidelity():
-    hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=1, batch=2, dropout_p=0.0)
+    hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01, dropout_p=0.0)
     users = np.array([0, 2])
     contexts = np.array([[1, 3, 5], [2, 0, 6]])
     targets = np.array([4, 1])
@@ -87,7 +88,7 @@ def test_c01_gradient_fidelity():
 
 
 def test_c02_architecture_dimensions():
-    hy = Hyperparams()  # reference defaults
+    hy = ModelConfig().hyperparams()  # reference values
     cnn = CnnRecParams(50, 4, hy, rng=make_rng(0))
     nn = NnRecParams(50, 4, hy, rng=make_rng(0))
     probs, cache = cnn.forward_batch(np.array([1]), np.arange(5).reshape(1, 5))
@@ -110,9 +111,8 @@ def test_c03_overfit_sanity():
     t0 = time.time()
     recalls = {}
     for cls in (CnnRecParams, NnRecParams):
-        hy = Hyperparams(
-            d=16, j=5, h=32, m=16, w=2, epochs=200, batch=50, lr=0.01, dropout_p=0.0
-        )
+        hy = Hyperparams(d=16, j=5, h=32, m=16, w=2, stride=1, epochs=200, batch=50, lr=0.01,
+                         dropout_p=0.0)
         params = cls(50, 20, hy, rng=make_rng(5))
         train(examples, params, make_rng(6))
         recalls[cls.model_type] = _recall_at_1(params, examples)
@@ -132,10 +132,8 @@ def test_c04_order_effect_trend():
     t0 = time.time()
     recall = {}
     for j in (1, 3):
-        hy = Hyperparams(
-            d=16, j=j, h=32, m=16, w=min(2, j), epochs=30, batch=50, lr=0.01,
-            dropout_p=0.0,
-        )
+        hy = Hyperparams(d=16, j=j, h=32, m=16, w=min(2, j), stride=1, epochs=30, batch=50,
+                         lr=0.01, dropout_p=0.0)
         params = NnRecParams(30, 1, hy, rng=make_rng(20))
         train(extract_examples(train_sessions, j), params, make_rng(21))
         recall[j] = _recall_at_1(params, extract_examples(test_sessions, j))
@@ -157,7 +155,7 @@ def test_c05_wmf_descent():
     t0 = time.time()
     factors = wmf_train(
         sp.csr_matrix(dense), f=10, alpha=40, lam=0.1, iters=15,
-        rng=make_rng(7), track_objective=True,
+        rng=make_rng(7),
     )
     elapsed = time.time() - t0
     h = factors.objective_history
@@ -182,12 +180,13 @@ def test_c06_fpmc_learning():
     # across them), so chance level is averaged over fresh inits
     chance = np.mean(
         [
-            pairwise_auc(fpmc_init(5, 20, f=32, rng=make_rng(1000 + i)), examples, 20)
+            pairwise_auc(fpmc_init(5, 20, f=32, lr=0.05, lam=0.01, rng=make_rng(1000 + i)),
+                         examples, 20)
             for i in range(25)
         ]
     )
     t0 = time.time()
-    trained = fpmc_train(examples, 5, 20, f=32, epochs=30, rng=make_rng(14))
+    trained = fpmc_train(examples, 5, 20, f=32, lr=0.05, lam=0.01, epochs=30, rng=make_rng(14))
     auc = pairwise_auc(trained, examples, 20)
     elapsed = time.time() - t0
     ok = auc >= 0.85 and abs(chance - 0.5) <= 0.02 and elapsed < 60

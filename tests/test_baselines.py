@@ -46,19 +46,21 @@ class TestSgnsLoss:
 class TestW2vTrain:
     def test_zero_epochs_returns_initialization(self):
         sessions = [Session(0, [0, 1, 2])]
-        a = w2v_train(sessions, 5, d=4, epochs=0, rng=make_rng(3))
-        b = w2v_train(sessions, 5, d=4, epochs=0, rng=make_rng(3))
+        kw = dict(d=4, window=5, negatives=5, lr=0.025, epochs=0)
+        a = w2v_train(sessions, 5, **kw, rng=make_rng(3))
+        b = w2v_train(sessions, 5, **kw, rng=make_rng(3))
         assert np.array_equal(a.v_in, b.v_in)
         assert np.array_equal(a.v_out, np.zeros((5, 4)))
         assert np.abs(a.v_in).max() <= 0.5 / 4
 
     def test_empty_sessions_error(self):
         with pytest.raises(ValueError):
-            w2v_train([], 5)
+            w2v_train([], 5, d=4, window=5, negatives=5, lr=0.025, epochs=5, rng=make_rng(0))
 
     def test_bad_window_error(self):
         with pytest.raises(ValueError):
-            w2v_train([Session(0, [1])], 5, window=0)
+            w2v_train([Session(0, [1])], 5, d=4, window=0, negatives=5, lr=0.025, epochs=5,
+                      rng=make_rng(0))
 
     def test_always_adjacent_songs_become_similar(self):
         # songs 0 and 1 only ever appear as a repeated adjacent block
@@ -85,13 +87,15 @@ class TestW2vTrain:
 
     def test_loss_history_decreases(self):
         sessions = [Session(0, [0, 1, 2, 0, 1, 2, 0, 1]) for _ in range(50)]
-        emb = w2v_train(sessions, 3, d=6, window=2, epochs=4, rng=make_rng(32))
+        emb = w2v_train(sessions, 3, d=6, window=2, negatives=5, lr=0.025, epochs=4,
+                        rng=make_rng(32))
         assert emb.loss_history[-1] < emb.loss_history[0]
 
     def test_deterministic_given_seed(self):
         sessions = [Session(0, [0, 1, 2, 3])]
-        a = w2v_train(sessions, 4, d=4, epochs=2, rng=make_rng(33))
-        b = w2v_train(sessions, 4, d=4, epochs=2, rng=make_rng(33))
+        kw = dict(d=4, window=5, negatives=5, lr=0.025, epochs=2)
+        a = w2v_train(sessions, 4, **kw, rng=make_rng(33))
+        b = w2v_train(sessions, 4, **kw, rng=make_rng(33))
         assert np.array_equal(a.v_in, b.v_in) and np.array_equal(a.v_out, b.v_out)
 
 
@@ -163,8 +167,7 @@ class TestWmf:
     def test_objective_monotone_over_half_sweeps(self):
         rng = make_rng(42)
         r, _ = random_counts((20, 30), 0.25, 5, rng)
-        factors = wmf_train(r, f=5, alpha=40, lam=0.1, iters=8, rng=make_rng(43),
-                            track_objective=True)
+        factors = wmf_train(r, f=5, alpha=40, lam=0.1, iters=8, rng=make_rng(43))
         h = factors.objective_history
         assert len(h) == 17  # init + 16 half-sweeps
         assert all(b <= a + 1e-9 * abs(a) for a, b in zip(h, h[1:]))
@@ -181,12 +184,12 @@ class TestWmf:
     def test_lambda_must_be_positive(self):
         r = sp.csr_matrix(np.ones((3, 3)))
         with pytest.raises(ValueError):
-            wmf_train(r, f=2, lam=0.0)
+            wmf_train(r, f=2, alpha=40.0, lam=0.0, iters=15, rng=make_rng(0))
 
     def test_negative_counts_rejected(self):
         r = sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            wmf_train(r, f=2)
+            wmf_train(r, f=2, alpha=40.0, lam=0.1, iters=15, rng=make_rng(0))
 
     def test_play_count_matrix(self):
         sessions = [Session(0, [1, 1, 2]), Session(1, [2]), Session(0, [1])]
@@ -198,22 +201,23 @@ class TestWmf:
 class TestWmfRecommend:
     def test_k_equals_catalog_is_permutation(self):
         rng = make_rng(45)
-        factors = WmfFactors(rng.standard_normal((3, 2)), rng.standard_normal((6, 2)))
+        factors = WmfFactors(rng.standard_normal((3, 2)), rng.standard_normal((6, 2)),
+                             alpha=40.0, lam=0.1)
         assert sorted(recommend(factors, 1, [0], 6).tolist()) == list(range(6))
 
     def test_rigged_rank_one_ordering(self):
         x = np.array([[2.0]])
         y = np.array([[0.5], [3.0], [-1.0], [1.0]])
-        factors = WmfFactors(x, y)
+        factors = WmfFactors(x, y, alpha=40.0, lam=0.1)
         # scores: 1, 6, -2, 2 -> order 1, 3, 0, 2
         assert recommend(factors, 0, [0], 4).tolist() == [1, 3, 0, 2]
 
     def test_equal_scores_prefer_lower_index(self):
-        factors = WmfFactors(np.ones((1, 1)), np.ones((4, 1)))
+        factors = WmfFactors(np.ones((1, 1)), np.ones((4, 1)), alpha=40.0, lam=0.1)
         assert recommend(factors, 0, [0], 2).tolist() == [0, 1]
 
     def test_unknown_user_error(self):
-        factors = WmfFactors(np.ones((2, 1)), np.ones((3, 1)))
+        factors = WmfFactors(np.ones((2, 1)), np.ones((3, 1)), alpha=40.0, lam=0.1)
         with pytest.raises(IndexError):
             recommend(factors, 5, [0], 1)
 
@@ -221,7 +225,7 @@ class TestWmfRecommend:
 class TestFpmcScore:
     def _factors(self, f=1):
         z = lambda *shape: np.zeros(shape)
-        return FpmcFactors(z(3, f), z(6, f), z(6, f), z(6, f))
+        return FpmcFactors(z(3, f), z(6, f), z(6, f), z(6, f), lr=0.05, lam=0.01)
 
     def test_all_zero_factors_score_zero(self):
         assert self._factors().score_catalog(0, [1])[2] == 0.0
@@ -236,7 +240,7 @@ class TestFpmcScore:
 
     def test_linear_in_item_preference_factor(self):
         rng = make_rng(50)
-        factors = fpmc_init(3, 6, f=4, rng=rng)
+        factors = fpmc_init(3, 6, f=4, lr=0.05, lam=0.01, rng=rng)
         base = factors.score_catalog(1, [2])[4]
         factors.v_iu[4] *= 3.0
         tripled = factors.score_catalog(1, [2])[4]
@@ -278,21 +282,22 @@ class TestFpmcTrain:
 
     def test_context_length_must_be_one(self):
         with pytest.raises(ValueError):
-            fpmc_train([TrainingExample(0, (1, 2), 3)], 1, 5)
+            fpmc_train([TrainingExample(0, (1, 2), 3)], 1, 5, f=32, lr=0.05, lam=0.01, epochs=30,
+                       rng=make_rng(0))
 
     def test_empty_examples_error(self):
         with pytest.raises(ValueError):
-            fpmc_train([], 1, 5)
+            fpmc_train([], 1, 5, f=32, lr=0.05, lam=0.01, epochs=30, rng=make_rng(0))
 
 
 class TestFpmcRecommend:
     def test_k_equals_catalog_is_permutation(self):
-        factors = fpmc_init(2, 7, f=3, rng=make_rng(53))
+        factors = fpmc_init(2, 7, f=3, lr=0.05, lam=0.01, rng=make_rng(53))
         assert sorted(recommend(factors, 0, [3], 7).tolist()) == list(range(7))
 
     def test_matches_brute_force_sort(self):
         rng = make_rng(54)
-        factors = fpmc_init(3, 8, f=4, rng=rng)
+        factors = fpmc_init(3, 8, f=4, lr=0.05, lam=0.01, rng=rng)
         for t in (factors.v_ui, factors.v_iu, factors.v_il, factors.v_li):
             t[...] = rng.standard_normal(t.shape)
         scores = [float(factors.v_ui[1] @ factors.v_iu[i] + factors.v_il[i] @ factors.v_li[5])
@@ -301,11 +306,11 @@ class TestFpmcRecommend:
         assert recommend(factors, 1, [5], 8).tolist() == want
 
     def test_uniform_factors_give_index_order(self):
-        factors = FpmcFactors(*(np.ones((n, 2)) for n in (2, 6, 6, 6)))
+        factors = FpmcFactors(*(np.ones((n, 2)) for n in (2, 6, 6, 6)), lr=0.05, lam=0.01)
         assert recommend(factors, 0, [1], 6).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_inference_deterministic(self):
-        factors = fpmc_init(2, 9, f=3, rng=make_rng(55))
+        factors = fpmc_init(2, 9, f=3, lr=0.05, lam=0.01, rng=make_rng(55))
         a = recommend(factors, 1, [4], 9)
         b = recommend(factors, 1, [4], 9)
         assert np.array_equal(a, b)

@@ -8,7 +8,7 @@ from songrec.data import extract_examples
 from songrec.models import CnnRecParams, Hyperparams, NnRecParams
 from songrec.util import make_rng
 
-TINY = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=1, batch=2, dropout_p=0.0)
+TINY = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01, dropout_p=0.0)
 
 
 def small_models():
@@ -20,9 +20,11 @@ def small_models():
     return {
         "cnnrec": CnnRecParams(12, 3, TINY, rng=make_rng(1)),
         "nnrec": NnRecParams(12, 3, TINY, rng=make_rng(2)),
-        "w2v": w2v_train(sessions, 12, d=4, epochs=1, rng=make_rng(3)),
-        "wmf": wmf_train(counts, f=3, iters=2, rng=make_rng(4)),
-        "fpmc": fpmc_train(fpmc_examples, 2, 8, f=3, epochs=1, rng=make_rng(5)),
+        "w2v": w2v_train(sessions, 12, d=4, window=5, negatives=5, lr=0.025, epochs=1,
+                         rng=make_rng(3)),
+        "wmf": wmf_train(counts, f=3, alpha=40.0, lam=0.1, iters=2, rng=make_rng(4)),
+        "fpmc": fpmc_train(fpmc_examples, 2, 8, f=3, lr=0.05, lam=0.01, epochs=1,
+                           rng=make_rng(5)),
     }
 
 

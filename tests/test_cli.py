@@ -2,15 +2,25 @@ import csv
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from songrec import checkpoint
+import songrec
+from songrec import checkpoint, cli
 from songrec.cli import _eval_order, main
-from conftest import third_order_sessions
+from conftest import digit_chain_sessions, third_order_sessions
 from songrec.config import ExperimentConfig, apply_override
-from songrec.data import PreparedDataset, Session, SplitDataset, VocabMap, write_prepared
+from songrec.data import (
+    PreparedDataset,
+    Session,
+    SplitDataset,
+    VocabMap,
+    read_prepared,
+    write_prepared,
+)
 from songrec.models import CnnRecParams
 from songrec.util import make_rng
 from test_golden import CONFIG as GOLDEN_CONFIG
@@ -90,7 +100,7 @@ class TestConfig:
         from songrec.baselines import fpmc_init
 
         cfg = ExperimentConfig.from_dict({"model": {"family": "fpmc"}})
-        assert _eval_order(fpmc_init(2, 5, f=2), cfg) == 1
+        assert _eval_order(fpmc_init(2, 5, f=2, lr=0.05, lam=0.01, rng=make_rng(0)), cfg) == 1
 
     def test_apply_override_parses_json_values(self):
         raw = {}
@@ -348,7 +358,8 @@ class TestTrainEvaluate:
         v_li = np.zeros((n, n))
         for e in examples:
             v_li[e.context[0], e.target] = 1.0
-        rigged = FpmcFactors(np.zeros((u, n)), np.zeros((n, n)), np.eye(n), v_li)
+        rigged = FpmcFactors(np.zeros((u, n)), np.zeros((n, n)), np.eye(n), v_li,
+                             lr=0.05, lam=0.01)
         out = tmp / "oracle"
         os.makedirs(out, exist_ok=True)
         checkpoint.save(out / "model.ckpt", *rigged.to_checkpoint())
@@ -367,7 +378,8 @@ class TestTrainEvaluate:
         os.makedirs(out, exist_ok=True)
         from songrec.models import Hyperparams, NnRecParams
 
-        tiny = NnRecParams(7, 2, Hyperparams(d=4, j=2, h=5, m=3, w=2), rng=make_rng(0))
+        tiny = NnRecParams(7, 2, Hyperparams(d=4, j=2, h=5, m=3, w=2, stride=1, epochs=25,
+                                             batch=50, lr=0.01, dropout_p=0.7), rng=make_rng(0))
         checkpoint.save(out / "model.ckpt", *tiny.to_checkpoint())
         code = run_cli("evaluate", "--config", config, "--out", out,
                        "--checkpoint", out / "model.ckpt",
@@ -404,10 +416,20 @@ def third_order_sweep(tmp_path_factory):
     Orders 1 and 2 see nothing of that song, so both sit at chance (1/30)
     and which of the two comes out ahead depends on the root seed.
     """
-    tmp_path = tmp_path_factory.mktemp("third-order")
+    return _sweep_recall_at_1(tmp_path_factory.mktemp("third-order"), third_order_sessions, 30)
+
+
+@pytest.fixture(scope="module")
+def digit_chain_sweep(tmp_path_factory):
+    """recall@1 per order of one nnrec sweep over orders 1-3 on data where
+    each order sees one more digit of the next song (about 1/9, 1/3 and 1
+    at best)."""
+    return _sweep_recall_at_1(tmp_path_factory.mktemp("digit-chain"), digit_chain_sessions, 27)
+
+
+def _sweep_recall_at_1(tmp_path, sessions, n_songs):
     config = _write_sessions_config(
-        tmp_path, third_order_sessions(150, seed=1), third_order_sessions(50, seed=2),
-        n_songs=30, n_users=1,
+        tmp_path, sessions(150, seed=1), sessions(50, seed=2), n_songs=n_songs, n_users=1,
         **{"seed": 1, "model.d": 16, "model.h": 32, "model.epochs": 30, "model.batch": 50,
            "model.dropout": 0.0, "eval.ks": [1, 5]},
     )
@@ -477,8 +499,8 @@ class TestSweep:
         assert third_order_sweep["j=3"] >= 0.9
         assert third_order_sweep["j=3"] > third_order_sweep["j=1"]
 
-    def test_recall_trend_non_decreasing_in_order(self, third_order_sweep):
-        recalls = [third_order_sweep[f"j={j}"] for j in (1, 2, 3)]
+    def test_recall_trend_non_decreasing_in_order(self, digit_chain_sweep):
+        recalls = [digit_chain_sweep[f"j={j}"] for j in (1, 2, 3)]
         assert recalls == sorted(recalls)
 
     @pytest.mark.parametrize("orders", ["0,1", "11"], ids=["zero", "eleven"])
@@ -530,3 +552,63 @@ class TestCliErrors:
     def test_train_without_prepared_dir_fails(self, tmp_path):
         config = write_config(tmp_path / "c.json", **{"out_dir": str(tmp_path / "o")})
         assert run_cli("train", "--config", config) == 1
+
+    @pytest.mark.parametrize("level", ["nonsense", "basic_format"])
+    def test_unknown_log_level_rejected(self, tmp_path, level):
+        # "nonsense" used to run at INFO, "basic_format" to end in a traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "songrec.cli", "prepare", "--log-level", level,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(songrec.__file__))},
+        )
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("level", ["debug", "Warning", "CRITICAL"])
+    def test_log_level_case_insensitive(self, level):
+        args = cli.build_parser().parse_args(["prepare", "--log-level", level])
+        assert args.log_level == level.upper()
+
+
+TRACED_CLI_NAMES = ("w2v_train", "wmf_train", "fpmc_train", "play_count_matrix",
+                    "extract_examples")
+
+
+class TestTracedNames:
+    """The benchmark traces the baseline trainers and example extraction at
+    their names on ``songrec.cli``, and counts work from the trainers'
+    ``window`` and ``epochs`` keywords and their first positional argument.
+    ``fit_model`` must reach them there, or the traced baseline metrics
+    read 0."""
+
+    @pytest.mark.parametrize("family,reached", [
+        ("cnnrec", ["extract_examples"]),
+        ("nnrec", ["extract_examples"]),
+        ("w2v", ["w2v_train"]),
+        ("wmf", ["play_count_matrix", "wmf_train"]),
+        ("fpmc", ["extract_examples", "fpmc_train"]),
+    ])
+    def test_fit_model_calls_traced_names(self, prepared, monkeypatch, family, reached):
+        tmp, config = prepared
+        calls, results = [], {}
+        for name in TRACED_CLI_NAMES:
+            def record(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls.append((_name, args, kwargs))
+                results[_name] = _fn(*args, **kwargs)
+                return results[_name]
+
+            monkeypatch.setattr(cli, name, record)
+        raw = json.loads(config.read_text())
+        raw["model"]["family"] = family
+        cfg = ExperimentConfig.from_dict(raw)
+        data = read_prepared(cfg.prepared_dir())
+        cli.fit_model(cfg, data)
+        assert [name for name, _, _ in calls] == reached
+        for name, args, kwargs in calls:
+            if name == "w2v_train":
+                assert args[0] is data.split.train
+                assert (kwargs["window"], kwargs["epochs"]) == (2, 1)
+            if name == "fpmc_train":
+                assert args[0] is results["extract_examples"]
+                assert kwargs["epochs"] == 2

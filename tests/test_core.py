@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from songrec import models
 from songrec.core import (
     _BLOCK,
+    PROB_FLOOR,
     AdagradState,
     adagrad_step,
     adagrad_step_rows,
@@ -22,6 +24,7 @@ from songrec.core import (
     softmax_inplace,
     softmax_xent,
     softmax_xent_backward,
+    softmax_xent_from_probs,
 )
 from songrec.util import make_rng
 
@@ -335,11 +338,18 @@ class TestSoftmaxXent:
         probs, _ = softmax_xent(np.zeros(4, dtype=np.float32), 0)
         assert probs.dtype == np.float32
 
+    def test_loss_from_probs_clamps_at_floor(self):
+        # the training step's loss is this kernel, imported under the same name
+        assert models.softmax_xent_from_probs is softmax_xent_from_probs
+        probs = np.array([[0.25, 0.75, 0.0], [0.0, 0.0, 1.0]])
+        losses = softmax_xent_from_probs(probs, [1, 0])
+        assert np.array_equal(losses, [-np.log(0.75), -np.log(PROB_FLOOR)])
+
 
 class TestAdagrad:
     def test_zero_grad_no_change(self):
         p = np.array([1.0, 2.0])
-        state = AdagradState.for_param(p)
+        state = AdagradState.for_param(p, lr=0.01)
         adagrad_step(p, np.zeros(2), state)
         assert p.tolist() == [1.0, 2.0]
         assert state.acc.tolist() == [0.0, 0.0]
@@ -366,7 +376,7 @@ class TestAdagrad:
     def test_accumulator_monotone_nonnegative(self):
         rng = make_rng(10)
         p = rng.standard_normal(8)
-        state = AdagradState.for_param(p)
+        state = AdagradState.for_param(p, lr=0.01)
         prev = state.acc.copy()
         for _ in range(20):
             adagrad_step(p, rng.standard_normal(8), state)
@@ -375,7 +385,7 @@ class TestAdagrad:
 
     def test_shape_mismatch_error(self):
         with pytest.raises(ValueError):
-            adagrad_step(np.zeros(2), np.zeros(3), AdagradState.for_param(np.zeros(2)))
+            adagrad_step(np.zeros(2), np.zeros(3), AdagradState.for_param(np.zeros(2), lr=0.01))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
@@ -400,7 +410,7 @@ class TestAdagrad:
     def test_non_contiguous_param_error(self):
         p = np.zeros((4, 6))[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
-            adagrad_step(p, np.ones(p.shape), AdagradState.for_param(np.zeros(p.shape)))
+            adagrad_step(p, np.ones(p.shape), AdagradState.for_param(np.zeros(p.shape), lr=0.01))
 
     def test_non_contiguous_accumulator_error(self):
         p = np.zeros((3, 4))
@@ -413,10 +423,10 @@ class TestAdagrad:
         p_dense = np.ones((4, 2))
         rows = np.array([1, 3, 1])
         grads = np.array([[1.0, 0.0], [0.5, 0.5], [2.0, -1.0]])
-        adagrad_step_rows(p_sparse, rows, grads, AdagradState.for_param(p_sparse))
+        adagrad_step_rows(p_sparse, rows, grads, AdagradState.for_param(p_sparse, lr=0.01))
         dense = np.zeros((4, 2))
         np.add.at(dense, rows, grads)
-        adagrad_step(p_dense, dense, AdagradState.for_param(p_dense))
+        adagrad_step(p_dense, dense, AdagradState.for_param(p_dense, lr=0.01))
         assert np.allclose(p_sparse, p_dense)
 
 

@@ -18,6 +18,11 @@ its ``model.ckpt`` (``sweep-checkpoints.sha256``) and the sweep's
 ``comparison.csv``. These files were written by the sweep that ran its
 own loop beside ``train`` and ``evaluate``.
 
+``train-manifests.json`` pins each family's ``train_manifest.json``
+``config``, ``config_hash`` and ``seeds``: the bytes a refactor of the
+config must keep. The fixture runs in its temporary directory with
+relative paths, so the temporary path does not enter the config.
+
 ``prepared.sha256`` pins the prepared directory built from the same log
 with one line of every malformed kind mixed in and one more user whose
 timestamps strptime accepts in non-canonical forms, under both shuffle
@@ -149,24 +154,37 @@ def build_prepared_hashes(root):
 def build_artifacts(root):
     """{golden file name: bytes} for the fixture, via the CLI: one
     ``<family>-<protocol>.json`` report per protocol, one
-    ``<family>-loss_history.csv`` per family, ``checkpoints.sha256`` and
-    ``prepared.sha256``."""
+    ``<family>-loss_history.csv`` per family, ``checkpoints.sha256``,
+    ``train-manifests.json`` and ``prepared.sha256``. Runs with ``root``
+    as the working directory."""
     root = os.fspath(root)
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        return _build_artifacts(root)
+    finally:
+        os.chdir(cwd)
+
+
+def _build_artifacts(root):
     log = os.path.join(root, "plays.tsv")
     with open(log, "w", encoding="utf-8") as fh:
         fh.write("\n".join(golden_log_lines()) + "\n")
     config = os.path.join(root, "config.json")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(CONFIG, fh)
-    prepared = os.path.join(root, "prepared")
-    common = ["--config", config, "--set", f"data.prepared_dir={prepared}"]
+    common = ["--config", config, "--set", "data.prepared_dir=prepared"]
     assert main(["prepare", *common, "--set", f"data.raw_path={log}", "--out", root]) == 0
     artifacts = {}
     hashes = []
+    manifests = {}
     for family in FAMILIES:
-        train_dir = os.path.join(root, family)
+        train_dir = family
         fam = ["--set", f"model.family={family}"]
         assert main(["train", *common, *fam, "--out", train_dir]) == 0
+        with open(os.path.join(train_dir, "train_manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifests[family] = {key: manifest[key] for key in ("config", "config_hash", "seeds")}
         with open(os.path.join(train_dir, "loss_history.csv"), "rb") as fh:
             artifacts[f"{family}-loss_history.csv"] = fh.read()
         with open(os.path.join(train_dir, "model.ckpt"), "rb") as fh:
@@ -181,6 +199,8 @@ def build_artifacts(root):
             with open(os.path.join(out, "report.json"), "rb") as fh:
                 artifacts[f"{family}-{protocol}.json"] = fh.read()
     artifacts["checkpoints.sha256"] = "".join(hashes).encode("ascii")
+    artifacts["train-manifests.json"] = (
+        json.dumps(manifests, indent=2, sort_keys=True) + "\n").encode("utf-8")
     artifacts["sweep-checkpoints.sha256"] = build_sweeps(root, common, artifacts)
     artifacts["prepared.sha256"] = build_prepared_hashes(root)
     return artifacts
@@ -237,6 +257,14 @@ def test_checkpoint_sha256_matches_golden(artifacts, family):
     built = [x for x in artifacts["checkpoints.sha256"].decode().splitlines() if x.endswith(line)]
     kept = [x for x in golden("checkpoints.sha256").decode().splitlines() if x.endswith(line)]
     assert len(kept) == 1 and built == kept
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_train_manifest_config_matches_golden(artifacts, family):
+    # serialised again so that an int turning into a float shows
+    built = json.loads(artifacts["train-manifests.json"])[family]
+    kept = json.loads(golden("train-manifests.json"))[family]
+    assert json.dumps(built, sort_keys=True) == json.dumps(kept, sort_keys=True)
 
 
 @pytest.mark.parametrize("family", list(SWEEPS))

@@ -1,8 +1,10 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
+from songrec.config import ModelConfig
 from songrec.core import grad_check
 from songrec.models import (
     CnnRecParams,
@@ -14,7 +16,8 @@ from songrec.models import (
 )
 from songrec.util import make_rng, top_k_indices
 
-TINY = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=2, batch=2, dropout_p=0.0)
+REFERENCE = ModelConfig().hyperparams()
+TINY = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=2, batch=2, lr=0.01, dropout_p=0.0)
 
 
 def tiny_batch():
@@ -26,36 +29,36 @@ def tiny_batch():
 
 class TestHyperparams:
     def test_defaults_match_reference_setup(self):
-        hy = Hyperparams()
+        hy = REFERENCE
         assert (hy.d, hy.j, hy.h, hy.m, hy.w, hy.stride) == (60, 5, 300, 325, 2, 1)
         assert (hy.epochs, hy.batch, hy.lr, hy.dropout_p) == (25, 50, 0.01, 0.7)
         assert hy.conv_positions == 4
 
     def test_width_exceeding_order_rejected(self):
         with pytest.raises(ValueError):
-            Hyperparams(j=1, w=2)
+            dataclasses.replace(REFERENCE, j=1, w=2)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            Hyperparams(d=0)
+            dataclasses.replace(REFERENCE, d=0)
         with pytest.raises(ValueError):
-            Hyperparams(dropout_p=1.0)
+            dataclasses.replace(REFERENCE, dropout_p=1.0)
 
 
 class TestArchitectureDims:
     def test_conv_feature_and_hidden_input_1360(self):
-        hy = Hyperparams()
+        hy = REFERENCE
         params = CnnRecParams(50, 4, hy, rng=make_rng(0))
         assert params.filters.shape == (325, 2, 60)
         assert hy.conv_positions * hy.m == 1300
         assert params.w1.shape == (300, 1360)  # 4*325 conv output + 60 user dims
 
     def test_plain_hidden_input_360(self):
-        params = NnRecParams(50, 4, Hyperparams(), rng=make_rng(0))
+        params = NnRecParams(50, 4, REFERENCE, rng=make_rng(0))
         assert params.w1.shape == (300, 360)  # 5*60 song dims + 60 user dims
 
     def test_output_layer_covers_catalog(self):
-        params = CnnRecParams(50, 4, Hyperparams(), rng=make_rng(0))
+        params = CnnRecParams(50, 4, REFERENCE, rng=make_rng(0))
         assert params.w2.shape == (50, 300) and params.b2.shape == (50,)
 
 
@@ -94,7 +97,8 @@ class TestForward:
             params.score_catalog(5, [1, 2, 3])
 
     def test_train_mode_needs_rng(self):
-        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, dropout_p=0.5)
+        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=25, batch=50, lr=0.01,
+                         dropout_p=0.5)
         params = NnRecParams(7, 3, hy, rng=make_rng(0))
         with pytest.raises(ValueError):
             params.forward_batch([0], [[1, 2, 3]], train=True)
@@ -111,7 +115,8 @@ class TestForward:
 class TestGradients:
     @pytest.mark.parametrize("cls", [CnnRecParams, NnRecParams])
     def test_full_model_gradient(self, cls):
-        params = cls(6, 3, Hyperparams(d=3, j=2, h=4, m=2, w=2, dropout_p=0.0), rng=make_rng(7))
+        params = cls(6, 3, Hyperparams(d=3, j=2, h=4, m=2, w=2, stride=1, epochs=25, batch=50,
+                                       lr=0.01, dropout_p=0.0), rng=make_rng(7))
         users = np.array([0, 1])
         contexts = np.array([[1, 3], [2, 0]])
         targets = np.array([4, 1])
@@ -163,7 +168,8 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("cls", [CnnRecParams, NnRecParams])
     def test_single_pattern_overfits_in_300_steps(self, cls):
-        hy = Hyperparams(d=8, j=5, h=16, m=8, w=2, epochs=1, batch=1, lr=0.01, dropout_p=0.0)
+        hy = Hyperparams(d=8, j=5, h=16, m=8, w=2, stride=1, epochs=1, batch=1, lr=0.01,
+                         dropout_p=0.0)
         params = cls(10, 2, hy, rng=make_rng(40))
         batch = (np.array([0]), np.array([[1, 2, 3, 4, 5]]), np.array([6]))
         rng = make_rng(41)
@@ -174,7 +180,8 @@ class TestTrainStep:
 
 class TestTrainLoop:
     def test_zero_epochs_no_change(self):
-        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=0, batch=2, dropout_p=0.0)
+        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=0, batch=2, lr=0.01,
+                         dropout_p=0.0)
         params = CnnRecParams(7, 3, hy, rng=make_rng(12))
         before = {k: v.copy() for k, v in params.tensors().items()}
         history = train([_example(0, (1, 2, 3), 4)], params, make_rng(0))
@@ -183,7 +190,8 @@ class TestTrainLoop:
             assert np.array_equal(v, before[k])
 
     def test_seeded_training_bitwise_deterministic(self):
-        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=3, batch=2, dropout_p=0.5)
+        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=3, batch=2, lr=0.01,
+                         dropout_p=0.5)
         runs = []
         for _ in range(2):
             params = NnRecParams(7, 3, hy, rng=make_rng(13))
@@ -198,7 +206,8 @@ class TestTrainLoop:
             assert np.array_equal(runs[0][k], runs[1][k]), k
 
     def test_history_length_and_callback(self):
-        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=4, batch=2, dropout_p=0.0)
+        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=4, batch=2, lr=0.01,
+                         dropout_p=0.0)
         params = NnRecParams(7, 3, hy, rng=make_rng(15))
         seen = []
         history = train(
@@ -212,7 +221,8 @@ class TestTrainLoop:
         assert [l for _, l in seen] == history
 
     def test_non_finite_tensor_stops_training(self):
-        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=3, batch=2, dropout_p=0.0)
+        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=3, batch=2, lr=0.01,
+                         dropout_p=0.0)
         params = CnnRecParams(7, 3, hy, rng=make_rng(17))
         params.w2[2, 1] = np.nan
         seen = []
@@ -222,7 +232,8 @@ class TestTrainLoop:
         assert seen == []  # stopped before reporting the epoch
 
     def test_saturated_loss_warns(self, caplog):
-        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, epochs=1, batch=2, dropout_p=0.0)
+        hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01,
+                         dropout_p=0.0)
         params = NnRecParams(7, 3, hy, rng=make_rng(19))
         params.b2[4] = -1e4  # the target's probability underflows to the floor
         with caplog.at_level(logging.WARNING, logger="songrec"):
@@ -283,7 +294,8 @@ class TestStructuralEquivalence:
         # with m*p = j*d, width-1 filters forming a permutation basis, and
         # non-negative embeddings (ReLU transparent), the convolutional
         # model computes exactly the plain model's hidden input
-        hy = Hyperparams(d=3, j=2, h=4, m=3, w=1, epochs=1, batch=1, dropout_p=0.0)
+        hy = Hyperparams(d=3, j=2, h=4, m=3, w=1, stride=1, epochs=1, batch=1, lr=0.01,
+                         dropout_p=0.0)
         nn = NnRecParams(6, 2, hy, rng=make_rng(20))
         nn.e_song[...] = np.abs(nn.e_song)
         cnn = CnnRecParams(6, 2, hy, rng=make_rng(21))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from songrec import checkpoint
 from songrec.config import MODEL_FAMILIES
 from songrec.util import Recommender
 from test_checkpoint import small_models
@@ -51,7 +50,7 @@ class TestScoreBatch:
         assert orders == {"cnnrec": 3, "nnrec": 3, "w2v": None, "wmf": None, "fpmc": 1}
 
     def test_checkpoint_registry_covers_every_family(self):
-        families = checkpoint._families(Recommender)
-        assert sorted(families) == sorted(MODEL_FAMILIES)
+        families = Recommender.families()
+        assert tuple(families) == MODEL_FAMILIES == tuple(FAMILIES)
         for fam, model in small_models().items():
             assert families[fam] is type(model)
