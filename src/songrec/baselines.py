@@ -193,6 +193,10 @@ class WmfFactors(Recommender):
         return self.y.shape[0]
 
     @property
+    def n_users(self) -> int:
+        return self.x.shape[0]
+
+    @property
     def rank(self) -> int:
         return self.x.shape[1]
 
@@ -203,8 +207,8 @@ class WmfFactors(Recommender):
 
     def to_checkpoint(self):
         meta = {
-            "n_users": int(self.x.shape[0]),
-            "n_songs": int(self.y.shape[0]),
+            "n_users": self.n_users,
+            "n_songs": self.n_songs,
             "f": self.rank,
             "alpha": self.alpha,
             "lam": self.lam,
@@ -335,6 +339,10 @@ class FpmcFactors(Recommender):
     def n_songs(self) -> int:
         return self.v_iu.shape[0]
 
+    @property
+    def n_users(self) -> int:
+        return self.v_ui.shape[0]
+
     def score_batch(self, users, contexts) -> np.ndarray:
         """Scores for every candidate next song given the last played one."""
         prev = np.asarray(contexts)[:, -1]
@@ -343,7 +351,7 @@ class FpmcFactors(Recommender):
 
     def to_checkpoint(self):
         meta = {
-            "n_users": int(self.v_ui.shape[0]),
+            "n_users": self.n_users,
             "n_songs": self.n_songs,
             "f": int(self.v_ui.shape[1]),
             "lr": self.lr,

@@ -81,15 +81,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
         events, summary = parse_events(stream)
     logger.info("parsed %d events (%d lines skipped)", summary.parsed, summary.skipped)
     t_parse = time.perf_counter()
-    prepared = prepare(
-        events,
-        vocab_cap=data_cfg.vocab_cap,
-        gap_seconds=data_cfg.gap_seconds,
-        ratios=tuple(data_cfg.ratios),
-        seed=cfg.subseed("split"),
-        overlap_mode=data_cfg.overlap_mode,
-        shuffle_unit=data_cfg.shuffle_unit,
-    )
+    prepared = prepare(events, data_cfg, cfg.subseed("split"))
     prepared.stats["parse"] = {"parsed": summary.parsed, "skipped": summary.skipped}
     prepared.stats["root_seed"] = cfg.seed
     out = cfg.prepared_dir()
@@ -211,15 +203,15 @@ def _evaluate_test_split(cfg: ExperimentConfig, model, prepared, label: str):
     examples = extract_examples(drop_unknown_users(split.test, split.train), order)
     if not examples:
         raise ValueError(f"no test examples at order j={order}")
-    eval_config = cfg.eval.to_eval_config(cfg.subseed("eval"))
     report = evaluate(
         model,
         examples,
-        eval_config,
+        cfg.eval,
+        seed=cfg.subseed("eval"),
         train_user_songs=_train_song_sets(split.train),
         label=label,
     )
-    k = eval_config.ks[0]
+    k = cfg.eval.ks[0]
     logger.info(
         "evaluated %s on %d examples: recall@%d = %.4f",
         label, report.n_examples, k, report.recall[k],
@@ -234,6 +226,11 @@ def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str) -> int:
         raise ValueError(
             f"vocabulary mismatch: checkpoint has {model.n_songs} songs, "
             f"prepared data has {prepared.n_songs}"
+        )
+    if model.n_users is not None and model.n_users != prepared.n_users:
+        raise ValueError(
+            f"user mismatch: checkpoint has {model.n_users} users, "
+            f"prepared data has {prepared.n_users}"
         )
     t0 = time.perf_counter()
     report = _evaluate_test_split(cfg, model, prepared, model.model_type)

@@ -1,10 +1,14 @@
 """Experiment configuration: one JSON document, strictly validated.
 
-Defaults reproduce the reference experimental setup. These dataclasses
-are the only place a reference value is written: the trainers and model
-classes take every setting from them. Unknown keys are rejected so typos
-cannot silently fall back to defaults. All randomness fans out from the
-single root seed via named subseeds (see :func:`songrec.util.derive_seed`).
+Defaults reproduce the reference experimental setup. Each section has
+one settings type, the only place its reference values are written: the
+dataclasses here for ``data`` and ``model``, and
+:class:`songrec.evaluation.EvalConfig` for ``eval``. The type of every
+setting, and the value of every ``data``, ``eval`` and neural ``model``
+setting, is checked once, when the config loads, so a bad one fails
+before any data is read. Unknown keys are rejected so typos cannot
+silently fall back to defaults. All randomness fans out from the single
+root seed via named subseeds (see :func:`songrec.util.derive_seed`).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .data import OVERLAP_MODES, SHUFFLE_UNITS
-from .evaluation import DEFAULT_KS, EvalConfig
+from .evaluation import EvalConfig
 from .models import Hyperparams
 from .util import Recommender, config_hash, derive_seed
 
@@ -29,6 +33,7 @@ _LEAF_TYPES = {
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     list: ("a list", lambda v: isinstance(v, list)),
+    tuple: ("a list", lambda v: isinstance(v, list)),
     str | None: ("a string or null", lambda v: v is None or isinstance(v, str)),
 }
 
@@ -68,12 +73,17 @@ class DataConfig:
     shuffle_unit: str = "session"
 
     def validate(self):
+        is_number = _LEAF_TYPES[float][1]
         if self.vocab_cap < 1:
             raise ValueError("vocab_cap must be >= 1")
         if self.gap_seconds < 1:
             raise ValueError("gap_seconds must be >= 1")
-        if len(self.ratios) != 3:
-            raise ValueError("ratios must have three entries")
+        if len(self.ratios) != 3 or not all(map(is_number, self.ratios)):
+            raise ValueError(f"config.data.ratios must be three numbers, got {self.ratios!r}")
+        if any(r < 0 for r in self.ratios):
+            raise ValueError("need three non-negative ratios")
+        if abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise ValueError(f"ratios must sum to 1, got {sum(self.ratios)}")
         if self.overlap_mode not in OVERLAP_MODES:
             raise ValueError(f"overlap_mode must be one of {OVERLAP_MODES}")
         if self.shuffle_unit not in SHUFFLE_UNITS:
@@ -140,34 +150,16 @@ class ModelConfig:
 
 
 @dataclass
-class EvalSettings:
-    ks: list = field(default_factory=lambda: list(DEFAULT_KS))
-    protocol: str = "full"
-    n_neg: int = 1000
-    exclude_train_songs: bool = False
-
-    def to_eval_config(self, seed: int) -> EvalConfig:
-        return EvalConfig(
-            ks=tuple(self.ks),
-            protocol=self.protocol,
-            n_neg=self.n_neg,
-            seed=seed,
-            exclude_train_songs=self.exclude_train_songs,
-        )
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 1
     out_dir: str = "run"
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    eval: EvalSettings = field(default_factory=EvalSettings)
+    eval: EvalConfig = field(default_factory=EvalConfig)  # checks itself when built
 
     def validate(self):
         self.data.validate()
         self.model.validate()
-        self.eval.to_eval_config(0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -221,7 +221,8 @@ class AdagradState:
 
     @classmethod
     def for_param(cls, param: np.ndarray, lr: float, eps: float = 1e-8):
-        return cls(np.zeros_like(param), lr, eps)
+        # np.zeros, unlike zeros_like, leaves the zeroing to the first touch
+        return cls(np.zeros(param.shape, dtype=param.dtype), lr, eps)
 
 
 def adagrad_step(param: np.ndarray, grad: np.ndarray, state: AdagradState) -> np.ndarray:

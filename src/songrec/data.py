@@ -3,7 +3,8 @@
 Raw play logs go through: parse -> vocabulary build -> filter ->
 sessionize -> split -> train-overlap deletion -> context/target example
 extraction. Every step is a pure function; the split is a pure function
-of (sessions, ratios, seed).
+of (sessions, ratios, seed). The settings are checked where the ``data``
+config section loads (:class:`songrec.config.DataConfig`), not here.
 """
 
 from __future__ import annotations
@@ -13,21 +14,22 @@ import json
 import logging
 import os
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .util import atomic_write_json, atomic_write_text, make_rng
 
+if TYPE_CHECKING:
+    from .config import DataConfig
+
 logger = logging.getLogger(__name__)
 
 # Reserved separator joining artist name and track name into one song key.
 SONG_KEY_SEP = ""
-
-DEFAULT_VOCAB_CAP = 10000
-DEFAULT_GAP_SECONDS = 3600
-DEFAULT_RATIOS = (0.7, 0.1, 0.2)
 
 OVERLAP_MODES = ("drop-seen", "keep-only-seen", "none")
 SHUFFLE_UNITS = ("session", "record")
@@ -85,8 +87,6 @@ class SplitDataset:
     train: list[Session]
     val: list[Session]
     test: list[Session]
-    seed: int
-    ratios: tuple[float, float, float]
 
     def parts(self):
         return {"train": self.train, "val": self.val, "test": self.test}
@@ -233,14 +233,12 @@ def open_event_stream(path):
     return open(path, "r", encoding="utf-8", errors="replace")
 
 
-def build_vocab(events: list[ListeningEvent], cap: int = DEFAULT_VOCAB_CAP) -> VocabMap:
+def build_vocab(events: list[ListeningEvent], cap: int) -> VocabMap:
     """Keep the ``cap`` most-played songs.
 
     Indices are assigned by descending play count; ties broken by first
     appearance in the stream.
     """
-    if cap < 1:
-        raise ValueError("vocabulary cap must be >= 1")
     if not events:
         raise ValueError("no events: empty vocabulary is unusable")
     # Counter keeps first-insertion order and most_common() sorts stably,
@@ -269,7 +267,7 @@ def sessionize(
     events: list[ListeningEvent],
     vocab: VocabMap,
     user_index: dict[str, int],
-    gap_seconds: int = DEFAULT_GAP_SECONDS,
+    gap_seconds: int,
 ) -> list[Session]:
     """Group each user's plays into sessions split at gaps >= ``gap_seconds``.
 
@@ -299,33 +297,20 @@ def sessionize(
     return sessions
 
 
-def split_dataset(
-    sessions: list[Session],
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS,
-    seed: int = 0,
-) -> SplitDataset:
+def split_dataset(sessions: list[Session], ratios: Sequence[float], seed: int) -> SplitDataset:
     """Shuffle whole sessions and cut them into train/val/test with
     :func:`split_events`; within-session order is never disturbed."""
-    train, val, test = split_events(sessions, ratios, seed)
-    return SplitDataset(train, val, test, seed=seed, ratios=tuple(ratios))
+    return SplitDataset(*split_events(sessions, ratios, seed))
 
 
-def split_events(
-    items: list,
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS,
-    seed: int = 0,
-) -> tuple[list, list, list]:
+def split_events(items: list, ratios: Sequence[float], seed: int) -> tuple[list, list, list]:
     """The cut of both shuffle units: shuffle ``items`` (sessions, or
     single plays that each part then sessionizes on its own) by a seeded
     permutation and cut into train/val/test.
 
-    Validation and test sizes are floors of their ratios; train takes the
-    remainder.
+    ``ratios`` are three non-negative numbers summing to 1. Validation
+    and test sizes are floors of their ratios; train takes the remainder.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("need three non-negative ratios")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
     n = len(items)
     if n < 3:
         raise ValueError(f"need at least 3 sessions or plays to split, got {n}")
@@ -377,27 +362,25 @@ def _clean_sessions(
 
 
 def delete_train_overlap(
-    split: SplitDataset, mode: str = "drop-seen"
+    split: SplitDataset, mode: str
 ) -> tuple[SplitDataset, dict[str, int]]:
     """Remove val/test events by the (user, song)-seen-in-training rule.
 
-    ``mode``:
+    ``mode``, one of ``OVERLAP_MODES``:
       drop-seen       remove events whose song the same user already has in
-                      their training sessions (the default reading),
+                      their training sessions (the reference reading),
       keep-only-seen  the opposite reading: keep only such events,
       none            leave val/test untouched.
 
     A deletion splits the session at that point; emptied sessions vanish.
     Returns the cleaned split plus deleted-event counts per part.
     """
-    if mode not in OVERLAP_MODES:
-        raise ValueError(f"overlap mode must be one of {OVERLAP_MODES}, got {mode!r}")
     if mode == "none":
         return split, {"val": 0, "test": 0}
     train_songs = _train_song_sets(split.train)
     val, n_val = _clean_sessions(split.val, train_songs, mode)
     test, n_test = _clean_sessions(split.test, train_songs, mode)
-    cleaned = SplitDataset(split.train, val, test, split.seed, split.ratios)
+    cleaned = SplitDataset(split.train, val, test)
     return cleaned, {"val": n_val, "test": n_test}
 
 
@@ -450,7 +433,7 @@ def drop_unknown_users(
 #   users.txt    one user key per line, line number = user index
 #   train.txt    one session per line: "<user_index> <i1>,<i2>,..."
 #   val.txt, test.txt  same layout
-#   stats.json   counts, seed, ratios, pipeline settings
+#   stats.json   counts, split seed, pipeline settings
 
 
 @dataclass(slots=True)
@@ -516,47 +499,36 @@ def read_prepared(out_dir) -> PreparedDataset:
         train=_parse_session_lines(read("train.txt")),
         val=_parse_session_lines(read("val.txt")),
         test=_parse_session_lines(read("test.txt")),
-        seed=stats.get("seed", 0),
-        ratios=tuple(stats.get("ratios", DEFAULT_RATIOS)),
     )
     return PreparedDataset(vocab, user_keys, split, stats)
 
 
-def prepare(
-    events: list[ListeningEvent],
-    vocab_cap: int = DEFAULT_VOCAB_CAP,
-    gap_seconds: int = DEFAULT_GAP_SECONDS,
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS,
-    seed: int = 0,
-    overlap_mode: str = "drop-seen",
-    shuffle_unit: str = "session",
-) -> PreparedDataset:
-    """Full pipeline: vocabulary, filter, sessionize, split, overlap deletion.
+def prepare(events: list[ListeningEvent], settings: DataConfig, seed: int) -> PreparedDataset:
+    """Full pipeline: vocabulary, filter, sessionize, split, overlap deletion,
+    under the ``data`` config section ``settings``; ``seed`` drives the split.
 
-    ``shuffle_unit`` picks what gets shuffled before the cut: whole
-    sessions (default, preserves the sequences the models consume) or
+    ``settings.shuffle_unit`` picks what gets shuffled before the cut: whole
+    sessions (the reference, preserves the sequences the models consume) or
     single records (each part is then sessionized on its own).
     """
-    if shuffle_unit not in SHUFFLE_UNITS:
-        raise ValueError(f"shuffle unit must be one of {SHUFFLE_UNITS}, got {shuffle_unit!r}")
-    vocab = build_vocab(events, vocab_cap)
+    vocab = build_vocab(events, settings.vocab_cap)
     kept = filter_to_vocab(events, vocab)
     if not kept:
         raise ValueError("no events survive vocabulary filtering")
     user_index = build_user_index(kept)
     user_keys = sorted(user_index, key=user_index.get)
 
-    if shuffle_unit == "session":
-        sessions = sessionize(kept, vocab, user_index, gap_seconds)
+    if settings.shuffle_unit == "session":
+        sessions = sessionize(kept, vocab, user_index, settings.gap_seconds)
         n_sessions_in = len(sessions)
-        split = split_dataset(sessions, ratios, seed)
+        split = split_dataset(sessions, settings.ratios, seed)
     else:
-        parts = split_events(kept, ratios, seed)
-        by_part = [sessionize(p, vocab, user_index, gap_seconds) for p in parts]
+        parts = split_events(kept, settings.ratios, seed)
+        by_part = [sessionize(p, vocab, user_index, settings.gap_seconds) for p in parts]
         n_sessions_in = sum(len(p) for p in by_part)
-        split = SplitDataset(*by_part, seed=seed, ratios=tuple(ratios))
+        split = SplitDataset(*by_part)
 
-    split, deleted = delete_train_overlap(split, overlap_mode)
+    split, deleted = delete_train_overlap(split, settings.overlap_mode)
 
     stats = {
         "users": len(user_keys),
@@ -568,10 +540,10 @@ def prepare(
         "events": {k: sum(len(s) for s in v) for k, v in split.parts().items()},
         "deleted_overlap": deleted,
         "seed": seed,
-        "ratios": list(ratios),
-        "vocab_cap": vocab_cap,
-        "gap_seconds": gap_seconds,
-        "overlap_mode": overlap_mode,
-        "shuffle_unit": shuffle_unit,
+        "ratios": list(settings.ratios),
+        "vocab_cap": settings.vocab_cap,
+        "gap_seconds": settings.gap_seconds,
+        "overlap_mode": settings.overlap_mode,
+        "shuffle_unit": settings.shuffle_unit,
     }
     return PreparedDataset(vocab, user_keys, split, stats)

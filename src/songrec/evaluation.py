@@ -8,6 +8,7 @@ every rank total and reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -27,7 +28,8 @@ CHUNK_CELLS = 2**18
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Cutoff grid and candidate protocol.
+    """The ``eval`` config section: cutoff grid and candidate protocol,
+    with their reference values, checked when it is built.
 
     ``full`` ranks the target against the entire catalog; ``sampled``
     ranks it against ``n_neg`` songs drawn uniformly from those the user
@@ -38,27 +40,18 @@ class EvalConfig:
     ks: tuple = DEFAULT_KS
     protocol: str = "full"
     n_neg: int = 1000
-    seed: int = 0
     exclude_train_songs: bool = False
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.ks)
+        ks = tuple(self.ks)
         object.__setattr__(self, "ks", ks)
-        if not ks or any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
-            raise ValueError(f"cutoffs must be strictly ascending positive ints, got {ks}")
+        whole = all(isinstance(k, int) and not isinstance(k, bool) for k in ks)
+        if not ks or not whole or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValueError(f"config.eval.ks must be strictly ascending positive ints, got {ks}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.n_neg < 1:
             raise ValueError("n_neg must be >= 1")
-
-    def to_dict(self):
-        return {
-            "ks": list(self.ks),
-            "protocol": self.protocol,
-            "n_neg": self.n_neg,
-            "seed": self.seed,
-            "exclude_train_songs": self.exclude_train_songs,
-        }
 
 
 @dataclass
@@ -153,7 +146,7 @@ _example_rank = rank_of_target
 _full_catalog_rank = rank_of_target
 
 
-def _candidate_row(heard: np.ndarray, target: int, position: int, config: EvalConfig):
+def _candidate_row(heard: np.ndarray, target: int, position: int, config: EvalConfig, seed: int):
     """Boolean candidate row of one example: the target plus every song
     the user did not hear in training or, under the sampled protocol,
     ``n_neg`` of those drawn without replacement."""
@@ -161,8 +154,8 @@ def _candidate_row(heard: np.ndarray, target: int, position: int, config: EvalCo
     row[target] = False
     if config.protocol == "sampled" and np.count_nonzero(row) > config.n_neg:
         # per-example subseed: results do not depend on evaluation order
-        # or chunking, only on (config seed, example position)
-        rng = make_rng(derive_seed(config.seed, f"neg:{position}"))
+        # or chunking, only on (seed, example position)
+        rng = make_rng(derive_seed(seed, f"neg:{position}"))
         picked = rng.choice(np.flatnonzero(row), size=config.n_neg, replace=False)
         row[:] = False
         row[picked] = True
@@ -174,6 +167,8 @@ def evaluate(
     model,
     examples,
     config: EvalConfig,
+    *,
+    seed: int,
     train_user_songs: dict | None = None,
     label: str | None = None,
 ) -> EvalReport:
@@ -182,9 +177,10 @@ def evaluate(
     ``model`` must expose ``score_batch(users, contexts) -> (B, N)`` and
     ``n_songs`` (see :class:`songrec.util.Recommender`). The sampled
     protocol (and the exclude-train-songs flag) needs ``train_user_songs``:
-    user index -> set of songs that user played in training. Examples are
-    scored in chunks of at most ``CHUNK_CELLS`` score cells; a non-finite
-    score raises ``ValueError``.
+    user index -> set of songs that user played in training. ``seed``
+    draws the sampled negatives and goes into the report's config hash.
+    Examples are scored in chunks of at most ``CHUNK_CELLS`` score cells;
+    a non-finite score raises ``ValueError``.
     """
     if not examples:
         raise ValueError("empty test set")
@@ -213,7 +209,7 @@ def evaluate(
                 if u not in heard:
                     heard[u] = np.zeros(n_songs, dtype=bool)
                     heard[u][list(train_user_songs.get(u, ()))] = True
-                mask[i] = _candidate_row(heard[u], t, start + i, config)
+                mask[i] = _candidate_row(heard[u], t, start + i, config, seed)
         ranks[chunk] = rank_of_target(scores, targets[chunk], mask)
 
     hits = {k: int(np.count_nonzero(ranks <= k)) for k in config.ks}
@@ -223,7 +219,7 @@ def evaluate(
         hits=hits,
         n_examples=len(examples),
         protocol=config.protocol if config.protocol == "full" else f"sampled({config.n_neg})",
-        config_hash=config_hash(config.to_dict()),
+        config_hash=config_hash({**dataclasses.asdict(config), "seed": seed}),
     )
 
 

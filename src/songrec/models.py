@@ -38,7 +38,7 @@ from .core import (
     softmax_xent_backward,
     softmax_xent_from_probs,
 )
-from .util import Recommender, make_rng
+from .util import Recommender
 
 logger = logging.getLogger(__name__)
 
@@ -85,42 +85,52 @@ class _NeuralParams(Recommender):
     """Shared plumbing for both architectures: embeddings, hidden layer,
     catalog softmax, Adagrad state, checkpoint tensors."""
 
-    def __init__(self, n_songs, n_users, hyper: Hyperparams, rng=None, dtype=np.float64):
+    def __init__(self, n_songs, n_users, hyper: Hyperparams, rng, dtype=np.float64):
+        """Glorot-initialised weights and zero biases, drawn from ``rng``
+        in layout order."""
+        self._set_sizes(n_songs, n_users, hyper, dtype)
+        for name, (shape, fans) in self._layout().items():
+            tensor = np.zeros(shape) if fans is None else glorot_init(*fans, rng, shape)
+            setattr(self, name, tensor.astype(self.dtype, copy=False))
+        self._init_states()
+
+    def _set_sizes(self, n_songs, n_users, hyper, dtype):
         if n_songs < 1 or n_users < 1:
             raise ValueError("need at least one song and one user")
-        if rng is None:
-            rng = make_rng(0)
         self.n_songs = int(n_songs)
         self.n_users = int(n_users)
         self.hyper = hyper
         self.dtype = np.dtype(dtype)
-        self._init_tensors(rng)
+
+    def _init_states(self):
         self.states = {
-            name: AdagradState.for_param(t, lr=hyper.lr)
+            name: AdagradState.for_param(t, lr=self.hyper.lr)
             for name, t in self.tensors().items()
         }
 
-    # subclasses define _init_tensors, tensors, _feature_forward, _feature_backward
+    # subclasses define _feature_layout, _feature_forward, _feature_backward
 
     @property
     def order(self) -> int:
         return self.hyper.j
 
-    def _glorot(self, fan_in, fan_out, rng, shape=None):
-        return glorot_init(fan_in, fan_out, rng, shape).astype(self.dtype)
+    def _layout(self) -> dict:
+        """name -> (shape, Glorot fans or None for a zero bias) of every
+        tensor, in initialisation and checkpoint order."""
+        hy, n = self.hyper, self.n_songs
+        features, feature_len = self._feature_layout()
+        return {
+            "e_song": ((n, hy.d), (n, hy.d)),
+            "e_user": ((self.n_users, hy.d), (self.n_users, hy.d)),
+            **features,
+            "w1": ((hy.h, feature_len + hy.d), (feature_len + hy.d, hy.h)),
+            "b1": ((hy.h,), None),
+            "w2": ((n, hy.h), (hy.h, n)),
+            "b2": ((n,), None),
+        }
 
-    def _init_common(self, rng, feature_len):
-        hy = self.hyper
-        self.e_song = self._glorot(self.n_songs, hy.d, rng, (self.n_songs, hy.d))
-        self.e_user = self._glorot(self.n_users, hy.d, rng, (self.n_users, hy.d))
-        self._init_feature(rng)
-        self.w1 = self._glorot(feature_len + hy.d, hy.h, rng)
-        self.b1 = np.zeros(hy.h, dtype=self.dtype)
-        self.w2 = self._glorot(hy.h, self.n_songs, rng)
-        self.b2 = np.zeros(self.n_songs, dtype=self.dtype)
-
-    def _init_feature(self, rng):
-        pass
+    def tensors(self) -> dict:
+        return {name: getattr(self, name) for name in self._layout()}
 
     def forward_batch(self, users, contexts, train: bool = False, rng=None):
         """Probabilities over the catalog for a batch; returns (probs, cache).
@@ -204,13 +214,19 @@ class _NeuralParams(Recommender):
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
-        hyper = Hyperparams(**meta["hyper"])
-        obj = cls(meta["n_songs"], meta["n_users"], hyper, dtype=np.dtype(meta["dtype"]))
-        for name, arr in tensors.items():
-            own = obj.tensors()[name]
-            if own.shape != arr.shape:
-                raise ValueError(f"tensor {name}: shape {arr.shape} != {own.shape}")
-            own[...] = arr
+        """The model holding the checkpoint's tensors themselves, each
+        checked against the architecture's shape; nothing is drawn."""
+        obj = cls.__new__(cls)
+        obj._set_sizes(meta["n_songs"], meta["n_users"], Hyperparams(**meta["hyper"]),
+                       meta["dtype"])
+        layout = obj._layout()
+        if set(tensors) != set(layout):
+            raise ValueError(f"tensors {sorted(tensors)} != {sorted(layout)}")
+        for name, (shape, _) in layout.items():
+            if tensors[name].shape != shape:
+                raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {shape}")
+            setattr(obj, name, tensors[name].astype(obj.dtype, copy=False))
+        obj._init_states()
         return obj
 
 
@@ -226,26 +242,10 @@ class CnnRecParams(_NeuralParams):
 
     model_type = "cnnrec"
 
-    def _init_tensors(self, rng):
+    def _feature_layout(self):
         hy = self.hyper
-        self._init_common(rng, feature_len=hy.conv_positions * hy.m)
-
-    def _init_feature(self, rng):
-        hy = self.hyper
-        self.filters = self._glorot(hy.w * hy.d, hy.m, rng, (hy.m, hy.w, hy.d))
-        self.conv_b = np.zeros(hy.m, dtype=self.dtype)
-
-    def tensors(self):
-        return {
-            "e_song": self.e_song,
-            "e_user": self.e_user,
-            "filters": self.filters,
-            "conv_b": self.conv_b,
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-        }
+        filters = {"filters": ((hy.m, hy.w, hy.d), (hy.w * hy.d, hy.m)), "conv_b": ((hy.m,), None)}
+        return filters, hy.conv_positions * hy.m
 
     def _feature_forward(self, s):
         out, cache = conv1d(s, self.filters, self.conv_b, self.hyper.stride)
@@ -264,19 +264,8 @@ class NnRecParams(_NeuralParams):
 
     model_type = "nnrec"
 
-    def _init_tensors(self, rng):
-        hy = self.hyper
-        self._init_common(rng, feature_len=hy.j * hy.d)
-
-    def tensors(self):
-        return {
-            "e_song": self.e_song,
-            "e_user": self.e_user,
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-        }
+    def _feature_layout(self):
+        return {}, self.hyper.j * self.hyper.d
 
     def _feature_forward(self, s):
         b = s.shape[0]

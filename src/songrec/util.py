@@ -55,13 +55,16 @@ class Recommender:
     ``score_batch(users, contexts)`` returns a (B, n_songs) score matrix,
     higher meaning more likely next; ``contexts`` is (B, L) oldest first.
     ``order`` is the context length L the family consumes, or None when it
-    accepts any length. ``model_type`` names the family in configs and
-    checkpoints. An out-of-range user or song index raises ``IndexError``.
+    accepts any length. ``n_users`` is the number of users the family
+    keeps state for, or None when it keeps no per-user state.
+    ``model_type`` names the family in configs and checkpoints. An
+    out-of-range user or song index raises ``IndexError``.
     """
 
     model_type: str = ""
     order: int | None = None
     n_songs: int
+    n_users: int | None = None
 
     @classmethod
     def families(cls) -> dict:

@@ -30,7 +30,7 @@ from songrec.baselines import (
     w2v_train,
     wmf_train,
 )
-from songrec.config import ModelConfig
+from songrec.config import DataConfig, ModelConfig
 from songrec.core import grad_check
 from songrec.data import (
     build_user_index,
@@ -55,7 +55,7 @@ def check(criterion, ok, detail):
 
 
 def _recall_at_1(model, examples):
-    report = evaluate(model, examples, EvalConfig(ks=(1,)))
+    report = evaluate(model, examples, EvalConfig(ks=(1,)), seed=0)
     return report.recall[1]
 
 
@@ -234,7 +234,8 @@ def test_c08_metric_oracle():
         TrainingExample(0, (int(rng.integers(n_songs)),), int(rng.integers(n_songs)))
         for _ in range(n_examples)
     ]
-    report = evaluate(UniformScorer(n_songs, seed=62), examples, EvalConfig(ks=DEFAULT_KS))
+    report = evaluate(UniformScorer(n_songs, seed=62), examples, EvalConfig(ks=DEFAULT_KS),
+                      seed=0)
     deviations = {}
     within = True
     for k in DEFAULT_KS:
@@ -264,7 +265,7 @@ def test_c09_pipeline_fixture(tmp_path):
     session_shape = len(sessions) == 20 and all(len(s) == 10 for s in sessions)
     split = split_dataset(sessions, (0.7, 0.1, 0.2), seed=5)
     sizes = (len(split.train), len(split.val), len(split.test))
-    prepared = prepare(events, seed=5)
+    prepared = prepare(events, DataConfig(), seed=5)
     stats = prepared.stats
     survivors_ok = (
         stats["deleted_overlap"] == {"val": 10, "test": 20}
@@ -279,7 +280,7 @@ def test_c09_pipeline_fixture(tmp_path):
     trees = []
     for name in ("a", "b"):
         out = tmp_path / name
-        write_prepared(out, prepare(events, seed=5))
+        write_prepared(out, prepare(events, DataConfig(), seed=5))
         trees.append(
             {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         )
@@ -309,8 +310,8 @@ def test_c10_checkpoint_round_trip(tmp_path):
             TrainingExample(1, (5, 0, 2) if family in ("cnnrec", "nnrec") else (5,), 0),
         ]
         cfg = EvalConfig(ks=(1, 3, 8))  # smallest stub catalog has 8 songs
-        a = evaluate(model, examples, cfg, label=family)
-        b = evaluate(loaded, examples, cfg, label=family)
+        a = evaluate(model, examples, cfg, seed=0, label=family)
+        b = evaluate(loaded, examples, cfg, seed=0, label=family)
         bitwise = all(
             np.array_equal(model.score_catalog(e.user, e.context),
                            loaded.score_catalog(e.user, e.context))
@@ -342,7 +343,7 @@ def test_c11_optional_full_scale(tmp_path):
 
     with open_event_stream(FULL_DATASET) as stream:
         events, summary = parse_events(stream)
-    prepared = prepare(events, vocab_cap=10000, gap_seconds=3600, seed=11)
+    prepared = prepare(events, DataConfig(vocab_cap=10000, gap_seconds=3600), seed=11)
     users = prepared.stats["users"]
     records = prepared.stats["records"]
     users_ok = 980 <= users <= 992
@@ -367,7 +368,7 @@ def test_c11_optional_full_scale(tmp_path):
         model, _ = fit_model(cfg, read_prepared(out))
         order = 1 if family == "fpmc" else 5
         examples = extract_examples(kept, order)
-        report = evaluate(model, examples, EvalConfig(ks=(500,)), label=family)
+        report = evaluate(model, examples, EvalConfig(ks=(500,)), seed=0, label=family)
         measured[family] = report.recall[500]
     ok = all(abs(measured[f] - targets[f]) <= 0.05 for f in targets)
     check(

@@ -123,6 +123,23 @@ class TestConfig:
         b = ExperimentConfig.from_dict({"out_dir": "x", "seed": 1})
         assert a.hash() == b.hash()
 
+    def test_bad_ratios_error(self):
+        with pytest.raises(ValueError, match="ratios must sum to 1"):
+            ExperimentConfig.from_dict({"data": {"ratios": [0.5, 0.2, 0.2]}})
+
+    def test_unknown_mode_error(self):
+        with pytest.raises(ValueError, match="overlap_mode must be one of"):
+            ExperimentConfig.from_dict({"data": {"overlap_mode": "bogus"}})
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("```jsonc\n", 1)[1].split("```", 1)[0]
+        text = "\n".join(line.split("//", 1)[0] for line in block.splitlines())
+        # through JSON, where the eval cutoffs' tuple is a list
+        defaults = json.loads(json.dumps(ExperimentConfig().to_dict()))
+        assert json.loads(text) == defaults
+
 
 class TestPrepare:
     def test_writes_expected_stats(self, workspace):
@@ -177,6 +194,15 @@ class TestPrepare:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert errors == ["need three non-negative ratios"]
         assert not (tmp / "run" / "prepared").exists()
+
+    def test_bad_ratios_fail_before_parsing(self, tmp_path, caplog):
+        # the raw log does not exist: the ratio error must come first
+        code = run_cli("prepare", "--out", tmp_path,
+                       "--set", f"data.raw_path={tmp_path / 'no.tsv'}",
+                       "--set", "data.ratios=[0.5,0.2,0.2]")
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith("ratios must sum to 1")
 
     def test_prepared_dir_outside_a_new_out_dir(self, workspace):
         tmp, config = workspace
@@ -372,6 +398,26 @@ class TestTrainEvaluate:
         assert all(v == 1.0 for v in report["recall"].values())
         assert report["precision"]["1"] == 1.0
 
+    @pytest.mark.parametrize("family,code", [("cnnrec", 1), ("wmf", 1), ("w2v", 0)])
+    def test_user_count_mismatch(self, prepared, caplog, family, code):
+        # the same vocabulary with one more user; w2v keeps no per-user
+        # state, so only it can still be evaluated there
+        tmp, config = prepared
+        out = tmp / f"users-{family}"
+        common = ["--config", config, "--out", out, "--set", f"model.family={family}"]
+        assert run_cli("train", *common,
+                       "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
+        wider = read_prepared(tmp / "run" / "prepared")
+        wider.user_keys.append("one-more-user")
+        write_prepared(tmp / "wider", wider)
+        assert run_cli("evaluate", *common, "--checkpoint", out / "model.ckpt",
+                       "--set", f"data.prepared_dir={tmp / 'wider'}") == code
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        if code:
+            assert errors == ["user mismatch: checkpoint has 2 users, prepared data has 3"]
+        else:
+            assert errors == [] and (out / "report.json").exists()
+
     def test_vocab_mismatch_reported_with_both_sizes(self, prepared, caplog):
         tmp, config = prepared
         out = tmp / "mismatch"
@@ -397,7 +443,7 @@ def _write_sessions_config(tmp_path, train_s, test_s, n_songs, n_users, **overri
         PreparedDataset(
             vocab=VocabMap([f"s{i}" for i in range(n_songs)]),
             user_keys=[f"u{i}" for i in range(n_users)],
-            split=SplitDataset(train_s, [], test_s, seed=0, ratios=(0.7, 0.1, 0.2)),
+            split=SplitDataset(train_s, [], test_s),
             stats={"seed": 0, "ratios": [0.7, 0.1, 0.2]},
         ),
     )
@@ -542,7 +588,9 @@ class TestCliErrors:
         assert run_cli("prepare", "--config", bad) == 1
 
     @pytest.mark.parametrize("assignment", ['model.d="x"', "model.epochs=2.5",
-                                            "eval.exclude_train_songs=1", "seed=true"])
+                                            "eval.exclude_train_songs=1", "seed=true",
+                                            'data.ratios=["a",0.5,0.5]', "data.ratios=[true,0,0]",
+                                            'eval.ks=[1.5,5,"10"]'])
     def test_wrong_config_type_exit_code(self, tmp_path, caplog, assignment):
         code = run_cli("prepare", "--set", assignment, "--out", tmp_path)
         assert code == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import lastfm_fixture_events, lastfm_fixture_lines
+from songrec.config import DataConfig
 from songrec.data import (
     ListeningEvent,
     Session,
@@ -27,6 +28,9 @@ from songrec.data import (
     split_events,
     write_prepared,
 )
+
+
+RATIOS = (0.7, 0.1, 0.2)
 
 
 def ev(user, ts, song):
@@ -282,38 +286,34 @@ class TestSplit:
         return [Session(0, [i, i + 1]) for i in range(n)]
 
     def test_sizes_7_1_2(self):
-        split = split_dataset(self._sessions(10), (0.7, 0.1, 0.2), seed=0)
+        split = split_dataset(self._sessions(10), RATIOS, seed=0)
         assert (len(split.train), len(split.val), len(split.test)) == (7, 1, 2)
 
     def test_deterministic(self):
-        a = split_dataset(self._sessions(10), seed=42)
-        b = split_dataset(self._sessions(10), seed=42)
+        a = split_dataset(self._sessions(10), RATIOS, seed=42)
+        b = split_dataset(self._sessions(10), RATIOS, seed=42)
         assert [s.items for s in a.train] == [s.items for s in b.train]
         assert [s.items for s in a.test] == [s.items for s in b.test]
 
     def test_seed_changes_permutation_not_sizes(self):
-        a = split_dataset(self._sessions(40), seed=1)
-        b = split_dataset(self._sessions(40), seed=2)
+        a = split_dataset(self._sessions(40), RATIOS, seed=1)
+        b = split_dataset(self._sessions(40), RATIOS, seed=2)
         assert len(a.train) == len(b.train)
         assert [s.items for s in a.train] != [s.items for s in b.train]
 
     def test_partition_no_loss_no_duplication(self):
         sessions = self._sessions(23)
-        split = split_dataset(sessions, seed=3)
+        split = split_dataset(sessions, RATIOS, seed=3)
         got = [tuple(s.items) for part in (split.train, split.val, split.test) for s in part]
         assert sorted(got) == sorted(tuple(s.items) for s in sessions)
 
     def test_too_few_sessions_error(self):
         with pytest.raises(ValueError):
-            split_dataset(self._sessions(2))
-
-    def test_bad_ratios_error(self):
-        with pytest.raises(ValueError):
-            split_dataset(self._sessions(10), (0.5, 0.2, 0.2))
+            split_dataset(self._sessions(2), RATIOS, seed=0)
 
     def test_record_level_split(self):
         events = [ev("u", i * 10, f"s{i}") for i in range(20)]
-        train, val, test = split_events(events, (0.7, 0.1, 0.2), seed=0)
+        train, val, test = split_events(events, RATIOS, seed=0)
         assert (len(train), len(val), len(test)) == (14, 2, 4)
         assert sorted(e.song_key for e in train + val + test) == sorted(
             e.song_key for e in events
@@ -322,18 +322,18 @@ class TestSplit:
 
 class TestOverlapDeletion:
     def _split(self, train, val, test):
-        return SplitDataset(train, val, test, seed=0, ratios=(0.7, 0.1, 0.2))
+        return SplitDataset(train, val, test)
 
     def test_full_overlap_removes_session(self):
         train = [Session(0, [1, 2, 3])]
         test = [Session(0, [2, 3, 2])]
-        cleaned, deleted = delete_train_overlap(self._split(train, [], test))
+        cleaned, deleted = delete_train_overlap(self._split(train, [], test), "drop-seen")
         assert cleaned.test == [] and deleted == {"val": 0, "test": 3}
 
     def test_disjoint_unchanged(self):
         train = [Session(0, [1, 2])]
         test = [Session(0, [5, 6])]
-        cleaned, deleted = delete_train_overlap(self._split(train, [], test))
+        cleaned, deleted = delete_train_overlap(self._split(train, [], test), "drop-seen")
         assert cleaned.test[0].items == [5, 6] and deleted["test"] == 0
 
     def test_three_of_five_overlap_splits_session(self):
@@ -341,7 +341,7 @@ class TestOverlapDeletion:
         # the session splits into two singletons
         train = [Session(0, [10, 11, 12])]
         test = [Session(0, [10, 4, 11, 5, 12], [0, 1, 2, 3, 4])]
-        cleaned, deleted = delete_train_overlap(self._split(train, [], test))
+        cleaned, deleted = delete_train_overlap(self._split(train, [], test), "drop-seen")
         assert deleted["test"] == 3
         assert [s.items for s in cleaned.test] == [[4], [5]]
         assert [s.timestamps for s in cleaned.test] == [[1], [3]]
@@ -349,7 +349,7 @@ class TestOverlapDeletion:
     def test_other_users_unaffected(self):
         train = [Session(0, [1, 2])]
         test = [Session(1, [1, 2])]  # same songs, different user
-        cleaned, _ = delete_train_overlap(self._split(train, [], test))
+        cleaned, _ = delete_train_overlap(self._split(train, [], test), "drop-seen")
         assert cleaned.test[0].items == [1, 2]
 
     def test_keep_only_seen_mode(self):
@@ -365,10 +365,6 @@ class TestOverlapDeletion:
         split = self._split([Session(0, [1])], [], [Session(0, [1])])
         cleaned, deleted = delete_train_overlap(split, mode="none")
         assert cleaned.test[0].items == [1] and deleted == {"val": 0, "test": 0}
-
-    def test_unknown_mode_error(self):
-        with pytest.raises(ValueError):
-            delete_train_overlap(self._split([], [], []), mode="bogus")
 
 
 class TestExtractExamples:
@@ -410,14 +406,14 @@ class TestExtractExamples:
 
 class TestPipeline:
     def test_event_counts_never_increase(self, fixture_events):
-        prepared = prepare(fixture_events, vocab_cap=10000, seed=5)
+        prepared = prepare(fixture_events, DataConfig(vocab_cap=10000), seed=5)
         stats = prepared.stats
         assert stats["records"] <= stats["records_raw"]
         total_after = sum(stats["events"].values())
         assert total_after <= stats["records"]
 
     def test_session_partition_before_deletion(self, fixture_events):
-        prepared = prepare(fixture_events, seed=5, overlap_mode="none")
+        prepared = prepare(fixture_events, DataConfig(overlap_mode="none"), seed=5)
         assert sum(prepared.stats["sessions"].values()) == prepared.stats[
             "sessions_before_overlap"
         ]
@@ -425,7 +421,7 @@ class TestPipeline:
     def test_fixture_hand_counts(self, fixture_events):
         # hand-derived from the fixture construction: any val/test session
         # loses its 5 shared tracks and splits into runs of 1, 3, 1
-        prepared = prepare(fixture_events, seed=5)
+        prepared = prepare(fixture_events, DataConfig(), seed=5)
         stats = prepared.stats
         assert stats["users"] == 2
         assert stats["songs"] == 110
@@ -436,7 +432,7 @@ class TestPipeline:
         assert stats["deleted_overlap"] == {"val": 10, "test": 20}
 
     def test_fixture_per_order_example_counts(self, fixture_events):
-        prepared = prepare(fixture_events, seed=5)
+        prepared = prepare(fixture_events, DataConfig(), seed=5)
         split = prepared.split
         assert len(extract_examples(split.train, 5)) == 70
         assert len(extract_examples(split.train, 1)) == 126
@@ -445,7 +441,7 @@ class TestPipeline:
         assert len(extract_examples(split.test, 2)) == 4
 
     def test_record_shuffle_unit(self, fixture_events):
-        prepared = prepare(fixture_events, seed=5, shuffle_unit="record")
+        prepared = prepare(fixture_events, DataConfig(shuffle_unit="record"), seed=5)
         assert sum(prepared.stats["events"].values()) <= 200
         for part in prepared.split.parts().values():
             for s in part:
@@ -453,7 +449,7 @@ class TestPipeline:
                 assert (gaps < 3600).all()
 
     def test_prepared_round_trip(self, fixture_events, tmp_path):
-        prepared = prepare(fixture_events, seed=5)
+        prepared = prepare(fixture_events, DataConfig(), seed=5)
         out = tmp_path / "prep"
         write_prepared(out, prepared)
         back = read_prepared(out)

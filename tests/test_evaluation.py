@@ -85,21 +85,22 @@ class TestEvaluate:
     def test_perfect_scorer_full_recall(self):
         examples = make_examples(40, 30, seed=2)
         model = PerfectScorer(examples, 30)
-        report = evaluate(model, examples, EvalConfig(ks=(1, 5, 10)))
+        report = evaluate(model, examples, EvalConfig(ks=(1, 5, 10)), seed=0)
         assert all(report.recall[k] == 1.0 for k in (1, 5, 10))
         assert report.precision[1] == 1.0
 
     def test_empty_test_set_error(self):
         with pytest.raises(ValueError):
-            evaluate(UniformScorer(10), [], EvalConfig(ks=(1,)))
+            evaluate(UniformScorer(10), [], EvalConfig(ks=(1,)), seed=0)
 
     def test_cutoff_beyond_catalog_error(self):
         with pytest.raises(ValueError):
-            evaluate(UniformScorer(10), make_examples(5, 10), EvalConfig(ks=(1, 50)))
+            evaluate(UniformScorer(10), make_examples(5, 10), EvalConfig(ks=(1, 50)), seed=0)
 
     def test_recall_monotone_and_precision_identity(self):
         examples = make_examples(300, 50, seed=3)
-        report = evaluate(UniformScorer(50, seed=4), examples, EvalConfig(ks=(1, 3, 10, 25, 50)))
+        report = evaluate(UniformScorer(50, seed=4), examples, EvalConfig(ks=(1, 3, 10, 25, 50)),
+                          seed=0)
         values = [report.recall[k] for k in report.ks]
         assert values == sorted(values)
         for k in report.ks:
@@ -109,7 +110,7 @@ class TestEvaluate:
         n_songs, n_examples = 200, 1500
         examples = make_examples(n_examples, n_songs, seed=5)
         report = evaluate(
-            UniformScorer(n_songs, seed=6), examples, EvalConfig(ks=(1, 10, 50, 100))
+            UniformScorer(n_songs, seed=6), examples, EvalConfig(ks=(1, 10, 50, 100)), seed=0
         )
         for k in report.ks:
             p = k / n_songs
@@ -119,10 +120,10 @@ class TestEvaluate:
     def test_deterministic_given_config(self):
         examples = make_examples(60, 40, seed=7)
         model = StatelessScorer(40)
-        cfg = EvalConfig(ks=(1, 5, 20), protocol="sampled", n_neg=10, seed=9)
+        cfg = EvalConfig(ks=(1, 5, 20), protocol="sampled", n_neg=10)
         songs = {u: {0, 1, 2} for u in range(3)}
-        a = evaluate(model, examples, cfg, train_user_songs=songs)
-        b = evaluate(model, examples, cfg, train_user_songs=songs)
+        a = evaluate(model, examples, cfg, seed=9, train_user_songs=songs)
+        b = evaluate(model, examples, cfg, seed=9, train_user_songs=songs)
         assert a.to_dict() == b.to_dict()
 
     @pytest.mark.parametrize("protocol,exclude",
@@ -130,12 +131,11 @@ class TestEvaluate:
     def test_chunking_does_not_change_result(self, monkeypatch, protocol, exclude):
         examples = make_examples(80, 40, seed=8)
         model = StatelessScorer(40)
-        cfg = EvalConfig(ks=(1, 5, 20), protocol=protocol, n_neg=15, seed=9,
-                         exclude_train_songs=exclude)
+        cfg = EvalConfig(ks=(1, 5, 20), protocol=protocol, n_neg=15, exclude_train_songs=exclude)
         songs = {u: set(range(5)) for u in range(3)}
-        whole = evaluate(model, examples, cfg, train_user_songs=songs)
+        whole = evaluate(model, examples, cfg, seed=9, train_user_songs=songs)
         monkeypatch.setattr(evaluation, "CHUNK_CELLS", 1)  # one example per chunk
-        single = evaluate(model, examples, cfg, train_user_songs=songs)
+        single = evaluate(model, examples, cfg, seed=9, train_user_songs=songs)
         assert whole.to_json() == single.to_json()
 
     @pytest.mark.parametrize("protocol", ["full", "sampled"])
@@ -156,18 +156,19 @@ class TestEvaluate:
         first = next(i for i, e in enumerate(examples) if (e.user, e.context) == key)
         cfg = EvalConfig(ks=(1, 5), protocol=protocol, n_neg=5)
         with pytest.raises(ValueError, match=f"non-finite scores for test example {first}$"):
-            evaluate(NanAtOneContext(20), examples, cfg, train_user_songs={})
+            evaluate(NanAtOneContext(20), examples, cfg, seed=0, train_user_songs={})
 
     def test_sampled_equals_full_when_all_candidates(self):
         # n_neg = N-1 and no training listens: candidate sets coincide
         n_songs = 25
         examples = make_examples(50, n_songs, seed=10)
         model = StatelessScorer(n_songs)
-        full = evaluate(model, examples, EvalConfig(ks=(1, 5, 10)))
+        full = evaluate(model, examples, EvalConfig(ks=(1, 5, 10)), seed=0)
         sampled = evaluate(
             model,
             examples,
             EvalConfig(ks=(1, 5, 10), protocol="sampled", n_neg=n_songs - 1),
+            seed=0,
             train_user_songs={},
         )
         assert sampled.recall == full.recall
@@ -178,6 +179,7 @@ class TestEvaluate:
                 UniformScorer(10),
                 make_examples(5, 10),
                 EvalConfig(ks=(1,), protocol="sampled"),
+                seed=0,
             )
 
     def test_report_matches_hand_computed_rank_table(self):
@@ -199,7 +201,7 @@ class TestEvaluate:
                                  for u, ctx in zip(users, contexts)])
 
         examples = [TrainingExample(u, ctx, t) for (u, ctx), (_, t) in table.items()]
-        report = evaluate(Fixed(), examples, EvalConfig(ks=(1, 2, 3)))
+        report = evaluate(Fixed(), examples, EvalConfig(ks=(1, 2, 3)), seed=0)
         # hand ranks: 2, 1, 2 -> hits@1=1, hits@2=3, hits@3=3
         assert report.hits == {1: 1, 2: 3, 3: 3}
         assert report.recall == {1: 1 / 3, 2: 1.0, 3: 1.0}
@@ -222,8 +224,9 @@ class TestEvaluate:
         cfg_in = EvalConfig(ks=(1,))
         cfg_ex = EvalConfig(ks=(1,), exclude_train_songs=True)
         songs = {0: {0, 1, 2, 3}}
-        assert evaluate(Biased(), examples, cfg_in).recall[1] == 0.0
-        assert evaluate(Biased(), examples, cfg_ex, train_user_songs=songs).recall[1] == 1.0
+        assert evaluate(Biased(), examples, cfg_in, seed=0).recall[1] == 0.0
+        excluded = evaluate(Biased(), examples, cfg_ex, seed=0, train_user_songs=songs)
+        assert excluded.recall[1] == 1.0
 
 
 class TestEvalReport:
@@ -264,7 +267,7 @@ class TestEmitCurves:
         examples = make_examples(50, 40, seed=11)
         model = StatelessScorer(40)
         cfg = EvalConfig(ks=(1, 2, 3, 5, 8, 13, 21, 34, 40))
-        return [evaluate(model, examples, cfg, label="stub")]
+        return [evaluate(model, examples, cfg, seed=0, label="stub")]
 
     def test_row_count(self, tmp_path):
         path = tmp_path / "curves.csv"
