@@ -17,12 +17,12 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .core import embed_lookup
-from .util import Recommender
+from .util import Recommender, checked_tensors
 
 
 def _session_items(sessions):
-    """Accept Session objects or bare index lists."""
-    return [list(getattr(s, "items", s)) for s in sessions]
+    # perfbench/spans.py counts the w2v pairs through this name
+    return [s.items for s in sessions]
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +64,8 @@ class ItemEmbeddings(Recommender):
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
-        expected = (meta["n_songs"], meta["d"])
-        for name in ("v_in", "v_out"):
-            if tensors[name].shape != expected:
-                raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {expected}")
-        return cls(tensors["v_in"], tensors["v_out"])
+        shape = (meta["n_songs"], meta["d"])
+        return cls(*checked_tensors(tensors, {"v_in": shape, "v_out": shape}))
 
 
 def _sgns_loss_from_scores(s_pos: float, s_negs: np.ndarray) -> float:
@@ -123,8 +120,6 @@ def w2v_train(
     Center vectors start uniform in [-0.5/d, 0.5/d), context vectors at
     zero; epochs=0 returns that initialization untouched.
     """
-    if window < 1 or negatives < 1:
-        raise ValueError("window and negatives must be >= 1")
     items_lists = _session_items(sessions)
     if not items_lists or all(len(x) == 0 for x in items_lists):
         raise ValueError("empty sessions")
@@ -196,10 +191,6 @@ class WmfFactors(Recommender):
     def n_users(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.x.shape[1]
-
     def score_batch(self, users, contexts) -> np.ndarray:
         """Predicted preference of each user for every song; the sequence
         contexts are deliberately ignored."""
@@ -209,7 +200,7 @@ class WmfFactors(Recommender):
         meta = {
             "n_users": self.n_users,
             "n_songs": self.n_songs,
-            "f": self.rank,
+            "f": self.x.shape[1],
             "alpha": self.alpha,
             "lam": self.lam,
         }
@@ -217,10 +208,8 @@ class WmfFactors(Recommender):
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
-        x, y = tensors["x"], tensors["y"]
-        if x.shape != (meta["n_users"], meta["f"]) or y.shape != (meta["n_songs"], meta["f"]):
-            raise ValueError(f"factor shapes {x.shape}/{y.shape} mismatch header {meta}")
-        return cls(x, y, alpha=meta["alpha"], lam=meta["lam"])
+        shapes = {"x": (meta["n_users"], meta["f"]), "y": (meta["n_songs"], meta["f"])}
+        return cls(*checked_tensors(tensors, shapes), alpha=meta["alpha"], lam=meta["lam"])
 
 
 def play_count_matrix(sessions, n_users: int, n_songs: int) -> sp.csr_matrix:
@@ -293,10 +282,6 @@ def wmf_train(
     exact objective is recorded at initialization and after every
     half-sweep.
     """
-    if lam <= 0:
-        raise ValueError("regularization lam must be > 0")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     r_csr = sp.csr_matrix(r)
     if r_csr.nnz and r_csr.data.min() < 0:
         raise ValueError("count matrix must be non-negative")
@@ -367,19 +352,10 @@ class FpmcFactors(Recommender):
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
-        shapes = {
-            "v_ui": (meta["n_users"], meta["f"]),
-            "v_iu": (meta["n_songs"], meta["f"]),
-            "v_il": (meta["n_songs"], meta["f"]),
-            "v_li": (meta["n_songs"], meta["f"]),
-        }
-        for name, want in shapes.items():
-            if tensors[name].shape != want:
-                raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {want}")
-        return cls(
-            tensors["v_ui"], tensors["v_iu"], tensors["v_il"], tensors["v_li"],
-            lr=meta["lr"], lam=meta["lam"],
-        )
+        song_shape = (meta["n_songs"], meta["f"])
+        shapes = {"v_ui": (meta["n_users"], meta["f"]), "v_iu": song_shape,
+                  "v_il": song_shape, "v_li": song_shape}
+        return cls(*checked_tensors(tensors, shapes), lr=meta["lr"], lam=meta["lam"])
 
 
 def fpmc_init(
@@ -435,15 +411,9 @@ def fpmc_train(
     """
     if not examples:
         raise ValueError("no training examples")
-    triples = []
-    for e in examples:
-        if hasattr(e, "context"):
-            user, context, target = e.user, e.context, e.target
-        else:
-            user, context, target = e
-        if len(context) != 1:
-            raise ValueError("first-order model needs context length 1")
-        triples.append((user, context[0], target))
+    if any(len(e.context) != 1 for e in examples):
+        raise ValueError("first-order model needs context length 1")
+    triples = [(e.user, e.context[0], e.target) for e in examples]
     factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
     n = len(triples)
     for _ in range(epochs):

@@ -4,10 +4,9 @@ Defaults reproduce the reference experimental setup. Each section has
 one settings type, the only place its reference values are written: the
 dataclasses here for ``data`` and ``model``, and
 :class:`songrec.evaluation.EvalConfig` for ``eval``. The type of every
-setting, and the value of every ``data``, ``eval`` and neural ``model``
-setting, is checked once, when the config loads, so a bad one fails
-before any data is read. Unknown keys are rejected so typos cannot
-silently fall back to defaults. All randomness fans out from the single
+setting, and its value, is checked once, when the config loads, so a
+bad one fails before any data is read. Unknown keys are rejected so
+typos cannot silently fall back to defaults. All randomness fans out from the single
 root seed via named subseeds (see :func:`songrec.util.derive_seed`).
 """
 
@@ -17,6 +16,7 @@ import dataclasses
 import json
 import typing
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .data import OVERLAP_MODES, SHUFFLE_UNITS
 from .evaluation import EvalConfig
@@ -97,6 +97,10 @@ class W2vConfig:
     lr: float = 0.025
     epochs: int = 5
 
+    # setting -> (comparison, lower bound), checked when the config loads
+    BOUNDS: ClassVar = {"window": (">=", 1), "negatives": (">=", 1), "lr": (">", 0),
+                        "epochs": (">=", 0)}
+
 
 @dataclass
 class WmfConfig:
@@ -105,6 +109,8 @@ class WmfConfig:
     lam: float = 0.1
     iters: int = 15
 
+    BOUNDS: ClassVar = {"f": (">=", 1), "alpha": (">=", 0), "lam": (">", 0), "iters": (">=", 1)}
+
 
 @dataclass
 class FpmcConfig:
@@ -112,6 +118,8 @@ class FpmcConfig:
     lr: float = 0.05
     lam: float = 0.01
     epochs: int = 30
+
+    BOUNDS: ClassVar = {"f": (">=", 1), "lr": (">", 0), "lam": (">=", 0), "epochs": (">=", 0)}
 
 
 @dataclass
@@ -138,13 +146,20 @@ class ModelConfig:
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
         self.hyperparams()  # validates the numeric fields
+        for name in ("w2v", "wmf", "fpmc"):
+            section = getattr(self, name)
+            for key, (op, bound) in section.BOUNDS.items():
+                value = getattr(section, key)
+                if not (value > bound if op == ">" else value >= bound):  # refuses NaN too
+                    raise ValueError(f"config.model.{name}.{key} must be {op} {bound}, "
+                                     f"got {value!r}")
 
     def hyperparams(self) -> Hyperparams:
         values = {f.name: getattr(self, f.name) for f in dataclasses.fields(Hyperparams)
                   if f.name != "dropout_p"}
-        if self.family == "nnrec":
-            # the plain model has no filters, so its filter width must not
-            # bind the context length
+        if self.family != "cnnrec":
+            # only cnnrec has filters, so for every other family the
+            # filter width must not bind the context length
             values["w"] = min(self.w, self.j)
         return Hyperparams(**values, dropout_p=self.dropout)
 
@@ -166,11 +181,6 @@ class ExperimentConfig:
         cfg = _from_dict(cls, d, "config")
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

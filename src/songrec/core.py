@@ -47,7 +47,7 @@ def embed_lookup(indices, table: np.ndarray) -> np.ndarray:
             f"embedding index out of range [0, {table.shape[0]}): "
             f"[{idx.min()}, {idx.max()}]"
         )
-    return table[idx].copy() if idx.ndim else table[int(idx)].copy()
+    return table[idx].copy()
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -179,31 +179,11 @@ def softmax_xent_from_probs(probs: np.ndarray, targets) -> np.ndarray:
     return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
-def softmax_xent(logits: np.ndarray, target):
-    """Softmax probabilities and cross-entropy loss of the target class.
-
-    The probabilities come from :func:`softmax_inplace` on a copy of
-    ``logits``, the loss from :func:`softmax_xent_from_probs`. ``logits``
-    may be (N,) or (B, N) with ``target`` scalar or (B,); the loss
-    follows (scalar or (B,)). The gradient w.r.t. logits is
-    probs - onehot(target); see :func:`softmax_xent_backward`.
-    """
-    logits = np.asarray(logits)
-    probs = softmax_inplace(np.array(logits, dtype=np.result_type(logits, 0.0)))
-    if logits.ndim == 1:
-        t = int(target)
-        if not 0 <= t < logits.shape[0]:
-            raise ValueError(f"target {t} out of range for {logits.shape[0]} classes")
-        return probs, softmax_xent_from_probs(probs[None], [t])[0]
-    return probs, softmax_xent_from_probs(probs, target)
-
-
-def softmax_xent_backward(probs: np.ndarray, target) -> np.ndarray:
+def softmax_xent_backward(probs: np.ndarray, targets) -> np.ndarray:
+    """Gradient of each row's cross-entropy w.r.t. the logits behind the
+    (B, N) ``probs``: probs - onehot(target)."""
     g = probs.copy()
-    if probs.ndim == 1:
-        g[int(target)] -= 1.0
-    else:
-        g[np.arange(probs.shape[0]), np.asarray(target)] -= 1.0
+    g[np.arange(probs.shape[0]), np.asarray(targets)] -= 1.0
     return g
 
 

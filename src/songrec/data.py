@@ -17,6 +17,7 @@ from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -77,10 +78,6 @@ class TrainingExample:
     context: tuple[int, ...]
     target: int
 
-    @property
-    def order(self) -> int:
-        return len(self.context)
-
 
 @dataclass(slots=True)
 class SplitDataset:
@@ -107,17 +104,8 @@ class VocabMap:
     def size(self) -> int:
         return len(self.reverse)
 
-    def __len__(self) -> int:
-        return len(self.reverse)
-
     def __contains__(self, key: str) -> bool:
         return key in self.forward
-
-    def index(self, key: str) -> int:
-        return self.forward[key]
-
-    def key(self, index: int) -> str:
-        return self.reverse[index]
 
 
 def _iter_lines(stream):
@@ -290,7 +278,7 @@ def sessionize(
             if stamps and ev.timestamp - stamps[-1] >= gap_seconds:
                 sessions.append(Session(user, items, stamps))
                 items, stamps = [], []
-            items.append(vocab.index(ev.song_key))
+            items.append(vocab.forward[ev.song_key])
             stamps.append(ev.timestamp)
         if items:
             sessions.append(Session(user, items, stamps))
@@ -485,8 +473,25 @@ def write_prepared(out_dir, prepared: PreparedDataset) -> None:
     atomic_write_json(os.path.join(out_dir, "stats.json"), prepared.stats)
 
 
+def _check_indices(path, sessions: list[Session], n_users: int, n_songs: int) -> None:
+    """Raise ``ValueError`` naming ``path`` unless every user index of
+    ``sessions`` has a line in users.txt and every song index one in vocab.txt."""
+    users = [s.user for s in sessions]
+    songs = list(chain.from_iterable(s.items for s in sessions))
+    for what, values, n, source in (("user", users, n_users, "users.txt"),
+                                    ("song", songs, n_songs, "vocab.txt")):
+        lo, hi = min(values, default=0), max(values, default=-1)
+        if lo < 0 or hi >= n:
+            bad = lo if lo < 0 else hi
+            raise ValueError(f"{path}: {what} index {bad} is outside the {n} lines of {source}")
+
+
 def read_prepared(out_dir) -> PreparedDataset:
-    """Read back a prepared-dataset directory. Sessions lose timestamps."""
+    """Read back a prepared-dataset directory. Sessions lose timestamps.
+
+    A user or song index without its line in users.txt or vocab.txt
+    raises ``ValueError`` naming the session file it is in.
+    """
 
     def read(name):
         with open(os.path.join(out_dir, name), "r", encoding="utf-8") as fh:
@@ -495,12 +500,12 @@ def read_prepared(out_dir) -> PreparedDataset:
     vocab = VocabMap(read("vocab.txt").splitlines())
     user_keys = read("users.txt").splitlines()
     stats = json.loads(read("stats.json"))
-    split = SplitDataset(
-        train=_parse_session_lines(read("train.txt")),
-        val=_parse_session_lines(read("val.txt")),
-        test=_parse_session_lines(read("test.txt")),
-    )
-    return PreparedDataset(vocab, user_keys, split, stats)
+    parts = {}
+    for name in ("train", "val", "test"):
+        parts[name] = _parse_session_lines(read(f"{name}.txt"))
+        _check_indices(os.path.join(out_dir, f"{name}.txt"), parts[name],
+                       len(user_keys), vocab.size)
+    return PreparedDataset(vocab, user_keys, SplitDataset(**parts), stats)
 
 
 def prepare(events: list[ListeningEvent], settings: DataConfig, seed: int) -> PreparedDataset:

@@ -56,7 +56,8 @@ class EvalConfig:
 
 @dataclass
 class EvalReport:
-    """Per-cutoff recall/precision plus enough metadata to reproduce the run."""
+    """Per-cutoff hits, with the recall and precision they give, plus
+    enough metadata to reproduce the run."""
 
     label: str
     ks: tuple
@@ -64,17 +65,12 @@ class EvalReport:
     n_examples: int
     protocol: str
     config_hash: str
-    recall: dict = field(default_factory=dict)
-    precision: dict = field(default_factory=dict)
+    recall: dict = field(init=False)
+    precision: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.recall:
-            self.recall = {k: self.hits[k] / self.n_examples for k in self.ks}
-        if not self.precision:
-            self.precision = {k: self.recall[k] / k for k in self.ks}
-        self.validate()
-
-    def validate(self):
+        self.recall = {k: self.hits[k] / self.n_examples for k in self.ks}
+        self.precision = {k: self.recall[k] / k for k in self.ks}
         prev = 0.0
         for k in self.ks:
             r = self.recall[k]
@@ -98,24 +94,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, d):
-        ks = tuple(d["ks"])
-        return cls(
-            label=d["label"],
-            ks=ks,
-            hits={k: d["hits"][str(k)] for k in ks},
-            n_examples=d["n_examples"],
-            protocol=d["protocol"],
-            config_hash=d["config_hash"],
-            recall={k: d["recall"][str(k)] for k in ks},
-            precision={k: d["precision"][str(k)] for k in ks},
-        )
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
 
 
 def rank_of_target(

@@ -38,7 +38,7 @@ from .core import (
     softmax_xent_backward,
     softmax_xent_from_probs,
 )
-from .util import Recommender
+from .util import Recommender, checked_tensors
 
 logger = logging.getLogger(__name__)
 
@@ -200,9 +200,6 @@ class _NeuralParams(Recommender):
         """Next-song probabilities, dropout off."""
         return self.forward_batch(users, contexts)[0]
 
-    def tensor_names(self):
-        return list(self.tensors())
-
     def to_checkpoint(self):
         meta = {
             "n_songs": self.n_songs,
@@ -219,13 +216,9 @@ class _NeuralParams(Recommender):
         obj = cls.__new__(cls)
         obj._set_sizes(meta["n_songs"], meta["n_users"], Hyperparams(**meta["hyper"]),
                        meta["dtype"])
-        layout = obj._layout()
-        if set(tensors) != set(layout):
-            raise ValueError(f"tensors {sorted(tensors)} != {sorted(layout)}")
-        for name, (shape, _) in layout.items():
-            if tensors[name].shape != shape:
-                raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {shape}")
-            setattr(obj, name, tensors[name].astype(obj.dtype, copy=False))
+        shapes = {name: shape for name, (shape, _) in obj._layout().items()}
+        for name, tensor in zip(shapes, checked_tensors(tensors, shapes)):
+            setattr(obj, name, tensor.astype(obj.dtype, copy=False))
         obj._init_states()
         return obj
 

@@ -85,6 +85,18 @@ class Recommender:
         return self.score_batch([u], [context])[0]
 
 
+def checked_tensors(tensors: dict, shapes: dict) -> list:
+    """The checkpoint ``tensors`` in the order of ``shapes`` (name ->
+    shape); ``ValueError`` unless their names are those of ``shapes``
+    and each array has its shape there."""
+    if set(tensors) != set(shapes):
+        raise ValueError(f"tensors {sorted(tensors)} != {sorted(shapes)}")
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {shape}")
+    return [tensors[name] for name in shapes]
+
+
 def config_hash(obj) -> str:
     """sha256 hex digest of the canonical JSON form of ``obj``."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")

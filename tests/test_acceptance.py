@@ -68,7 +68,7 @@ def test_c01_gradient_fidelity():
     t0 = time.time()
     for cls in (CnnRecParams, NnRecParams):
         params = cls(7, 3, hy, rng=make_rng(7))
-        names = params.tensor_names()
+        names = list(params.tensors())
 
         def f(arrs):
             loss, grads = params.loss_and_grads(users, contexts, targets)

@@ -136,6 +136,19 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError, match="shape"):
             checkpoint.load_model(path)
 
+    @pytest.mark.parametrize("family", ["w2v", "wmf", "fpmc"])
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_baseline_tensor_set_checked(self, tmp_path, family, change):
+        model_type, meta, tensors = small_models()[family].to_checkpoint()
+        if change == "missing":
+            del tensors[next(iter(tensors))]
+        else:
+            tensors["stray"] = np.zeros(2)
+        path = tmp_path / "bad.ckpt"
+        checkpoint.save(path, model_type, meta, tensors)
+        with pytest.raises(ValueError, match="^tensors "):
+            checkpoint.load_model(path)
+
     def test_unknown_model_type_rejected(self, tmp_path):
         path = tmp_path / "odd.ckpt"
         checkpoint.save(path, "mystery", {}, {"t": np.ones(1)})

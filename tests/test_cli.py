@@ -131,6 +131,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="overlap_mode must be one of"):
             ExperimentConfig.from_dict({"data": {"overlap_mode": "bogus"}})
 
+    def test_bad_window_error(self):
+        with pytest.raises(ValueError, match="config.model.w2v.window must be >= 1"):
+            ExperimentConfig.from_dict({"model": {"family": "w2v", "w2v": {"window": 0}}})
+
+    def test_lambda_must_be_positive(self):
+        with pytest.raises(ValueError, match="config.model.wmf.lam must be > 0"):
+            ExperimentConfig.from_dict({"model": {"family": "wmf", "wmf": {"lam": 0.0}}})
+
+    @pytest.mark.parametrize("family", ["nnrec", "w2v", "wmf", "fpmc"])
+    def test_family_without_filters_loads_at_order_one(self, family):
+        cfg = ExperimentConfig.from_dict({"model": {"family": family, "j": 1}})
+        assert cfg.model.hyperparams().w == 1
+
+    def test_cnnrec_filters_must_fit_the_context(self):
+        with pytest.raises(ValueError, match="filter width 2 exceeds context length 1"):
+            ExperimentConfig.from_dict({"model": {"family": "cnnrec", "j": 1}})
+
     def test_readme_config_block_is_the_defaults(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:
@@ -590,12 +607,32 @@ class TestCliErrors:
     @pytest.mark.parametrize("assignment", ['model.d="x"', "model.epochs=2.5",
                                             "eval.exclude_train_songs=1", "seed=true",
                                             'data.ratios=["a",0.5,0.5]', "data.ratios=[true,0,0]",
-                                            'eval.ks=[1.5,5,"10"]'])
+                                            'eval.ks=[1.5,5,"10"]', "model.fpmc.f=0",
+                                            "model.wmf.f=0", "model.w2v.epochs=-1",
+                                            "model.wmf.alpha=-1", "model.fpmc.lr=-1"])
     def test_wrong_config_type_exit_code(self, tmp_path, caplog, assignment):
         code = run_cli("prepare", "--set", assignment, "--out", tmp_path)
         assert code == 1
         key = assignment.split("=")[0]
-        assert any(f"config.{key} must be" in r.getMessage() for r in caplog.records)
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(f"config.{key} must be")
+        assert "\n" not in errors[0]
+
+    @pytest.mark.parametrize("family", ["cnnrec", "w2v", "wmf"])
+    @pytest.mark.parametrize("cut", ["half", "last line"])
+    def test_cut_vocab_exits_with_one_line(self, prepared, caplog, family, cut):
+        tmp, config = prepared
+        vocab = tmp / "run" / "prepared" / "vocab.txt"
+        lines = vocab.read_text(encoding="utf-8").splitlines(keepends=True)
+        keep = len(lines) // 2 if cut == "half" else len(lines) - 1
+        vocab.write_text("".join(lines[:keep]), encoding="utf-8")
+        code = run_cli("train", "--config", config, "--out", tmp / "cut",
+                       "--set", f"model.family={family}",
+                       "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}")
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert "song index" in errors[0] and f"the {keep} lines of vocab.txt" in errors[0]
 
     def test_train_without_prepared_dir_fails(self, tmp_path):
         config = write_config(tmp_path / "c.json", **{"out_dir": str(tmp_path / "o")})

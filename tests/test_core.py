@@ -22,7 +22,6 @@ from songrec.core import (
     relu,
     relu_backward,
     softmax_inplace,
-    softmax_xent,
     softmax_xent_backward,
     softmax_xent_from_probs,
 )
@@ -274,54 +273,66 @@ class TestDropout:
 
 
 class TestSoftmaxXent:
+    """The three kernels train_step runs, on (B, N) logits: softmax_inplace,
+    softmax_xent_from_probs and softmax_xent_backward."""
+
+    @staticmethod
+    def _probs_and_losses(logits, targets):
+        probs = softmax_inplace(logits.copy())
+        return probs, softmax_xent_from_probs(probs, targets)
+
     def test_uniform_logits_loss_is_log_n(self):
         for n in (2, 10, 1000):
-            probs, loss = softmax_xent(np.zeros(n), 0)
+            probs, losses = self._probs_and_losses(np.zeros((3, n)), [0, n - 1, n // 2])
             assert np.allclose(probs, 1.0 / n)
-            assert np.isclose(loss, np.log(n))
+            assert np.allclose(losses, np.log(n))
 
     def test_hand_case(self):
-        probs, loss = softmax_xent(np.array([0.0, np.log(3.0)]), 1)
-        assert np.allclose(probs, [0.25, 0.75])
-        assert np.isclose(loss, np.log(4.0 / 3.0))
+        probs, losses = self._probs_and_losses(np.array([[0.0, np.log(3.0)]]), [1])
+        assert np.allclose(probs, [[0.25, 0.75]])
+        assert np.isclose(losses[0], np.log(4.0 / 3.0))
 
     def test_shift_invariance(self):
         rng = make_rng(4)
-        logits = rng.uniform(-50, 50, size=30)
-        p1, _ = softmax_xent(logits, 3)
-        p2, _ = softmax_xent(logits + 123.456, 3)
+        logits = rng.uniform(-50, 50, size=(4, 30))
+        p1, _ = self._probs_and_losses(logits, [3, 0, 29, 3])
+        p2, _ = self._probs_and_losses(logits + 123.456, [3, 0, 29, 3])
         assert np.allclose(p1, p2, atol=1e-14)
 
     def test_sum_to_one_random_logits(self):
         rng = make_rng(6)
         for _ in range(200):
-            logits = rng.uniform(-50, 50, size=int(rng.integers(2, 64)))
-            probs, loss = softmax_xent(logits, 0)
+            n = int(rng.integers(2, 64))
+            logits = rng.uniform(-50, 50, size=(int(rng.integers(1, 5)), n))
+            probs, losses = self._probs_and_losses(logits, np.zeros(len(logits), dtype=int))
             assert (probs >= 0).all()
-            assert abs(probs.sum() - 1.0) <= 1e-12
-            assert loss >= 0
+            assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-12).all()
+            assert (losses >= 0).all()
 
     def test_extreme_logits_stable(self):
-        probs, loss = softmax_xent(np.array([1e4, -1e4]), 1)
-        assert np.isfinite(loss) and np.isfinite(probs).all()
+        probs, losses = self._probs_and_losses(np.array([[1e4, -1e4], [-1e4, 1e4]]), [1, 0])
+        assert np.isfinite(losses).all() and np.isfinite(probs).all()
 
     def test_gradient_is_probs_minus_onehot(self):
-        logits = np.array([0.2, -1.0, 3.0])
-        probs, _ = softmax_xent(logits, 2)
-        g = softmax_xent_backward(probs, 2)
+        assert models.softmax_xent_backward is softmax_xent_backward
+        probs, _ = self._probs_and_losses(np.array([[0.2, -1.0, 3.0], [1.0, 0.5, -2.0]]),
+                                          [2, 0])
+        g = softmax_xent_backward(probs, [2, 0])
         want = probs.copy()
-        want[2] -= 1
+        want[0, 2] -= 1
+        want[1, 0] -= 1
         assert np.array_equal(g, want)
 
     def test_batched_matches_per_row(self):
         rng = make_rng(7)
         logits = rng.standard_normal((4, 6))
         targets = np.array([0, 5, 2, 2])
-        probs, losses = softmax_xent(logits, targets)
+        probs, losses = self._probs_and_losses(logits, targets)
+        grads = softmax_xent_backward(probs, targets)
         for i in range(4):
-            pi, li = softmax_xent(logits[i], targets[i])
-            assert np.allclose(probs[i], pi) and np.isclose(losses[i], li)
-
+            pi, li = self._probs_and_losses(logits[i : i + 1], targets[i : i + 1])
+            assert np.array_equal(probs[i], pi[0]) and losses[i] == li[0]
+            assert np.array_equal(grads[i], softmax_xent_backward(pi, targets[i : i + 1])[0])
 
     def test_kernel_works_in_place_and_matches_reference(self):
         logits = make_rng(8).standard_normal((5, 40))
@@ -329,14 +340,15 @@ class TestSoftmaxXent:
         e = np.exp(shifted)
         want = e / e.sum(axis=-1, keepdims=True)
         buf = logits.copy()
+        assert models.softmax_inplace is softmax_inplace
         assert softmax_inplace(buf) is buf
         assert np.array_equal(buf, want)
-        probs, _ = softmax_xent(logits, np.zeros(5, dtype=int))
-        assert np.array_equal(probs, want)
 
     def test_float32_stays_float32(self):
-        probs, _ = softmax_xent(np.zeros(4, dtype=np.float32), 0)
+        probs = softmax_inplace(np.zeros((2, 4), dtype=np.float32))
         assert probs.dtype == np.float32
+        assert softmax_xent_from_probs(probs, [0, 3]).dtype == np.float32
+        assert softmax_xent_backward(probs, [0, 3]).dtype == np.float32
 
     def test_loss_from_probs_clamps_at_floor(self):
         # the training step's loss is this kernel, imported under the same name

@@ -252,13 +252,13 @@ class TestSessionize:
         sessions, vocab, users = self._run(merged)
         assert len(sessions) == 2
         by_user = {s.user: s for s in sessions}
-        assert [vocab.key(i) for i in by_user[users["a"]].items] == ["x", "y"]
-        assert [vocab.key(i) for i in by_user[users["b"]].items] == ["p", "q"]
+        assert [vocab.reverse[i] for i in by_user[users["a"]].items] == ["x", "y"]
+        assert [vocab.reverse[i] for i in by_user[users["b"]].items] == ["p", "q"]
 
     def test_out_of_order_input_sorted(self):
         events = _mk_session_events("u", 0, list("abc"), [60, 60])
         sessions, vocab, _ = self._run(list(reversed(events)))
-        assert [vocab.key(i) for i in sessions[0].items] == ["a", "b", "c"]
+        assert [vocab.reverse[i] for i in sessions[0].items] == ["a", "b", "c"]
 
     def test_gap_invariant_and_idempotence(self, fixture_events):
         sessions, vocab, users = self._run(fixture_events)
@@ -268,7 +268,7 @@ class TestSessionize:
             assert (gaps >= 0).all() and (gaps < 3600).all()
             # re-sessionizing a session's own events returns it unchanged
             events = [
-                ev(reverse_user[s.user], ts, vocab.key(i))
+                ev(reverse_user[s.user], ts, vocab.reverse[i])
                 for i, ts in zip(s.items, s.timestamps)
             ]
             again = sessionize(events, vocab, users, 3600)
@@ -460,3 +460,21 @@ class TestPipeline:
             b = back.split.parts()[name]
             assert [(s.user, s.items) for s in a] == [(s.user, s.items) for s in b]
         assert back.stats == prepared.stats
+
+    @pytest.mark.parametrize("line, what, bad, limit, source", [
+        ("2 0,1", "user", 2, 2, "users.txt"),
+        ("-1 0,1", "user", -1, 2, "users.txt"),
+        ("0 3,110", "song", 110, 110, "vocab.txt"),
+        ("1 4,-2", "song", -2, 110, "vocab.txt"),
+    ])
+    def test_out_of_range_index_names_the_file(self, fixture_events, tmp_path, line, what,
+                                               bad, limit, source):
+        out = tmp_path / "prep"
+        write_prepared(out, prepare(fixture_events, DataConfig(), seed=5))
+        with open(out / "val.txt", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError) as err:
+            read_prepared(out)
+        assert str(err.value) == (
+            f"{out / 'val.txt'}: {what} index {bad} is outside the {limit} lines of {source}"
+        )

@@ -245,11 +245,6 @@ class TestEvalReport:
         assert r.recall == {1: 0.3, 5: 0.7}
         assert r.precision == {1: 0.3, 5: 0.7 / 5}
 
-    def test_json_round_trip(self):
-        r = self._report()
-        back = EvalReport.from_json(r.to_json())
-        assert back.to_dict() == r.to_dict()
-
     def test_non_monotone_recall_rejected(self):
         with pytest.raises(ValueError):
             EvalReport(

@@ -120,7 +120,7 @@ class TestGradients:
         users = np.array([0, 1])
         contexts = np.array([[1, 3], [2, 0]])
         targets = np.array([4, 1])
-        names = params.tensor_names()
+        names = list(params.tensors())
 
         def f(arrs):
             loss, grads = params.loss_and_grads(users, contexts, targets)
