@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,9 +69,10 @@ class ItemEmbeddings(Recommender):
         return cls(*checked_tensors(tensors, {"v_in": shape, "v_out": shape}))
 
 
-def _sgns_loss_from_scores(s_pos: float, s_negs: np.ndarray) -> float:
+def _sgns_losses(scores: np.ndarray) -> np.ndarray:
+    """Negative-sampling loss of each score row (positive, negatives...)."""
     # -log sigmoid(x) == logaddexp(0, -x), stable for any x
-    return float(np.logaddexp(0.0, -s_pos) + np.logaddexp(0.0, s_negs).sum())
+    return np.logaddexp(0.0, -scores[..., 0]) + np.logaddexp(0.0, scores[..., 1:]).sum(axis=-1)
 
 
 def sgns_pair_loss(v_center: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray) -> float:
@@ -78,13 +80,13 @@ def sgns_pair_loss(v_center: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray) 
     -log sigma(c.p) - sum_n log sigma(-c.n). All-zero vectors give
     (1 + #negatives) * ln 2 since every sigmoid term is 1/2.
     """
-    return _sgns_loss_from_scores(float(v_center @ v_pos), v_negs @ v_center)
+    return float(_sgns_losses(np.concatenate(([v_center @ v_pos], v_negs @ v_center))))
 
 
-def _noise_cumdist(sessions_items, n_songs: int) -> np.ndarray:
-    counts = np.zeros(n_songs)
-    for items in sessions_items:
-        np.add.at(counts, items, 1.0)
+def _noise_cumdist(items: np.ndarray, n_songs: int) -> np.ndarray:
+    counts = np.bincount(items, minlength=n_songs).astype(float)
+    if len(counts) > n_songs:
+        raise IndexError(f"song index {len(counts) - 1} is outside a catalog of {n_songs}")
     weights = counts**0.75
     total = weights.sum()
     if total <= 0:
@@ -93,9 +95,31 @@ def _noise_cumdist(sessions_items, n_songs: int) -> np.ndarray:
 
 
 def _pair_count(length: int, window: int) -> int:
-    return sum(
-        min(c + window, length - 1) - max(c - window, 0) for c in range(length)
-    )
+    """(center, context) pairs of one session: each of the ``reach``
+    distances k in 1..min(window, length - 1) gives length - k pairs
+    in each direction."""
+    reach = max(min(window, length - 1), 0)
+    return reach * (2 * length - reach - 1)
+
+
+PAIR_BLOCK = 1 << 14  # (center, context) pairs per block in w2v_train
+
+
+def _pair_blocks(items: np.ndarray, lengths: np.ndarray, window: int):
+    """Yield (centers, contexts) song arrays of the sessions concatenated
+    in ``items``, in (session, position, offset) order, in blocks of at
+    most max(PAIR_BLOCK, 2 * window) pairs."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    step = max(PAIR_BLOCK // (2 * window), 1)
+    for lo in range(0, len(items), step):
+        pos = np.arange(lo, min(lo + step, len(items)))
+        session = np.searchsorted(ends, pos, side="right")
+        grid = pos[:, None] + offsets
+        keep = (grid >= starts[session, None]) & (grid < ends[session, None])
+        if keep.any():
+            yield items[np.repeat(pos, keep.sum(axis=1))], items[grid[keep]]
 
 
 def w2v_train(
@@ -108,6 +132,7 @@ def w2v_train(
     lr: float,
     epochs: int,
     rng: np.random.Generator,
+    callbacks=None,
 ) -> ItemEmbeddings:
     """Skip-gram with negative sampling over sessions-as-sentences.
 
@@ -116,9 +141,13 @@ def w2v_train(
     are ascended by SGD; negatives are drawn from the unigram^0.75
     distribution of the training sessions. The learning rate decays
     linearly over all scheduled updates down to a floor of lr * 1e-4.
+    Pairs are updated one at a time in (session, position, offset) order;
+    the data-independent work (pairs, negatives, learning rates, losses)
+    is done in blocks of pairs, which leaves every result bit unchanged.
 
     Center vectors start uniform in [-0.5/d, 0.5/d), context vectors at
-    zero; epochs=0 returns that initialization untouched.
+    zero; epochs=0 returns that initialization untouched. After each
+    epoch, optional callbacks run as callback(epoch, emb, epoch_loss).
     """
     items_lists = _session_items(sessions)
     if not items_lists or all(len(x) == 0 for x in items_lists):
@@ -130,39 +159,48 @@ def w2v_train(
     if epochs == 0:
         return emb
 
-    cum = _noise_cumdist(items_lists, n_songs)
-    total_pairs = epochs * sum(_pair_count(len(x), window) for x in items_lists)
+    items = np.fromiter(chain.from_iterable(items_lists), dtype=np.int64)
+    lengths = np.array([len(x) for x in items_lists])
+    cum = _noise_cumdist(items, n_songs)
+    epoch_pairs = sum(_pair_count(len(x), window) for x in items_lists)
+    total_pairs = epochs * epoch_pairs
     min_lr = lr * 1e-4
     done = 0
-    for _ in range(epochs):
+    for epoch in range(epochs):
         epoch_loss = 0.0
-        epoch_pairs = 0
-        for items in items_lists:
-            length = len(items)
-            for c in range(length):
-                center = items[c]
-                lo = max(c - window, 0)
-                hi = min(c + window, length - 1)
-                for o_pos in range(lo, hi + 1):
-                    if o_pos == c:
-                        continue
-                    step_lr = max(lr * (1.0 - done / total_pairs), min_lr)
-                    done += 1
-                    target = items[o_pos]
-                    negs = np.searchsorted(cum, rng.random(negatives))
-                    np.clip(negs, 0, len(cum) - 1, out=negs)
-                    rows = np.concatenate(([target], negs))
-                    vc = v_in[center]
-                    scores = v_out[rows] @ vc
-                    epoch_loss += _sgns_loss_from_scores(scores[0], scores[1:])
-                    epoch_pairs += 1
-                    coef = expit(scores)
-                    coef[0] -= 1.0  # positive label
-                    dvc = coef @ v_out[rows]
-                    # add.at: duplicate negative rows must accumulate
-                    np.add.at(v_out, rows, -step_lr * np.outer(coef, vc))
-                    v_in[center] -= step_lr * dvc
+        for centers, contexts in _pair_blocks(items, lengths, window):
+            b = len(centers)
+            negs = np.searchsorted(cum, rng.random(b * negatives)).reshape(b, negatives)
+            np.clip(negs, 0, len(cum) - 1, out=negs)
+            rows = np.column_stack((contexts, negs))
+            ordered = np.sort(rows, axis=1)
+            repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            step_lrs = np.maximum(lr * (1.0 - np.arange(done, done + b) / total_pairs), min_lr)
+            done += b
+            scores = np.empty(rows.shape)
+            for center, pair_rows, step_lr, repeat, pair_scores in zip(
+                centers.tolist(), rows, step_lrs.tolist(), repeats.tolist(), scores
+            ):
+                vc = v_in[center]
+                vecs = v_out[pair_rows]
+                np.matmul(vecs, vc, out=pair_scores)
+                coef = expit(pair_scores)
+                coef[0] -= 1.0  # positive label
+                dvc = coef @ vecs
+                dvc *= step_lr
+                upd = coef[:, None] * vc
+                upd *= -step_lr
+                if repeat:
+                    np.add.at(v_out, pair_rows, upd)  # repeated rows must accumulate
+                else:
+                    vecs += upd
+                    v_out[pair_rows] = vecs
+                vc -= dvc  # vc is v_in's row, updated in place
+            for loss in _sgns_losses(scores).tolist():  # summed in pair order
+                epoch_loss += loss
         emb.loss_history.append(epoch_loss / max(epoch_pairs, 1))
+        for cb in callbacks or ():
+            cb(epoch, emb, emb.loss_history[-1])
     return emb
 
 

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__, checkpoint
-from .baselines import fpmc_train, play_count_matrix, w2v_train, wmf_train
+from .baselines import _pair_count, fpmc_train, play_count_matrix, w2v_train, wmf_train
 from .config import ExperimentConfig, apply_override
 from .data import (
     _train_song_sets,
@@ -101,17 +101,18 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _epoch_progress(family: str, epochs: int, n_examples: int):
-    """Training callback that logs one line per epoch: loss, examples/s
-    over the epoch, and seconds since training started."""
+def _epoch_progress(family: str, epochs: int, n_examples: int, unit: str = "examples"):
+    """Training callback that logs one line per epoch: loss, ``unit``/s
+    over the epoch (``n_examples`` of them per epoch), and seconds since
+    training started."""
     start = last = time.perf_counter()
 
     def log_epoch(epoch, params, loss):
         nonlocal last
         now = time.perf_counter()
         logger.info(
-            "%s epoch %d/%d: loss %.4f, %.0f examples/s, %.1fs elapsed",
-            family, epoch + 1, epochs, loss, n_examples / (now - last), now - start,
+            "%s epoch %d/%d: loss %.4f, %.0f %s/s, %.1fs elapsed",
+            family, epoch + 1, epochs, loss, n_examples / (now - last), unit, now - start,
         )
         last = now
 
@@ -128,8 +129,10 @@ def fit_model(cfg: ExperimentConfig, prepared):
     split = prepared.split
     n_songs, n_users = prepared.n_songs, prepared.n_users
     if mc.family == "w2v":
+        pairs = sum(_pair_count(len(s.items), mc.w2v.window) for s in split.train)
+        progress = _epoch_progress(mc.family, mc.w2v.epochs, pairs, "pairs")
         emb = w2v_train(split.train, n_songs, d=mc.d, rng=make_rng(cfg.subseed("train")),
-                        **dataclasses.asdict(mc.w2v))
+                        callbacks=[progress], **dataclasses.asdict(mc.w2v))
         return emb, emb.loss_history
     if mc.family == "wmf":
         counts = play_count_matrix(split.train, n_users, n_songs)

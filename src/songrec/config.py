@@ -140,19 +140,28 @@ class ModelConfig:
     wmf: WmfConfig = field(default_factory=WmfConfig)
     fpmc: FpmcConfig = field(default_factory=FpmcConfig)
 
+    # neural settings, read by cnnrec and nnrec (d by w2v too) and
+    # checked for every family; dropout must also be < 1
+    BOUNDS: ClassVar = {"d": (">=", 1), "j": (">=", 1), "h": (">=", 1), "m": (">=", 1),
+                        "w": (">=", 1), "stride": (">=", 1), "epochs": (">=", 0),
+                        "batch": (">=", 1), "lr": (">", 0), "dropout": (">=", 0)}
+
     def validate(self):
         if self.family not in MODEL_FAMILIES:
             raise ValueError(f"family must be one of {MODEL_FAMILIES}, got {self.family!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
-        self.hyperparams()  # validates the numeric fields
-        for name in ("w2v", "wmf", "fpmc"):
-            section = getattr(self, name)
+        for path, section in (("config.model", self), ("config.model.w2v", self.w2v),
+                              ("config.model.wmf", self.wmf), ("config.model.fpmc", self.fpmc)):
             for key, (op, bound) in section.BOUNDS.items():
                 value = getattr(section, key)
                 if not (value > bound if op == ">" else value >= bound):  # refuses NaN too
-                    raise ValueError(f"config.model.{name}.{key} must be {op} {bound}, "
-                                     f"got {value!r}")
+                    raise ValueError(f"{path}.{key} must be {op} {bound}, got {value!r}")
+        if not self.dropout < 1:
+            raise ValueError(f"config.model.dropout must be < 1, got {self.dropout!r}")
+        if self.family == "cnnrec" and self.w > self.j:  # only cnnrec has filters
+            raise ValueError(f"config.model.w must be <= config.model.j: filter width "
+                             f"{self.w} exceeds context length {self.j}")
 
     def hyperparams(self) -> Hyperparams:
         values = {f.name: getattr(self, f.name) for f in dataclasses.fields(Hyperparams)

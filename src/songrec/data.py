@@ -446,14 +446,24 @@ def _session_lines(sessions: list[Session]) -> str:
     )
 
 
-def _parse_session_lines(text: str) -> list[Session]:
+def _parse_session_lines(text: str, path) -> list[Session]:
+    """Sessions of one session file; a malformed line raises ``ValueError``
+    naming ``path`` and the line number."""
     sessions = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         user_text, _, items_text = line.partition(" ")
-        items = [int(tok) for tok in items_text.split(",")] if items_text else []
-        sessions.append(Session(int(user_text), items))
+        tokens = items_text.split(",") if items_text else []
+        try:
+            user, items = int(user_text), [int(tok) for tok in tokens]
+        except ValueError:
+            for what, tok in [("user", user_text), *(("song", tok) for tok in tokens)]:
+                try:
+                    int(tok)
+                except ValueError:
+                    raise ValueError(f"{path} line {number}: bad {what} index {tok!r}") from None
+        sessions.append(Session(user, items))
     return sessions
 
 
@@ -502,9 +512,9 @@ def read_prepared(out_dir) -> PreparedDataset:
     stats = json.loads(read("stats.json"))
     parts = {}
     for name in ("train", "val", "test"):
-        parts[name] = _parse_session_lines(read(f"{name}.txt"))
-        _check_indices(os.path.join(out_dir, f"{name}.txt"), parts[name],
-                       len(user_keys), vocab.size)
+        path = os.path.join(out_dir, f"{name}.txt")
+        parts[name] = _parse_session_lines(read(f"{name}.txt"), path)
+        _check_indices(path, parts[name], len(user_keys), vocab.size)
     return PreparedDataset(vocab, user_keys, SplitDataset(**parts), stats)
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
+from songrec import baselines
 from songrec.baselines import (
     FpmcFactors,
     ItemEmbeddings,
     WmfFactors,
+    _pair_count,
     fpmc_init,
     fpmc_sbpr_update,
     fpmc_train,
@@ -92,6 +95,88 @@ class TestW2vTrain:
         a = w2v_train(sessions, 4, **kw, rng=make_rng(33))
         b = w2v_train(sessions, 4, **kw, rng=make_rng(33))
         assert np.array_equal(a.v_in, b.v_in) and np.array_equal(a.v_out, b.v_out)
+
+
+def reference_w2v(sessions, n_songs, *, d, window, negatives, lr, epochs, rng):
+    """The per-pair SGNS loop w2v_train replaced: one draw, one learning
+    rate and one loss per pair. Returns (v_in, v_out, loss_history)."""
+    items_lists = [s.items for s in sessions]
+    v_in = rng.uniform(-0.5 / d, 0.5 / d, size=(n_songs, d))
+    v_out = np.zeros((n_songs, d))
+    counts = np.zeros(n_songs)
+    for items in items_lists:
+        np.add.at(counts, items, 1.0)
+    weights = counts**0.75
+    cum = np.cumsum(weights / weights.sum())
+    total_pairs = epochs * sum(_pair_count(len(x), window) for x in items_lists)
+    min_lr = lr * 1e-4
+    done = 0
+    history = []
+    for _ in range(epochs):
+        epoch_loss = 0.0
+        epoch_pairs = 0
+        for items in items_lists:
+            length = len(items)
+            for c in range(length):
+                center = items[c]
+                lo = max(c - window, 0)
+                hi = min(c + window, length - 1)
+                for o_pos in range(lo, hi + 1):
+                    if o_pos == c:
+                        continue
+                    step_lr = max(lr * (1.0 - done / total_pairs), min_lr)
+                    done += 1
+                    target = items[o_pos]
+                    negs = np.searchsorted(cum, rng.random(negatives))
+                    np.clip(negs, 0, len(cum) - 1, out=negs)
+                    rows = np.concatenate(([target], negs))
+                    vc = v_in[center]
+                    scores = v_out[rows] @ vc
+                    epoch_loss += float(np.logaddexp(0.0, -scores[0])
+                                        + np.logaddexp(0.0, scores[1:]).sum())
+                    epoch_pairs += 1
+                    coef = expit(scores)
+                    coef[0] -= 1.0
+                    dvc = coef @ v_out[rows]
+                    np.add.at(v_out, rows, -step_lr * np.outer(coef, vc))
+                    v_in[center] -= step_lr * dvc
+        history.append(epoch_loss / max(epoch_pairs, 1))
+    return v_in, v_out, history
+
+
+class TestW2vBlocks:
+    @pytest.mark.parametrize("n_songs,window,negatives,block", [(3, 2, 5, 7), (5, 3, 2, 4),
+                                                                (4, 1, 5, 1 << 14)])
+    def test_bitwise_equal_to_the_per_pair_loop(self, monkeypatch, n_songs, window,
+                                                negatives, block):
+        # a catalog of 3-5 songs makes most pairs draw a repeated row, so
+        # both the plain and the np.add.at update run; a small block makes
+        # the pairs, draws and learning rates cross many block boundaries
+        gen = make_rng(40)
+        sessions = [Session(0, gen.integers(0, n_songs, size=int(gen.integers(0, 9))).tolist())
+                    for _ in range(40)]
+        kw = dict(d=5, window=window, negatives=negatives, lr=0.05, epochs=3)
+        ref_rng, rng = make_rng(41), make_rng(41)
+        v_in, v_out, history = reference_w2v(sessions, n_songs, **kw, rng=ref_rng)
+        monkeypatch.setattr(baselines, "PAIR_BLOCK", block)
+        emb = w2v_train(sessions, n_songs, **kw, rng=rng)
+        assert emb.loss_history == history
+        assert np.array_equal(emb.v_in, v_in) and np.array_equal(emb.v_out, v_out)
+        assert rng.random() == ref_rng.random()
+
+    def test_pair_count_matches_the_window_scan(self):
+        for length in range(12):
+            for window in range(1, 8):
+                scan = sum(min(c + window, length - 1) - max(c - window, 0)
+                           for c in range(length))
+                assert _pair_count(length, window) == scan
+
+    def test_callbacks_get_each_epoch_loss(self):
+        seen = []
+        emb = w2v_train([Session(0, [0, 1, 2, 1])], 3, d=4, window=2, negatives=2, lr=0.025,
+                        epochs=3, rng=make_rng(42),
+                        callbacks=[lambda epoch, model, loss: seen.append((epoch, model, loss))])
+        assert seen == [(e, emb, loss) for e, loss in enumerate(emb.loss_history)]
 
 
 class TestW2vRecommend:

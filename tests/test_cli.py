@@ -135,6 +135,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="config.model.w2v.window must be >= 1"):
             ExperimentConfig.from_dict({"model": {"family": "w2v", "w2v": {"window": 0}}})
 
+    @pytest.mark.parametrize("family", ["cnnrec", "w2v"])
+    def test_neural_setting_named_by_its_key(self, family):
+        with pytest.raises(ValueError, match=r"^config\.model\.h must be >= 1, got 0$"):
+            ExperimentConfig.from_dict({"model": {"family": family, "h": 0}})
+
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError, match="config.model.wmf.lam must be > 0"):
             ExperimentConfig.from_dict({"model": {"family": "wmf", "wmf": {"lam": 0.0}}})
@@ -270,6 +275,19 @@ class TestTrainEvaluate:
         lines = [r.getMessage() for r in caplog.records if " epoch " in r.getMessage()]
         assert [line.split(":")[0] for line in lines] == ["cnnrec epoch 1/2", "cnnrec epoch 2/2"]
         assert all("examples/s" in line and "elapsed" in line for line in lines)
+
+    def test_w2v_logs_one_progress_line_per_epoch(self, prepared, caplog):
+        tmp, config = prepared
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            assert run_cli("train", "--config", config, "--out", tmp / "w2v-progress",
+                           "--set", "model.family=w2v", "--set", "model.w2v.epochs=2",
+                           "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
+        lines = [r.getMessage() for r in caplog.records if " epoch " in r.getMessage()]
+        assert [line.split(":")[0] for line in lines] == ["w2v epoch 1/2", "w2v epoch 2/2"]
+        history = (tmp / "w2v-progress" / "loss_history.csv").read_text().splitlines()[1:]
+        for line, row in zip(lines, history):
+            assert f"loss {float(row.split(',')[1]):.4f}," in line
+            assert "pairs/s" in line and "elapsed" in line
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
     def test_diverging_training_exits_with_one_line(self, prepared, caplog):
@@ -633,6 +651,18 @@ class TestCliErrors:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and "\n" not in errors[0]
         assert "song index" in errors[0] and f"the {keep} lines of vocab.txt" in errors[0]
+
+    def test_malformed_session_line_exits_with_one_line(self, prepared, caplog):
+        tmp, config = prepared
+        train = tmp / "run" / "prepared" / "train.txt"
+        _, rest = train.read_text(encoding="utf-8").split(" ", 1)
+        train.write_text("x " + rest, encoding="utf-8")
+        code = run_cli("train", "--config", config, "--out", tmp / "bad",
+                       "--set", "model.family=w2v",
+                       "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}")
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"{train} line 1: bad user index 'x'"]
 
     def test_train_without_prepared_dir_fails(self, tmp_path):
         config = write_config(tmp_path / "c.json", **{"out_dir": str(tmp_path / "o")})

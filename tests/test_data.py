@@ -461,6 +461,22 @@ class TestPipeline:
             assert [(s.user, s.items) for s in a] == [(s.user, s.items) for s in b]
         assert back.stats == prepared.stats
 
+    @pytest.mark.parametrize("line, what, token", [
+        ("x 0,1", "user", "x"),
+        ("0 3,y", "song", "y"),
+        ("1 4,,5", "song", ""),
+    ])
+    def test_malformed_line_names_the_file_and_line(self, fixture_events, tmp_path, line,
+                                                    what, token):
+        out = tmp_path / "prep"
+        write_prepared(out, prepare(fixture_events, DataConfig(), seed=5))
+        number = len((out / "val.txt").read_text(encoding="utf-8").splitlines()) + 1
+        with open(out / "val.txt", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError) as err:
+            read_prepared(out)
+        assert str(err.value) == f"{out / 'val.txt'} line {number}: bad {what} index {token!r}"
+
     @pytest.mark.parametrize("line, what, bad, limit, source", [
         ("2 0,1", "user", 2, 2, "users.txt"),
         ("-1 0,1", "user", -1, 2, "users.txt"),
