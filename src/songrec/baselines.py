@@ -445,19 +445,22 @@ def fpmc_train(
     """Sequential pairwise-ranking SGD over (user, previous song, next song)
     triples; the non-observed competitor is sampled uniformly per step.
 
-    ``examples`` must have context length exactly 1 (first-order model).
+    ``examples`` is the record array of :func:`songrec.data.extract_examples`
+    at context length exactly 1 (first-order model).
     """
-    if not examples:
+    if len(examples) == 0:
         raise ValueError("no training examples")
-    if any(len(e.context) != 1 for e in examples):
+    if examples.context.shape[1] != 1:
         raise ValueError("first-order model needs context length 1")
-    triples = [(e.user, e.context[0], e.target) for e in examples]
+    # the per-triple loop runs on Python ints, faster there than numpy scalars
+    users, prevs, nexts = (examples.user.tolist(), examples.context[:, 0].tolist(),
+                           examples.target.tolist())
     factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
-    n = len(triples)
+    n = len(nexts)
     for _ in range(epochs):
         total = 0.0
-        for idx in rng.permutation(n):
-            u, prev, pos = triples[idx]
+        for idx in rng.permutation(n).tolist():
+            u, prev, pos = users[idx], prevs[idx], nexts[idx]
             neg = int(rng.integers(n_songs))
             while neg == pos:
                 neg = int(rng.integers(n_songs))

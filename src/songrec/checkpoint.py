@@ -112,9 +112,14 @@ def load(path) -> tuple[str, dict, dict]:
 
 
 def load_model(path):
-    """Reconstruct the right model object from a checkpoint file."""
+    """Reconstruct the right model object from a checkpoint file; a header
+    whose meta the family cannot take raises ``ValueError`` naming ``path``."""
     families = Recommender.families()
     model_type, meta, tensors = load(path)
     if model_type not in families:
         raise ValueError(f"unknown model type {model_type!r} in {path}")
-    return families[model_type].from_checkpoint(meta, tensors)
+    try:
+        return families[model_type].from_checkpoint(meta, tensors)
+    except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong type
+        detail = f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"{path}: malformed checkpoint header: {detail}") from None

@@ -140,9 +140,7 @@ def fit_model(cfg: ExperimentConfig, prepared):
                             **dataclasses.asdict(mc.wmf))
         return factors, factors.objective_history
     if mc.family == "fpmc":
-        examples = extract_examples(split.train, 1)
-        if not examples:
-            raise ValueError("no training examples; sessions too short?")
+        examples = extract_examples(split.train, 1)  # fpmc_train refuses an empty set
         factors = fpmc_train(examples, n_users, n_songs, rng=make_rng(cfg.subseed("train")),
                              **dataclasses.asdict(mc.fpmc))
         return factors, factors.loss_history
@@ -150,7 +148,7 @@ def fit_model(cfg: ExperimentConfig, prepared):
     params = Recommender.families()[mc.family](
         n_songs, n_users, hyper, rng=make_rng(cfg.subseed("init")), dtype=mc.dtype)
     examples = extract_examples(split.train, hyper.j)
-    if not examples:
+    if len(examples) == 0:
         raise ValueError(f"no training examples at order j={hyper.j}; sessions too short?")
     progress = _epoch_progress(mc.family, hyper.epochs, len(examples))
     history = train(examples, params, make_rng(cfg.subseed("train")), [progress])
@@ -204,7 +202,7 @@ def _evaluate_test_split(cfg: ExperimentConfig, model, prepared, label: str):
     split = prepared.split
     order = _eval_order(model, cfg)
     examples = extract_examples(drop_unknown_users(split.test, split.train), order)
-    if not examples:
+    if len(examples) == 0:
         raise ValueError(f"no test examples at order j={order}")
     report = evaluate(
         model,

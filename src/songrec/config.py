@@ -21,7 +21,7 @@ from typing import ClassVar
 from .data import OVERLAP_MODES, SHUFFLE_UNITS
 from .evaluation import EvalConfig
 from .models import Hyperparams
-from .util import Recommender, config_hash, derive_seed
+from .util import Recommender, check_bounds, config_hash, derive_seed
 
 MODEL_FAMILIES = tuple(Recommender.families())
 
@@ -72,12 +72,12 @@ class DataConfig:
     overlap_mode: str = "drop-seen"
     shuffle_unit: str = "session"
 
+    # (setting, comparison, bound), checked when the config loads
+    BOUNDS: ClassVar = (("vocab_cap", ">=", 1), ("gap_seconds", ">=", 1))
+
     def validate(self):
         is_number = _LEAF_TYPES[float][1]
-        if self.vocab_cap < 1:
-            raise ValueError("vocab_cap must be >= 1")
-        if self.gap_seconds < 1:
-            raise ValueError("gap_seconds must be >= 1")
+        check_bounds(self, self.BOUNDS, "config.data.")
         if len(self.ratios) != 3 or not all(map(is_number, self.ratios)):
             raise ValueError(f"config.data.ratios must be three numbers, got {self.ratios!r}")
         if any(r < 0 for r in self.ratios):
@@ -97,9 +97,8 @@ class W2vConfig:
     lr: float = 0.025
     epochs: int = 5
 
-    # setting -> (comparison, lower bound), checked when the config loads
-    BOUNDS: ClassVar = {"window": (">=", 1), "negatives": (">=", 1), "lr": (">", 0),
-                        "epochs": (">=", 0)}
+    BOUNDS: ClassVar = (("window", ">=", 1), ("negatives", ">=", 1), ("lr", ">", 0),
+                        ("epochs", ">=", 0))
 
 
 @dataclass
@@ -109,7 +108,7 @@ class WmfConfig:
     lam: float = 0.1
     iters: int = 15
 
-    BOUNDS: ClassVar = {"f": (">=", 1), "alpha": (">=", 0), "lam": (">", 0), "iters": (">=", 1)}
+    BOUNDS: ClassVar = (("f", ">=", 1), ("alpha", ">=", 0), ("lam", ">", 0), ("iters", ">=", 1))
 
 
 @dataclass
@@ -119,7 +118,7 @@ class FpmcConfig:
     lam: float = 0.01
     epochs: int = 30
 
-    BOUNDS: ClassVar = {"f": (">=", 1), "lr": (">", 0), "lam": (">=", 0), "epochs": (">=", 0)}
+    BOUNDS: ClassVar = (("f", ">=", 1), ("lr", ">", 0), ("lam", ">=", 0), ("epochs", ">=", 0))
 
 
 @dataclass
@@ -140,25 +139,19 @@ class ModelConfig:
     wmf: WmfConfig = field(default_factory=WmfConfig)
     fpmc: FpmcConfig = field(default_factory=FpmcConfig)
 
-    # neural settings, read by cnnrec and nnrec (d by w2v too) and
-    # checked for every family; dropout must also be < 1
-    BOUNDS: ClassVar = {"d": (">=", 1), "j": (">=", 1), "h": (">=", 1), "m": (">=", 1),
-                        "w": (">=", 1), "stride": (">=", 1), "epochs": (">=", 0),
-                        "batch": (">=", 1), "lr": (">", 0), "dropout": (">=", 0)}
+    # neural settings, read by cnnrec and nnrec (d by w2v too) and checked
+    # for every family: Hyperparams' table, dropout_p under its key here
+    BOUNDS: ClassVar = tuple(("dropout" if key == "dropout_p" else key, op, bound)
+                             for key, op, bound in Hyperparams.BOUNDS)
 
     def validate(self):
         if self.family not in MODEL_FAMILIES:
             raise ValueError(f"family must be one of {MODEL_FAMILIES}, got {self.family!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
-        for path, section in (("config.model", self), ("config.model.w2v", self.w2v),
-                              ("config.model.wmf", self.wmf), ("config.model.fpmc", self.fpmc)):
-            for key, (op, bound) in section.BOUNDS.items():
-                value = getattr(section, key)
-                if not (value > bound if op == ">" else value >= bound):  # refuses NaN too
-                    raise ValueError(f"{path}.{key} must be {op} {bound}, got {value!r}")
-        if not self.dropout < 1:
-            raise ValueError(f"config.model.dropout must be < 1, got {self.dropout!r}")
+        for prefix, section in (("config.model.", self), ("config.model.w2v.", self.w2v),
+                                ("config.model.wmf.", self.wmf), ("config.model.fpmc.", self.fpmc)):
+            check_bounds(section, section.BOUNDS, prefix)
         if self.family == "cnnrec" and self.w > self.j:  # only cnnrec has filters
             raise ValueError(f"config.model.w must be <= config.model.j: filter width "
                              f"{self.w} exceeds context length {self.j}")

@@ -70,15 +70,6 @@ class Session:
         return len(self.items)
 
 
-@dataclass(frozen=True, slots=True)
-class TrainingExample:
-    """(user, last-j songs oldest first, next song)."""
-
-    user: int
-    context: tuple[int, ...]
-    target: int
-
-
 @dataclass(slots=True)
 class SplitDataset:
     train: list[Session]
@@ -372,32 +363,33 @@ def delete_train_overlap(
     return cleaned, {"val": n_val, "test": n_test}
 
 
-def extract_examples(sessions: list[Session], j: int) -> list[TrainingExample]:
-    """One example per in-session position with at least j predecessors.
+def extract_examples(sessions: list[Session], j: int) -> np.recarray:
+    """One example per in-session position with at least j predecessors,
+    as an int64 record array with fields ``user``, ``context`` ((j,),
+    oldest first) and ``target``.
 
     Contexts never cross session boundaries; a session of length <= j
     yields nothing. Output is ordered by (session order, position).
     """
     if j < 1:
         raise ValueError("context length j must be >= 1")
-    examples: list[TrainingExample] = []
-    for s in sessions:
-        items = s.items
-        for t in range(j, len(items)):
-            examples.append(TrainingExample(s.user, tuple(items[t - j : t]), items[t]))
-    return examples
+    lengths = np.fromiter(map(len, sessions), dtype=np.int64, count=len(sessions))
+    users = np.fromiter((s.user for s in sessions), dtype=np.int64, count=len(sessions))
+    items = np.fromiter(chain.from_iterable(s.items for s in sessions), dtype=np.int64,
+                        count=int(lengths.sum()))
+    pos = np.arange(len(items)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    at = np.flatnonzero(pos >= j)  # flat index of every target
+    return np.rec.fromarrays(
+        [np.repeat(users, lengths)[at], items[at[:, None] + np.arange(-j, 0)], items[at]],
+        dtype=[("user", np.int64), ("context", np.int64, (j,)), ("target", np.int64)])
 
 
-def examples_to_arrays(
-    examples: list[TrainingExample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(users, contexts, targets) arrays; contexts is (T, j) oldest-first."""
-    if not examples:
+def examples_to_arrays(examples: np.recarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (users, contexts, targets) columns of ``examples`` as contiguous
+    arrays; contexts is (T, j) oldest-first. An empty set raises."""
+    if len(examples) == 0:
         raise ValueError("no examples")
-    users = np.asarray([e.user for e in examples], dtype=np.int64)
-    contexts = np.asarray([e.context for e in examples], dtype=np.int64)
-    targets = np.asarray([e.target for e in examples], dtype=np.int64)
-    return users, contexts, targets
+    return tuple(np.ascontiguousarray(examples[name]) for name in ("user", "context", "target"))
 
 
 def drop_unknown_users(

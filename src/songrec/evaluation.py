@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import examples_to_arrays
-from .util import atomic_write_text, config_hash, derive_seed, make_rng
+from .util import atomic_write_text, check_bounds, config_hash, derive_seed, make_rng
 
 DEFAULT_KS = (1, 5, 10, 20, 50, 100, 150, 200, 500)
 
@@ -50,8 +50,7 @@ class EvalConfig:
             raise ValueError(f"config.eval.ks must be strictly ascending positive ints, got {ks}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if self.n_neg < 1:
-            raise ValueError("n_neg must be >= 1")
+        check_bounds(self, (("n_neg", ">=", 1),), "config.eval.")
 
 
 @dataclass
@@ -160,8 +159,7 @@ def evaluate(
     Examples are scored in chunks of at most ``CHUNK_CELLS`` score cells;
     a non-finite score raises ``ValueError``.
     """
-    if not examples:
-        raise ValueError("empty test set")
+    users, contexts, targets = examples_to_arrays(examples)  # refuses an empty set
     n_songs = model.n_songs
     if config.ks[-1] > n_songs:
         raise ValueError(f"max cutoff {config.ks[-1]} exceeds catalog size {n_songs}")
@@ -169,7 +167,6 @@ def evaluate(
     if needs_history and train_user_songs is None:
         raise ValueError("this protocol needs per-user training songs")
 
-    users, contexts, targets = examples_to_arrays(examples)
     heard = {}  # user -> boolean mask of the songs heard in training
     ranks = np.empty(len(targets), dtype=np.int64)
     rows = max(1, CHUNK_CELLS // n_songs)

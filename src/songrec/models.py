@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .core import (
     softmax_xent_backward,
     softmax_xent_from_probs,
 )
-from .util import Recommender, checked_tensors
+from .util import Recommender, check_bounds, checked_tensors
 
 logger = logging.getLogger(__name__)
 
@@ -62,18 +63,17 @@ class Hyperparams:
     lr: float
     dropout_p: float  # drop probability, inverted scaling
 
+    # (setting, comparison, bound): the one table of neural bounds, which
+    # config.ModelConfig also checks when the config loads
+    BOUNDS: ClassVar = (("d", ">=", 1), ("j", ">=", 1), ("h", ">=", 1), ("m", ">=", 1),
+                        ("w", ">=", 1), ("stride", ">=", 1), ("epochs", ">=", 0),
+                        ("batch", ">=", 1), ("lr", ">", 0), ("dropout_p", ">=", 0),
+                        ("dropout_p", "<", 1))
+
     def __post_init__(self):
-        for name in ("d", "j", "h", "m", "w", "stride", "batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        check_bounds(self, self.BOUNDS)
         if self.w > self.j:
             raise ValueError(f"filter width {self.w} exceeds context length {self.j}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
 
     @property
     def conv_positions(self) -> int:
@@ -318,19 +318,15 @@ def _check_epoch(params: _NeuralParams, epoch: int, loss: float) -> None:
 def train(examples, params: _NeuralParams, rng, callbacks=None) -> list[float]:
     """Epoch loop: reshuffle each epoch, minibatch steps, loss history.
 
-    ``examples`` is a list of training examples or a premade
-    (users, contexts, targets) array triple. Returns per-epoch mean loss,
-    one entry per epoch. After each epoch a non-finite loss or tensor
-    raises ``ValueError``, and a loss at -log(PROB_FLOOR) or, after the
-    first epoch, above log(n_songs) logs a warning; then optional
-    callbacks run as callback(epoch, params, epoch_loss).
+    ``examples`` is the record array of :func:`songrec.data.extract_examples`.
+    Returns per-epoch mean loss, one entry per epoch. After each epoch a
+    non-finite loss or tensor raises ``ValueError``, and a loss at
+    -log(PROB_FLOOR) or, after the first epoch, above log(n_songs) logs a
+    warning; then optional callbacks run as callback(epoch, params, epoch_loss).
     """
-    from .data import examples_to_arrays
+    from .data import examples_to_arrays  # looked up per call, where a tracer can wrap it
 
-    if isinstance(examples, tuple):
-        users, contexts, targets = examples
-    else:
-        users, contexts, targets = examples_to_arrays(examples)
+    users, contexts, targets = examples_to_arrays(examples)
     hy = params.hyper
     n = len(targets)
     history: list[float] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import tempfile
 
@@ -95,6 +96,19 @@ def checked_tensors(tensors: dict, shapes: dict) -> list:
         if tensors[name].shape != shape:
             raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {shape}")
     return [tensors[name] for name in shapes]
+
+
+_COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+
+
+def check_bounds(settings, bounds, prefix: str = "") -> None:
+    """``ValueError`` naming ``prefix + key`` at the first (key, comparison,
+    bound) of ``bounds`` that the setting ``key`` of ``settings`` fails;
+    NaN fails every comparison."""
+    for key, op, bound in bounds:
+        value = getattr(settings, key)
+        if not _COMPARISONS[op](value, bound):
+            raise ValueError(f"{prefix}{key} must be {op} {bound}, got {value!r}")
 
 
 def config_hash(obj) -> str:

@@ -176,7 +176,8 @@ class PerfectScorer:
 
     def __init__(self, examples, n_songs):
         self.n_songs = n_songs
-        self.lookup = {(e.user, tuple(e.context)): e.target for e in examples}
+        keys = zip(examples.user.tolist(), map(tuple, examples.context.tolist()))
+        self.lookup = dict(zip(keys, examples.target.tolist()))
 
     def score_batch(self, users, contexts):
         scores = np.zeros((len(users), self.n_songs))

@@ -33,6 +33,7 @@ from songrec.baselines import (
 from songrec.config import DataConfig, ModelConfig
 from songrec.core import grad_check
 from songrec.data import (
+    Session,
     build_user_index,
     build_vocab,
     extract_examples,
@@ -228,12 +229,9 @@ def test_c07_skipgram_structure():
 def test_c08_metric_oracle():
     n_songs, n_examples = 1000, 2000
     rng = make_rng(61)
-    from songrec.data import TrainingExample
-
-    examples = [
-        TrainingExample(0, (int(rng.integers(n_songs)),), int(rng.integers(n_songs)))
-        for _ in range(n_examples)
-    ]
+    examples = extract_examples(
+        [Session(0, [int(rng.integers(n_songs)), int(rng.integers(n_songs))])
+         for _ in range(n_examples)], 1)
     report = evaluate(UniformScorer(n_songs, seed=62), examples, EvalConfig(ks=DEFAULT_KS),
                       seed=0)
     deviations = {}
@@ -303,12 +301,10 @@ def test_c10_checkpoint_round_trip(tmp_path):
         path = tmp_path / f"{family}.ckpt"
         checkpoint.save(path, *model.to_checkpoint())
         loaded = checkpoint.load_model(path)
-        from songrec.data import TrainingExample
-
-        examples = [
-            TrainingExample(0, (1, 2, 3) if family in ("cnnrec", "nnrec") else (1,), 4),
-            TrainingExample(1, (5, 0, 2) if family in ("cnnrec", "nnrec") else (5,), 0),
-        ]
+        neural = family in ("cnnrec", "nnrec")
+        examples = extract_examples([Session(0, [1, 2, 3, 4] if neural else [1, 4]),
+                                     Session(1, [5, 0, 2, 0] if neural else [5, 0])],
+                                    3 if neural else 1)
         cfg = EvalConfig(ks=(1, 3, 8))  # smallest stub catalog has 8 songs
         a = evaluate(model, examples, cfg, seed=0, label=family)
         b = evaluate(loaded, examples, cfg, seed=0, label=family)

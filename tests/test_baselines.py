@@ -18,7 +18,7 @@ from songrec.baselines import (
     wmf_objective,
     wmf_train,
 )
-from songrec.data import Session, TrainingExample
+from songrec.data import Session, extract_examples
 from songrec.util import make_rng, top_k_indices
 
 
@@ -345,7 +345,7 @@ class TestFpmcTrain:
             assert after > before
 
     def test_zero_lr_no_change(self):
-        examples = [TrainingExample(0, (1,), 2), TrainingExample(1, (2,), 3)]
+        examples = extract_examples([Session(0, [1, 2]), Session(1, [2, 3])], 1)
         factors = fpmc_train(examples, 2, 5, f=3, lr=0.0, lam=0.0, epochs=3,
                              rng=make_rng(52))
         fresh = fpmc_init(2, 5, f=3, lr=0.0, lam=0.0, rng=make_rng(52))
@@ -357,12 +357,13 @@ class TestFpmcTrain:
 
     def test_context_length_must_be_one(self):
         with pytest.raises(ValueError):
-            fpmc_train([TrainingExample(0, (1, 2), 3)], 1, 5, f=32, lr=0.05, lam=0.01, epochs=30,
-                       rng=make_rng(0))
+            fpmc_train(extract_examples([Session(0, [1, 2, 3])], 2), 1, 5, f=32, lr=0.05,
+                       lam=0.01, epochs=30, rng=make_rng(0))
 
     def test_empty_examples_error(self):
         with pytest.raises(ValueError):
-            fpmc_train([], 1, 5, f=32, lr=0.05, lam=0.01, epochs=30, rng=make_rng(0))
+            fpmc_train(extract_examples([], 1), 1, 5, f=32, lr=0.05, lam=0.01, epochs=30,
+                       rng=make_rng(0))
 
 
 class TestFpmcRecommend:

@@ -136,6 +136,14 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError, match="shape"):
             checkpoint.load_model(path)
 
+    def test_out_of_bounds_hyperparameter_rejected(self, tmp_path):
+        model_type, meta, tensors = small_models()["nnrec"].to_checkpoint()
+        meta["hyper"]["h"] = 0
+        path = tmp_path / "bad.ckpt"
+        checkpoint.save(path, model_type, meta, tensors)
+        with pytest.raises(ValueError, match="^h must be >= 1, got 0$"):
+            checkpoint.load_model(path)
+
     @pytest.mark.parametrize("family", ["w2v", "wmf", "fpmc"])
     @pytest.mark.parametrize("change", ["missing", "extra"])
     def test_baseline_tensor_set_checked(self, tmp_path, family, change):

@@ -18,6 +18,8 @@ from songrec.data import (
     Session,
     SplitDataset,
     VocabMap,
+    examples_to_arrays,
+    extract_examples,
     read_prepared,
     write_prepared,
 )
@@ -411,14 +413,11 @@ class TestTrainEvaluate:
         # successor map must rank every target first
         tmp, config = prepared
         from songrec.baselines import FpmcFactors
-        from songrec.data import extract_examples, read_prepared
-
         pre = read_prepared(tmp / "run" / "prepared")
         n, u = pre.n_songs, pre.n_users
         examples = extract_examples(pre.split.test, 1)
         v_li = np.zeros((n, n))
-        for e in examples:
-            v_li[e.context[0], e.target] = 1.0
+        v_li[examples.context[:, 0], examples.target] = 1.0
         rigged = FpmcFactors(np.zeros((u, n)), np.zeros((n, n)), np.eye(n), v_li,
                              lr=0.05, lam=0.01)
         out = tmp / "oracle"
@@ -664,6 +663,36 @@ class TestCliErrors:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert errors == [f"{train} line 1: bad user index 'x'"]
 
+    @pytest.mark.parametrize("change", ["extra hyper key", "missing hyper key", "unknown dtype",
+                                        "song count as a string"])
+    def test_malformed_checkpoint_header_exits_with_one_line(self, tmp_path, change):
+        from songrec.models import Hyperparams, NnRecParams
+
+        hyper = Hyperparams(d=4, j=2, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01,
+                            dropout_p=0.0)
+        model_type, meta, tensors = NnRecParams(7, 2, hyper, rng=make_rng(0)).to_checkpoint()
+        if change == "extra hyper key":
+            meta["hyper"]["extra"] = 1
+        elif change == "missing hyper key":
+            del meta["hyper"]["d"]
+        elif change == "unknown dtype":
+            meta["dtype"] = "nope"
+        else:
+            meta["n_songs"] = "7"
+        ckpt = tmp_path / "bad.ckpt"
+        checkpoint.save(ckpt, model_type, meta, tensors)
+        config = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "o"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "songrec.cli", "evaluate", "--config", str(config),
+             "--checkpoint", str(ckpt)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(songrec.__file__))},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if " ERROR " in line]
+        assert len(errors) == 1 and f"{ckpt}: malformed checkpoint header" in errors[0]
+
     def test_train_without_prepared_dir_fails(self, tmp_path):
         config = write_config(tmp_path / "c.json", **{"out_dir": str(tmp_path / "o")})
         assert run_cli("train", "--config", config) == 1
@@ -695,7 +724,36 @@ class TestTracedNames:
     their names on ``songrec.cli``, and counts work from the trainers'
     ``window`` and ``epochs`` keywords and their first positional argument.
     ``fit_model`` must reach them there, or the traced baseline metrics
-    read 0."""
+    read 0. It also installs its tracer by name on several modules, and
+    reads a sample of the test examples row by row."""
+
+    def test_benchmark_tracer_installs(self):
+        # install() fails on any name it can no longer find
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        paths = [os.path.dirname(os.path.dirname(songrec.__file__)),
+                 os.path.join(root, "perfbench")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import spans; spans.install(spans.Tracer('check'))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("family", ["cnnrec", "nnrec", "w2v", "wmf", "fpmc"])
+    def test_example_rows_feed_score_catalog(self, family):
+        from test_checkpoint import small_models
+
+        model = small_models()[family]
+        sessions = [Session(u, [(u + i) % 8 for i in range(6)]) for u in (0, 1)]
+        examples = extract_examples(sessions, model.order or 2)
+        step = max(1, len(examples) // 16)
+        rows = examples[::step][:16]
+        assert len(rows) == len(examples) > 0
+        users, contexts, _ = examples_to_arrays(examples)
+        want = model.score_batch(users, contexts)
+        for i, e in enumerate(rows):  # one row against a batch: equal up to rounding
+            assert np.allclose(model.score_catalog(e.user, e.context), want[i], rtol=1e-9,
+                               atol=1e-12)
 
     @pytest.mark.parametrize("family,reached", [
         ("cnnrec", ["extract_examples"]),

@@ -367,16 +367,27 @@ class TestOverlapDeletion:
         assert cleaned.test[0].items == [1] and deleted == {"val": 0, "test": 0}
 
 
+def reference_examples(sessions, j):
+    """The per-position loop extract_examples replaced: one
+    (user, context, target) tuple per in-session position with j
+    predecessors, in (session, position) order."""
+    rows = []
+    for s in sessions:
+        for t in range(j, len(s.items)):
+            rows.append((s.user, tuple(s.items[t - j : t]), s.items[t]))
+    return rows
+
+
 class TestExtractExamples:
     def test_length_six_order_five(self):
         assert len(extract_examples([Session(0, list(range(6)))], 5)) == 1
 
     def test_short_session_yields_nothing(self):
-        assert extract_examples([Session(0, [1, 2, 3])], 3) == []
+        assert len(extract_examples([Session(0, [1, 2, 3])], 3)) == 0
 
     def test_hand_enumeration(self):
         examples = extract_examples([Session(7, [3, 1, 4, 1, 5])], 2)
-        assert [(e.context, e.target) for e in examples] == [
+        assert [(tuple(e.context), e.target) for e in examples] == [
             ((3, 1), 4),
             ((1, 4), 1),
             ((4, 1), 5),
@@ -396,12 +407,40 @@ class TestExtractExamples:
         with pytest.raises(ValueError):
             extract_examples([], 0)
 
+    @pytest.mark.parametrize("j", range(1, 7))
+    def test_matches_the_per_position_loop(self, j):
+        rng = np.random.default_rng(100 + j)
+        sessions = [Session(int(rng.integers(50)), [int(x) for x in rng.integers(0, 1000, n)])
+                    for n in rng.integers(0, j + 4, size=200)]
+        examples = extract_examples(sessions, j)
+        want = reference_examples(sessions, j)
+        assert len(examples) == len(want) > 0
+        for name in ("user", "context", "target"):
+            assert examples[name].dtype == np.int64
+        assert examples.context.shape == (len(want), j)
+        assert examples.user.tolist() == [u for u, _, _ in want]
+        assert [tuple(c) for c in examples.context.tolist()] == [c for _, c, _ in want]
+        assert examples.target.tolist() == [t for _, _, t in want]
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_no_sessions_give_an_empty_array(self, j):
+        examples = extract_examples([], j)
+        assert len(examples) == 0
+        assert examples.context.shape == (0, j)
+        assert examples.dtype["context"].base == np.int64
+
     def test_arrays_conversion(self):
         examples = extract_examples([Session(2, [3, 1, 4, 1, 5])], 2)
         users, contexts, targets = examples_to_arrays(examples)
         assert users.tolist() == [2, 2, 2]
         assert contexts.tolist() == [[3, 1], [1, 4], [4, 1]]
         assert targets.tolist() == [4, 1, 5]
+        assert all(a.flags.c_contiguous and a.dtype == np.int64
+                   for a in (users, contexts, targets))
+
+    def test_arrays_conversion_refuses_an_empty_set(self):
+        with pytest.raises(ValueError, match="no examples"):
+            examples_to_arrays(extract_examples([Session(0, [1])], 1))
 
 
 class TestPipeline:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import PerfectScorer, StatelessScorer, UniformScorer
 from songrec import evaluation
-from songrec.data import TrainingExample
+from songrec.data import Session, extract_examples
 from songrec.evaluation import (
     EvalConfig,
     EvalReport,
@@ -15,12 +15,13 @@ from songrec.util import make_rng, top_k_indices
 
 
 def make_examples(n, n_songs, j=2, seed=0, n_users=3):
+    """n random examples, each from a session of its own."""
     rng = make_rng(seed)
-    out = []
-    for i in range(n):
-        ctx = tuple(int(x) for x in rng.integers(0, n_songs, size=j))
-        out.append(TrainingExample(int(rng.integers(n_users)), ctx, int(rng.integers(n_songs))))
-    return out
+    sessions = []
+    for _ in range(n):
+        ctx = [int(x) for x in rng.integers(0, n_songs, size=j)]
+        sessions.append(Session(int(rng.integers(n_users)), [*ctx, int(rng.integers(n_songs))]))
+    return extract_examples(sessions, j)
 
 
 class TestEvalConfig:
@@ -91,7 +92,7 @@ class TestEvaluate:
 
     def test_empty_test_set_error(self):
         with pytest.raises(ValueError):
-            evaluate(UniformScorer(10), [], EvalConfig(ks=(1,)), seed=0)
+            evaluate(UniformScorer(10), make_examples(0, 10), EvalConfig(ks=(1,)), seed=0)
 
     def test_cutoff_beyond_catalog_error(self):
         with pytest.raises(ValueError):
@@ -143,7 +144,7 @@ class TestEvaluate:
         # every comparison with NaN is false, so unchecked NaN scores would
         # rank each target first and report recall 1.0
         examples = make_examples(30, 20, seed=12)
-        key = (examples[7].user, examples[7].context)
+        key = (int(examples.user[7]), tuple(examples.context[7].tolist()))
 
         class NanAtOneContext(StatelessScorer):
             def score_batch(self, users, contexts):
@@ -153,7 +154,7 @@ class TestEvaluate:
                         scores[i] = np.nan
                 return scores
 
-        first = next(i for i, e in enumerate(examples) if (e.user, e.context) == key)
+        first = next(i for i, e in enumerate(examples) if (e.user, tuple(e.context)) == key)
         cfg = EvalConfig(ks=(1, 5), protocol=protocol, n_neg=5)
         with pytest.raises(ValueError, match=f"non-finite scores for test example {first}$"):
             evaluate(NanAtOneContext(20), examples, cfg, seed=0, train_user_songs={})
@@ -200,7 +201,8 @@ class TestEvaluate:
                 return np.stack([table[(int(u), tuple(int(c) for c in ctx))][0]
                                  for u, ctx in zip(users, contexts)])
 
-        examples = [TrainingExample(u, ctx, t) for (u, ctx), (_, t) in table.items()]
+        examples = extract_examples([Session(u, [*ctx, t]) for (u, ctx), (_, t) in table.items()],
+                                    1)
         report = evaluate(Fixed(), examples, EvalConfig(ks=(1, 2, 3)), seed=0)
         # hand ranks: 2, 1, 2 -> hits@1=1, hits@2=3, hits@3=3
         assert report.hits == {1: 1, 2: 3, 3: 3}
@@ -220,7 +222,7 @@ class TestEvaluate:
                 scores[np.arange(len(users)), np.asarray(contexts)[:, 0]] = 1.0  # middling target
                 return scores
 
-        examples = [TrainingExample(0, (7,), 7)]
+        examples = extract_examples([Session(0, [7, 7])], 1)
         cfg_in = EvalConfig(ks=(1,))
         cfg_ex = EvalConfig(ks=(1,), exclude_train_songs=True)
         songs = {0: {0, 1, 2, 3}}

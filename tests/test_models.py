@@ -6,6 +6,7 @@ import pytest
 
 from songrec.config import ModelConfig
 from songrec.core import grad_check
+from songrec.data import Session, extract_examples
 from songrec.models import (
     CnnRecParams,
     Hyperparams,
@@ -43,6 +44,20 @@ class TestHyperparams:
             dataclasses.replace(REFERENCE, d=0)
         with pytest.raises(ValueError):
             dataclasses.replace(REFERENCE, dropout_p=1.0)
+
+    @pytest.mark.parametrize("key,value", [("d", 0), ("j", 0), ("h", 0), ("m", 0), ("w", 0),
+                                           ("stride", 0), ("epochs", -1), ("batch", 0),
+                                           ("lr", 0.0), ("lr", float("nan")),
+                                           ("dropout_p", -0.1), ("dropout_p", 1.0)])
+    def test_config_checks_the_same_bounds(self, key, value):
+        config_key = "dropout" if key == "dropout_p" else key
+        with pytest.raises(ValueError) as hyper_error:
+            dataclasses.replace(REFERENCE, **{key: value})
+        with pytest.raises(ValueError) as config_error:
+            ModelConfig(**{config_key: value}).validate()
+        assert str(hyper_error.value).startswith(f"{key} must be ")
+        assert str(config_error.value) == "config.model." + str(hyper_error.value).replace(
+            key, config_key, 1)
 
 
 class TestArchitectureDims:
@@ -184,7 +199,7 @@ class TestTrainLoop:
                          dropout_p=0.0)
         params = CnnRecParams(7, 3, hy, rng=make_rng(12))
         before = {k: v.copy() for k, v in params.tensors().items()}
-        history = train([_example(0, (1, 2, 3), 4)], params, make_rng(0))
+        history = train(_examples((0, (1, 2, 3), 4)), params, make_rng(0))
         assert history == []
         for k, v in params.tensors().items():
             assert np.array_equal(v, before[k])
@@ -195,11 +210,7 @@ class TestTrainLoop:
         runs = []
         for _ in range(2):
             params = NnRecParams(7, 3, hy, rng=make_rng(13))
-            examples = [
-                _example(0, (1, 2, 3), 4),
-                _example(1, (2, 3, 4), 5),
-                _example(2, (3, 4, 5), 6),
-            ]
+            examples = _examples((0, (1, 2, 3), 4), (1, (2, 3, 4), 5), (2, (3, 4, 5), 6))
             train(examples, params, make_rng(14))
             runs.append({k: v.copy() for k, v in params.tensors().items()})
         for k in runs[0]:
@@ -211,7 +222,7 @@ class TestTrainLoop:
         params = NnRecParams(7, 3, hy, rng=make_rng(15))
         seen = []
         history = train(
-            [_example(0, (1, 2, 3), 4)],
+            _examples((0, (1, 2, 3), 4)),
             params,
             make_rng(16),
             callbacks=[lambda epoch, p, loss: seen.append((epoch, loss))],
@@ -227,7 +238,7 @@ class TestTrainLoop:
         params.w2[2, 1] = np.nan
         seen = []
         with pytest.raises(ValueError, match=r"epoch 1: .*non-finite tensors: .*w2"):
-            train([_example(0, (1, 2, 3), 4)], params, make_rng(18),
+            train(_examples((0, (1, 2, 3), 4)), params, make_rng(18),
                   callbacks=[lambda *args: seen.append(args)])
         assert seen == []  # stopped before reporting the epoch
 
@@ -237,22 +248,22 @@ class TestTrainLoop:
         params = NnRecParams(7, 3, hy, rng=make_rng(19))
         params.b2[4] = -1e4  # the target's probability underflows to the floor
         with caplog.at_level(logging.WARNING, logger="songrec"):
-            history = train([_example(0, (1, 2, 3), 4)], params, make_rng(20))
+            history = train(_examples((0, (1, 2, 3), 4)), params, make_rng(20))
         assert history == [pytest.approx(SATURATED_LOSS)]
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and "epoch 1 loss" in warnings[0].getMessage()
 
     def test_healthy_training_logs_no_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="songrec"):
-            train([_example(0, (1, 2, 3), 4)], NnRecParams(7, 3, TINY, rng=make_rng(21)),
+            train(_examples((0, (1, 2, 3), 4)), NnRecParams(7, 3, TINY, rng=make_rng(21)),
                   make_rng(22))
         assert caplog.records == []
 
 
-def _example(user, context, target):
-    from songrec.data import TrainingExample
-
-    return TrainingExample(user, context, target)
+def _examples(*rows):
+    """The examples of (user, context, target) rows, one session each."""
+    j = len(rows[0][1])
+    return extract_examples([Session(u, [*context, t]) for u, context, t in rows], j)
 
 
 class TestPredictTopk:
