@@ -113,13 +113,16 @@ def load(path) -> tuple[str, dict, dict]:
 
 def load_model(path):
     """Reconstruct the right model object from a checkpoint file; a header
-    whose meta the family cannot take raises ``ValueError`` naming ``path``."""
+    whose meta the family cannot take or refuses raises ``ValueError``
+    naming ``path``."""
     families = Recommender.families()
     model_type, meta, tensors = load(path)
     if model_type not in families:
         raise ValueError(f"unknown model type {model_type!r} in {path}")
     try:
         return families[model_type].from_checkpoint(meta, tensors)
+    except ValueError as exc:  # a value out of bounds, a tensor set or shape that does not fit
+        raise ValueError(f"{path}: {exc}") from None
     except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong type
         detail = f"{type(exc).__name__}: {exc}"
         raise ValueError(f"{path}: malformed checkpoint header: {detail}") from None

@@ -13,11 +13,11 @@ import gzip
 import json
 import logging
 import os
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
-from itertools import chain
+from datetime import datetime, timezone
+from itertools import chain, compress, count, islice, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,16 +36,42 @@ OVERLAP_MODES = ("drop-seen", "keep-only-seen", "none")
 SHUFFLE_UNITS = ("session", "record")
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # 719163
+
+# Lines read per block by parse_events. Each block's timestamps are
+# converted and its keys coded at once; besides the keys and the integer
+# columns, the parse holds the text of one block at a time.
+PARSE_BLOCK = 1 << 12
+
+# Column offsets of the canonical timestamp ``YYYY-MM-DDTHH:MM:SSZ``.
+_TS_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_TS_SEPS = np.array([4, 7, 10, 13, 16, 19])
+_TS_SEP_CHARS = np.array([ord(c) for c in "--T::Z"])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-@dataclass(frozen=True, slots=True)
-class ListeningEvent:
-    """One timestamped play: who, when (epoch seconds UTC), which song."""
+@dataclass(slots=True)
+class EventColumns:
+    """Plays as columns: row r is a play of user ``user_keys[user[r]]`` at
+    ``ts[r]`` (epoch seconds UTC) of song ``song_keys[song[r]]``.
 
-    user_key: str
-    timestamp: int
-    song_key: str
+    :func:`parse_events` numbers users and songs by first appearance in
+    the log; after :func:`filter_to_vocab` the song codes are vocabulary
+    indices.
+    """
+
+    user: np.ndarray  # int32 codes
+    ts: np.ndarray  # int64
+    song: np.ndarray  # int32 codes
+    user_keys: list[str]
+    song_keys: list[str]
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def take(self, rows) -> EventColumns:
+        """The plays at ``rows`` (indices or a mask), in that order."""
+        return EventColumns(self.user[rows], self.ts[rows], self.song[rows],
+                            self.user_keys, self.song_keys)
 
 
 @dataclass(slots=True)
@@ -56,15 +82,10 @@ class ParseSummary:
 
 @dataclass(slots=True)
 class Session:
-    """A maximal run of one user's plays with every inter-event gap below the cutoff.
-
-    ``timestamps`` is None for sessions read back from disk (the on-disk
-    format keeps only item order).
-    """
+    """A maximal run of one user's plays with every inter-event gap below the cutoff."""
 
     user: int
     items: list[int]
-    timestamps: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -99,11 +120,11 @@ class VocabMap:
         return key in self.forward
 
 
-def _iter_lines(stream):
-    for line in stream:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8", errors="replace")
-        yield line.rstrip("\r\n")
+def _read_lines(stream, n: int) -> list[str]:
+    """The next ``n`` lines of ``stream`` (str or UTF-8 bytes) without
+    their line ends; fewer at its end."""
+    return [(line.decode("utf-8", errors="replace") if isinstance(line, bytes) else line)
+            .rstrip("\r\n") for line in islice(stream, n)]
 
 
 def parse_timestamp(text: str) -> int:
@@ -112,57 +133,50 @@ def parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
-def format_timestamp(epoch: int) -> str:
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime(_TS_FORMAT)
-
-
-def _midnight_epoch(prefix: str) -> int | None:
-    """``"YYYY-MM-DDT"`` in ASCII digits naming a valid date -> epoch
-    seconds of that day's UTC midnight; None for anything else."""
-    y, m, d = prefix[0:4], prefix[5:7], prefix[8:10]
-    if not (
-        prefix.isascii() and prefix[4] == prefix[7] == "-" and prefix[10] == "T"
-        and y.isdigit() and m.isdigit() and d.isdigit()
-    ):
-        return None
-    try:
-        return (date(int(y), int(m), int(d)).toordinal() - _EPOCH_ORDINAL) * 86400
-    except ValueError:  # month 13, Feb 30, year 0
-        return None
-
-
-def _timestamp_parser():
-    """A :func:`parse_timestamp` with a fast path for the canonical form.
+def _epochs(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of every timestamp in ``texts`` (int64) and whether
+    it parsed (bool), as :func:`parse_timestamp` would.
 
     ``YYYY-MM-DDTHH:MM:SSZ`` in ASCII digits, with a valid date and
-    h < 24, m < 60, s < 60, is converted by integer arithmetic, the epoch
-    of each date part coming from a cache. Every other string goes to
-    :func:`parse_timestamp`, so strptime decides what else is accepted
-    (lowercase t/z, one-digit fields, non-ASCII digits, ...) or rejected.
+    h < 24, m < 60, s < 60, is converted by array arithmetic. Every other
+    string goes to :func:`parse_timestamp`, so strptime decides what else
+    is accepted (lowercase t/z, one-digit fields, non-ASCII digits, ...)
+    or rejected.
     """
-    days: dict[str, int] = {}  # valid date parts only
+    n = len(texts)
+    ts = np.zeros(n, dtype=np.int64)
+    ok = np.zeros(n, dtype=bool)
+    rows = np.flatnonzero(np.fromiter(map(len, texts), dtype=np.int64, count=n) == 20)
+    if len(rows):
+        canonical = texts if len(rows) == n else [texts[i] for i in rows.tolist()]
+        # non-ASCII characters become "?", which no digit or separator test passes
+        codes = np.frombuffer("".join(canonical).encode("ascii", "replace"),
+                              dtype=np.uint8).reshape(-1, 20)
+        digits = codes[:, _TS_DIGITS] - ord("0")  # wraps around below "0"
+        fast = (digits < 10).all(axis=1) & (codes[:, _TS_SEPS] == _TS_SEP_CHARS).all(axis=1)
+        pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
+        year = pairs[:, 0] * 100 + pairs[:, 1]
+        month, day, h, m, s = pairs[:, 2:].T
+        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+        month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + ((month == 2) & leap)
+        fast &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+        fast &= (h < 24) & (m < 60) & (s < 60)
+        months = ((year - 1970) * 12 + month - 1)[fast].astype("datetime64[M]")
+        days = months.astype("datetime64[D]").astype(np.int64) + day[fast] - 1
+        at = rows[fast]
+        ts[at] = days * 86400 + h[fast] * 3600 + m[fast] * 60 + s[fast]
+        ok[at] = True
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            ts[i] = parse_timestamp(texts[i])
+            ok[i] = True
+        except ValueError:
+            pass
+    return ts, ok
 
-    def to_epoch(text: str) -> int:
-        if len(text) == 20 and text[13::3] == "::Z":  # ':' at 13 and 16, 'Z' at 19
-            prefix = text[:11]
-            day = days.get(prefix)
-            if day is None:
-                day = _midnight_epoch(prefix)
-                if day is not None:
-                    days[prefix] = day
-            hms = text[11:13] + text[14:16] + text[17:19]
-            if day is not None and hms.isascii() and hms.isdigit():
-                n = int(hms)
-                h, m, s = n // 10000, n // 100 % 100, n % 100
-                if h < 24 and m < 60 and s < 60:
-                    return day + h * 3600 + m * 60 + s
-        return parse_timestamp(text)
 
-    return to_epoch
-
-
-def parse_events(stream) -> tuple[list[ListeningEvent], ParseSummary]:
-    """Parse tab-separated play-log lines into events.
+def parse_events(stream) -> tuple[EventColumns, ParseSummary]:
+    """Parse tab-separated play-log lines into event columns.
 
     Expected layout per line (UTF-8):
     user TAB iso-timestamp TAB artist-id TAB artist-name TAB track-id TAB track-name
@@ -172,36 +186,46 @@ def parse_events(stream) -> tuple[list[ListeningEvent], ParseSummary]:
     identity. Lines with fewer than 6 fields, an unparseable timestamp,
     an empty user, or both name fields empty are counted and skipped.
     Timestamps are accepted exactly as :func:`parse_timestamp` accepts
-    them. Equal user keys share one string object, and so do equal song
-    keys.
+    them. Users and songs are coded by first appearance among the
+    parsed lines.
 
-    Returns the events in input order plus a parse summary.
+    Returns the plays in input order plus a parse summary.
     """
-    events: list[ListeningEvent] = []
     summary = ParseSummary()
-    to_epoch = _timestamp_parser()
-    keys: dict[str, str] = {}  # interning table for user and song keys
-    for line in _iter_lines(stream):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) < 6:
-            summary.skipped += 1
-            continue
-        user_key, ts_text, _artist_id, artist_name, _track_id, track_name = fields[:6]
-        if not user_key or (not artist_name and not track_name):
-            summary.skipped += 1
-            continue
-        try:
-            ts = to_epoch(ts_text)
-        except ValueError:
-            summary.skipped += 1
-            continue
-        user_key = keys.setdefault(user_key, user_key)
-        song_key = artist_name + SONG_KEY_SEP + track_name
-        events.append(ListeningEvent(user_key, ts, keys.setdefault(song_key, song_key)))
-        summary.parsed += 1
-    return events, summary
+    user_codes = defaultdict(count().__next__)  # key -> code, assigned on first lookup
+    song_codes = defaultdict(count().__next__)
+    # one array per block, after an empty one for a log without plays
+    users, songs = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
+    stamps = [np.zeros(0, np.int64)]
+    stream = iter(stream)
+    while block := _read_lines(stream, PARSE_BLOCK):
+        user_keys, ts_texts, song_keys = [], [], []
+        for line in block:
+            if not line:
+                continue
+            fields = line.split("\t", 6)
+            if len(fields) < 6:
+                summary.skipped += 1
+                continue
+            user_key, ts_text, _artist_id, artist_name, _track_id, track_name = fields[:6]
+            if not user_key or (not artist_name and not track_name):
+                summary.skipped += 1
+                continue
+            user_keys.append(user_key)
+            ts_texts.append(ts_text)
+            song_keys.append(artist_name + SONG_KEY_SEP + track_name)
+        ts, ok = _epochs(ts_texts)
+        if not ok.all():
+            summary.skipped += len(ok) - int(np.count_nonzero(ok))
+            keep = ok.tolist()
+            user_keys, song_keys, ts = compress(user_keys, keep), compress(song_keys, keep), ts[ok]
+        summary.parsed += len(ts)
+        users.append(np.fromiter(map(user_codes.__getitem__, user_keys), np.int32, len(ts)))
+        songs.append(np.fromiter(map(song_codes.__getitem__, song_keys), np.int32, len(ts)))
+        stamps.append(ts)
+    columns = EventColumns(np.concatenate(users), np.concatenate(stamps), np.concatenate(songs),
+                           list(user_codes), list(song_codes))
+    return columns, summary
 
 
 def open_event_stream(path):
@@ -212,96 +236,109 @@ def open_event_stream(path):
     return open(path, "r", encoding="utf-8", errors="replace")
 
 
-def build_vocab(events: list[ListeningEvent], cap: int) -> VocabMap:
+def _first_rows(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """Row of each code's first appearance in ``codes``; ``len(codes)``
+    for a code that never appears."""
+    first = np.full(n_codes, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return first
+
+
+def _key_lookup(keys: list[str], index: dict[str, int]) -> np.ndarray:
+    """``index[key]`` for every key, in code order; -1 where absent."""
+    return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.int32, count=len(keys))
+
+
+def build_vocab(events: EventColumns, cap: int) -> VocabMap:
     """Keep the ``cap`` most-played songs.
 
     Indices are assigned by descending play count; ties broken by first
     appearance in the stream.
     """
-    if not events:
+    if not len(events):
         raise ValueError("no events: empty vocabulary is unusable")
-    # Counter keeps first-insertion order and most_common() sorts stably,
-    # so equal counts stay in order of first appearance
-    counts = Counter(ev.song_key for ev in events)
-    return VocabMap([key for key, _ in counts.most_common(cap)])
+    counts = np.bincount(events.song, minlength=len(events.song_keys))
+    played = np.flatnonzero(counts)
+    first = _first_rows(events.song, len(events.song_keys))[played]
+    top = played[np.lexsort((first, -counts[played]))[:cap]]
+    return VocabMap([events.song_keys[c] for c in top.tolist()])
 
 
-def filter_to_vocab(
-    events: list[ListeningEvent], vocab: VocabMap
-) -> list[ListeningEvent]:
-    """Subsequence of events whose song is in the vocabulary; order preserved."""
-    return [ev for ev in events if ev.song_key in vocab]
+def filter_to_vocab(events: EventColumns, vocab: VocabMap) -> EventColumns:
+    """The plays whose song is in the vocabulary, order preserved; their
+    song codes become vocabulary indices."""
+    index = _key_lookup(events.song_keys, vocab.forward)[events.song]
+    keep = index >= 0
+    return EventColumns(events.user[keep], events.ts[keep], index[keep],
+                        events.user_keys, vocab.reverse)
 
 
-def build_user_index(events: list[ListeningEvent]) -> dict[str, int]:
+def build_user_index(events: EventColumns) -> dict[str, int]:
     """User key -> dense index, by first appearance in the stream."""
-    index: dict[str, int] = {}
-    for ev in events:
-        if ev.user_key not in index:
-            index[ev.user_key] = len(index)
-    return index
+    first = _first_rows(events.user, len(events.user_keys))
+    present = np.flatnonzero(first < len(events))
+    order = present[np.argsort(first[present], kind="stable")]
+    return {events.user_keys[c]: i for i, c in enumerate(order.tolist())}
 
 
 def sessionize(
-    events: list[ListeningEvent],
+    events: EventColumns,
     vocab: VocabMap,
     user_index: dict[str, int],
     gap_seconds: int,
 ) -> list[Session]:
     """Group each user's plays into sessions split at gaps >= ``gap_seconds``.
 
-    Events are grouped per user and stably sorted by timestamp first, so
-    input interleaving does not matter. A gap of exactly ``gap_seconds``
-    starts a new session (inside a session every gap is strictly
-    smaller). Length-1 sessions are kept. Sessions come out ordered by
-    user index, chronologically within each user.
+    Plays are stably sorted by (user index, timestamp) first, so input
+    interleaving does not matter and equal timestamps keep input order.
+    A gap of exactly ``gap_seconds`` starts a new session (inside a
+    session every gap is strictly smaller). Length-1 sessions are kept.
+    Sessions come out ordered by user index, chronologically within each
+    user. Every user must be in ``user_index`` and every song in ``vocab``.
     """
-    per_user: dict[int, list[ListeningEvent]] = defaultdict(list)
-    for ev in events:
-        per_user[user_index[ev.user_key]].append(ev)
-
-    sessions: list[Session] = []
-    for user in sorted(per_user):
-        stream = sorted(per_user[user], key=lambda ev: ev.timestamp)  # stable
-        items: list[int] = []
-        stamps: list[int] = []
-        for ev in stream:
-            if stamps and ev.timestamp - stamps[-1] >= gap_seconds:
-                sessions.append(Session(user, items, stamps))
-                items, stamps = [], []
-            items.append(vocab.forward[ev.song_key])
-            stamps.append(ev.timestamp)
-        if items:
-            sessions.append(Session(user, items, stamps))
-    return sessions
+    users = _key_lookup(events.user_keys, user_index)[events.user]
+    items = _key_lookup(events.song_keys, vocab.forward)[events.song]
+    if len(events) and min(users.min(), items.min()) < 0:
+        raise ValueError("a play's user is not in user_index or its song not in vocab")
+    order = np.lexsort((events.ts, users))
+    users, ts = users[order], events.ts[order]
+    breaks = (users[1:] != users[:-1]) | (np.diff(ts) >= gap_seconds)
+    starts = np.flatnonzero(np.concatenate(([len(ts) > 0], breaks)))
+    bounds = np.append(starts, len(ts)).tolist()
+    # through an object array, so equal song indices share one int object
+    items = np.array(range(vocab.size), dtype=object)[items[order]].tolist()
+    return [Session(u, items[a:b])
+            for u, a, b in zip(users[starts].tolist(), bounds[:-1], bounds[1:])]
 
 
 def split_dataset(sessions: list[Session], ratios: Sequence[float], seed: int) -> SplitDataset:
     """Shuffle whole sessions and cut them into train/val/test with
-    :func:`split_events`; within-session order is never disturbed."""
-    return SplitDataset(*split_events(sessions, ratios, seed))
+    :func:`_split_rows`; within-session order is never disturbed."""
+    return SplitDataset(*([sessions[i] for i in rows.tolist()]
+                          for rows in _split_rows(len(sessions), ratios, seed)))
 
 
-def split_events(items: list, ratios: Sequence[float], seed: int) -> tuple[list, list, list]:
-    """The cut of both shuffle units: shuffle ``items`` (sessions, or
-    single plays that each part then sessionizes on its own) by a seeded
-    permutation and cut into train/val/test.
+def split_events(events: EventColumns, ratios: Sequence[float], seed: int
+                 ) -> tuple[EventColumns, EventColumns, EventColumns]:
+    """Shuffle single plays and cut them into train/val/test with
+    :func:`_split_rows`; each part is then sessionized on its own."""
+    return tuple(events.take(rows) for rows in _split_rows(len(events), ratios, seed))
+
+
+def _split_rows(n: int, ratios: Sequence[float], seed: int) -> tuple[np.ndarray, ...]:
+    """The cut of both shuffle units: a seeded permutation of ``n``
+    sessions or plays, cut into train/val/test index arrays.
 
     ``ratios`` are three non-negative numbers summing to 1. Validation
     and test sizes are floors of their ratios; train takes the remainder.
     """
-    n = len(items)
     if n < 3:
         raise ValueError(f"need at least 3 sessions or plays to split, got {n}")
     n_val = int(ratios[1] * n)
     n_test = int(ratios[2] * n)
     n_train = n - n_val - n_test
-    shuffled = [items[i] for i in make_rng(seed).permutation(n)]
-    return (
-        shuffled[:n_train],
-        shuffled[n_train : n_train + n_val],
-        shuffled[n_train + n_val :],
-    )
+    order = make_rng(seed).permutation(n)
+    return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
 
 
 def _train_song_sets(train: list[Session]) -> dict[int, set[int]]:
@@ -317,26 +354,20 @@ def _clean_sessions(
     """Apply the overlap rule to one part; deletions split sessions apart."""
     out: list[Session] = []
     deleted = 0
+    keep_seen = mode == "keep-only-seen"  # else drop-seen
     for s in sessions:
         seen = train_songs.get(s.user, set())
-        if mode == "drop-seen":
-            keep = [i not in seen for i in s.items]
-        else:  # keep-only-seen
-            keep = [i in seen for i in s.items]
         items: list[int] = []
-        stamps: list[int] = []
-        for pos, ok in enumerate(keep):
-            if ok:
-                items.append(s.items[pos])
-                if s.timestamps is not None:
-                    stamps.append(s.timestamps[pos])
+        for i in s.items:
+            if (i in seen) == keep_seen:
+                items.append(i)
             else:
                 deleted += 1
                 if items:
-                    out.append(Session(s.user, items, stamps or None))
-                    items, stamps = [], []
+                    out.append(Session(s.user, items))
+                    items = []
         if items:
-            out.append(Session(s.user, items, stamps or None))
+            out.append(Session(s.user, items))
     return out, deleted
 
 
@@ -489,7 +520,7 @@ def _check_indices(path, sessions: list[Session], n_users: int, n_songs: int) ->
 
 
 def read_prepared(out_dir) -> PreparedDataset:
-    """Read back a prepared-dataset directory. Sessions lose timestamps.
+    """Read back a prepared-dataset directory.
 
     A user or song index without its line in users.txt or vocab.txt
     raises ``ValueError`` naming the session file it is in.
@@ -510,7 +541,7 @@ def read_prepared(out_dir) -> PreparedDataset:
     return PreparedDataset(vocab, user_keys, SplitDataset(**parts), stats)
 
 
-def prepare(events: list[ListeningEvent], settings: DataConfig, seed: int) -> PreparedDataset:
+def prepare(events: EventColumns, settings: DataConfig, seed: int) -> PreparedDataset:
     """Full pipeline: vocabulary, filter, sessionize, split, overlap deletion,
     under the ``data`` config section ``settings``; ``seed`` drives the split.
 

@@ -1,5 +1,7 @@
 """Shared synthetic corpora and oracle helpers for the test suite."""
 
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,9 @@ BOB_GAPS = [120] * 9
 _SLOT_PATTERN = ["s0", "u0", "s1", "s2", "u1", "u2", "u3", "s3", "u4", "s4"]
 
 
-def _iso(epoch: int) -> str:
-    from songrec.data import format_timestamp
-
-    return format_timestamp(epoch)
+def format_timestamp(epoch: int) -> str:
+    """Epoch seconds -> the canonical ``YYYY-MM-DDTHH:MM:SSZ`` form of the logs."""
+    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _user_lines(user, artist, gaps, group_offset, start0):
@@ -35,7 +36,7 @@ def _user_lines(user, artist, gaps, group_offset, start0):
                 track = f"shared-{code[1]}"
             else:
                 track = f"only-{g}-{code[1]}"
-            lines.append(f"{user}\t{_iso(ts)}\t\t{artist}\t\t{track}")
+            lines.append(f"{user}\t{format_timestamp(ts)}\t\t{artist}\t\t{track}")
             if slot < 9:
                 ts += gaps[slot]
     return lines

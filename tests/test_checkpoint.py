@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -141,7 +143,7 @@ class TestModelRoundTrip:
         meta["hyper"]["h"] = 0
         path = tmp_path / "bad.ckpt"
         checkpoint.save(path, model_type, meta, tensors)
-        with pytest.raises(ValueError, match="^h must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: h must be >= 1, got 0$"):
             checkpoint.load_model(path)
 
     @pytest.mark.parametrize("family", ["w2v", "wmf", "fpmc"])
@@ -154,7 +156,7 @@ class TestModelRoundTrip:
             tensors["stray"] = np.zeros(2)
         path = tmp_path / "bad.ckpt"
         checkpoint.save(path, model_type, meta, tensors)
-        with pytest.raises(ValueError, match="^tensors "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensors "):
             checkpoint.load_model(path)
 
     def test_unknown_model_type_rejected(self, tmp_path):

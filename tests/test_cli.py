@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import songrec
-from songrec import checkpoint, cli
+from songrec import checkpoint, cli, data
 from songrec.cli import _eval_order, main
 from conftest import digit_chain_sessions, third_order_sessions
 from songrec.config import ExperimentConfig, apply_override
@@ -717,6 +717,8 @@ class TestCliErrors:
 
 TRACED_CLI_NAMES = ("w2v_train", "wmf_train", "fpmc_train", "play_count_matrix",
                     "extract_examples")
+TRACED_DATA_STEPS = ("build_vocab", "filter_to_vocab", "build_user_index", "sessionize",
+                     "split_dataset", "delete_train_overlap")
 
 
 class TestTracedNames:
@@ -724,8 +726,32 @@ class TestTracedNames:
     their names on ``songrec.cli``, and counts work from the trainers'
     ``window`` and ``epochs`` keywords and their first positional argument.
     ``fit_model`` must reach them there, or the traced baseline metrics
-    read 0. It also installs its tracer by name on several modules, and
-    reads a sample of the test examples row by row."""
+    read 0. The same holds for the prepare steps on ``songrec.data`` and
+    the parse counts. It also installs its tracer by name on several
+    modules, and reads a sample of the test examples row by row."""
+
+    def test_prepare_calls_traced_data_steps(self, workspace, fixture_tsv, monkeypatch):
+        _, config = workspace
+        calls, parsed = [], []
+        for name in TRACED_DATA_STEPS:
+            def record(*args, _name=name, _fn=getattr(data, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(data, name, record)
+
+        def record_parse(stream, _fn=cli.parse_events):
+            parsed.append(_fn(stream))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_events", record_parse)
+        assert run_cli("prepare", "--config", config) == 0
+        assert calls == list(TRACED_DATA_STEPS)
+        # the benchmark counts lines from the second value parse_events returns
+        (events, summary), = parsed
+        lines = fixture_tsv.read_text(encoding="utf-8").splitlines()
+        assert summary.parsed == len(events) > 0
+        assert summary.parsed + summary.skipped == len(lines)
 
     def test_benchmark_tracer_installs(self):
         # install() fails on any name it can no longer find

@@ -1,13 +1,19 @@
 import gzip
+from collections import Counter, defaultdict
 from datetime import datetime, timezone
+from itertools import count
 
 import numpy as np
 import pytest
 
-from conftest import lastfm_fixture_events, lastfm_fixture_lines
+from conftest import format_timestamp, lastfm_fixture_events, lastfm_fixture_lines
+from songrec import data
 from songrec.config import DataConfig
 from songrec.data import (
-    ListeningEvent,
+    OVERLAP_MODES,
+    SHUFFLE_UNITS,
+    SONG_KEY_SEP,
+    EventColumns,
     Session,
     SplitDataset,
     VocabMap,
@@ -17,7 +23,6 @@ from songrec.data import (
     extract_examples,
     examples_to_arrays,
     filter_to_vocab,
-    format_timestamp,
     open_event_stream,
     parse_events,
     parse_timestamp,
@@ -28,13 +33,54 @@ from songrec.data import (
     split_events,
     write_prepared,
 )
+from songrec.util import make_rng
 
 
 RATIOS = (0.7, 0.1, 0.2)
 
 
-def ev(user, ts, song):
-    return ListeningEvent(user, ts, song)
+def events_from_rows(rows) -> EventColumns:
+    """Event columns of (user_key, timestamp, song_key) rows, keys coded
+    by first appearance as parse_events codes them."""
+    users, songs = defaultdict(count().__next__), defaultdict(count().__next__)
+    rows = list(rows)
+    return EventColumns(
+        np.array([users[u] for u, _, _ in rows], dtype=np.int32),
+        np.array([ts for _, ts, _ in rows], dtype=np.int64),
+        np.array([songs[s] for _, _, s in rows], dtype=np.int32),
+        list(users), list(songs),
+    )
+
+
+def event_rows(events: EventColumns) -> list[tuple[str, int, str]]:
+    """The (user_key, timestamp, song_key) row of every play, in order."""
+    return [(events.user_keys[u], ts, events.song_keys[s])
+            for u, ts, s in zip(events.user.tolist(), events.ts.tolist(), events.song.tolist())]
+
+
+def plays(songs, user="u"):
+    """Event columns of one user playing ``songs`` at t = 0, 1, 2, ..."""
+    return events_from_rows((user, t, song) for t, song in enumerate(songs))
+
+
+def sorted_plays(events, users, vocab):
+    """(user index, timestamp, song index) of every play, laid out as
+    sessionize orders them: by user index, then time, ties in input order."""
+    rows = [(users[u], ts, vocab.forward[song]) for u, ts, song in event_rows(events)]
+    return sorted(rows, key=lambda r: r[:2])
+
+
+def session_stamps(sessions, rows):
+    """Each session's timestamps, cut from the sorted plays ``rows`` (less
+    any play overlap deletion removed) at the session lengths."""
+    stamps, at = [], 0
+    for s in sessions:
+        run = rows[at : at + len(s)]
+        assert [(u, i) for u, _, i in run] == [(s.user, i) for i in s.items]
+        stamps.append([ts for _, ts, _ in run])
+        at += len(s)
+    assert at == len(rows)
+    return stamps
 
 
 class TestParse:
@@ -42,19 +88,19 @@ class TestParse:
         # 1241478537 verified against an independent day-count calendar oracle
         events, summary = parse_events(["u1\t2009-05-04T23:08:57Z\t\tCher\t\tBelieve"])
         assert summary.parsed == 1 and summary.skipped == 0
-        assert events == [ListeningEvent("u1", 1241478537, "CherBelieve")]
+        assert event_rows(events) == [("u1", 1241478537, "CherBelieve")]
 
     def test_empty_stream(self):
         events, summary = parse_events([])
-        assert events == [] and summary.parsed == 0 and summary.skipped == 0
+        assert len(events) == 0 and summary.parsed == 0 and summary.skipped == 0
 
     def test_short_line_skipped(self):
         events, summary = parse_events(["a\tb\tc\td"])
-        assert events == [] and summary.skipped == 1
+        assert len(events) == 0 and summary.skipped == 1
 
     def test_bad_timestamp_skipped(self):
         events, summary = parse_events(["u\tnot-a-time\t\tA\t\tT"])
-        assert events == [] and summary.skipped == 1
+        assert len(events) == 0 and summary.skipped == 1
 
     def test_empty_user_or_names_skipped(self):
         lines = [
@@ -62,7 +108,7 @@ class TestParse:
             "u\t2009-05-04T23:08:57Z\tmbid\t\tmbid\t",
         ]
         events, summary = parse_events(lines)
-        assert events == [] and summary.skipped == 2
+        assert len(events) == 0 and summary.skipped == 2
 
     def test_bytes_input_and_order(self):
         lines = [
@@ -70,7 +116,7 @@ class TestParse:
             b"u2\t2009-05-04T23:08:58Z\t\tA\t\ty",
         ]
         events, _ = parse_events(lines)
-        assert [e.user_key for e in events] == ["u1", "u2"]
+        assert [user for user, _, _ in event_rows(events)] == ["u1", "u2"]
 
     def test_timestamp_round_trip(self):
         for text in ["2005-02-14T00:00:00Z", "2009-05-04T23:08:57Z", "1970-01-01T00:00:01Z"]:
@@ -83,7 +129,7 @@ class TestParse:
         with open_event_stream(path) as stream:
             events, summary = parse_events(stream)
         assert summary.parsed == 1
-        assert events[0].timestamp == 1241478537
+        assert events.ts[0] == 1241478537
 
 
 # Timestamps the canonical-form fast path must either get exactly right
@@ -129,52 +175,71 @@ class TestParseTimestamps:
         events, summary = parse_events([f"u\t{text}\t\tA\t\tT"])
         want = strptime_epoch(text)
         if want is None:
-            assert events == [] and (summary.parsed, summary.skipped) == (0, 1)
+            assert len(events) == 0 and (summary.parsed, summary.skipped) == (0, 1)
         else:
-            assert [e.timestamp for e in events] == [want] and summary.parsed == 1
+            assert events.ts.tolist() == [want] and summary.parsed == 1
 
     def test_one_stream_agrees_line_by_line(self):
-        # one parser sees every string, so a date cached from one line
+        # one block converts every string, so the verdict on one line
         # must not change the verdict on another
         texts = ADVERSARIAL_TIMESTAMPS + ADVERSARIAL_TIMESTAMPS[::-1]
         lines = [f"u{i}\t{t}\t\tA\t\tT" for i, t in enumerate(texts)]
         events, summary = parse_events(lines)
         want = [(f"u{i}", strptime_epoch(t)) for i, t in enumerate(texts)]
         want = [w for w in want if w[1] is not None]
-        assert [(e.user_key, e.timestamp) for e in events] == want
+        assert [(user, ts) for user, ts, _ in event_rows(events)] == want
         assert summary.skipped == len(texts) - len(want)
+
+    def test_verdicts_hold_across_block_boundaries(self, monkeypatch):
+        # blocks of 3 lines cut the stream at every offset; users recur,
+        # so a user first seen on a rejected line must get its code from
+        # its first parsed line, in whichever block that is
+        monkeypatch.setattr(data, "PARSE_BLOCK", 3)
+        texts = ADVERSARIAL_TIMESTAMPS + ADVERSARIAL_TIMESTAMPS[::-1]
+        lines = [f"u{i % 7}\t{t}\t\tA\t\tT{i % 5}" for i, t in enumerate(texts)]
+        lines[10:10] = ["", "u9\t2009-05-04T23:08:57Z\t\tA", "u9\t2009-05-04T23:08:57Z\t\t\t\t"]
+        events, summary = parse_events(lines)
+        want = [(f"u{i % 7}", strptime_epoch(t), f"A{SONG_KEY_SEP}T{i % 5}")
+                for i, t in enumerate(texts)]
+        want = [w for w in want if w[1] is not None]
+        assert event_rows(events) == want
+        assert (summary.parsed, summary.skipped) == (len(want), len(texts) + 2 - len(want))
+        assert events.user_keys == list(dict.fromkeys(user for user, _, _ in want))
+        assert events.song_keys == list(dict.fromkeys(song for _, _, song in want))
 
     def test_equal_keys_share_one_object(self):
         lines = [f"user_{i % 2}\t2009-05-04T23:08:5{i}Z\t\tA\t\tT{i % 3}" for i in range(6)]
         events, _ = parse_events(lines)
-        for a in events:
-            for b in events:
-                assert (a.user_key is b.user_key) == (a.user_key == b.user_key)
-                assert (a.song_key is b.song_key) == (a.song_key == b.song_key)
+        assert (len(events.user_keys), len(events.song_keys)) == (2, 3)
+        rows = event_rows(events)
+        for a_user, _, a_song in rows:
+            for b_user, _, b_song in rows:
+                assert (a_user is b_user) == (a_user == b_user)
+                assert (a_song is b_song) == (a_song == b_song)
 
 
 class TestVocab:
     def test_cap_keeps_most_played(self):
-        events = [ev("u", i, s) for i, s in enumerate("aaabbc")]
+        events = plays("aaabbc")
         vocab = build_vocab(events, cap=2)
         assert vocab.forward == {"a": 0, "b": 1}
 
     def test_cap_above_distinct_keeps_all(self):
-        events = [ev("u", i, s) for i, s in enumerate("abc")]
+        events = plays("abc")
         vocab = build_vocab(events, cap=100)
         assert vocab.size == 3
 
     def test_tie_broken_by_first_appearance(self):
-        events = [ev("u", i, s) for i, s in enumerate("abab")]
+        events = plays("abab")
         vocab = build_vocab(events, cap=1)
         assert vocab.forward == {"a": 0}
 
     def test_empty_events_error(self):
         with pytest.raises(ValueError):
-            build_vocab([], cap=5)
+            build_vocab(plays([]), cap=5)
 
     def test_forward_reverse_inverse(self):
-        events = [ev("u", i, s) for i, s in enumerate("dcabacbdcd")]
+        events = plays("dcabacbdcd")
         vocab = build_vocab(events, cap=10)
         for key, idx in vocab.forward.items():
             assert vocab.reverse[idx] == key
@@ -184,7 +249,7 @@ class TestVocab:
     def test_brute_force_count_oracle(self):
         rng = np.random.default_rng(4)
         songs = [f"s{i}" for i in rng.integers(0, 12, size=200)]
-        events = [ev("u", i, s) for i, s in enumerate(songs)]
+        events = plays(songs)
         vocab = build_vocab(events, cap=5)
         # oracle: count dict + stable sort by (-count, first pos)
         counts, first = {}, {}
@@ -197,28 +262,30 @@ class TestVocab:
 
 class TestFilter:
     def test_all_in_vocab_identity(self):
-        events = [ev("u", i, s) for i, s in enumerate("abc")]
+        events = plays("abc")
         vocab = build_vocab(events, 10)
-        assert filter_to_vocab(events, vocab) == events
+        assert event_rows(filter_to_vocab(events, vocab)) == event_rows(events)
 
     def test_none_in_vocab_empty(self):
-        events = [ev("u", i, s) for i, s in enumerate("abc")]
+        events = plays("abc")
         vocab = VocabMap(["z"])
-        assert filter_to_vocab(events, vocab) == []
+        assert len(filter_to_vocab(events, vocab)) == 0
 
     def test_mixed_is_exact_subsequence(self):
         rng = np.random.default_rng(9)
-        events = [ev("u", i, f"s{x}") for i, x in enumerate(rng.integers(0, 9, 100))]
+        events = plays([f"s{x}" for x in rng.integers(0, 9, 100)])
         vocab = VocabMap(["s1", "s3", "s5"])
         got = filter_to_vocab(events, vocab)
-        assert got == [e for e in events if e.song_key in {"s1", "s3", "s5"}]
+        assert event_rows(got) == [e for e in event_rows(events) if e[2] in {"s1", "s3", "s5"}]
+        assert got.song.tolist() == [vocab.forward[e[2]] for e in event_rows(got)]
 
 
-def _mk_session_events(user, t0, songs, gaps):
-    events, ts = [], t0
+def session_rows(user, t0, songs, gaps):
+    """(user, timestamp, song) rows of ``songs`` played ``gaps`` apart from t0."""
+    ts = t0
     out = []
     for i, song in enumerate(songs):
-        out.append(ev(user, ts, song))
+        out.append((user, ts, song))
         if i < len(gaps):
             ts += gaps[i]
     return out
@@ -231,49 +298,59 @@ class TestSessionize:
         return sessionize(events, vocab, users, gap_seconds), vocab, users
 
     def test_small_gaps_one_session(self):
-        events = _mk_session_events("u", 0, list("abcd"), [600, 600, 600])
-        sessions, _, _ = self._run(events)
+        rows = session_rows("u", 0, list("abcd"), [600, 600, 600])
+        sessions, _, _ = self._run(events_from_rows(rows))
         assert len(sessions) == 1 and len(sessions[0]) == 4
 
     def test_exact_hour_gap_splits(self):
-        events = _mk_session_events("u", 0, list("ab"), [3600])
-        sessions, _, _ = self._run(events)
+        rows = session_rows("u", 0, list("ab"), [3600])
+        sessions, _, _ = self._run(events_from_rows(rows))
         assert [len(s) for s in sessions] == [1, 1]
 
     def test_one_second_under_does_not_split(self):
-        events = _mk_session_events("u", 0, list("ab"), [3599])
-        sessions, _, _ = self._run(events)
+        rows = session_rows("u", 0, list("ab"), [3599])
+        sessions, _, _ = self._run(events_from_rows(rows))
         assert [len(s) for s in sessions] == [2]
 
     def test_interleaved_users_are_independent(self):
-        a = _mk_session_events("a", 0, list("xy"), [120])
-        b = _mk_session_events("b", 60, list("pq"), [120])
-        merged = sorted(a + b, key=lambda e: e.timestamp)
-        sessions, vocab, users = self._run(merged)
+        a = session_rows("a", 0, list("xy"), [120])
+        b = session_rows("b", 60, list("pq"), [120])
+        merged = sorted(a + b, key=lambda e: e[1])
+        sessions, vocab, users = self._run(events_from_rows(merged))
         assert len(sessions) == 2
         by_user = {s.user: s for s in sessions}
         assert [vocab.reverse[i] for i in by_user[users["a"]].items] == ["x", "y"]
         assert [vocab.reverse[i] for i in by_user[users["b"]].items] == ["p", "q"]
 
     def test_out_of_order_input_sorted(self):
-        events = _mk_session_events("u", 0, list("abc"), [60, 60])
-        sessions, vocab, _ = self._run(list(reversed(events)))
+        rows = session_rows("u", 0, list("abc"), [60, 60])
+        sessions, vocab, _ = self._run(events_from_rows(reversed(rows)))
         assert [vocab.reverse[i] for i in sessions[0].items] == ["a", "b", "c"]
 
     def test_gap_invariant_and_idempotence(self, fixture_events):
         sessions, vocab, users = self._run(fixture_events)
         reverse_user = {v: k for k, v in users.items()}
-        for s in sessions:
-            gaps = np.diff(s.timestamps)
+        stamps = session_stamps(sessions, sorted_plays(fixture_events, users, vocab))
+        for s, timestamps in zip(sessions, stamps):
+            gaps = np.diff(timestamps)
             assert (gaps >= 0).all() and (gaps < 3600).all()
             # re-sessionizing a session's own events returns it unchanged
-            events = [
-                ev(reverse_user[s.user], ts, vocab.reverse[i])
-                for i, ts in zip(s.items, s.timestamps)
-            ]
+            events = events_from_rows(
+                (reverse_user[s.user], ts, vocab.reverse[i])
+                for i, ts in zip(s.items, timestamps)
+            )
             again = sessionize(events, vocab, users, 3600)
             assert len(again) == 1
-            assert again[0].items == s.items and again[0].timestamps == s.timestamps
+            again_stamps = session_stamps(again, sorted_plays(events, users, vocab))
+            assert again[0].items == s.items and again_stamps[0] == timestamps
+
+    def test_play_outside_vocab_or_user_index_refused(self):
+        events = plays("ab")
+        users = build_user_index(events)
+        with pytest.raises(ValueError, match="not in vocab"):
+            sessionize(events, VocabMap(["a"]), users, 3600)
+        with pytest.raises(ValueError, match="not in user_index"):
+            sessionize(events, build_vocab(events, 10), {"other": 0}, 3600)
 
     def test_fixture_session_shape(self, fixture_events):
         sessions, _, _ = self._run(fixture_events)
@@ -312,11 +389,11 @@ class TestSplit:
             split_dataset(self._sessions(2), RATIOS, seed=0)
 
     def test_record_level_split(self):
-        events = [ev("u", i * 10, f"s{i}") for i in range(20)]
+        events = events_from_rows(("u", i * 10, f"s{i}") for i in range(20))
         train, val, test = split_events(events, RATIOS, seed=0)
         assert (len(train), len(val), len(test)) == (14, 2, 4)
-        assert sorted(e.song_key for e in train + val + test) == sorted(
-            e.song_key for e in events
+        assert sorted(e[2] for part in (train, val, test) for e in event_rows(part)) == sorted(
+            e[2] for e in event_rows(events)
         )
 
 
@@ -340,11 +417,12 @@ class TestOverlapDeletion:
         # survivors at positions 1 and 3 are separated by a deletion:
         # the session splits into two singletons
         train = [Session(0, [10, 11, 12])]
-        test = [Session(0, [10, 4, 11, 5, 12], [0, 1, 2, 3, 4])]
+        test = [Session(0, [10, 4, 11, 5, 12])]  # played at t = 0..4
         cleaned, deleted = delete_train_overlap(self._split(train, [], test), "drop-seen")
         assert deleted["test"] == 3
         assert [s.items for s in cleaned.test] == [[4], [5]]
-        assert [s.timestamps for s in cleaned.test] == [[1], [3]]
+        survivors = [(0, t, i) for t, i in enumerate(test[0].items) if i not in train[0].items]
+        assert session_stamps(cleaned.test, survivors) == [[1], [3]]
 
     def test_other_users_unaffected(self):
         train = [Session(0, [1, 2])]
@@ -480,11 +558,21 @@ class TestPipeline:
         assert len(extract_examples(split.test, 2)) == 4
 
     def test_record_shuffle_unit(self, fixture_events):
-        prepared = prepare(fixture_events, DataConfig(shuffle_unit="record"), seed=5)
+        settings = DataConfig(shuffle_unit="record")
+        prepared = prepare(fixture_events, settings, seed=5)
         assert sum(prepared.stats["events"].values()) <= 200
-        for part in prepared.split.parts().values():
-            for s in part:
-                gaps = np.diff(s.timestamps)
+        # each part's plays, sorted as sessionize lays them out, less the
+        # plays drop-seen deletion removed, cut at the session lengths
+        users = {key: i for i, key in enumerate(prepared.user_keys)}
+        seen = {(s.user, i) for s in prepared.split.train for i in s.items}
+        kept = filter_to_vocab(fixture_events, prepared.vocab)
+        parts = split_events(kept, settings.ratios, seed=5)
+        for (name, sessions), events in zip(prepared.split.parts().items(), parts):
+            rows = sorted_plays(events, users, prepared.vocab)
+            if name != "train":
+                rows = [r for r in rows if (r[0], r[2]) not in seen]
+            for timestamps in session_stamps(sessions, rows):
+                gaps = np.diff(timestamps)
                 assert (gaps < 3600).all()
 
     def test_prepared_round_trip(self, fixture_events, tmp_path):
@@ -533,3 +621,100 @@ class TestPipeline:
         assert str(err.value) == (
             f"{out / 'val.txt'}: {what} index {bad} is outside the {limit} lines of {source}"
         )
+
+
+def oracle_prepare(rows, settings, seed):
+    """prepare on (user_key, timestamp, song_key) rows in plain Python, one
+    play at a time: the vocabulary by count descending then first
+    appearance, users by first appearance among kept plays, each user's
+    plays stably sorted by time and broken at gaps >= gap_seconds, and the
+    seeded cut over sessions or over plays. Returns (vocab keys, user
+    keys, split)."""
+    counts = Counter(song for _, _, song in rows)  # most_common sorts stably
+    vocab = [song for song, _ in counts.most_common(settings.vocab_cap)]
+    index = {song: i for i, song in enumerate(vocab)}
+    kept = [r for r in rows if r[2] in index]
+    users = {}
+    for user, _, _ in kept:
+        users.setdefault(user, len(users))
+
+    def sessions_of(part):
+        per_user = defaultdict(list)
+        for user, ts, song in part:
+            per_user[users[user]].append((ts, index[song]))
+        sessions = []
+        for u in sorted(per_user):
+            items, last = [], None
+            for ts, song in sorted(per_user[u], key=lambda play: play[0]):
+                if items and ts - last >= settings.gap_seconds:
+                    sessions.append(Session(u, items))
+                    items = []
+                items.append(song)
+                last = ts
+            sessions.append(Session(u, items))
+        return sessions
+
+    def cut(items):
+        n = len(items)
+        n_val, n_test = int(settings.ratios[1] * n), int(settings.ratios[2] * n)
+        n_train = n - n_val - n_test
+        shuffled = [items[i] for i in make_rng(seed).permutation(n)]
+        return shuffled[:n_train], shuffled[n_train : n_train + n_val], shuffled[n_train + n_val :]
+
+    if settings.shuffle_unit == "session":
+        split = SplitDataset(*cut(sessions_of(kept)))
+    else:
+        split = SplitDataset(*map(sessions_of, cut(kept)))
+    split, _ = delete_train_overlap(split, settings.overlap_mode)
+    return vocab, list(users), split
+
+
+def random_log(rng, gap):
+    """(user, timestamp, artist, track) plays of a few users, interleaved
+    and now and then out of order, with equal timestamps, gaps of exactly
+    ``gap`` and one second either side of it, and a small catalog whose
+    songs often tie in count."""
+    streams = []
+    for u in range(int(rng.integers(1, 6))):
+        ts = int(rng.integers(-10**6, 10**9))
+        stream = []
+        for _ in range(int(rng.integers(1, 80))):
+            ts += int(rng.choice([0, 0, 1, 30, gap - 1, gap, gap, gap + 1, 10 * gap]))
+            song = int(rng.integers(0, 14))
+            stream.append((f"user-{u}", ts, f"artist-{song % 3}", f"track-{song}"))
+        streams.append(stream)
+    log = []
+    while any(streams):
+        stream = streams[int(rng.choice([i for i, s in enumerate(streams) if s]))]
+        log.append(stream.pop(0))
+    for i in rng.integers(0, len(log) - 1, size=len(log) // 10).tolist():
+        log[i], log[i + 1] = log[i + 1], log[i]
+    return log
+
+
+class TestPrepareOracle:
+    @pytest.mark.parametrize("unit", SHUFFLE_UNITS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prepare_matches_the_python_oracle(self, monkeypatch, unit, seed):
+        monkeypatch.setattr(data, "PARSE_BLOCK", 7)
+        rng = np.random.default_rng(seed)
+        gap = int(rng.choice([60, 1800, 3600]))
+        log = random_log(rng, gap)
+        settings = DataConfig(vocab_cap=int(rng.integers(3, 12)), gap_seconds=gap,
+                              shuffle_unit=unit, overlap_mode=OVERLAP_MODES[seed % 3])
+        lines = [f"{user}\t{format_timestamp(ts)}\t\t{artist}\t\t{track}"
+                 for user, ts, artist, track in log]
+        events, summary = parse_events(lines)
+        assert summary.parsed == len(log)
+        try:
+            prepared = prepare(events, settings, seed)
+        except ValueError as err:  # too few sessions or plays to split
+            assert "need at least 3" in str(err)
+            return
+        rows = [(user, ts, artist + SONG_KEY_SEP + track) for user, ts, artist, track in log]
+        vocab, users, split = oracle_prepare(rows, settings, seed)
+        assert prepared.vocab.reverse == vocab
+        assert prepared.user_keys == users
+        for name, sessions in split.parts().items():
+            got = prepared.split.parts()[name]
+            assert [(s.user, s.items) for s in got] == [(s.user, s.items) for s in sessions]

@@ -40,8 +40,9 @@ import os
 
 import pytest
 
+from conftest import format_timestamp
 from songrec.cli import main
-from songrec.data import OVERLAP_MODES, SHUFFLE_UNITS, format_timestamp
+from songrec.data import OVERLAP_MODES, SHUFFLE_UNITS
 from songrec.util import make_rng
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
