@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +22,7 @@ from .util import Recommender, checked_tensors
 
 def _session_items(sessions):
     # perfbench/spans.py counts the w2v pairs through this name
-    return [s.items for s in sessions]
+    return np.split(sessions.items, sessions.offsets[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -94,23 +93,22 @@ def _noise_cumdist(items: np.ndarray, n_songs: int) -> np.ndarray:
     return np.cumsum(weights / total)
 
 
-def _pair_count(length: int, window: int) -> int:
-    """(center, context) pairs of one session: each of the ``reach``
-    distances k in 1..min(window, length - 1) gives length - k pairs
-    in each direction."""
-    reach = max(min(window, length - 1), 0)
-    return reach * (2 * length - reach - 1)
+def _pair_count(lengths, window: int):
+    """(center, context) pairs of sessions of ``lengths`` songs (an array or
+    an int): each of the ``reach`` distances k in 1..min(window, length - 1)
+    gives length - k pairs in each direction; reach -1 (no song) gives none."""
+    reach = np.minimum(lengths - 1, window)
+    return reach * (2 * lengths - reach - 1)
 
 
 PAIR_BLOCK = 1 << 14  # (center, context) pairs per block in w2v_train
 
 
-def _pair_blocks(items: np.ndarray, lengths: np.ndarray, window: int):
-    """Yield (centers, contexts) song arrays of the sessions concatenated
+def _pair_blocks(items: np.ndarray, offsets: np.ndarray, window: int):
+    """Yield (centers, contexts) song arrays of the sessions at ``offsets``
     in ``items``, in (session, position, offset) order, in blocks of at
     most max(PAIR_BLOCK, 2 * window) pairs."""
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
+    starts, ends = offsets[:-1], offsets[1:]
     offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
     step = max(PAIR_BLOCK // (2 * window), 1)
     for lo in range(0, len(items), step):
@@ -149,8 +147,8 @@ def w2v_train(
     zero; epochs=0 returns that initialization untouched. After each
     epoch, optional callbacks run as callback(epoch, emb, epoch_loss).
     """
-    items_lists = _session_items(sessions)
-    if not items_lists or all(len(x) == 0 for x in items_lists):
+    items = sessions.items
+    if not len(items):
         raise ValueError("empty sessions")
 
     v_in = rng.uniform(-0.5 / d, 0.5 / d, size=(n_songs, d))
@@ -159,16 +157,14 @@ def w2v_train(
     if epochs == 0:
         return emb
 
-    items = np.fromiter(chain.from_iterable(items_lists), dtype=np.int64)
-    lengths = np.array([len(x) for x in items_lists])
     cum = _noise_cumdist(items, n_songs)
-    epoch_pairs = sum(_pair_count(len(x), window) for x in items_lists)
+    epoch_pairs = int(_pair_count(sessions.lengths, window).sum())
     total_pairs = epochs * epoch_pairs
     min_lr = lr * 1e-4
     done = 0
     for epoch in range(epochs):
         epoch_loss = 0.0
-        for centers, contexts in _pair_blocks(items, lengths, window):
+        for centers, contexts in _pair_blocks(items, sessions.offsets, window):
             b = len(centers)
             negs = np.searchsorted(cum, rng.random(b * negatives)).reshape(b, negatives)
             np.clip(negs, 0, len(cum) - 1, out=negs)
@@ -252,14 +248,8 @@ class WmfFactors(Recommender):
 
 def play_count_matrix(sessions, n_users: int, n_songs: int) -> sp.csr_matrix:
     """(user, song) play counts aggregated over the whole training split."""
-    rows, cols = [], []
-    for s in sessions:
-        rows.extend([s.user] * len(s.items))
-        cols.extend(s.items)
-    data = np.ones(len(rows))
-    return sp.csr_matrix(
-        (data, (rows, cols)), shape=(n_users, n_songs)
-    )
+    return sp.csr_matrix((np.ones(len(sessions.items)), (sessions.item_users(), sessions.items)),
+                         shape=(n_users, n_songs))
 
 
 OBJECTIVE_CHUNK = 4096  # observed cells per gather in wmf_objective

@@ -129,7 +129,7 @@ def fit_model(cfg: ExperimentConfig, prepared):
     split = prepared.split
     n_songs, n_users = prepared.n_songs, prepared.n_users
     if mc.family == "w2v":
-        pairs = sum(_pair_count(len(s.items), mc.w2v.window) for s in split.train)
+        pairs = int(_pair_count(split.train.lengths, mc.w2v.window).sum())
         progress = _epoch_progress(mc.family, mc.w2v.epochs, pairs, "pairs")
         emb = w2v_train(split.train, n_songs, d=mc.d, rng=make_rng(cfg.subseed("train")),
                         callbacks=[progress], **dataclasses.asdict(mc.w2v))

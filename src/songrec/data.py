@@ -81,21 +81,40 @@ class ParseSummary:
 
 
 @dataclass(slots=True)
-class Session:
-    """A maximal run of one user's plays with every inter-event gap below the cutoff."""
+class SessionTable:
+    """Sessions as int64 columns: session r is user ``users[r]`` playing
+    ``items[offsets[r]:offsets[r + 1]]``, a maximal run of plays with every
+    gap below the cutoff, or what overlap deletion left of one. ``offsets``
+    starts at 0 and has one entry more than ``users``; a session may be empty."""
 
-    user: int
-    items: list[int]
+    users: np.ndarray
+    offsets: np.ndarray
+    items: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.users)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def item_users(self) -> np.ndarray:
+        """The user of every play in ``items``."""
+        return np.repeat(self.users, self.lengths)
+
+    def take(self, rows) -> SessionTable:
+        """The sessions at ``rows`` (indices or a mask), in that order."""
+        lengths = self.lengths[rows]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        shift = np.repeat(self.offsets[:-1][rows] - offsets[:-1], lengths)
+        return SessionTable(self.users[rows], offsets, self.items[np.arange(offsets[-1]) + shift])
 
 
 @dataclass(slots=True)
 class SplitDataset:
-    train: list[Session]
-    val: list[Session]
-    test: list[Session]
+    train: SessionTable
+    val: SessionTable
+    test: SessionTable
 
     def parts(self):
         return {"train": self.train, "val": self.val, "test": self.test}
@@ -286,7 +305,7 @@ def sessionize(
     vocab: VocabMap,
     user_index: dict[str, int],
     gap_seconds: int,
-) -> list[Session]:
+) -> SessionTable:
     """Group each user's plays into sessions split at gaps >= ``gap_seconds``.
 
     Plays are stably sorted by (user index, timestamp) first, so input
@@ -304,18 +323,14 @@ def sessionize(
     users, ts = users[order], events.ts[order]
     breaks = (users[1:] != users[:-1]) | (np.diff(ts) >= gap_seconds)
     starts = np.flatnonzero(np.concatenate(([len(ts) > 0], breaks)))
-    bounds = np.append(starts, len(ts)).tolist()
-    # through an object array, so equal song indices share one int object
-    items = np.array(range(vocab.size), dtype=object)[items[order]].tolist()
-    return [Session(u, items[a:b])
-            for u, a, b in zip(users[starts].tolist(), bounds[:-1], bounds[1:])]
+    return SessionTable(users[starts].astype(np.int64), np.append(starts, len(ts)),
+                        items[order].astype(np.int64))
 
 
-def split_dataset(sessions: list[Session], ratios: Sequence[float], seed: int) -> SplitDataset:
+def split_dataset(sessions: SessionTable, ratios: Sequence[float], seed: int) -> SplitDataset:
     """Shuffle whole sessions and cut them into train/val/test with
     :func:`_split_rows`; within-session order is never disturbed."""
-    return SplitDataset(*([sessions[i] for i in rows.tolist()]
-                          for rows in _split_rows(len(sessions), ratios, seed)))
+    return SplitDataset(*map(sessions.take, _split_rows(len(sessions), ratios, seed)))
 
 
 def split_events(events: EventColumns, ratios: Sequence[float], seed: int
@@ -341,39 +356,21 @@ def _split_rows(n: int, ratios: Sequence[float], seed: int) -> tuple[np.ndarray,
     return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
 
 
-def _train_song_sets(train: list[Session]) -> dict[int, set[int]]:
-    seen: dict[int, set[int]] = defaultdict(set)
-    for s in train:
-        seen[s.user].update(s.items)
-    return seen
+def _user_song_keys(sessions: SessionTable) -> np.ndarray:
+    """The (user, song) pair of every play as one int64 key, user << 32 | song."""
+    return sessions.item_users() << 32 | sessions.items
 
 
-def _clean_sessions(
-    sessions: list[Session], train_songs: dict[int, set[int]], mode: str
-) -> tuple[list[Session], int]:
-    """Apply the overlap rule to one part; deletions split sessions apart."""
-    out: list[Session] = []
-    deleted = 0
-    keep_seen = mode == "keep-only-seen"  # else drop-seen
-    for s in sessions:
-        seen = train_songs.get(s.user, set())
-        items: list[int] = []
-        for i in s.items:
-            if (i in seen) == keep_seen:
-                items.append(i)
-            else:
-                deleted += 1
-                if items:
-                    out.append(Session(s.user, items))
-                    items = []
-        if items:
-            out.append(Session(s.user, items))
-    return out, deleted
+def _train_song_sets(train: SessionTable) -> dict[int, set[int]]:
+    """User index -> the set of songs that user played in ``train``."""
+    keys = np.sort(_user_song_keys(train))
+    users, songs = keys >> 32, (keys & 0xFFFFFFFF).tolist()
+    starts = np.flatnonzero(np.diff(users, prepend=-1))
+    bounds = np.append(starts, len(keys)).tolist()
+    return {u: set(songs[a:b]) for u, a, b in zip(users[starts].tolist(), bounds, bounds[1:])}
 
 
-def delete_train_overlap(
-    split: SplitDataset, mode: str
-) -> tuple[SplitDataset, dict[str, int]]:
+def delete_train_overlap(split: SplitDataset, mode: str) -> tuple[SplitDataset, dict[str, int]]:
     """Remove val/test events by the (user, song)-seen-in-training rule.
 
     ``mode``, one of ``OVERLAP_MODES``:
@@ -387,14 +384,27 @@ def delete_train_overlap(
     """
     if mode == "none":
         return split, {"val": 0, "test": 0}
-    train_songs = _train_song_sets(split.train)
-    val, n_val = _clean_sessions(split.val, train_songs, mode)
-    test, n_test = _clean_sessions(split.test, train_songs, mode)
-    cleaned = SplitDataset(split.train, val, test)
-    return cleaned, {"val": n_val, "test": n_test}
+    seen = np.sort(_user_song_keys(split.train))
+    keep_seen = mode == "keep-only-seen"  # else drop-seen
+    parts, deleted = {}, {}
+    for name in ("val", "test"):
+        part = split.parts()[name]
+        keys = _user_song_keys(part)
+        # a key is in ``seen`` where its two insertion points differ
+        keep = (np.searchsorted(seen, keys) != np.searchsorted(seen, keys, "right")) == keep_seen
+        # a kept play starts a session where one started or a play was deleted
+        starts = np.zeros(len(keep) + 1, dtype=bool)
+        starts[part.offsets] = True
+        starts[1:-1] |= ~keep[:-1]
+        starts = np.flatnonzero(starts[:-1][keep])
+        items = part.items[keep]
+        users = part.item_users()[keep][starts]
+        parts[name] = SessionTable(users, np.append(starts, len(items)), items)
+        deleted[name] = len(keep) - len(items)
+    return SplitDataset(split.train, **parts), deleted
 
 
-def extract_examples(sessions: list[Session], j: int) -> np.recarray:
+def extract_examples(sessions: SessionTable, j: int) -> np.recarray:
     """One example per in-session position with at least j predecessors,
     as an int64 record array with fields ``user``, ``context`` ((j,),
     oldest first) and ``target``.
@@ -404,14 +414,11 @@ def extract_examples(sessions: list[Session], j: int) -> np.recarray:
     """
     if j < 1:
         raise ValueError("context length j must be >= 1")
-    lengths = np.fromiter(map(len, sessions), dtype=np.int64, count=len(sessions))
-    users = np.fromiter((s.user for s in sessions), dtype=np.int64, count=len(sessions))
-    items = np.fromiter(chain.from_iterable(s.items for s in sessions), dtype=np.int64,
-                        count=int(lengths.sum()))
-    pos = np.arange(len(items)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    items = sessions.items
+    pos = np.arange(len(items)) - np.repeat(sessions.offsets[:-1], sessions.lengths)
     at = np.flatnonzero(pos >= j)  # flat index of every target
     return np.rec.fromarrays(
-        [np.repeat(users, lengths)[at], items[at[:, None] + np.arange(-j, 0)], items[at]],
+        [sessions.item_users()[at], items[at[:, None] + np.arange(-j, 0)], items[at]],
         dtype=[("user", np.int64), ("context", np.int64, (j,)), ("target", np.int64)])
 
 
@@ -423,17 +430,14 @@ def examples_to_arrays(examples: np.recarray) -> tuple[np.ndarray, np.ndarray, n
     return tuple(np.ascontiguousarray(examples[name]) for name in ("user", "context", "target"))
 
 
-def drop_unknown_users(
-    sessions: list[Session], train_sessions: list[Session]
-) -> list[Session]:
+def drop_unknown_users(sessions: SessionTable, train_sessions: SessionTable) -> SessionTable:
     """Drop sessions of users absent from training (their embedding would
     be untrained); warns when anything is dropped."""
-    known = {s.user for s in train_sessions}
-    kept = [s for s in sessions if s.user in known]
-    dropped = len(sessions) - len(kept)
+    known = np.isin(sessions.users, train_sessions.users)
+    dropped = len(sessions) - int(np.count_nonzero(known))
     if dropped:
         logger.warning("dropped %d sessions of users absent from training", dropped)
-    return kept
+    return sessions.take(known)
 
 
 # ---------------------------------------------------------------------------
@@ -463,31 +467,49 @@ class PreparedDataset:
         return len(self.user_keys)
 
 
-def _session_lines(sessions: list[Session]) -> str:
-    return "".join(
-        f"{s.user} {','.join(str(i) for i in s.items)}\n" for s in sessions
-    )
+def _session_lines(sessions: SessionTable) -> str:
+    """Session file text: one line "<user> <song>,<song>,..." per session."""
+    distinct, at = np.unique(sessions.items, return_inverse=True)  # one string per song
+    songs = np.array(list(map(str, distinct.tolist())), dtype=object)[at].tolist()
+    bounds = sessions.offsets.tolist()
+    return "".join(f"{u} {','.join(songs[a:b])}\n"
+                   for u, a, b in zip(sessions.users.tolist(), bounds, bounds[1:]))
 
 
-def _parse_session_lines(text: str, path) -> list[Session]:
-    """Sessions of one session file; a malformed line raises ``ValueError``
-    naming ``path`` and the line number."""
-    sessions = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line:
-            continue
-        user_text, _, items_text = line.partition(" ")
-        tokens = items_text.split(",") if items_text else []
-        try:
-            user, items = int(user_text), [int(tok) for tok in tokens]
-        except ValueError:
-            for what, tok in [("user", user_text), *(("song", tok) for tok in tokens)]:
+def _read_sessions(text: str, path, n_users: int, n_songs: int) -> SessionTable:
+    """The sessions of session file ``path``: each non-empty line split at
+    its first space into a user index and comma-separated song indices,
+    each read by ``int``. A token ``int`` rejects, a user index without
+    its line in users.txt and a song index without its line in vocab.txt
+    raise ``ValueError`` naming ``path``."""
+    # partition's tuples live one at a time; what stays is strings and ints
+    parts = list(chain.from_iterable(map(str.partition, filter(None, text.splitlines()),
+                                         repeat(" "))))
+    heads, tails = parts[0::3], parts[2::3]
+    songs = ",".join(filter(None, tails))
+    try:  # an index past int64 makes an object array, and a range error below
+        users = np.array(list(map(int, heads)))
+        items = np.array(list(map(int, songs.split(",") if songs else [])))
+    except ValueError:  # name the first token int() rejects, by the same rule
+        for number, line in enumerate(text.splitlines(), 1):
+            user_text, _, items_text = line.partition(" ")
+            tokens = items_text.split(",") if items_text else []
+            for what, tok in [("user", user_text), *(("song", t) for t in tokens)] if line else ():
                 try:
                     int(tok)
                 except ValueError:
                     raise ValueError(f"{path} line {number}: bad {what} index {tok!r}") from None
-        sessions.append(Session(user, items))
-    return sessions
+        raise
+    for what, values, n, source in (("user", users, n_users, "users.txt"),
+                                    ("song", items, n_songs, "vocab.txt")):
+        lo, hi = (values.min(), values.max()) if len(values) else (0, -1)
+        if lo < 0 or hi >= n:
+            bad = lo if lo < 0 else hi
+            raise ValueError(f"{path}: {what} index {bad} is outside the {n} lines of {source}")
+    lengths = (np.fromiter(map(str.count, tails, repeat(",")), np.int64, len(tails))
+               + np.fromiter(map(bool, tails), bool, len(tails)))  # commas + 1, or no song
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    return SessionTable(users.astype(np.int64), offsets, items.astype(np.int64))
 
 
 def write_prepared(out_dir, prepared: PreparedDataset) -> None:
@@ -506,19 +528,6 @@ def write_prepared(out_dir, prepared: PreparedDataset) -> None:
     atomic_write_json(os.path.join(out_dir, "stats.json"), prepared.stats)
 
 
-def _check_indices(path, sessions: list[Session], n_users: int, n_songs: int) -> None:
-    """Raise ``ValueError`` naming ``path`` unless every user index of
-    ``sessions`` has a line in users.txt and every song index one in vocab.txt."""
-    users = [s.user for s in sessions]
-    songs = list(chain.from_iterable(s.items for s in sessions))
-    for what, values, n, source in (("user", users, n_users, "users.txt"),
-                                    ("song", songs, n_songs, "vocab.txt")):
-        lo, hi = min(values, default=0), max(values, default=-1)
-        if lo < 0 or hi >= n:
-            bad = lo if lo < 0 else hi
-            raise ValueError(f"{path}: {what} index {bad} is outside the {n} lines of {source}")
-
-
 def read_prepared(out_dir) -> PreparedDataset:
     """Read back a prepared-dataset directory.
 
@@ -533,11 +542,9 @@ def read_prepared(out_dir) -> PreparedDataset:
     vocab = VocabMap(read("vocab.txt").splitlines())
     user_keys = read("users.txt").splitlines()
     stats = json.loads(read("stats.json"))
-    parts = {}
-    for name in ("train", "val", "test"):
-        path = os.path.join(out_dir, f"{name}.txt")
-        parts[name] = _parse_session_lines(read(f"{name}.txt"), path)
-        _check_indices(path, parts[name], len(user_keys), vocab.size)
+    parts = {name: _read_sessions(read(f"{name}.txt"), os.path.join(out_dir, f"{name}.txt"),
+                                  len(user_keys), vocab.size)
+             for name in ("train", "val", "test")}
     return PreparedDataset(vocab, user_keys, SplitDataset(**parts), stats)
 
 
@@ -558,13 +565,12 @@ def prepare(events: EventColumns, settings: DataConfig, seed: int) -> PreparedDa
 
     if settings.shuffle_unit == "session":
         sessions = sessionize(kept, vocab, user_index, settings.gap_seconds)
-        n_sessions_in = len(sessions)
         split = split_dataset(sessions, settings.ratios, seed)
     else:
         parts = split_events(kept, settings.ratios, seed)
-        by_part = [sessionize(p, vocab, user_index, settings.gap_seconds) for p in parts]
-        n_sessions_in = sum(len(p) for p in by_part)
-        split = SplitDataset(*by_part)
+        split = SplitDataset(*(sessionize(p, vocab, user_index, settings.gap_seconds)
+                               for p in parts))
+    n_sessions_in = sum(map(len, split.parts().values()))
 
     split, deleted = delete_train_overlap(split, settings.overlap_mode)
 
@@ -575,7 +581,7 @@ def prepare(events: EventColumns, settings: DataConfig, seed: int) -> PreparedDa
         "records_raw": len(events),
         "sessions_before_overlap": n_sessions_in,
         "sessions": {k: len(v) for k, v in split.parts().items()},
-        "events": {k: sum(len(s) for s in v) for k, v in split.parts().items()},
+        "events": {k: len(v.items) for k, v in split.parts().items()},
         "deleted_overlap": deleted,
         "seed": seed,
         "ratios": list(settings.ratios),

@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from songrec.data import Session, parse_events
+from songrec.data import SessionTable, parse_events
 from songrec.util import make_rng
 
 T0 = 1241395200  # 2009-05-04T00:00:00Z
@@ -74,6 +74,23 @@ def fixture_tsv(tmp_path):
     return path
 
 
+def session_table(rows) -> SessionTable:
+    """The SessionTable of (user, songs) rows, one session each, in order."""
+    rows = list(rows)
+    lengths = [len(items) for _, items in rows]
+    return SessionTable(np.array([user for user, _ in rows], dtype=np.int64),
+                        np.cumsum([0, *lengths], dtype=np.int64),
+                        np.array([i for _, items in rows for i in items], dtype=np.int64))
+
+
+def table_rows(sessions: SessionTable) -> list[tuple[int, list[int]]]:
+    """The (user, songs) row of every session of ``sessions``; inverse of
+    :func:`session_table`."""
+    bounds = sessions.offsets.tolist()
+    return [(user, sessions.items[a:b].tolist())
+            for user, a, b in zip(sessions.users.tolist(), bounds, bounds[1:])]
+
+
 def playlist_sessions(n_users=20, n_songs=50, cycle=10, repeats=3, seed=123):
     """Each user deterministically cycles a private playlist of ``cycle``
     songs drawn from the shared catalog."""
@@ -81,8 +98,8 @@ def playlist_sessions(n_users=20, n_songs=50, cycle=10, repeats=3, seed=123):
     sessions = []
     for u in range(n_users):
         playlist = rng.choice(n_songs, size=cycle, replace=False)
-        sessions.append(Session(u, [int(i) for i in np.tile(playlist, repeats)]))
-    return sessions
+        sessions.append((u, [int(i) for i in np.tile(playlist, repeats)]))
+    return session_table(sessions)
 
 
 def third_order_sessions(n_sessions, length=12, n_songs=30, perm_seed=77, seed=1, user=0):
@@ -95,8 +112,8 @@ def third_order_sessions(n_sessions, length=12, n_songs=30, perm_seed=77, seed=1
         items = [int(x) for x in rng.integers(0, n_songs, size=3)]
         while len(items) < length:
             items.append(int(perm[items[-3]]))
-        sessions.append(Session(user, items))
-    return sessions
+        sessions.append((user, items))
+    return session_table(sessions)
 
 
 def digit_chain_sessions(n_sessions, length=12, seed=1, user=0):
@@ -112,8 +129,8 @@ def digit_chain_sessions(n_sessions, length=12, seed=1, user=0):
         items = [int(x) for x in rng.integers(0, 27, size=3)]
         while len(items) < length:
             items.append(9 * (items[-1] % 3) + 3 * (items[-2] // 3 % 3) + items[-3] // 9)
-        sessions.append(Session(user, items))
-    return sessions
+        sessions.append((user, items))
+    return session_table(sessions)
 
 
 def markov_chain_sessions(n_songs=20, n_users=5, sessions_per_user=10,
@@ -127,8 +144,8 @@ def markov_chain_sessions(n_songs=20, n_users=5, sessions_per_user=10,
             items = [int(rng.integers(n_songs))]
             for _ in range(session_len - 1):
                 items.append(int(succ[items[-1]]))
-            sessions.append(Session(u, items))
-    return sessions
+            sessions.append((u, items))
+    return session_table(sessions)
 
 
 def two_pool_sessions(pool_size=25, sessions_per_pool=200, length=10, seed=55):
@@ -138,8 +155,8 @@ def two_pool_sessions(pool_size=25, sessions_per_pool=200, length=10, seed=55):
     for base in (0, pool_size):
         for _ in range(sessions_per_pool):
             items = [int(base + i) for i in rng.integers(0, pool_size, size=length)]
-            sessions.append(Session(0, items))
-    return sessions
+            sessions.append((0, items))
+    return session_table(sessions)
 
 
 class UniformScorer:

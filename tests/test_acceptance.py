@@ -19,6 +19,7 @@ from conftest import (
     markov_chain_sessions,
     pairwise_auc,
     playlist_sessions,
+    session_table,
     third_order_sessions,
     two_pool_sessions,
 )
@@ -33,7 +34,6 @@ from songrec.baselines import (
 from songrec.config import DataConfig, ModelConfig
 from songrec.core import grad_check
 from songrec.data import (
-    Session,
     build_user_index,
     build_vocab,
     extract_examples,
@@ -175,7 +175,7 @@ def test_c06_fpmc_learning():
     sessions = markov_chain_sessions(
         n_songs=20, n_users=5, sessions_per_user=10, session_len=40
     )
-    n_events = sum(len(s) for s in sessions)
+    n_events = len(sessions.items)
     examples = extract_examples(sessions, 1)
     # per-init AUC spreads ~0.04 (few distinct transitions, factors shared
     # across them), so chance level is averaged over fresh inits
@@ -230,8 +230,8 @@ def test_c08_metric_oracle():
     n_songs, n_examples = 1000, 2000
     rng = make_rng(61)
     examples = extract_examples(
-        [Session(0, [int(rng.integers(n_songs)), int(rng.integers(n_songs))])
-         for _ in range(n_examples)], 1)
+        session_table((0, [int(rng.integers(n_songs)), int(rng.integers(n_songs))])
+                      for _ in range(n_examples)), 1)
     report = evaluate(UniformScorer(n_songs, seed=62), examples, EvalConfig(ks=DEFAULT_KS),
                       seed=0)
     deviations = {}
@@ -260,7 +260,7 @@ def test_c09_pipeline_fixture(tmp_path):
     users = build_user_index(kept)
     sessions = sessionize(kept, vocab, users, 3600)
     # 3599 s gap held, every exact 3600 s (and larger) gap split
-    session_shape = len(sessions) == 20 and all(len(s) == 10 for s in sessions)
+    session_shape = len(sessions) == 20 and bool((sessions.lengths == 10).all())
     split = split_dataset(sessions, (0.7, 0.1, 0.2), seed=5)
     sizes = (len(split.train), len(split.val), len(split.test))
     prepared = prepare(events, DataConfig(), seed=5)
@@ -302,8 +302,8 @@ def test_c10_checkpoint_round_trip(tmp_path):
         checkpoint.save(path, *model.to_checkpoint())
         loaded = checkpoint.load_model(path)
         neural = family in ("cnnrec", "nnrec")
-        examples = extract_examples([Session(0, [1, 2, 3, 4] if neural else [1, 4]),
-                                     Session(1, [5, 0, 2, 0] if neural else [5, 0])],
+        examples = extract_examples(session_table([(0, [1, 2, 3, 4] if neural else [1, 4]),
+                                                   (1, [5, 0, 2, 0] if neural else [5, 0])]),
                                     3 if neural else 1)
         cfg = EvalConfig(ks=(1, 3, 8))  # smallest stub catalog has 8 songs
         a = evaluate(model, examples, cfg, seed=0, label=family)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
+from conftest import session_table, table_rows
 from songrec import baselines
 from songrec.baselines import (
     FpmcFactors,
@@ -18,7 +19,7 @@ from songrec.baselines import (
     wmf_objective,
     wmf_train,
 )
-from songrec.data import Session, extract_examples
+from songrec.data import extract_examples
 from songrec.util import make_rng, top_k_indices
 
 
@@ -48,7 +49,7 @@ class TestSgnsLoss:
 
 class TestW2vTrain:
     def test_zero_epochs_returns_initialization(self):
-        sessions = [Session(0, [0, 1, 2])]
+        sessions = session_table([(0, [0, 1, 2])])
         kw = dict(d=4, window=5, negatives=5, lr=0.025, epochs=0)
         a = w2v_train(sessions, 5, **kw, rng=make_rng(3))
         b = w2v_train(sessions, 5, **kw, rng=make_rng(3))
@@ -58,7 +59,8 @@ class TestW2vTrain:
 
     def test_empty_sessions_error(self):
         with pytest.raises(ValueError):
-            w2v_train([], 5, d=4, window=5, negatives=5, lr=0.025, epochs=5, rng=make_rng(0))
+            w2v_train(session_table([]), 5, d=4, window=5, negatives=5, lr=0.025, epochs=5,
+                      rng=make_rng(0))
 
     def test_always_adjacent_songs_become_similar(self):
         # songs 0 and 1 only ever appear as a repeated adjacent block
@@ -75,8 +77,8 @@ class TestW2vTrain:
                 pos = int(rng.integers(len(items) + 1))
                 pair = [0, 1] if rng.random() < 0.5 else [1, 0]
                 items = items[:pos] + pair * 2 + items[pos:]
-            sessions.append(Session(0, items))
-        emb = w2v_train(sessions, 20, d=8, window=2, negatives=5, lr=0.05,
+            sessions.append((0, items))
+        emb = w2v_train(session_table(sessions), 20, d=8, window=2, negatives=5, lr=0.05,
                         epochs=5, rng=make_rng(31))
         unit = emb.v_in / np.linalg.norm(emb.v_in, axis=1, keepdims=True)
         cos_pair = float(unit[0] @ unit[1])
@@ -84,13 +86,13 @@ class TestW2vTrain:
         assert cos_pair > cos_rest
 
     def test_loss_history_decreases(self):
-        sessions = [Session(0, [0, 1, 2, 0, 1, 2, 0, 1]) for _ in range(50)]
+        sessions = session_table((0, [0, 1, 2, 0, 1, 2, 0, 1]) for _ in range(50))
         emb = w2v_train(sessions, 3, d=6, window=2, negatives=5, lr=0.025, epochs=4,
                         rng=make_rng(32))
         assert emb.loss_history[-1] < emb.loss_history[0]
 
     def test_deterministic_given_seed(self):
-        sessions = [Session(0, [0, 1, 2, 3])]
+        sessions = session_table([(0, [0, 1, 2, 3])])
         kw = dict(d=4, window=5, negatives=5, lr=0.025, epochs=2)
         a = w2v_train(sessions, 4, **kw, rng=make_rng(33))
         b = w2v_train(sessions, 4, **kw, rng=make_rng(33))
@@ -100,7 +102,7 @@ class TestW2vTrain:
 def reference_w2v(sessions, n_songs, *, d, window, negatives, lr, epochs, rng):
     """The per-pair SGNS loop w2v_train replaced: one draw, one learning
     rate and one loss per pair. Returns (v_in, v_out, loss_history)."""
-    items_lists = [s.items for s in sessions]
+    items_lists = [items for _, items in table_rows(sessions)]
     v_in = rng.uniform(-0.5 / d, 0.5 / d, size=(n_songs, d))
     v_out = np.zeros((n_songs, d))
     counts = np.zeros(n_songs)
@@ -153,8 +155,8 @@ class TestW2vBlocks:
         # both the plain and the np.add.at update run; a small block makes
         # the pairs, draws and learning rates cross many block boundaries
         gen = make_rng(40)
-        sessions = [Session(0, gen.integers(0, n_songs, size=int(gen.integers(0, 9))).tolist())
-                    for _ in range(40)]
+        sessions = session_table(
+            (0, gen.integers(0, n_songs, size=int(gen.integers(0, 9))).tolist()) for _ in range(40))
         kw = dict(d=5, window=window, negatives=negatives, lr=0.05, epochs=3)
         ref_rng, rng = make_rng(41), make_rng(41)
         v_in, v_out, history = reference_w2v(sessions, n_songs, **kw, rng=ref_rng)
@@ -173,8 +175,8 @@ class TestW2vBlocks:
 
     def test_callbacks_get_each_epoch_loss(self):
         seen = []
-        emb = w2v_train([Session(0, [0, 1, 2, 1])], 3, d=4, window=2, negatives=2, lr=0.025,
-                        epochs=3, rng=make_rng(42),
+        emb = w2v_train(session_table([(0, [0, 1, 2, 1])]), 3, d=4, window=2, negatives=2,
+                        lr=0.025, epochs=3, rng=make_rng(42),
                         callbacks=[lambda epoch, model, loss: seen.append((epoch, model, loss))])
         assert seen == [(e, emb, loss) for e, loss in enumerate(emb.loss_history)]
 
@@ -267,7 +269,7 @@ class TestWmf:
             wmf_train(r, f=2, alpha=40.0, lam=0.1, iters=15, rng=make_rng(0))
 
     def test_play_count_matrix(self):
-        sessions = [Session(0, [1, 1, 2]), Session(1, [2]), Session(0, [1])]
+        sessions = session_table([(0, [1, 1, 2]), (1, [2]), (0, [1])])
         r = play_count_matrix(sessions, 2, 4)
         assert r.shape == (2, 4)
         assert r.toarray().tolist() == [[0, 3, 1, 0], [0, 0, 1, 0]]
@@ -345,7 +347,7 @@ class TestFpmcTrain:
             assert after > before
 
     def test_zero_lr_no_change(self):
-        examples = extract_examples([Session(0, [1, 2]), Session(1, [2, 3])], 1)
+        examples = extract_examples(session_table([(0, [1, 2]), (1, [2, 3])]), 1)
         factors = fpmc_train(examples, 2, 5, f=3, lr=0.0, lam=0.0, epochs=3,
                              rng=make_rng(52))
         fresh = fpmc_init(2, 5, f=3, lr=0.0, lam=0.0, rng=make_rng(52))
@@ -357,13 +359,13 @@ class TestFpmcTrain:
 
     def test_context_length_must_be_one(self):
         with pytest.raises(ValueError):
-            fpmc_train(extract_examples([Session(0, [1, 2, 3])], 2), 1, 5, f=32, lr=0.05,
-                       lam=0.01, epochs=30, rng=make_rng(0))
+            fpmc_train(extract_examples(session_table([(0, [1, 2, 3])]), 2), 1, 5, f=32,
+                       lr=0.05, lam=0.01, epochs=30, rng=make_rng(0))
 
     def test_empty_examples_error(self):
         with pytest.raises(ValueError):
-            fpmc_train(extract_examples([], 1), 1, 5, f=32, lr=0.05, lam=0.01, epochs=30,
-                       rng=make_rng(0))
+            fpmc_train(extract_examples(session_table([]), 1), 1, 5, f=32, lr=0.05, lam=0.01,
+                       epochs=30, rng=make_rng(0))
 
 
 class TestFpmcRecommend:

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 import songrec
-from songrec import checkpoint, cli, data
+from songrec import baselines, checkpoint, cli, data
 from songrec.cli import _eval_order, main
-from conftest import digit_chain_sessions, third_order_sessions
+from conftest import digit_chain_sessions, session_table, third_order_sessions
 from songrec.config import ExperimentConfig, apply_override
 from songrec.data import (
     PreparedDataset,
-    Session,
     SplitDataset,
     VocabMap,
     examples_to_arrays,
@@ -477,7 +476,7 @@ def _write_sessions_config(tmp_path, train_s, test_s, n_songs, n_users, **overri
         PreparedDataset(
             vocab=VocabMap([f"s{i}" for i in range(n_songs)]),
             user_keys=[f"u{i}" for i in range(n_users)],
-            split=SplitDataset(train_s, [], test_s),
+            split=SplitDataset(train_s, session_table([]), test_s),
             stats={"seed": 0, "ratios": [0.7, 0.1, 0.2]},
         ),
     )
@@ -598,8 +597,8 @@ class TestSweep:
     def test_unknown_users_dropped_from_test(self, tmp_path):
         # user 1 plays only in the test split: of the two test sessions
         # only user 0's survives, two examples at j=1
-        train_s = [Session(0, [1, 2, 3, 4]), Session(0, [4, 3, 2, 1])]
-        test_s = [Session(0, [1, 2, 3]), Session(1, [1, 2, 3])]
+        train_s = session_table([(0, [1, 2, 3, 4]), (0, [4, 3, 2, 1])])
+        test_s = session_table([(0, [1, 2, 3]), (1, [1, 2, 3])])
         config = _write_sessions_config(tmp_path, train_s, test_s, n_songs=10, n_users=2)
         assert run_cli("sweep", "--config", config, "--orders", "1",
                        "--set", "model.epochs=1", "--set", "eval.ks=[1]") == 0
@@ -770,7 +769,7 @@ class TestTracedNames:
         from test_checkpoint import small_models
 
         model = small_models()[family]
-        sessions = [Session(u, [(u + i) % 8 for i in range(6)]) for u in (0, 1)]
+        sessions = session_table((u, [(u + i) % 8 for i in range(6)]) for u in (0, 1))
         examples = extract_examples(sessions, model.order or 2)
         step = max(1, len(examples) // 16)
         rows = examples[::step][:16]
@@ -798,6 +797,14 @@ class TestTracedNames:
                 return results[_name]
 
             monkeypatch.setattr(cli, name, record)
+        trained = []  # the pairs of each block w2v_train trains on
+
+        def count_pairs(*args, _fn=baselines._pair_blocks):
+            for centers, contexts in _fn(*args):
+                trained.append(len(centers))
+                yield centers, contexts
+
+        monkeypatch.setattr(baselines, "_pair_blocks", count_pairs)
         raw = json.loads(config.read_text())
         raw["model"]["family"] = family
         cfg = ExperimentConfig.from_dict(raw)
@@ -808,6 +815,10 @@ class TestTracedNames:
             if name == "w2v_train":
                 assert args[0] is data.split.train
                 assert (kwargs["window"], kwargs["epochs"]) == (2, 1)
+                # the benchmark counts an epoch's pairs from the first argument
+                counted = sum(baselines._pair_count(len(x), kwargs["window"])
+                              for x in baselines._session_items(args[0]))
+                assert counted == sum(trained) > 0
             if name == "fpmc_train":
                 assert args[0] is results["extract_examples"]
                 assert kwargs["epochs"] == 2

@@ -1,3 +1,4 @@
+import gc
 import gzip
 from collections import Counter, defaultdict
 from datetime import datetime, timezone
@@ -6,15 +7,21 @@ from itertools import count
 import numpy as np
 import pytest
 
-from conftest import format_timestamp, lastfm_fixture_events, lastfm_fixture_lines
+from conftest import (
+    format_timestamp,
+    lastfm_fixture_events,
+    lastfm_fixture_lines,
+    session_table,
+    table_rows,
+)
 from songrec import data
 from songrec.config import DataConfig
 from songrec.data import (
     OVERLAP_MODES,
+    PreparedDataset,
     SHUFFLE_UNITS,
     SONG_KEY_SEP,
     EventColumns,
-    Session,
     SplitDataset,
     VocabMap,
     build_user_index,
@@ -74,11 +81,11 @@ def session_stamps(sessions, rows):
     """Each session's timestamps, cut from the sorted plays ``rows`` (less
     any play overlap deletion removed) at the session lengths."""
     stamps, at = [], 0
-    for s in sessions:
-        run = rows[at : at + len(s)]
-        assert [(u, i) for u, _, i in run] == [(s.user, i) for i in s.items]
+    for user, items in table_rows(sessions):
+        run = rows[at : at + len(items)]
+        assert [(u, i) for u, _, i in run] == [(user, i) for i in items]
         stamps.append([ts for _, ts, _ in run])
-        at += len(s)
+        at += len(items)
     assert at == len(rows)
     return stamps
 
@@ -300,17 +307,17 @@ class TestSessionize:
     def test_small_gaps_one_session(self):
         rows = session_rows("u", 0, list("abcd"), [600, 600, 600])
         sessions, _, _ = self._run(events_from_rows(rows))
-        assert len(sessions) == 1 and len(sessions[0]) == 4
+        assert sessions.lengths.tolist() == [4]
 
     def test_exact_hour_gap_splits(self):
         rows = session_rows("u", 0, list("ab"), [3600])
         sessions, _, _ = self._run(events_from_rows(rows))
-        assert [len(s) for s in sessions] == [1, 1]
+        assert sessions.lengths.tolist() == [1, 1]
 
     def test_one_second_under_does_not_split(self):
         rows = session_rows("u", 0, list("ab"), [3599])
         sessions, _, _ = self._run(events_from_rows(rows))
-        assert [len(s) for s in sessions] == [2]
+        assert sessions.lengths.tolist() == [2]
 
     def test_interleaved_users_are_independent(self):
         a = session_rows("a", 0, list("xy"), [120])
@@ -318,31 +325,31 @@ class TestSessionize:
         merged = sorted(a + b, key=lambda e: e[1])
         sessions, vocab, users = self._run(events_from_rows(merged))
         assert len(sessions) == 2
-        by_user = {s.user: s for s in sessions}
-        assert [vocab.reverse[i] for i in by_user[users["a"]].items] == ["x", "y"]
-        assert [vocab.reverse[i] for i in by_user[users["b"]].items] == ["p", "q"]
+        by_user = dict(table_rows(sessions))
+        assert [vocab.reverse[i] for i in by_user[users["a"]]] == ["x", "y"]
+        assert [vocab.reverse[i] for i in by_user[users["b"]]] == ["p", "q"]
 
     def test_out_of_order_input_sorted(self):
         rows = session_rows("u", 0, list("abc"), [60, 60])
         sessions, vocab, _ = self._run(events_from_rows(reversed(rows)))
-        assert [vocab.reverse[i] for i in sessions[0].items] == ["a", "b", "c"]
+        assert [vocab.reverse[i] for i in table_rows(sessions)[0][1]] == ["a", "b", "c"]
 
     def test_gap_invariant_and_idempotence(self, fixture_events):
         sessions, vocab, users = self._run(fixture_events)
         reverse_user = {v: k for k, v in users.items()}
         stamps = session_stamps(sessions, sorted_plays(fixture_events, users, vocab))
-        for s, timestamps in zip(sessions, stamps):
+        for (user, items), timestamps in zip(table_rows(sessions), stamps):
             gaps = np.diff(timestamps)
             assert (gaps >= 0).all() and (gaps < 3600).all()
             # re-sessionizing a session's own events returns it unchanged
             events = events_from_rows(
-                (reverse_user[s.user], ts, vocab.reverse[i])
-                for i, ts in zip(s.items, timestamps)
+                (reverse_user[user], ts, vocab.reverse[i])
+                for i, ts in zip(items, timestamps)
             )
             again = sessionize(events, vocab, users, 3600)
             assert len(again) == 1
             again_stamps = session_stamps(again, sorted_plays(events, users, vocab))
-            assert again[0].items == s.items and again_stamps[0] == timestamps
+            assert table_rows(again)[0][1] == items and again_stamps[0] == timestamps
 
     def test_play_outside_vocab_or_user_index_refused(self):
         events = plays("ab")
@@ -355,12 +362,12 @@ class TestSessionize:
     def test_fixture_session_shape(self, fixture_events):
         sessions, _, _ = self._run(fixture_events)
         assert len(sessions) == 20
-        assert all(len(s) == 10 for s in sessions)
+        assert (sessions.lengths == 10).all()
 
 
 class TestSplit:
     def _sessions(self, n):
-        return [Session(0, [i, i + 1]) for i in range(n)]
+        return session_table((0, [i, i + 1]) for i in range(n))
 
     def test_sizes_7_1_2(self):
         split = split_dataset(self._sessions(10), RATIOS, seed=0)
@@ -369,20 +376,27 @@ class TestSplit:
     def test_deterministic(self):
         a = split_dataset(self._sessions(10), RATIOS, seed=42)
         b = split_dataset(self._sessions(10), RATIOS, seed=42)
-        assert [s.items for s in a.train] == [s.items for s in b.train]
-        assert [s.items for s in a.test] == [s.items for s in b.test]
+        assert table_rows(a.train) == table_rows(b.train)
+        assert table_rows(a.test) == table_rows(b.test)
 
     def test_seed_changes_permutation_not_sizes(self):
         a = split_dataset(self._sessions(40), RATIOS, seed=1)
         b = split_dataset(self._sessions(40), RATIOS, seed=2)
         assert len(a.train) == len(b.train)
-        assert [s.items for s in a.train] != [s.items for s in b.train]
+        assert table_rows(a.train) != table_rows(b.train)
 
     def test_partition_no_loss_no_duplication(self):
         sessions = self._sessions(23)
         split = split_dataset(sessions, RATIOS, seed=3)
-        got = [tuple(s.items) for part in (split.train, split.val, split.test) for s in part]
-        assert sorted(got) == sorted(tuple(s.items) for s in sessions)
+        got = [tuple(items) for part in (split.train, split.val, split.test)
+               for _, items in table_rows(part)]
+        assert sorted(got) == sorted(tuple(items) for _, items in table_rows(sessions))
+
+    def test_take_keeps_each_session_whole(self):
+        sessions = session_table([(0, [1, 2]), (1, []), (2, [3]), (3, [4, 5, 6])])
+        rows = table_rows(sessions)
+        assert table_rows(sessions.take(np.array([3, 1, 0]))) == [rows[3], rows[1], rows[0]]
+        assert table_rows(sessions.take(np.array([False, True, True, False]))) == rows[1:3]
 
     def test_too_few_sessions_error(self):
         with pytest.raises(ValueError):
@@ -399,72 +413,73 @@ class TestSplit:
 
 class TestOverlapDeletion:
     def _split(self, train, val, test):
-        return SplitDataset(train, val, test)
+        return SplitDataset(session_table(train), session_table(val), session_table(test))
 
     def test_full_overlap_removes_session(self):
-        train = [Session(0, [1, 2, 3])]
-        test = [Session(0, [2, 3, 2])]
+        train = [(0, [1, 2, 3])]
+        test = [(0, [2, 3, 2])]
         cleaned, deleted = delete_train_overlap(self._split(train, [], test), "drop-seen")
-        assert cleaned.test == [] and deleted == {"val": 0, "test": 3}
+        assert table_rows(cleaned.test) == [] and deleted == {"val": 0, "test": 3}
 
     def test_disjoint_unchanged(self):
-        train = [Session(0, [1, 2])]
-        test = [Session(0, [5, 6])]
+        train = [(0, [1, 2])]
+        test = [(0, [5, 6])]
         cleaned, deleted = delete_train_overlap(self._split(train, [], test), "drop-seen")
-        assert cleaned.test[0].items == [5, 6] and deleted["test"] == 0
+        assert table_rows(cleaned.test)[0][1] == [5, 6] and deleted["test"] == 0
 
     def test_three_of_five_overlap_splits_session(self):
         # survivors at positions 1 and 3 are separated by a deletion:
         # the session splits into two singletons
-        train = [Session(0, [10, 11, 12])]
-        test = [Session(0, [10, 4, 11, 5, 12])]  # played at t = 0..4
+        train = [(0, [10, 11, 12])]
+        test = [(0, [10, 4, 11, 5, 12])]  # played at t = 0..4
         cleaned, deleted = delete_train_overlap(self._split(train, [], test), "drop-seen")
         assert deleted["test"] == 3
-        assert [s.items for s in cleaned.test] == [[4], [5]]
-        survivors = [(0, t, i) for t, i in enumerate(test[0].items) if i not in train[0].items]
+        assert [items for _, items in table_rows(cleaned.test)] == [[4], [5]]
+        survivors = [(0, t, i) for t, i in enumerate(test[0][1]) if i not in train[0][1]]
         assert session_stamps(cleaned.test, survivors) == [[1], [3]]
 
     def test_other_users_unaffected(self):
-        train = [Session(0, [1, 2])]
-        test = [Session(1, [1, 2])]  # same songs, different user
+        train = [(0, [1, 2])]
+        test = [(1, [1, 2])]  # same songs, different user
         cleaned, _ = delete_train_overlap(self._split(train, [], test), "drop-seen")
-        assert cleaned.test[0].items == [1, 2]
+        assert table_rows(cleaned.test)[0][1] == [1, 2]
 
     def test_keep_only_seen_mode(self):
-        train = [Session(0, [1, 2])]
-        test = [Session(0, [1, 7, 2, 8])]
+        train = [(0, [1, 2])]
+        test = [(0, [1, 7, 2, 8])]
         cleaned, deleted = delete_train_overlap(
             self._split(train, [], test), mode="keep-only-seen"
         )
         assert deleted["test"] == 2
-        assert [s.items for s in cleaned.test] == [[1], [2]]
+        assert [items for _, items in table_rows(cleaned.test)] == [[1], [2]]
 
     def test_none_mode_is_identity(self):
-        split = self._split([Session(0, [1])], [], [Session(0, [1])])
+        split = self._split([(0, [1])], [], [(0, [1])])
         cleaned, deleted = delete_train_overlap(split, mode="none")
-        assert cleaned.test[0].items == [1] and deleted == {"val": 0, "test": 0}
+        assert table_rows(cleaned.test)[0][1] == [1] and deleted == {"val": 0, "test": 0}
 
 
 def reference_examples(sessions, j):
     """The per-position loop extract_examples replaced: one
     (user, context, target) tuple per in-session position with j
-    predecessors, in (session, position) order."""
+    predecessors of the (user, songs) rows ``sessions``, in (session,
+    position) order."""
     rows = []
-    for s in sessions:
-        for t in range(j, len(s.items)):
-            rows.append((s.user, tuple(s.items[t - j : t]), s.items[t]))
+    for user, items in sessions:
+        for t in range(j, len(items)):
+            rows.append((user, tuple(items[t - j : t]), items[t]))
     return rows
 
 
 class TestExtractExamples:
     def test_length_six_order_five(self):
-        assert len(extract_examples([Session(0, list(range(6)))], 5)) == 1
+        assert len(extract_examples(session_table([(0, list(range(6)))]), 5)) == 1
 
     def test_short_session_yields_nothing(self):
-        assert len(extract_examples([Session(0, [1, 2, 3])], 3)) == 0
+        assert len(extract_examples(session_table([(0, [1, 2, 3])]), 3)) == 0
 
     def test_hand_enumeration(self):
-        examples = extract_examples([Session(7, [3, 1, 4, 1, 5])], 2)
+        examples = extract_examples(session_table([(7, [3, 1, 4, 1, 5])]), 2)
         assert [(tuple(e.context), e.target) for e in examples] == [
             ((3, 1), 4),
             ((1, 4), 1),
@@ -475,22 +490,22 @@ class TestExtractExamples:
     def test_count_formula(self):
         rng = np.random.default_rng(0)
         sessions = [
-            Session(0, list(rng.integers(0, 5, size=n))) for n in rng.integers(1, 12, size=30)
+            (0, list(rng.integers(0, 5, size=n))) for n in rng.integers(1, 12, size=30)
         ]
         for j in (1, 2, 5):
-            want = sum(max(0, len(s) - j) for s in sessions)
-            assert len(extract_examples(sessions, j)) == want
+            want = sum(max(0, len(items) - j) for _, items in sessions)
+            assert len(extract_examples(session_table(sessions), j)) == want
 
     def test_bad_order_error(self):
         with pytest.raises(ValueError):
-            extract_examples([], 0)
+            extract_examples(session_table([]), 0)
 
     @pytest.mark.parametrize("j", range(1, 7))
     def test_matches_the_per_position_loop(self, j):
         rng = np.random.default_rng(100 + j)
-        sessions = [Session(int(rng.integers(50)), [int(x) for x in rng.integers(0, 1000, n)])
+        sessions = [(int(rng.integers(50)), [int(x) for x in rng.integers(0, 1000, n)])
                     for n in rng.integers(0, j + 4, size=200)]
-        examples = extract_examples(sessions, j)
+        examples = extract_examples(session_table(sessions), j)
         want = reference_examples(sessions, j)
         assert len(examples) == len(want) > 0
         for name in ("user", "context", "target"):
@@ -502,13 +517,13 @@ class TestExtractExamples:
 
     @pytest.mark.parametrize("j", [1, 3])
     def test_no_sessions_give_an_empty_array(self, j):
-        examples = extract_examples([], j)
+        examples = extract_examples(session_table([]), j)
         assert len(examples) == 0
         assert examples.context.shape == (0, j)
         assert examples.dtype["context"].base == np.int64
 
     def test_arrays_conversion(self):
-        examples = extract_examples([Session(2, [3, 1, 4, 1, 5])], 2)
+        examples = extract_examples(session_table([(2, [3, 1, 4, 1, 5])]), 2)
         users, contexts, targets = examples_to_arrays(examples)
         assert users.tolist() == [2, 2, 2]
         assert contexts.tolist() == [[3, 1], [1, 4], [4, 1]]
@@ -518,7 +533,7 @@ class TestExtractExamples:
 
     def test_arrays_conversion_refuses_an_empty_set(self):
         with pytest.raises(ValueError, match="no examples"):
-            examples_to_arrays(extract_examples([Session(0, [1])], 1))
+            examples_to_arrays(extract_examples(session_table([(0, [1])]), 1))
 
 
 class TestPipeline:
@@ -564,7 +579,7 @@ class TestPipeline:
         # each part's plays, sorted as sessionize lays them out, less the
         # plays drop-seen deletion removed, cut at the session lengths
         users = {key: i for i, key in enumerate(prepared.user_keys)}
-        seen = {(s.user, i) for s in prepared.split.train for i in s.items}
+        seen = {(user, i) for user, items in table_rows(prepared.split.train) for i in items}
         kept = filter_to_vocab(fixture_events, prepared.vocab)
         parts = split_events(kept, settings.ratios, seed=5)
         for (name, sessions), events in zip(prepared.split.parts().items(), parts):
@@ -585,8 +600,24 @@ class TestPipeline:
         for name in ("train", "val", "test"):
             a = prepared.split.parts()[name]
             b = back.split.parts()[name]
-            assert [(s.user, s.items) for s in a] == [(s.user, s.items) for s in b]
+            assert table_rows(a) == table_rows(b)
         assert back.stats == prepared.stats
+
+    def test_read_back_holds_no_object_per_session(self, tmp_path):
+        # objects that live on after the read are scanned by every later
+        # full GC collection, in whichever stage it lands
+        rng = np.random.default_rng(7)
+        sessions = session_table((int(rng.integers(20)), rng.integers(0, 50, n).tolist())
+                                 for n in rng.integers(0, 9, size=12_000))
+        write_prepared(tmp_path, PreparedDataset(VocabMap([f"s{i}" for i in range(50)]),
+                                                 [f"u{i}" for i in range(20)],
+                                                 SplitDataset(sessions, sessions, sessions)))
+        gc.collect()
+        before = len(gc.get_objects())
+        back = read_prepared(tmp_path)
+        grown = len(gc.get_objects()) - before
+        assert table_rows(back.split.test) == table_rows(sessions)
+        assert grown < 100
 
     @pytest.mark.parametrize("line, what, token", [
         ("x 0,1", "user", "x"),
@@ -609,6 +640,7 @@ class TestPipeline:
         ("-1 0,1", "user", -1, 2, "users.txt"),
         ("0 3,110", "song", 110, 110, "vocab.txt"),
         ("1 4,-2", "song", -2, 110, "vocab.txt"),
+        ("0 3,99999999999999999999", "song", 99999999999999999999, 110, "vocab.txt"),
     ])
     def test_out_of_range_index_names_the_file(self, fixture_events, tmp_path, line, what,
                                                bad, limit, source):
@@ -627,9 +659,9 @@ def oracle_prepare(rows, settings, seed):
     """prepare on (user_key, timestamp, song_key) rows in plain Python, one
     play at a time: the vocabulary by count descending then first
     appearance, users by first appearance among kept plays, each user's
-    plays stably sorted by time and broken at gaps >= gap_seconds, and the
-    seeded cut over sessions or over plays. Returns (vocab keys, user
-    keys, split)."""
+    plays stably sorted by time and broken at gaps >= gap_seconds, the
+    seeded cut over sessions or over plays, and the overlap rule. Returns
+    (vocab keys, user keys, {part: [(user, songs), ...]})."""
     counts = Counter(song for _, _, song in rows)  # most_common sorts stably
     vocab = [song for song, _ in counts.most_common(settings.vocab_cap)]
     index = {song: i for i, song in enumerate(vocab)}
@@ -647,11 +679,11 @@ def oracle_prepare(rows, settings, seed):
             items, last = [], None
             for ts, song in sorted(per_user[u], key=lambda play: play[0]):
                 if items and ts - last >= settings.gap_seconds:
-                    sessions.append(Session(u, items))
+                    sessions.append((u, items))
                     items = []
                 items.append(song)
                 last = ts
-            sessions.append(Session(u, items))
+            sessions.append((u, items))
         return sessions
 
     def cut(items):
@@ -661,12 +693,31 @@ def oracle_prepare(rows, settings, seed):
         shuffled = [items[i] for i in make_rng(seed).permutation(n)]
         return shuffled[:n_train], shuffled[n_train : n_train + n_val], shuffled[n_train + n_val :]
 
+    def clean(part, train):
+        # a deleted play ends the run of kept ones; empty runs are no session
+        seen = defaultdict(set)
+        for u, items in train:
+            seen[u].update(items)
+        out = []
+        for u, items in part:
+            run = []
+            for song in items:
+                if (song in seen[u]) == (settings.overlap_mode == "keep-only-seen"):
+                    run.append(song)
+                elif run:
+                    out.append((u, run))
+                    run = []
+            if run:
+                out.append((u, run))
+        return out
+
     if settings.shuffle_unit == "session":
-        split = SplitDataset(*cut(sessions_of(kept)))
+        train, val, test = cut(sessions_of(kept))
     else:
-        split = SplitDataset(*map(sessions_of, cut(kept)))
-    split, _ = delete_train_overlap(split, settings.overlap_mode)
-    return vocab, list(users), split
+        train, val, test = map(sessions_of, cut(kept))
+    if settings.overlap_mode != "none":
+        val, test = clean(val, train), clean(test, train)
+    return vocab, list(users), {"train": train, "val": val, "test": test}
 
 
 def random_log(rng, gap):
@@ -715,6 +766,5 @@ class TestPrepareOracle:
         vocab, users, split = oracle_prepare(rows, settings, seed)
         assert prepared.vocab.reverse == vocab
         assert prepared.user_keys == users
-        for name, sessions in split.parts().items():
-            got = prepared.split.parts()[name]
-            assert [(s.user, s.items) for s in got] == [(s.user, s.items) for s in sessions]
+        for name, sessions in split.items():
+            assert table_rows(prepared.split.parts()[name]) == sessions

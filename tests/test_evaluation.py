@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import PerfectScorer, StatelessScorer, UniformScorer
+from conftest import PerfectScorer, StatelessScorer, UniformScorer, session_table
 from songrec import evaluation
-from songrec.data import Session, extract_examples
+from songrec.data import extract_examples
 from songrec.evaluation import (
     EvalConfig,
     EvalReport,
@@ -20,8 +20,8 @@ def make_examples(n, n_songs, j=2, seed=0, n_users=3):
     sessions = []
     for _ in range(n):
         ctx = [int(x) for x in rng.integers(0, n_songs, size=j)]
-        sessions.append(Session(int(rng.integers(n_users)), [*ctx, int(rng.integers(n_songs))]))
-    return extract_examples(sessions, j)
+        sessions.append((int(rng.integers(n_users)), [*ctx, int(rng.integers(n_songs))]))
+    return extract_examples(session_table(sessions), j)
 
 
 class TestEvalConfig:
@@ -201,8 +201,8 @@ class TestEvaluate:
                 return np.stack([table[(int(u), tuple(int(c) for c in ctx))][0]
                                  for u, ctx in zip(users, contexts)])
 
-        examples = extract_examples([Session(u, [*ctx, t]) for (u, ctx), (_, t) in table.items()],
-                                    1)
+        examples = extract_examples(
+            session_table((u, [*ctx, t]) for (u, ctx), (_, t) in table.items()), 1)
         report = evaluate(Fixed(), examples, EvalConfig(ks=(1, 2, 3)), seed=0)
         # hand ranks: 2, 1, 2 -> hits@1=1, hits@2=3, hits@3=3
         assert report.hits == {1: 1, 2: 3, 3: 3}
@@ -222,7 +222,7 @@ class TestEvaluate:
                 scores[np.arange(len(users)), np.asarray(contexts)[:, 0]] = 1.0  # middling target
                 return scores
 
-        examples = extract_examples([Session(0, [7, 7])], 1)
+        examples = extract_examples(session_table([(0, [7, 7])]), 1)
         cfg_in = EvalConfig(ks=(1,))
         cfg_ex = EvalConfig(ks=(1,), exclude_train_songs=True)
         songs = {0: {0, 1, 2, 3}}

@@ -4,9 +4,10 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import session_table
 from songrec.config import ModelConfig
 from songrec.core import grad_check
-from songrec.data import Session, extract_examples
+from songrec.data import extract_examples
 from songrec.models import (
     CnnRecParams,
     Hyperparams,
@@ -263,7 +264,7 @@ class TestTrainLoop:
 def _examples(*rows):
     """The examples of (user, context, target) rows, one session each."""
     j = len(rows[0][1])
-    return extract_examples([Session(u, [*context, t]) for u, context, t in rows], j)
+    return extract_examples(session_table((u, [*context, t]) for u, context, t in rows), j)
 
 
 class TestPredictTopk:
