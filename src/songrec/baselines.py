@@ -74,14 +74,6 @@ def _sgns_losses(scores: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, -scores[..., 0]) + np.logaddexp(0.0, scores[..., 1:]).sum(axis=-1)
 
 
-def sgns_pair_loss(v_center: np.ndarray, v_pos: np.ndarray, v_negs: np.ndarray) -> float:
-    """Negative-sampling loss of one (center, context) pair:
-    -log sigma(c.p) - sum_n log sigma(-c.n). All-zero vectors give
-    (1 + #negatives) * ln 2 since every sigmoid term is 1/2.
-    """
-    return float(_sgns_losses(np.concatenate(([v_center @ v_pos], v_negs @ v_center))))
-
-
 def _noise_cumdist(items: np.ndarray, n_songs: int) -> np.ndarray:
     counts = np.bincount(items, minlength=n_songs).astype(float)
     if len(counts) > n_songs:

@@ -12,6 +12,7 @@ reconstruction re-validates shapes against the architecture.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -90,16 +91,16 @@ def load(path) -> tuple[str, dict, dict]:
                 f"{path}: truncated checkpoint: {size} bytes, header ends at "
                 f"{prefix + header_len}"
             )
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header = _checked_header(path, fh.read(header_len))
         payload_start = prefix + header_len
         payload_len = size - payload_start
         tensors = {}
         for entry in header["tensors"]:
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
-            n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            n_bytes = dtype.itemsize * math.prod(shape)
             start = entry["offset"]
-            if start < 0 or start + n_bytes > payload_len:
+            if start + n_bytes > payload_len:
                 raise ValueError(
                     f"{path}: truncated checkpoint: tensor {entry['name']} overruns "
                     f"payload ({start}+{n_bytes} > {payload_len})"
@@ -109,6 +110,38 @@ def load(path) -> tuple[str, dict, dict]:
             fh.readinto(arr.reshape(-1).view(np.uint8))
             tensors[entry["name"]] = arr
     return header["model_type"], header["meta"], tensors
+
+
+def _good_entry(entry) -> bool:
+    """Whether a manifest entry is exactly a string name, a list of dims, a
+    numeric dtype and an offset, the dims and the offset JSON ints >= 0."""
+    if not (isinstance(entry, dict) and set(entry) == {"name", "shape", "dtype", "offset"}
+            and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
+            and all(type(n) is int and n >= 0 for n in [*entry["shape"], entry["offset"]])):
+        return False
+    try:
+        return isinstance(entry["dtype"], str) and np.dtype(entry["dtype"]).kind in "biufc"
+    except (TypeError, ValueError, SyntaxError):  # numpy does not read it as a dtype
+        return False
+
+
+def _checked_header(path, blob: bytes) -> dict:
+    """The parsed header; ``ValueError`` naming ``path`` unless it is an
+    object with a model type, a meta object and a list of good entries."""
+    def malformed(detail):
+        return ValueError(f"{path}: malformed checkpoint header: {detail}")
+
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise malformed(exc) from None
+    if not (isinstance(header, dict) and isinstance(header.get("model_type"), str)
+            and isinstance(header.get("meta"), dict) and isinstance(header.get("tensors"), list)):
+        raise malformed("not an object with a model type, meta and tensors")
+    bad = [entry for entry in header["tensors"] if not _good_entry(entry)]
+    if bad:
+        raise malformed(f"bad tensor entry {bad[0]!r}")
+    return header
 
 
 def load_model(path):

@@ -22,7 +22,6 @@ from . import __version__, checkpoint
 from .baselines import _pair_count, fpmc_train, play_count_matrix, w2v_train, wmf_train
 from .config import ExperimentConfig, apply_override
 from .data import (
-    _train_song_sets,
     drop_unknown_users,
     extract_examples,
     open_event_stream,
@@ -209,7 +208,7 @@ def _evaluate_test_split(cfg: ExperimentConfig, model, prepared, label: str):
         examples,
         cfg.eval,
         seed=cfg.subseed("eval"),
-        train_user_songs=_train_song_sets(split.train),
+        train=split.train,
         label=label,
     )
     k = cfg.eval.ks[0]

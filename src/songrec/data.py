@@ -361,15 +361,6 @@ def _user_song_keys(sessions: SessionTable) -> np.ndarray:
     return sessions.item_users() << 32 | sessions.items
 
 
-def _train_song_sets(train: SessionTable) -> dict[int, set[int]]:
-    """User index -> the set of songs that user played in ``train``."""
-    keys = np.sort(_user_song_keys(train))
-    users, songs = keys >> 32, (keys & 0xFFFFFFFF).tolist()
-    starts = np.flatnonzero(np.diff(users, prepend=-1))
-    bounds = np.append(starts, len(keys)).tolist()
-    return {u: set(songs[a:b]) for u, a, b in zip(users[starts].tolist(), bounds, bounds[1:])}
-
-
 def delete_train_overlap(split: SplitDataset, mode: str) -> tuple[SplitDataset, dict[str, int]]:
     """Remove val/test events by the (user, song)-seen-in-training rule.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import examples_to_arrays
+from .data import SessionTable, _user_song_keys, examples_to_arrays
 from .util import atomic_write_text, check_bounds, config_hash, derive_seed, make_rng
 
 DEFAULT_KS = (1, 5, 10, 20, 50, 100, 150, 200, 500)
@@ -34,7 +34,8 @@ class EvalConfig:
     ``full`` ranks the target against the entire catalog; ``sampled``
     ranks it against ``n_neg`` songs drawn uniformly from those the user
     never played in training. ``exclude_train_songs`` removes the user's
-    training songs from the full-catalog candidates.
+    training songs from the full-catalog candidates; the sampled protocol
+    refuses it, since its candidates never include them.
     """
 
     ks: tuple = DEFAULT_KS
@@ -51,6 +52,9 @@ class EvalConfig:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         check_bounds(self, (("n_neg", ">=", 1),), "config.eval.")
+        if self.exclude_train_songs and self.protocol == "sampled":
+            raise ValueError("config.eval.exclude_train_songs applies to the full protocol only: "
+                             "sampled candidates never include training songs")
 
 
 @dataclass
@@ -123,21 +127,35 @@ _example_rank = rank_of_target
 _full_catalog_rank = rank_of_target
 
 
-def _candidate_row(heard: np.ndarray, target: int, position: int, config: EvalConfig, seed: int):
-    """Boolean candidate row of one example: the target plus every song
-    the user did not hear in training or, under the sampled protocol,
-    ``n_neg`` of those drawn without replacement."""
-    row = ~heard
-    row[target] = False
-    if config.protocol == "sampled" and np.count_nonzero(row) > config.n_neg:
-        # per-example subseed: results do not depend on evaluation order
-        # or chunking, only on (seed, example position)
-        rng = make_rng(derive_seed(seed, f"neg:{position}"))
-        picked = rng.choice(np.flatnonzero(row), size=config.n_neg, replace=False)
-        row[:] = False
-        row[picked] = True
-    row[target] = True
-    return row
+def _candidate_mask(heard_keys: np.ndarray, users, targets, start: int, n_songs: int,
+                    config: EvalConfig, seed: int) -> np.ndarray:
+    """(B, N) boolean candidates of the examples at ``start`` onwards: the
+    target plus every song the user did not hear in training or, under
+    the sampled protocol, ``n_neg`` of those drawn without replacement.
+
+    ``heard_keys`` holds the sorted ``user << 32 | song`` keys of the
+    training plays, so a user's songs are the keys between ``u << 32`` and
+    ``(u + 1) << 32``.
+    """
+    lo = np.searchsorted(heard_keys, users << 32)
+    counts = np.searchsorted(heard_keys, (users + 1) << 32) - lo
+    # row i's keys are heard_keys[lo[i]:lo[i] + counts[i]], gathered at once
+    rows = np.repeat(np.arange(len(users)), counts)
+    keys = heard_keys[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    mask = np.ones((len(users), n_songs), dtype=bool)
+    mask[rows, keys & 0xFFFFFFFF] = False
+    every = np.arange(len(users))
+    mask[every, targets] = False
+    if config.protocol == "sampled":
+        for i in np.flatnonzero(np.count_nonzero(mask, axis=1) > config.n_neg):
+            # per-example subseed: results do not depend on evaluation order
+            # or chunking, only on (seed, example position)
+            rng = make_rng(derive_seed(seed, f"neg:{start + i}"))
+            picked = rng.choice(np.flatnonzero(mask[i]), size=config.n_neg, replace=False)
+            mask[i] = False
+            mask[i, picked] = True
+    mask[every, targets] = True
+    return mask
 
 
 def evaluate(
@@ -146,28 +164,30 @@ def evaluate(
     config: EvalConfig,
     *,
     seed: int,
-    train_user_songs: dict | None = None,
+    train: SessionTable | None = None,
     label: str | None = None,
 ) -> EvalReport:
     """Rank the true next song for every test example and report recall@k.
 
     ``model`` must expose ``score_batch(users, contexts) -> (B, N)`` and
     ``n_songs`` (see :class:`songrec.util.Recommender`). The sampled
-    protocol (and the exclude-train-songs flag) needs ``train_user_songs``:
-    user index -> set of songs that user played in training. ``seed``
-    draws the sampled negatives and goes into the report's config hash.
-    Examples are scored in chunks of at most ``CHUNK_CELLS`` score cells;
-    a non-finite score raises ``ValueError``.
+    protocol (and the exclude-train-songs flag) needs ``train``, the
+    training sessions, for the songs each user heard. ``seed`` draws the
+    sampled negatives and goes into the report's config hash. Examples
+    are scored in chunks of at most ``CHUNK_CELLS`` score cells; a
+    non-finite score raises ``ValueError``.
     """
     users, contexts, targets = examples_to_arrays(examples)  # refuses an empty set
     n_songs = model.n_songs
     if config.ks[-1] > n_songs:
         raise ValueError(f"max cutoff {config.ks[-1]} exceeds catalog size {n_songs}")
-    needs_history = config.protocol == "sampled" or config.exclude_train_songs
-    if needs_history and train_user_songs is None:
-        raise ValueError("this protocol needs per-user training songs")
+    heard_keys = None
+    if config.protocol == "sampled" or config.exclude_train_songs:
+        if train is None:
+            raise ValueError("this protocol needs the training sessions")
+        heard_keys = np.sort(_user_song_keys(train))
+        heard_keys = heard_keys[np.diff(heard_keys, prepend=-1) != 0]  # one per (user, song)
 
-    heard = {}  # user -> boolean mask of the songs heard in training
     ranks = np.empty(len(targets), dtype=np.int64)
     rows = max(1, CHUNK_CELLS // n_songs)
     for start in range(0, len(targets), rows):
@@ -178,13 +198,9 @@ def evaluate(
             position = start + int(np.argmin(finite))
             raise ValueError(f"non-finite scores for test example {position}")
         mask = None
-        if needs_history:
-            mask = np.empty(scores.shape, dtype=bool)
-            for i, (u, t) in enumerate(zip(users[chunk].tolist(), targets[chunk].tolist())):
-                if u not in heard:
-                    heard[u] = np.zeros(n_songs, dtype=bool)
-                    heard[u][list(train_user_songs.get(u, ()))] = True
-                mask[i] = _candidate_row(heard[u], t, start + i, config, seed)
+        if heard_keys is not None:
+            mask = _candidate_mask(heard_keys, users[chunk], targets[chunk], start, n_songs,
+                                   config, seed)
         ranks[chunk] = rank_of_target(scores, targets[chunk], mask)
 
     hits = {k: int(np.count_nonzero(ranks <= k)) for k in config.ks}

@@ -157,11 +157,10 @@ class _NeuralParams(Recommender):
         cache = (users, contexts, feat_cache, widths, aff1, relu_mask, drop, aff2)
         return probs, cache
 
-    def backward_batch(self, probs, targets, cache, dense_embed_grads=False):
+    def backward_batch(self, probs, targets, cache):
         """Gradients of the batch-mean cross-entropy w.r.t. every tensor.
 
-        Embedding gradients come back sparse as (rows, row_grads) pairs
-        unless ``dense_embed_grads`` is set (used by gradient checking).
+        Embedding gradients come back sparse as (rows, row_grads) pairs.
         """
         users, contexts, feat_cache, widths, aff1, relu_mask, drop, aff2 = cache
         b = probs.shape[0]
@@ -174,27 +173,9 @@ class _NeuralParams(Recommender):
         dfeat, duvec = concat_backward(dz, widths)
         ds, feat_grads = self._feature_backward(dfeat, feat_cache)
 
-        grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, **feat_grads}
-        song_rows = contexts.reshape(-1)
-        song_grads = ds.reshape(-1, self.hyper.d)
-        if dense_embed_grads:
-            de_song = np.zeros_like(self.e_song)
-            np.add.at(de_song, song_rows, song_grads)
-            de_user = np.zeros_like(self.e_user)
-            np.add.at(de_user, np.asarray(users), duvec)
-            grads["e_song"] = de_song
-            grads["e_user"] = de_user
-        else:
-            grads["e_song"] = (song_rows, song_grads)
-            grads["e_user"] = (np.asarray(users), duvec)
-        return grads
-
-    def loss_and_grads(self, users, contexts, targets, dense_embed_grads=True):
-        """Mean loss plus full gradients, dropout off (for gradient checks)."""
-        probs, cache = self.forward_batch(users, contexts, train=False)
-        losses = softmax_xent_from_probs(probs, targets)
-        grads = self.backward_batch(probs, targets, cache, dense_embed_grads)
-        return float(np.mean(losses)), grads
+        return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, **feat_grads,
+                "e_song": (contexts.reshape(-1), ds.reshape(-1, self.hyper.d)),
+                "e_user": (np.asarray(users), duvec)}
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Next-song probabilities, dropout off."""

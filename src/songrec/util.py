@@ -1,5 +1,5 @@
-"""Shared plumbing: seeding, deterministic ranking, the scoring interface
-every model family implements, atomic file writes.
+"""Shared plumbing: seeding, the scoring interface every model family
+implements, atomic file writes.
 
 All randomness in the repository flows through ``numpy.random.Generator``
 instances backed by the PCG64 bit generator (``np.random.default_rng``).
@@ -33,20 +33,6 @@ def derive_seed(root_seed: int, component: str) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """The repository-wide generator: PCG64, seeded."""
     return np.random.default_rng(seed)
-
-
-def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, descending; ties broken by ascending index.
-
-    This is the single tie rule used everywhere: ranking is the total
-    order (score descending, index ascending).
-    """
-    scores = np.asarray(scores)
-    if not 1 <= k <= scores.shape[0]:
-        raise ValueError(f"k={k} out of range for {scores.shape[0]} scores")
-    # lexsort: last key is primary. -scores descending, arange breaks ties ascending.
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order[:k]
 
 
 class Recommender:

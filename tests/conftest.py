@@ -5,7 +5,9 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from songrec.core import softmax_xent_from_probs
 from songrec.data import SessionTable, parse_events
+from songrec.evaluation import rank_of_target
 from songrec.util import make_rng
 
 T0 = 1241395200  # 2009-05-04T00:00:00Z
@@ -202,6 +204,29 @@ class PerfectScorer:
         for i, (u, context) in enumerate(zip(users, contexts)):
             scores[i, self.lookup[(int(u), tuple(int(c) for c in context))]] = 1.0
         return scores
+
+
+def top_k(scores, k):
+    """Indices of the k best of one score vector, best first, in the total
+    order of :func:`songrec.evaluation.rank_of_target`."""
+    n = len(scores)
+    ranks = rank_of_target(np.broadcast_to(scores, (n, n)), np.arange(n))
+    return np.argsort(ranks)[:k]
+
+
+def loss_and_dense_grads(params, users, contexts, targets):
+    """Mean loss and gradients of a neural model, dropout off, through the
+    calls ``train_step`` makes; the sparse (rows, row_grads) embedding
+    gradients are scattered into dense tables for gradient checking."""
+    probs, cache = params.forward_batch(users, contexts)
+    loss = float(np.mean(softmax_xent_from_probs(probs, targets)))
+    grads = params.backward_batch(probs, targets, cache)
+    for name, g in grads.items():
+        if isinstance(g, tuple):
+            rows, row_grads = g
+            grads[name] = np.zeros_like(params.tensors()[name])
+            np.add.at(grads[name], rows, row_grads)
+    return loss, grads
 
 
 def pairwise_auc(factors, examples, n_songs):

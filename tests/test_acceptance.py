@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from conftest import (
     UniformScorer,
     lastfm_fixture_events,
+    loss_and_dense_grads,
     markov_chain_sessions,
     pairwise_auc,
     playlist_sessions,
@@ -72,7 +73,7 @@ def test_c01_gradient_fidelity():
         names = list(params.tensors())
 
         def f(arrs):
-            loss, grads = params.loss_and_grads(users, contexts, targets)
+            loss, grads = loss_and_dense_grads(params, users, contexts, targets)
             return loss, [grads[n] for n in names]
 
         worst[cls.model_type] = grad_check(

@@ -3,29 +3,29 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
-from conftest import session_table, table_rows
+from conftest import session_table, table_rows, top_k
 from songrec import baselines
 from songrec.baselines import (
     FpmcFactors,
     ItemEmbeddings,
     WmfFactors,
     _pair_count,
+    _sgns_losses,
     fpmc_init,
     fpmc_sbpr_update,
     fpmc_train,
     play_count_matrix,
-    sgns_pair_loss,
     w2v_train,
     wmf_objective,
     wmf_train,
 )
 from songrec.data import extract_examples
-from songrec.util import make_rng, top_k_indices
+from songrec.util import make_rng
 
 
 def recommend(model, u, context, k):
     """Top-k songs of one (user, context) under the repository tie rule."""
-    return top_k_indices(model.score_catalog(u, context), k)
+    return top_k(model.score_catalog(u, context), k)
 
 
 def margin(factors, u, prev, pos, neg):
@@ -34,16 +34,22 @@ def margin(factors, u, prev, pos, neg):
 
 
 class TestSgnsLoss:
+    @staticmethod
+    def pair_loss(v_center, v_pos, v_negs):
+        """-log sigma(c.p) - sum_n log sigma(-c.n) of one (center, context)
+        pair, by the loss ``w2v_train`` sums."""
+        return float(_sgns_losses(np.concatenate(([v_center @ v_pos], v_negs @ v_center))))
+
     def test_zero_vectors_give_ln2_per_term(self):
         # every sigmoid term is exactly 1/2
         for negatives in (1, 5, 12):
-            loss = sgns_pair_loss(np.zeros(8), np.zeros(8), np.zeros((negatives, 8)))
+            loss = self.pair_loss(np.zeros(8), np.zeros(8), np.zeros((negatives, 8)))
             assert np.isclose(loss, (1 + negatives) * np.log(2.0))
 
     def test_aligned_pair_lowers_loss(self):
         v = np.ones(4)
-        aligned = sgns_pair_loss(v, v, np.zeros((3, 4)))
-        opposed = sgns_pair_loss(v, -v, np.zeros((3, 4)))
+        aligned = self.pair_loss(v, v, np.zeros((3, 4)))
+        opposed = self.pair_loss(v, -v, np.zeros((3, 4)))
         assert aligned < opposed
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 
@@ -662,8 +663,28 @@ class TestCliErrors:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert errors == [f"{train} line 1: bad user index 'x'"]
 
+    @staticmethod
+    def _rewrite_header(path, change):
+        """Replace the JSON header of the checkpoint at ``path`` by
+        ``change(header)``, keeping the tensor payload."""
+        blob = path.read_bytes()
+        prefix = len(checkpoint.MAGIC) + 8
+        (n,) = struct.unpack("<Q", blob[len(checkpoint.MAGIC):prefix])
+        header = json.dumps(change(json.loads(blob[prefix:prefix + n]))).encode("utf-8")
+        path.write_bytes(blob[:len(checkpoint.MAGIC)] + struct.pack("<Q", len(header)) + header
+                         + blob[prefix + n:])
+
+    HEADER_CHANGES = {
+        "header is a list": lambda h: [h],
+        "bogus tensor dtype": lambda h: {**h, "tensors": [{**h["tensors"][0], "dtype": "bogus"},
+                                                          *h["tensors"][1:]]},
+        "no tensors key": lambda h: {k: v for k, v in h.items() if k != "tensors"},
+        "negative dimension": lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [-7, 4]},
+                                                          *h["tensors"][1:]]},
+    }
+
     @pytest.mark.parametrize("change", ["extra hyper key", "missing hyper key", "unknown dtype",
-                                        "song count as a string"])
+                                        "song count as a string", *HEADER_CHANGES])
     def test_malformed_checkpoint_header_exits_with_one_line(self, tmp_path, change):
         from songrec.models import Hyperparams, NnRecParams
 
@@ -676,10 +697,12 @@ class TestCliErrors:
             del meta["hyper"]["d"]
         elif change == "unknown dtype":
             meta["dtype"] = "nope"
-        else:
+        elif change == "song count as a string":
             meta["n_songs"] = "7"
         ckpt = tmp_path / "bad.ckpt"
         checkpoint.save(ckpt, model_type, meta, tensors)
+        if change in self.HEADER_CHANGES:
+            self._rewrite_header(ckpt, self.HEADER_CHANGES[change])
         config = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "o"))
         proc = subprocess.run(
             [sys.executable, "-m", "songrec.cli", "evaluate", "--config", str(config),

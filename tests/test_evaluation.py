@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import PerfectScorer, StatelessScorer, UniformScorer, session_table
+from conftest import PerfectScorer, StatelessScorer, UniformScorer, session_table, table_rows
 from songrec import evaluation
 from songrec.data import extract_examples
 from songrec.evaluation import (
@@ -11,7 +11,7 @@ from songrec.evaluation import (
     evaluate,
     rank_of_target,
 )
-from songrec.util import make_rng, top_k_indices
+from songrec.util import derive_seed, make_rng
 
 
 def make_examples(n, n_songs, j=2, seed=0, n_users=3):
@@ -40,6 +40,12 @@ class TestEvalConfig:
         with pytest.raises(ValueError):
             EvalConfig(protocol="leave-one-out")
 
+    def test_exclude_train_songs_rejected_under_sampled(self):
+        # sampled candidates never include training songs: the flag would
+        # change the config hash and nothing else
+        with pytest.raises(ValueError, match="^config.eval.exclude_train_songs [^\n]*$"):
+            EvalConfig(protocol="sampled", exclude_train_songs=True)
+
 
 def candidate_mask(n, candidates):
     mask = np.zeros((1, n), dtype=bool)
@@ -67,13 +73,14 @@ class TestRankOfTarget:
             rank = rank_of_target(scores[None], [target], candidate_mask(n, candidates))
             assert rank.tolist() == [order.index(target) + 1]
 
-    def test_agrees_with_top_k_indices_on_ties(self):
+    def test_agrees_with_lexsort_order_on_ties(self):
         rng = make_rng(2)
         for _ in range(20):
             b, n = int(rng.integers(1, 8)), int(rng.integers(2, 40))
             scores = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(b, n))  # force ties
             targets = rng.integers(0, n, size=b)
-            want = [int(np.flatnonzero(top_k_indices(row, n) == t)[0]) + 1
+            # lexsort's last key is primary: score descending, then index ascending
+            want = [int(np.flatnonzero(np.lexsort((np.arange(n), -row)) == t)[0]) + 1
                     for row, t in zip(scores, targets)]
             assert rank_of_target(scores, targets).tolist() == want
 
@@ -122,9 +129,9 @@ class TestEvaluate:
         examples = make_examples(60, 40, seed=7)
         model = StatelessScorer(40)
         cfg = EvalConfig(ks=(1, 5, 20), protocol="sampled", n_neg=10)
-        songs = {u: {0, 1, 2} for u in range(3)}
-        a = evaluate(model, examples, cfg, seed=9, train_user_songs=songs)
-        b = evaluate(model, examples, cfg, seed=9, train_user_songs=songs)
+        train = session_table((u, [0, 1, 2]) for u in range(3))
+        a = evaluate(model, examples, cfg, seed=9, train=train)
+        b = evaluate(model, examples, cfg, seed=9, train=train)
         assert a.to_dict() == b.to_dict()
 
     @pytest.mark.parametrize("protocol,exclude",
@@ -133,10 +140,10 @@ class TestEvaluate:
         examples = make_examples(80, 40, seed=8)
         model = StatelessScorer(40)
         cfg = EvalConfig(ks=(1, 5, 20), protocol=protocol, n_neg=15, exclude_train_songs=exclude)
-        songs = {u: set(range(5)) for u in range(3)}
-        whole = evaluate(model, examples, cfg, seed=9, train_user_songs=songs)
+        train = session_table((u, list(range(5))) for u in range(3))
+        whole = evaluate(model, examples, cfg, seed=9, train=train)
         monkeypatch.setattr(evaluation, "CHUNK_CELLS", 1)  # one example per chunk
-        single = evaluate(model, examples, cfg, seed=9, train_user_songs=songs)
+        single = evaluate(model, examples, cfg, seed=9, train=train)
         assert whole.to_json() == single.to_json()
 
     @pytest.mark.parametrize("protocol", ["full", "sampled"])
@@ -157,7 +164,7 @@ class TestEvaluate:
         first = next(i for i, e in enumerate(examples) if (e.user, tuple(e.context)) == key)
         cfg = EvalConfig(ks=(1, 5), protocol=protocol, n_neg=5)
         with pytest.raises(ValueError, match=f"non-finite scores for test example {first}$"):
-            evaluate(NanAtOneContext(20), examples, cfg, seed=0, train_user_songs={})
+            evaluate(NanAtOneContext(20), examples, cfg, seed=0, train=session_table([]))
 
     def test_sampled_equals_full_when_all_candidates(self):
         # n_neg = N-1 and no training listens: candidate sets coincide
@@ -170,7 +177,7 @@ class TestEvaluate:
             examples,
             EvalConfig(ks=(1, 5, 10), protocol="sampled", n_neg=n_songs - 1),
             seed=0,
-            train_user_songs={},
+            train=session_table([]),
         )
         assert sampled.recall == full.recall
 
@@ -225,10 +232,71 @@ class TestEvaluate:
         examples = extract_examples(session_table([(0, [7, 7])]), 1)
         cfg_in = EvalConfig(ks=(1,))
         cfg_ex = EvalConfig(ks=(1,), exclude_train_songs=True)
-        songs = {0: {0, 1, 2, 3}}
+        train = session_table([(0, [0, 1, 2, 3])])
         assert evaluate(Biased(), examples, cfg_in, seed=0).recall[1] == 0.0
-        excluded = evaluate(Biased(), examples, cfg_ex, seed=0, train_user_songs=songs)
+        excluded = evaluate(Biased(), examples, cfg_ex, seed=0, train=train)
         assert excluded.recall[1] == 1.0
+
+
+def oracle_candidates(train, users, targets, n_songs, config, seed):
+    """Candidate rows of the examples, one at a time: a dict of the songs
+    each user heard in training, then the target plus the unheard songs,
+    of which the sampled protocol draws ``n_neg`` with the example's own
+    subseed."""
+    heard = {}
+    for u, songs in table_rows(train):
+        heard.setdefault(u, set()).update(songs)
+    rows = []
+    for position, (u, t) in enumerate(zip(users.tolist(), targets.tolist())):
+        row = np.ones(n_songs, dtype=bool)
+        row[list(heard.get(u, ()))] = False
+        row[t] = False
+        if config.protocol == "sampled" and np.count_nonzero(row) > config.n_neg:
+            rng = make_rng(derive_seed(seed, f"neg:{position}"))
+            picked = rng.choice(np.flatnonzero(row), size=config.n_neg, replace=False)
+            row[:] = False
+            row[picked] = True
+        row[t] = True
+        rows.append(row)
+    return np.array(rows)
+
+
+def test_candidate_masks_match_the_per_example_oracle(monkeypatch):
+    rng = make_rng(31)
+    masks = []
+
+    def recording_rank(scores, targets, mask=None):
+        masks.append(mask)
+        return rank_of_target(scores, targets, mask)
+
+    monkeypatch.setattr(evaluation, "rank_of_target", recording_rank)
+    for case in range(60):
+        n_songs, n_users = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+        # the last user has no training sessions; short sessions over a
+        # small catalog put many targets among the heard songs
+        train = session_table(
+            (int(rng.integers(max(n_users - 1, 1))),
+             rng.integers(0, n_songs, size=int(rng.integers(0, 8))).tolist())
+            for _ in range(int(rng.integers(0, 8))))
+        examples = extract_examples(session_table(
+            (int(rng.integers(n_users)), rng.integers(0, n_songs, size=2).tolist())
+            for _ in range(int(rng.integers(1, 25)))), 1)
+        seed = int(rng.integers(1000))
+        # a user absent from training has exactly n_songs - 1 unheard songs
+        n_negs = {1, int(rng.integers(1, n_songs)), n_songs - 1, n_songs}
+        configs = [EvalConfig(ks=(1,), exclude_train_songs=True), EvalConfig(ks=(1,))]
+        configs += [EvalConfig(ks=(1,), protocol="sampled", n_neg=n) for n in sorted(n_negs)]
+        for cells in (1, 3 * n_songs, evaluation.CHUNK_CELLS):
+            monkeypatch.setattr(evaluation, "CHUNK_CELLS", cells)
+            for config in configs:
+                masks.clear()
+                evaluate(StatelessScorer(n_songs), examples, config, seed=seed, train=train)
+                if config.protocol == "full" and not config.exclude_train_songs:
+                    assert all(mask is None for mask in masks)
+                    continue
+                want = oracle_candidates(train, examples.user, examples.target, n_songs,
+                                         config, seed)
+                assert np.array_equal(np.concatenate(masks), want), (case, cells, config)
 
 
 class TestEvalReport:

@@ -1,0 +1,75 @@
+"""No code in ``src/songrec/`` that only the tests run.
+
+Every function, class and method defined in the package must be named
+somewhere in ``src/`` or ``perfbench/`` other than at its own definition:
+as a name, as an attribute, or as a string constant (the benchmark
+wraps functions by the names it looks up). A helper that only a test
+needs belongs in ``tests/``, or is built there from the kernels that run.
+"""
+
+import ast
+import os
+
+from songrec.util import Recommender
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "songrec")
+SEARCHED = (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"))
+
+ALLOWLIST = {
+    # Recommender.families() finds every model family as a subclass, so
+    # nothing needs to name a family's class
+    *(cls.__name__ for cls in Recommender.families().values()),
+    # the finite-difference reference every backward-pass test compares
+    # against; moving it to tests/ would not make the code smaller
+    "grad_check",
+}
+
+
+def _python_files(top):
+    for dirpath, _, names in os.walk(top):
+        yield from (os.path.join(dirpath, n) for n in sorted(names) if n.endswith(".py"))
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _definitions():
+    """(file:line, name) of every function, class and method the package
+    defines; dunder methods run implicitly and are left out."""
+    for path in _python_files(PACKAGE):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield f"{os.path.basename(path)}:{node.lineno}", node.name
+
+
+def _referenced_names():
+    """Every name, attribute and dotted part of a string constant used in
+    ``src/`` or ``perfbench/``."""
+    used = set()
+    for top in SEARCHED:
+        for path in _python_files(top):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.update(node.value.split("."))
+    return used
+
+
+def test_every_definition_is_named_outside_the_tests():
+    used = _referenced_names()
+    unused = [f"{where} {name}" for where, name in _definitions()
+              if name not in used and name not in ALLOWLIST]
+    assert unused == []
+
+
+def test_grad_check_is_still_test_only():
+    # once src/ or perfbench/ calls it, its allowlist entry goes
+    assert "grad_check" in {name for _, name in _definitions()}
+    assert "grad_check" not in _referenced_names()

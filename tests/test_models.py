@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import session_table
+from conftest import loss_and_dense_grads, session_table, top_k
 from songrec.config import ModelConfig
 from songrec.core import grad_check
 from songrec.data import extract_examples
@@ -16,7 +16,7 @@ from songrec.models import (
     train,
     train_step,
 )
-from songrec.util import make_rng, top_k_indices
+from songrec.util import make_rng
 
 REFERENCE = ModelConfig().hyperparams()
 TINY = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=2, batch=2, lr=0.01, dropout_p=0.0)
@@ -139,7 +139,7 @@ class TestGradients:
         names = list(params.tensors())
 
         def f(arrs):
-            loss, grads = params.loss_and_grads(users, contexts, targets)
+            loss, grads = loss_and_dense_grads(params, users, contexts, targets)
             return loss, [grads[n] for n in names]
 
         err = grad_check(f, [params.tensors()[n] for n in names], eps=1e-5)
@@ -150,9 +150,9 @@ class TestTrainStep:
     def test_duplicate_example_same_mean_loss(self):
         params = NnRecParams(7, 3, TINY, rng=make_rng(8))
         single = (np.array([0]), np.array([[1, 2, 3]]), np.array([4]))
-        loss1 = params.loss_and_grads(*single)[0]
+        loss1 = loss_and_dense_grads(params, *single)[0]
         doubled = (np.array([0, 0]), np.array([[1, 2, 3], [1, 2, 3]]), np.array([4, 4]))
-        loss2 = params.loss_and_grads(*doubled)[0]
+        loss2 = loss_and_dense_grads(params, *doubled)[0]
         assert np.isclose(loss1, loss2, rtol=1e-12)
 
     def test_fresh_model_loss_near_log_n(self):
@@ -277,28 +277,28 @@ class TestPredictTopk:
 
     def test_known_ordering(self):
         params = self._rigged([0.1, 2.0, -1.0, 0.5, 1.0, 0.0, -2.0])
-        assert top_k_indices(params.score_catalog(0, [1, 2, 3]), 3).tolist() == [1, 4, 3]
+        assert top_k(params.score_catalog(0, [1, 2, 3]), 3).tolist() == [1, 4, 3]
 
     def test_k_equals_n_is_permutation(self):
         params = self._rigged([0.1, 2.0, -1.0, 0.5, 1.0, 0.0, -2.0])
-        top = top_k_indices(params.score_catalog(0, [1, 2, 3]), 7)
+        top = top_k(params.score_catalog(0, [1, 2, 3]), 7)
         assert sorted(top.tolist()) == list(range(7))
 
     def test_tie_prefers_lower_index(self):
         params = self._rigged([1.0, 5.0, 5.0, 1.0, 1.0, 0.0, 0.0])
-        assert top_k_indices(params.score_catalog(0, [1, 2, 3]), 2).tolist() == [1, 2]
+        assert top_k(params.score_catalog(0, [1, 2, 3]), 2).tolist() == [1, 2]
 
     def test_matches_brute_force_sort(self):
         rng = make_rng(18)
         params = NnRecParams(9, 3, TINY, rng=rng)
         probs = params.score_catalog(1, [4, 5, 6])
         want = sorted(range(9), key=lambda i: (-probs[i], i))
-        assert top_k_indices(params.score_catalog(1, [4, 5, 6]), 9).tolist() == want
+        assert top_k(params.score_catalog(1, [4, 5, 6]), 9).tolist() == want
 
     def test_unknown_user_error(self):
         params = NnRecParams(7, 3, TINY, rng=make_rng(19))
         with pytest.raises(IndexError):
-            top_k_indices(params.score_catalog(9, [1, 2, 3]), 3)
+            top_k(params.score_catalog(9, [1, 2, 3]), 3)
 
 
 class TestStructuralEquivalence:
