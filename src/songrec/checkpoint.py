@@ -15,11 +15,10 @@ import json
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
-from .util import Recommender
+from .util import Recommender, atomic_write
 
 MAGIC = b"SNGREC01"
 
@@ -51,21 +50,7 @@ def save(path, model_type: str, meta: dict, tensors: dict) -> None:
         sort_keys=True,
     ).encode("utf-8")
 
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            for blob in payloads:
-                fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, [MAGIC, struct.pack("<Q", len(header)), header, *payloads])
 
 
 def load(path) -> tuple[str, dict, dict]:

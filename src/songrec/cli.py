@@ -259,8 +259,6 @@ def cmd_sweep(cfg: ExperimentConfig, orders: list[int]) -> int:
         raise ValueError(f"orders must lie in [1, 10], got {orders}")
     order_cfgs = {j: dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, j=j))
                   for j in orders}
-    for order_cfg in order_cfgs.values():
-        order_cfg.validate()
     prepared = read_prepared(cfg.prepared_dir())
     t0 = time.perf_counter()
     artifacts = {}

@@ -4,8 +4,9 @@ Defaults reproduce the reference experimental setup. Each section has
 one settings type, the only place its reference values are written: the
 dataclasses here for ``data`` and ``model``, and
 :class:`songrec.evaluation.EvalConfig` for ``eval``. The type of every
-setting, and its value, is checked once, when the config loads, so a
-bad one fails before any data is read. Unknown keys are rejected so
+setting is checked when the config loads, and its value whenever a
+section is built (``dataclasses.replace`` too), so a bad one fails
+before any data is read. Unknown keys are rejected so
 typos cannot silently fall back to defaults. All randomness fans out from the single
 root seed via named subseeds (see :func:`songrec.util.derive_seed`).
 """
@@ -72,10 +73,10 @@ class DataConfig:
     overlap_mode: str = "drop-seen"
     shuffle_unit: str = "session"
 
-    # (setting, comparison, bound), checked when the config loads
+    # (setting, comparison, bound), checked when the section is built
     BOUNDS: ClassVar = (("vocab_cap", ">=", 1), ("gap_seconds", ">=", 1))
 
-    def validate(self):
+    def __post_init__(self):
         is_number = _LEAF_TYPES[float][1]
         check_bounds(self, self.BOUNDS, "config.data.")
         if len(self.ratios) != 3 or not all(map(is_number, self.ratios)):
@@ -144,7 +145,7 @@ class ModelConfig:
     BOUNDS: ClassVar = tuple(("dropout" if key == "dropout_p" else key, op, bound)
                              for key, op, bound in Hyperparams.BOUNDS)
 
-    def validate(self):
+    def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ValueError(f"family must be one of {MODEL_FAMILIES}, got {self.family!r}")
         if self.dtype not in ("float64", "float32"):
@@ -172,17 +173,11 @@ class ExperimentConfig:
     out_dir: str = "run"
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)  # checks itself when built
-
-    def validate(self):
-        self.data.validate()
-        self.model.validate()
+    eval: EvalConfig = field(default_factory=EvalConfig)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        cfg = _from_dict(cls, d, "config")
-        cfg.validate()
-        return cfg
+        return _from_dict(cls, d, "config")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -56,6 +56,7 @@ class EventColumns:
 
     :func:`parse_events` numbers users and songs by first appearance in
     the log; after :func:`filter_to_vocab` the song codes are vocabulary
+    indices, and after :func:`build_user_index` the user codes are user
     indices.
     """
 
@@ -118,25 +119,6 @@ class SplitDataset:
 
     def parts(self):
         return {"train": self.train, "val": self.val, "test": self.test}
-
-
-class VocabMap:
-    """Bijection between song keys and dense indices 0..N-1."""
-
-    def __init__(self, keys: list[str]):
-        if not keys:
-            raise ValueError("empty vocabulary is unusable")
-        self.reverse: list[str] = list(keys)
-        self.forward: dict[str, int] = {k: i for i, k in enumerate(self.reverse)}
-        if len(self.forward) != len(self.reverse):
-            raise ValueError("duplicate song keys in vocabulary")
-
-    @property
-    def size(self) -> int:
-        return len(self.reverse)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.forward
 
 
 def _read_lines(stream, n: int) -> list[str]:
@@ -263,68 +245,61 @@ def _first_rows(codes: np.ndarray, n_codes: int) -> np.ndarray:
     return first
 
 
-def _key_lookup(keys: list[str], index: dict[str, int]) -> np.ndarray:
-    """``index[key]`` for every key, in code order; -1 where absent."""
-    return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.int32, count=len(keys))
+def _renumber(codes: np.ndarray, kept: np.ndarray, keys: list[str]
+              ) -> tuple[np.ndarray, list[str]]:
+    """``codes`` with code ``kept[i]`` renumbered to i and every other code
+    to -1, and the keys of the ``kept`` codes in that order."""
+    lookup = np.full(len(keys), -1, dtype=np.int32)
+    lookup[kept] = np.arange(len(kept), dtype=np.int32)
+    return lookup[codes], [keys[c] for c in kept.tolist()]
 
 
-def build_vocab(events: EventColumns, cap: int) -> VocabMap:
-    """Keep the ``cap`` most-played songs.
-
-    Indices are assigned by descending play count; ties broken by first
-    appearance in the stream.
-    """
+def build_vocab(events: EventColumns, cap: int) -> np.ndarray:
+    """The song codes of the ``cap`` most-played songs, most played first;
+    ties broken by first appearance in the stream."""
     if not len(events):
         raise ValueError("no events: empty vocabulary is unusable")
     counts = np.bincount(events.song, minlength=len(events.song_keys))
     played = np.flatnonzero(counts)
     first = _first_rows(events.song, len(events.song_keys))[played]
-    top = played[np.lexsort((first, -counts[played]))[:cap]]
-    return VocabMap([events.song_keys[c] for c in top.tolist()])
+    return played[np.lexsort((first, -counts[played]))[:cap]]
 
 
-def filter_to_vocab(events: EventColumns, vocab: VocabMap) -> EventColumns:
-    """The plays whose song is in the vocabulary, order preserved; their
-    song codes become vocabulary indices."""
-    index = _key_lookup(events.song_keys, vocab.forward)[events.song]
-    keep = index >= 0
-    return EventColumns(events.user[keep], events.ts[keep], index[keep],
-                        events.user_keys, vocab.reverse)
+def filter_to_vocab(events: EventColumns, codes: np.ndarray) -> EventColumns:
+    """The plays of the songs ``codes``, order preserved; song ``codes[i]``
+    becomes vocabulary index i."""
+    song, song_keys = _renumber(events.song, codes, events.song_keys)
+    keep = song >= 0
+    return EventColumns(events.user[keep], events.ts[keep], song[keep],
+                        events.user_keys, song_keys)
 
 
-def build_user_index(events: EventColumns) -> dict[str, int]:
-    """User key -> dense index, by first appearance in the stream."""
+def build_user_index(events: EventColumns) -> EventColumns:
+    """``events`` with its users renumbered to dense indices by first
+    appearance in the stream; users without a play are dropped."""
     first = _first_rows(events.user, len(events.user_keys))
     present = np.flatnonzero(first < len(events))
-    order = present[np.argsort(first[present], kind="stable")]
-    return {events.user_keys[c]: i for i, c in enumerate(order.tolist())}
+    user, user_keys = _renumber(events.user, present[np.argsort(first[present])],
+                                events.user_keys)
+    return EventColumns(user, events.ts, events.song, user_keys, events.song_keys)
 
 
-def sessionize(
-    events: EventColumns,
-    vocab: VocabMap,
-    user_index: dict[str, int],
-    gap_seconds: int,
-) -> SessionTable:
+def sessionize(events: EventColumns, gap_seconds: int) -> SessionTable:
     """Group each user's plays into sessions split at gaps >= ``gap_seconds``.
 
-    Plays are stably sorted by (user index, timestamp) first, so input
+    Plays are stably sorted by (user, timestamp) first, so input
     interleaving does not matter and equal timestamps keep input order.
     A gap of exactly ``gap_seconds`` starts a new session (inside a
     session every gap is strictly smaller). Length-1 sessions are kept.
-    Sessions come out ordered by user index, chronologically within each
-    user. Every user must be in ``user_index`` and every song in ``vocab``.
+    Sessions come out ordered by user code, chronologically within each
+    user; the table holds the user and song codes of ``events``.
     """
-    users = _key_lookup(events.user_keys, user_index)[events.user]
-    items = _key_lookup(events.song_keys, vocab.forward)[events.song]
-    if len(events) and min(users.min(), items.min()) < 0:
-        raise ValueError("a play's user is not in user_index or its song not in vocab")
-    order = np.lexsort((events.ts, users))
-    users, ts = users[order], events.ts[order]
+    order = np.lexsort((events.ts, events.user))
+    users, ts = events.user[order], events.ts[order]
     breaks = (users[1:] != users[:-1]) | (np.diff(ts) >= gap_seconds)
     starts = np.flatnonzero(np.concatenate(([len(ts) > 0], breaks)))
     return SessionTable(users[starts].astype(np.int64), np.append(starts, len(ts)),
-                        items[order].astype(np.int64))
+                        events.song[order].astype(np.int64))
 
 
 def split_dataset(sessions: SessionTable, ratios: Sequence[float], seed: int) -> SplitDataset:
@@ -440,18 +415,21 @@ def drop_unknown_users(sessions: SessionTable, train_sessions: SessionTable) -> 
 #   train.txt    one session per line: "<user_index> <i1>,<i2>,..."
 #   val.txt, test.txt  same layout
 #   stats.json   counts, split seed, pipeline settings
+#
+# Every line ends in "\n", and only "\n" ends a line: a key keeps every
+# other character the parser let into it ("\r", "\x0c", "\u2028", ...).
 
 
 @dataclass(slots=True)
 class PreparedDataset:
-    vocab: VocabMap
+    song_keys: list[str]
     user_keys: list[str]
     split: SplitDataset
     stats: dict = field(default_factory=dict)
 
     @property
     def n_songs(self) -> int:
-        return self.vocab.size
+        return len(self.song_keys)
 
     @property
     def n_users(self) -> int:
@@ -468,13 +446,13 @@ def _session_lines(sessions: SessionTable) -> str:
 
 
 def _read_sessions(text: str, path, n_users: int, n_songs: int) -> SessionTable:
-    """The sessions of session file ``path``: each non-empty line split at
-    its first space into a user index and comma-separated song indices,
-    each read by ``int``. A token ``int`` rejects, a user index without
-    its line in users.txt and a song index without its line in vocab.txt
-    raise ``ValueError`` naming ``path``."""
+    """The sessions of session file ``path``: each non-empty line, cut at
+    ``"\\n"`` only, split at its first space into a user index and
+    comma-separated song indices, each read by ``int``. A token ``int``
+    rejects, a user index without its line in users.txt and a song index
+    without its line in vocab.txt raise ``ValueError`` naming ``path``."""
     # partition's tuples live one at a time; what stays is strings and ints
-    parts = list(chain.from_iterable(map(str.partition, filter(None, text.splitlines()),
+    parts = list(chain.from_iterable(map(str.partition, filter(None, text.split("\n")),
                                          repeat(" "))))
     heads, tails = parts[0::3], parts[2::3]
     songs = ",".join(filter(None, tails))
@@ -482,7 +460,7 @@ def _read_sessions(text: str, path, n_users: int, n_songs: int) -> SessionTable:
         users = np.array(list(map(int, heads)))
         items = np.array(list(map(int, songs.split(",") if songs else [])))
     except ValueError:  # name the first token int() rejects, by the same rule
-        for number, line in enumerate(text.splitlines(), 1):
+        for number, line in enumerate(text.split("\n"), 1):
             user_text, _, items_text = line.partition(" ")
             tokens = items_text.split(",") if items_text else []
             for what, tok in [("user", user_text), *(("song", t) for t in tokens)] if line else ():
@@ -508,7 +486,7 @@ def write_prepared(out_dir, prepared: PreparedDataset) -> None:
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(
         os.path.join(out_dir, "vocab.txt"),
-        "".join(k + "\n" for k in prepared.vocab.reverse),
+        "".join(k + "\n" for k in prepared.song_keys),
     )
     atomic_write_text(
         os.path.join(out_dir, "users.txt"),
@@ -519,24 +497,50 @@ def write_prepared(out_dir, prepared: PreparedDataset) -> None:
     atomic_write_json(os.path.join(out_dir, "stats.json"), prepared.stats)
 
 
+def _read_keys(text: str) -> list[str]:
+    """The keys of a key file: its lines, cut at ``"\\n"`` only as
+    :func:`write_prepared` writes them; ``ValueError`` at a repeated key."""
+    keys = text.split("\n")
+    if not keys[-1]:  # after the last line end, or in an empty file
+        keys.pop()
+    if len(set(keys)) < len(keys):
+        first = {}
+        for number, key in enumerate(keys, 1):
+            if first.setdefault(key, number) != number:
+                raise ValueError(f"line {number} repeats the key {key!r} of line {first[key]}")
+    return keys
+
+
 def read_prepared(out_dir) -> PreparedDataset:
     """Read back a prepared-dataset directory.
 
-    A user or song index without its line in users.txt or vocab.txt
-    raises ``ValueError`` naming the session file it is in.
+    Every file is cut into lines at ``"\\n"`` only, the inverse of
+    :func:`write_prepared`. A repeated key, an empty vocab.txt, a file
+    that is not UTF-8, a stats.json that is not JSON, and a user or song
+    index without its line in users.txt or vocab.txt raise ``ValueError``
+    naming the file.
     """
 
-    def read(name):
-        with open(os.path.join(out_dir, name), "r", encoding="utf-8") as fh:
-            return fh.read()
+    def path(name):
+        return os.path.join(out_dir, name)
 
-    vocab = VocabMap(read("vocab.txt").splitlines())
-    user_keys = read("users.txt").splitlines()
-    stats = json.loads(read("stats.json"))
-    parts = {name: _read_sessions(read(f"{name}.txt"), os.path.join(out_dir, f"{name}.txt"),
-                                  len(user_keys), vocab.size)
+    def read(name, parse=str):
+        """``parse`` of the text of file ``name``; a ``ValueError`` names the file."""
+        try:
+            with open(path(name), "r", encoding="utf-8", newline="") as fh:
+                return parse(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path(name)}: {exc}") from None
+
+    song_keys = read("vocab.txt", _read_keys)
+    if not song_keys:
+        raise ValueError(f"{path('vocab.txt')}: empty vocabulary is unusable")
+    user_keys = read("users.txt", _read_keys)
+    stats = read("stats.json", json.loads)
+    parts = {name: _read_sessions(read(f"{name}.txt"), path(f"{name}.txt"),
+                                  len(user_keys), len(song_keys))
              for name in ("train", "val", "test")}
-    return PreparedDataset(vocab, user_keys, SplitDataset(**parts), stats)
+    return PreparedDataset(song_keys, user_keys, SplitDataset(**parts), stats)
 
 
 def prepare(events: EventColumns, settings: DataConfig, seed: int) -> PreparedDataset:
@@ -547,27 +551,23 @@ def prepare(events: EventColumns, settings: DataConfig, seed: int) -> PreparedDa
     sessions (the reference, preserves the sequences the models consume) or
     single records (each part is then sessionized on its own).
     """
-    vocab = build_vocab(events, settings.vocab_cap)
-    kept = filter_to_vocab(events, vocab)
+    kept = filter_to_vocab(events, build_vocab(events, settings.vocab_cap))
     if not kept:
         raise ValueError("no events survive vocabulary filtering")
-    user_index = build_user_index(kept)
-    user_keys = sorted(user_index, key=user_index.get)
+    kept = build_user_index(kept)
 
     if settings.shuffle_unit == "session":
-        sessions = sessionize(kept, vocab, user_index, settings.gap_seconds)
-        split = split_dataset(sessions, settings.ratios, seed)
+        split = split_dataset(sessionize(kept, settings.gap_seconds), settings.ratios, seed)
     else:
         parts = split_events(kept, settings.ratios, seed)
-        split = SplitDataset(*(sessionize(p, vocab, user_index, settings.gap_seconds)
-                               for p in parts))
+        split = SplitDataset(*(sessionize(p, settings.gap_seconds) for p in parts))
     n_sessions_in = sum(map(len, split.parts().values()))
 
     split, deleted = delete_train_overlap(split, settings.overlap_mode)
 
     stats = {
-        "users": len(user_keys),
-        "songs": vocab.size,
+        "users": len(kept.user_keys),
+        "songs": len(kept.song_keys),
         "records": len(kept),
         "records_raw": len(events),
         "sessions_before_overlap": n_sessions_in,
@@ -581,4 +581,4 @@ def prepare(events: EventColumns, settings: DataConfig, seed: int) -> PreparedDa
         "overlap_mode": settings.overlap_mode,
         "shuffle_unit": settings.shuffle_unit,
     }
-    return PreparedDataset(vocab, user_keys, split, stats)
+    return PreparedDataset(kept.song_keys, kept.user_keys, split, stats)

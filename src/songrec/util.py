@@ -12,7 +12,6 @@ import hashlib
 import json
 import operator
 import os
-import tempfile
 
 import numpy as np
 
@@ -103,19 +102,24 @@ def config_hash(obj) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to ``path`` via a temp file + rename."""
+def atomic_write(path, chunks) -> None:
+    """Write the bytes ``chunks`` to ``path`` via a temp file in the same
+    directory and a rename, so ``path`` holds its old bytes or all the new
+    ones. The file gets mode 0o666 less the umask, as ``open`` creates it."""
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write(path, [text.encode("utf-8")])
 
 
 def atomic_write_json(path, obj) -> None:

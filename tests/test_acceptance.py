@@ -256,10 +256,8 @@ def test_c08_metric_oracle():
 
 def test_c09_pipeline_fixture(tmp_path):
     events = lastfm_fixture_events()
-    vocab = build_vocab(events, 10000)
-    kept = filter_to_vocab(events, vocab)
-    users = build_user_index(kept)
-    sessions = sessionize(kept, vocab, users, 3600)
+    kept = build_user_index(filter_to_vocab(events, build_vocab(events, 10000)))
+    sessions = sessionize(kept, 3600)
     # 3599 s gap held, every exact 3600 s (and larger) gap split
     session_shape = len(sessions) == 20 and bool((sessions.lengths == 10).all())
     split = split_dataset(sessions, (0.7, 0.1, 0.2), seed=5)

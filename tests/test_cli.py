@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -13,11 +14,10 @@ import songrec
 from songrec import baselines, checkpoint, cli, data
 from songrec.cli import _eval_order, main
 from conftest import digit_chain_sessions, session_table, third_order_sessions
-from songrec.config import ExperimentConfig, apply_override
+from songrec.config import DataConfig, ExperimentConfig, ModelConfig, apply_override
 from songrec.data import (
     PreparedDataset,
     SplitDataset,
-    VocabMap,
     examples_to_arrays,
     extract_examples,
     read_prepared,
@@ -155,6 +155,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="filter width 2 exceeds context length 1"):
             ExperimentConfig.from_dict({"model": {"family": "cnnrec", "j": 1}})
 
+    def test_sections_check_themselves_when_replaced(self):
+        with pytest.raises(ValueError, match=r"^config\.model\.h must be >= 1, got 0$"):
+            dataclasses.replace(ModelConfig(), h=0)
+        with pytest.raises(ValueError, match="ratios must sum to 1"):
+            dataclasses.replace(DataConfig(), ratios=[0.5, 0.2, 0.2])
+
     def test_readme_config_block_is_the_defaults(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:
@@ -268,6 +274,20 @@ class TestTrainEvaluate:
         assert report["n_examples"] > 0
         curves = (out / "curves.csv").read_text().splitlines()
         assert len(curves) == 1 + 4  # header + one row per cutoff
+
+    def test_written_files_get_the_mode_open_gives(self, workspace):
+        tmp, config = workspace
+        out = tmp / "run"
+        umask = os.umask(0o027)
+        try:
+            assert run_cli("prepare", "--config", config) == 0
+            assert run_cli("train", "--config", config) == 0
+            assert run_cli("evaluate", "--config", config, "--checkpoint", out / "model.ckpt") == 0
+        finally:
+            os.umask(umask)
+        modes = {path: path.stat().st_mode & 0o777 for path in out.rglob("*") if path.is_file()}
+        assert len(modes) == 13  # 6 prepared, 2 trained, 2 evaluated, 3 manifests
+        assert modes == dict.fromkeys(modes, 0o640)
 
     def test_train_logs_one_progress_line_per_epoch(self, prepared, caplog):
         tmp, config = prepared
@@ -475,7 +495,7 @@ def _write_sessions_config(tmp_path, train_s, test_s, n_songs, n_users, **overri
     write_prepared(
         prepared_dir,
         PreparedDataset(
-            vocab=VocabMap([f"s{i}" for i in range(n_songs)]),
+            song_keys=[f"s{i}" for i in range(n_songs)],
             user_keys=[f"u{i}" for i in range(n_users)],
             split=SplitDataset(train_s, session_table([]), test_s),
             stats={"seed": 0, "ratios": [0.7, 0.1, 0.2]},
@@ -714,6 +734,27 @@ class TestCliErrors:
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if " ERROR " in line]
         assert len(errors) == 1 and f"{ckpt}: malformed checkpoint header" in errors[0]
+
+    PREPARED_DAMAGE = {
+        "repeated song key": ("vocab.txt", lambda text: text + text.split(b"\n", 1)[0] + b"\n"),
+        "empty vocabulary": ("vocab.txt", lambda text: b""),
+        "repeated user key": ("users.txt", lambda text: text + text.split(b"\n", 1)[0] + b"\n"),
+        "stats not JSON": ("stats.json", lambda text: text[1:]),
+        "vocabulary not UTF-8": ("vocab.txt", lambda text: b"\xff" + text),
+    }
+
+    @pytest.mark.parametrize("damage", PREPARED_DAMAGE)
+    def test_damaged_prepared_file_exits_with_one_line(self, prepared, caplog, damage):
+        tmp, config = prepared
+        name, change = self.PREPARED_DAMAGE[damage]
+        path = tmp / "run" / "prepared" / name
+        path.write_bytes(change(path.read_bytes()))
+        code = run_cli("train", "--config", config, "--out", tmp / "damaged",
+                       "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}")
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert errors[0].startswith(f"{path}: ")
 
     def test_train_without_prepared_dir_fails(self, tmp_path):
         config = write_config(tmp_path / "c.json", **{"out_dir": str(tmp_path / "o")})

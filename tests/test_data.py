@@ -23,7 +23,6 @@ from songrec.data import (
     SONG_KEY_SEP,
     EventColumns,
     SplitDataset,
-    VocabMap,
     build_user_index,
     build_vocab,
     delete_train_overlap,
@@ -70,10 +69,25 @@ def plays(songs, user="u"):
     return events_from_rows((user, t, song) for t, song in enumerate(songs))
 
 
-def sorted_plays(events, users, vocab):
-    """(user index, timestamp, song index) of every play, laid out as
-    sessionize orders them: by user index, then time, ties in input order."""
-    rows = [(users[u], ts, vocab.forward[song]) for u, ts, song in event_rows(events)]
+def song_codes(events, keys):
+    """The codes ``events`` gives the songs ``keys``, in that order; keys
+    it never saw are left out."""
+    return np.array([events.song_keys.index(k) for k in keys if k in events.song_keys],
+                    dtype=np.int64)
+
+
+def vocab_keys(events, cap):
+    """The song keys build_vocab keeps, in vocabulary index order."""
+    return [events.song_keys[c] for c in build_vocab(events, cap).tolist()]
+
+
+def sorted_plays(events, user_keys, song_keys):
+    """(user index, timestamp, song index) of every play, the indices its
+    keys have in ``user_keys`` and ``song_keys``, laid out as sessionize
+    orders them: by user index, then time, ties in input order."""
+    users = {key: i for i, key in enumerate(user_keys)}
+    songs = {key: i for i, key in enumerate(song_keys)}
+    rows = [(users[u], ts, songs[song]) for u, ts, song in event_rows(events)]
     return sorted(rows, key=lambda r: r[:2])
 
 
@@ -228,63 +242,57 @@ class TestParseTimestamps:
 class TestVocab:
     def test_cap_keeps_most_played(self):
         events = plays("aaabbc")
-        vocab = build_vocab(events, cap=2)
-        assert vocab.forward == {"a": 0, "b": 1}
+        assert vocab_keys(events, cap=2) == ["a", "b"]
 
     def test_cap_above_distinct_keeps_all(self):
         events = plays("abc")
-        vocab = build_vocab(events, cap=100)
-        assert vocab.size == 3
+        assert len(build_vocab(events, cap=100)) == 3
 
     def test_tie_broken_by_first_appearance(self):
         events = plays("abab")
-        vocab = build_vocab(events, cap=1)
-        assert vocab.forward == {"a": 0}
+        assert vocab_keys(events, cap=1) == ["a"]
 
     def test_empty_events_error(self):
         with pytest.raises(ValueError):
             build_vocab(plays([]), cap=5)
 
     def test_forward_reverse_inverse(self):
+        # song code -> vocabulary index -> key gives back the song's key
         events = plays("dcabacbdcd")
-        vocab = build_vocab(events, cap=10)
-        for key, idx in vocab.forward.items():
-            assert vocab.reverse[idx] == key
-        for idx, key in enumerate(vocab.reverse):
-            assert vocab.forward[key] == idx
+        kept = filter_to_vocab(events, build_vocab(events, cap=10))
+        assert sorted(kept.song_keys) == sorted(events.song_keys)
+        assert event_rows(kept) == event_rows(events)
 
     def test_brute_force_count_oracle(self):
         rng = np.random.default_rng(4)
         songs = [f"s{i}" for i in rng.integers(0, 12, size=200)]
         events = plays(songs)
-        vocab = build_vocab(events, cap=5)
         # oracle: count dict + stable sort by (-count, first pos)
         counts, first = {}, {}
         for i, s in enumerate(songs):
             counts[s] = counts.get(s, 0) + 1
             first.setdefault(s, i)
         want = sorted(counts, key=lambda s: (-counts[s], first[s]))[:5]
-        assert vocab.reverse == want
+        assert vocab_keys(events, cap=5) == want
 
 
 class TestFilter:
     def test_all_in_vocab_identity(self):
         events = plays("abc")
-        vocab = build_vocab(events, 10)
-        assert event_rows(filter_to_vocab(events, vocab)) == event_rows(events)
+        assert event_rows(filter_to_vocab(events, build_vocab(events, 10))) == event_rows(events)
 
     def test_none_in_vocab_empty(self):
         events = plays("abc")
-        vocab = VocabMap(["z"])
-        assert len(filter_to_vocab(events, vocab)) == 0
+        assert len(filter_to_vocab(events, song_codes(events, ["z"]))) == 0
 
     def test_mixed_is_exact_subsequence(self):
         rng = np.random.default_rng(9)
         events = plays([f"s{x}" for x in rng.integers(0, 9, 100)])
-        vocab = VocabMap(["s1", "s3", "s5"])
-        got = filter_to_vocab(events, vocab)
+        vocab = ["s1", "s3", "s5"]
+        got = filter_to_vocab(events, song_codes(events, vocab))
+        assert got.song_keys == vocab
         assert event_rows(got) == [e for e in event_rows(events) if e[2] in {"s1", "s3", "s5"}]
-        assert got.song.tolist() == [vocab.forward[e[2]] for e in event_rows(got)]
+        assert got.song.tolist() == [vocab.index(e[2]) for e in event_rows(got)]
 
 
 def session_rows(user, t0, songs, gaps):
@@ -300,67 +308,60 @@ def session_rows(user, t0, songs, gaps):
 
 class TestSessionize:
     def _run(self, events, gap_seconds=3600):
-        vocab = build_vocab(events, 10000)
-        users = build_user_index(events)
-        return sessionize(events, vocab, users, gap_seconds), vocab, users
+        """The sessions of ``events`` under a vocabulary of every song, and
+        the plays as prepare numbers them for sessionize."""
+        kept = build_user_index(filter_to_vocab(events, build_vocab(events, 10000)))
+        return sessionize(kept, gap_seconds), kept
 
     def test_small_gaps_one_session(self):
         rows = session_rows("u", 0, list("abcd"), [600, 600, 600])
-        sessions, _, _ = self._run(events_from_rows(rows))
+        sessions, _ = self._run(events_from_rows(rows))
         assert sessions.lengths.tolist() == [4]
 
     def test_exact_hour_gap_splits(self):
         rows = session_rows("u", 0, list("ab"), [3600])
-        sessions, _, _ = self._run(events_from_rows(rows))
+        sessions, _ = self._run(events_from_rows(rows))
         assert sessions.lengths.tolist() == [1, 1]
 
     def test_one_second_under_does_not_split(self):
         rows = session_rows("u", 0, list("ab"), [3599])
-        sessions, _, _ = self._run(events_from_rows(rows))
+        sessions, _ = self._run(events_from_rows(rows))
         assert sessions.lengths.tolist() == [2]
 
     def test_interleaved_users_are_independent(self):
         a = session_rows("a", 0, list("xy"), [120])
         b = session_rows("b", 60, list("pq"), [120])
         merged = sorted(a + b, key=lambda e: e[1])
-        sessions, vocab, users = self._run(events_from_rows(merged))
+        sessions, kept = self._run(events_from_rows(merged))
         assert len(sessions) == 2
         by_user = dict(table_rows(sessions))
-        assert [vocab.reverse[i] for i in by_user[users["a"]]] == ["x", "y"]
-        assert [vocab.reverse[i] for i in by_user[users["b"]]] == ["p", "q"]
+        songs = {key: [kept.song_keys[i] for i in by_user[u]]
+                 for u, key in enumerate(kept.user_keys)}
+        assert songs == {"a": ["x", "y"], "b": ["p", "q"]}
 
     def test_out_of_order_input_sorted(self):
         rows = session_rows("u", 0, list("abc"), [60, 60])
-        sessions, vocab, _ = self._run(events_from_rows(reversed(rows)))
-        assert [vocab.reverse[i] for i in table_rows(sessions)[0][1]] == ["a", "b", "c"]
+        sessions, kept = self._run(events_from_rows(reversed(rows)))
+        assert [kept.song_keys[i] for i in table_rows(sessions)[0][1]] == ["a", "b", "c"]
 
     def test_gap_invariant_and_idempotence(self, fixture_events):
-        sessions, vocab, users = self._run(fixture_events)
-        reverse_user = {v: k for k, v in users.items()}
-        stamps = session_stamps(sessions, sorted_plays(fixture_events, users, vocab))
+        sessions, kept = self._run(fixture_events)
+        keys = kept.user_keys, kept.song_keys
+        stamps = session_stamps(sessions, sorted_plays(kept, *keys))
         for (user, items), timestamps in zip(table_rows(sessions), stamps):
             gaps = np.diff(timestamps)
             assert (gaps >= 0).all() and (gaps < 3600).all()
             # re-sessionizing a session's own events returns it unchanged
-            events = events_from_rows(
-                (reverse_user[user], ts, vocab.reverse[i])
-                for i, ts in zip(items, timestamps)
-            )
-            again = sessionize(events, vocab, users, 3600)
+            events = EventColumns(np.full(len(items), user, dtype=np.int32),
+                                  np.array(timestamps, dtype=np.int64),
+                                  np.array(items, dtype=np.int32), *keys)
+            again = sessionize(events, 3600)
             assert len(again) == 1
-            again_stamps = session_stamps(again, sorted_plays(events, users, vocab))
+            again_stamps = session_stamps(again, sorted_plays(events, *keys))
             assert table_rows(again)[0][1] == items and again_stamps[0] == timestamps
 
-    def test_play_outside_vocab_or_user_index_refused(self):
-        events = plays("ab")
-        users = build_user_index(events)
-        with pytest.raises(ValueError, match="not in vocab"):
-            sessionize(events, VocabMap(["a"]), users, 3600)
-        with pytest.raises(ValueError, match="not in user_index"):
-            sessionize(events, build_vocab(events, 10), {"other": 0}, 3600)
-
     def test_fixture_session_shape(self, fixture_events):
-        sessions, _, _ = self._run(fixture_events)
+        sessions, _ = self._run(fixture_events)
         assert len(sessions) == 20
         assert (sessions.lengths == 10).all()
 
@@ -578,12 +579,11 @@ class TestPipeline:
         assert sum(prepared.stats["events"].values()) <= 200
         # each part's plays, sorted as sessionize lays them out, less the
         # plays drop-seen deletion removed, cut at the session lengths
-        users = {key: i for i, key in enumerate(prepared.user_keys)}
         seen = {(user, i) for user, items in table_rows(prepared.split.train) for i in items}
-        kept = filter_to_vocab(fixture_events, prepared.vocab)
+        kept = filter_to_vocab(fixture_events, song_codes(fixture_events, prepared.song_keys))
         parts = split_events(kept, settings.ratios, seed=5)
         for (name, sessions), events in zip(prepared.split.parts().items(), parts):
-            rows = sorted_plays(events, users, prepared.vocab)
+            rows = sorted_plays(events, prepared.user_keys, prepared.song_keys)
             if name != "train":
                 rows = [r for r in rows if (r[0], r[2]) not in seen]
             for timestamps in session_stamps(sessions, rows):
@@ -595,7 +595,7 @@ class TestPipeline:
         out = tmp_path / "prep"
         write_prepared(out, prepared)
         back = read_prepared(out)
-        assert back.vocab.reverse == prepared.vocab.reverse
+        assert back.song_keys == prepared.song_keys
         assert back.user_keys == prepared.user_keys
         for name in ("train", "val", "test"):
             a = prepared.split.parts()[name]
@@ -603,13 +603,29 @@ class TestPipeline:
             assert table_rows(a) == table_rows(b)
         assert back.stats == prepared.stats
 
+    # str.splitlines breaks a line at each of these; only "\n" ends one in
+    # the prepared files
+    @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_keys_with_line_breaking_characters_round_trip(self, tmp_path, char):
+        lines = [line.replace("alice", f"ali{char}ce").replace("shared-", f"shared{char}")
+                 for line in lastfm_fixture_lines()]
+        prepared = prepare(parse_events(lines)[0], DataConfig(), seed=5)
+        assert f"ali{char}ce" in prepared.user_keys
+        assert sum(char in key for key in prepared.song_keys) == 10  # both users' shared songs
+        write_prepared(tmp_path, prepared)
+        back = read_prepared(tmp_path)
+        assert back.song_keys == prepared.song_keys
+        assert back.user_keys == prepared.user_keys
+        assert table_rows(back.split.train) == table_rows(prepared.split.train)
+
     def test_read_back_holds_no_object_per_session(self, tmp_path):
         # objects that live on after the read are scanned by every later
         # full GC collection, in whichever stage it lands
         rng = np.random.default_rng(7)
         sessions = session_table((int(rng.integers(20)), rng.integers(0, 50, n).tolist())
                                  for n in rng.integers(0, 9, size=12_000))
-        write_prepared(tmp_path, PreparedDataset(VocabMap([f"s{i}" for i in range(50)]),
+        write_prepared(tmp_path, PreparedDataset([f"s{i}" for i in range(50)],
                                                  [f"u{i}" for i in range(20)],
                                                  SplitDataset(sessions, sessions, sessions)))
         gc.collect()
@@ -764,7 +780,7 @@ class TestPrepareOracle:
             return
         rows = [(user, ts, artist + SONG_KEY_SEP + track) for user, ts, artist, track in log]
         vocab, users, split = oracle_prepare(rows, settings, seed)
-        assert prepared.vocab.reverse == vocab
+        assert prepared.song_keys == vocab
         assert prepared.user_keys == users
         for name, sessions in split.items():
             assert table_rows(prepared.split.parts()[name]) == sessions

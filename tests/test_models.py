@@ -55,7 +55,7 @@ class TestHyperparams:
         with pytest.raises(ValueError) as hyper_error:
             dataclasses.replace(REFERENCE, **{key: value})
         with pytest.raises(ValueError) as config_error:
-            ModelConfig(**{config_key: value}).validate()
+            ModelConfig(**{config_key: value})
         assert str(hyper_error.value).startswith(f"{key} must be ")
         assert str(config_error.value) == "config.model." + str(hyper_error.value).replace(
             key, config_key, 1)
