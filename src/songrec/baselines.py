@@ -94,6 +94,28 @@ def _pair_count(lengths, window: int):
 
 
 PAIR_BLOCK = 1 << 14  # (center, context) pairs per block in w2v_train
+# most pairs per minibatch in w2v_train: larger minibatches run no faster
+# per pair, and 1024 pairs on criterion 7's 50 songs leave almost no gap
+SGNS_BATCH = 256
+
+
+def _sgns_batch(items: np.ndarray) -> int:
+    """Pairs per w2v minibatch: ``SGNS_BATCH``, or fewer when the plays
+    ``items`` concentrate on few songs: at most their effective number of
+    songs, (sum of counts)^2 / (sum of squared counts). A minibatch takes
+    every gradient at the same vectors, so a song that many of its pairs
+    touch moves by their summed step; on three songs, 256-pair minibatches
+    diverge."""
+    counts = np.bincount(items).astype(float)
+    return max(1, min(SGNS_BATCH, int(counts.sum() ** 2 / (counts**2).sum())))
+
+
+def _scatter_add(param: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """Add ``updates`` (one (d,) row per entry of ``rows``) to those rows of
+    the C-contiguous ``param`` in place; a repeated row gets the sum."""
+    d = param.shape[1]
+    flat = param.reshape(-1, copy=False)
+    np.add.at(flat, (rows[:, None] * d + np.arange(d)).ravel(), updates.ravel())
 
 
 def _pair_blocks(items: np.ndarray, offsets: np.ndarray, window: int):
@@ -130,10 +152,12 @@ def w2v_train(
     log sigma(v_c . v'_o) and ``negatives`` noise terms log sigma(-v_c . v'_n)
     are ascended by SGD; negatives are drawn from the unigram^0.75
     distribution of the training sessions. The learning rate decays
-    linearly over all scheduled updates down to a floor of lr * 1e-4.
-    Pairs are updated one at a time in (session, position, offset) order;
-    the data-independent work (pairs, negatives, learning rates, losses)
-    is done in blocks of pairs, which leaves every result bit unchanged.
+    linearly over all scheduled pairs down to a floor of lr * 1e-4.
+    Pairs, negatives, learning rates and losses are built in blocks of
+    pairs in (session, position, offset) order; each block is then
+    updated in minibatches of :func:`_sgns_batch` pairs, whose gradients
+    are all taken at the vectors as they stood before that minibatch and
+    added up where pairs share a row.
 
     Center vectors start uniform in [-0.5/d, 0.5/d), context vectors at
     zero; epochs=0 returns that initialization untouched. After each
@@ -150,6 +174,7 @@ def w2v_train(
         return emb
 
     cum = _noise_cumdist(items, n_songs)
+    batch_pairs = _sgns_batch(items)
     epoch_pairs = int(_pair_count(sessions.lengths, window).sum())
     total_pairs = epochs * epoch_pairs
     min_lr = lr * 1e-4
@@ -161,29 +186,19 @@ def w2v_train(
             negs = np.searchsorted(cum, rng.random(b * negatives)).reshape(b, negatives)
             np.clip(negs, 0, len(cum) - 1, out=negs)
             rows = np.column_stack((contexts, negs))
-            ordered = np.sort(rows, axis=1)
-            repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
             step_lrs = np.maximum(lr * (1.0 - np.arange(done, done + b) / total_pairs), min_lr)
             done += b
             scores = np.empty(rows.shape)
-            for center, pair_rows, step_lr, repeat, pair_scores in zip(
-                centers.tolist(), rows, step_lrs.tolist(), repeats.tolist(), scores
-            ):
-                vc = v_in[center]
-                vecs = v_out[pair_rows]
-                np.matmul(vecs, vc, out=pair_scores)
-                coef = expit(pair_scores)
-                coef[0] -= 1.0  # positive label
-                dvc = coef @ vecs
-                dvc *= step_lr
-                upd = coef[:, None] * vc
-                upd *= -step_lr
-                if repeat:
-                    np.add.at(v_out, pair_rows, upd)  # repeated rows must accumulate
-                else:
-                    vecs += upd
-                    v_out[pair_rows] = vecs
-                vc -= dvc  # vc is v_in's row, updated in place
+            for lo in range(0, b, batch_pairs):
+                batch = slice(lo, lo + batch_pairs)
+                vc = v_in[centers[batch]]
+                vecs = v_out[rows[batch]]
+                batch_scores = np.einsum("bd,bkd->bk", vc, vecs, out=scores[batch])
+                coef = expit(batch_scores)
+                coef[:, 0] -= 1.0  # positive label
+                coef *= -step_lrs[batch, None]
+                _scatter_add(v_out, rows[batch].ravel(), coef[:, :, None] * vc[:, None, :])
+                _scatter_add(v_in, centers[batch], np.einsum("bk,bkd->bd", coef, vecs))
             for loss in _sgns_losses(scores).tolist():  # summed in pair order
                 epoch_loss += loss
         emb.loss_history.append(epoch_loss / max(epoch_pairs, 1))
@@ -294,13 +309,15 @@ def wmf_train(
     lam: float,
     iters: int,
     rng: np.random.Generator,
+    callbacks=None,
 ) -> WmfFactors:
     """Alternating least squares on the confidence-weighted objective.
 
     Each half-sweep solves every user's (then every item's) regularized
     normal equations exactly, so the objective never increases. The
     exact objective is recorded at initialization and after every
-    half-sweep.
+    half-sweep. After each iteration (both half-sweeps), optional
+    callbacks run as callback(iteration, factors, objective).
     """
     r_csr = sp.csr_matrix(r)
     if r_csr.nnz and r_csr.data.min() < 0:
@@ -311,11 +328,13 @@ def wmf_train(
     y = 0.01 * rng.standard_normal((n_songs, f))
     factors = WmfFactors(x, y, alpha, lam)
     factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
-    for _ in range(iters):
+    for it in range(iters):
         _als_half_sweep(r_csr, x, y, alpha, lam)
         factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
         _als_half_sweep(rt_csr, y, x, alpha, lam)
         factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
+        for cb in callbacks or ():
+            cb(it, factors, factors.objective_history[-1])
     return factors
 
 
@@ -392,25 +411,32 @@ def fpmc_init(
     )
 
 
-def fpmc_sbpr_update(factors: FpmcFactors, u: int, prev: int, pos: int, neg: int) -> float:
-    """One sequential pairwise-ranking ascent step on (pos over neg).
+SBPR_BATCH = 128  # (user, previous, next) triples per minibatch in fpmc_train
 
-    Returns -log sigma(score_pos - score_neg) before the update.
+
+def fpmc_sbpr_update(factors: FpmcFactors, users: np.ndarray, prevs: np.ndarray,
+                     pos: np.ndarray, neg: np.ndarray) -> float:
+    """One pairwise-ranking ascent step on each (pos over neg) triple of a
+    minibatch. Every gradient is taken at the factors as they stood before
+    the minibatch, and the steps of triples that share a row add up.
+
+    Returns the summed -log sigma(score_pos - score_neg) before the update.
     """
     lr, lam = factors.lr, factors.lam
-    vu = factors.v_ui[u].copy()
-    vip, vin = factors.v_iu[pos].copy(), factors.v_iu[neg].copy()
-    tip, tin = factors.v_il[pos].copy(), factors.v_il[neg].copy()
-    tl = factors.v_li[prev].copy()
-    diff = vu @ (vip - vin) + (tip - tin) @ tl
-    delta = expit(-diff)  # 1 - sigma(diff)
-    factors.v_ui[u] += lr * (delta * (vip - vin) - lam * vu)
-    factors.v_iu[pos] += lr * (delta * vu - lam * vip)
-    factors.v_iu[neg] += lr * (-delta * vu - lam * vin)
-    factors.v_il[pos] += lr * (delta * tl - lam * tip)
-    factors.v_il[neg] += lr * (-delta * tl - lam * tin)
-    factors.v_li[prev] += lr * (delta * (tip - tin) - lam * tl)
-    return float(np.logaddexp(0.0, -diff))
+    vu = factors.v_ui[users]
+    vip, vin = factors.v_iu[pos], factors.v_iu[neg]
+    tip, tin = factors.v_il[pos], factors.v_il[neg]
+    tl = factors.v_li[prevs]
+    dv, dt = vip - vin, tip - tin
+    diff = np.einsum("bf,bf->b", vu, dv) + np.einsum("bf,bf->b", dt, tl)
+    delta = expit(-diff)[:, None]  # 1 - sigma(diff)
+    _scatter_add(factors.v_ui, users, lr * (delta * dv - lam * vu))
+    _scatter_add(factors.v_iu, pos, lr * (delta * vu - lam * vip))
+    _scatter_add(factors.v_iu, neg, lr * (-delta * vu - lam * vin))
+    _scatter_add(factors.v_il, pos, lr * (delta * tl - lam * tip))
+    _scatter_add(factors.v_il, neg, lr * (-delta * tl - lam * tin))
+    _scatter_add(factors.v_li, prevs, lr * (delta * dt - lam * tl))
+    return float(np.logaddexp(0.0, -diff).sum())
 
 
 def fpmc_train(
@@ -423,29 +449,35 @@ def fpmc_train(
     lam: float,
     epochs: int,
     rng: np.random.Generator,
+    callbacks=None,
 ) -> FpmcFactors:
     """Sequential pairwise-ranking SGD over (user, previous song, next song)
-    triples; the non-observed competitor is sampled uniformly per step.
+    triples; the non-observed competitor is sampled uniformly per triple.
 
-    ``examples`` is the record array of :func:`songrec.data.extract_examples`
-    at context length exactly 1 (first-order model).
+    Each epoch walks a fresh permutation of the triples in minibatches of
+    ``SBPR_BATCH``, one :func:`fpmc_sbpr_update` each. ``examples`` is the
+    record array of :func:`songrec.data.extract_examples` at context
+    length exactly 1 (first-order model). After each epoch, optional
+    callbacks run as callback(epoch, factors, epoch_loss).
     """
     if len(examples) == 0:
         raise ValueError("no training examples")
     if examples.context.shape[1] != 1:
         raise ValueError("first-order model needs context length 1")
-    # the per-triple loop runs on Python ints, faster there than numpy scalars
-    users, prevs, nexts = (examples.user.tolist(), examples.context[:, 0].tolist(),
-                           examples.target.tolist())
+    users, prevs, nexts = examples.user, examples.context[:, 0], examples.target
     factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
     n = len(nexts)
-    for _ in range(epochs):
+    for epoch in range(epochs):
         total = 0.0
-        for idx in rng.permutation(n).tolist():
-            u, prev, pos = users[idx], prevs[idx], nexts[idx]
-            neg = int(rng.integers(n_songs))
-            while neg == pos:
-                neg = int(rng.integers(n_songs))
-            total += fpmc_sbpr_update(factors, u, prev, pos, neg)
+        order = rng.permutation(n)
+        for lo in range(0, n, SBPR_BATCH):
+            batch = order[lo:lo + SBPR_BATCH]
+            pos = nexts[batch]
+            neg = rng.integers(n_songs, size=len(batch))
+            while (same := np.flatnonzero(neg == pos)).size:
+                neg[same] = rng.integers(n_songs, size=same.size)
+            total += fpmc_sbpr_update(factors, users[batch], prevs[batch], pos, neg)
         factors.loss_history.append(total / n)
+        for cb in callbacks or ():
+            cb(epoch, factors, factors.loss_history[-1])
     return factors

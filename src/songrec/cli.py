@@ -135,13 +135,16 @@ def fit_model(cfg: ExperimentConfig, prepared):
         return emb, emb.loss_history
     if mc.family == "wmf":
         counts = play_count_matrix(split.train, n_users, n_songs)
-        factors = wmf_train(counts, rng=make_rng(cfg.subseed("init")),
+        # an iteration solves every user's and every song's row once
+        progress = _epoch_progress(mc.family, mc.wmf.iters, n_users + n_songs, "rows")
+        factors = wmf_train(counts, rng=make_rng(cfg.subseed("init")), callbacks=[progress],
                             **dataclasses.asdict(mc.wmf))
         return factors, factors.objective_history
     if mc.family == "fpmc":
         examples = extract_examples(split.train, 1)  # fpmc_train refuses an empty set
+        progress = _epoch_progress(mc.family, mc.fpmc.epochs, len(examples), "triples")
         factors = fpmc_train(examples, n_users, n_songs, rng=make_rng(cfg.subseed("train")),
-                             **dataclasses.asdict(mc.fpmc))
+                             callbacks=[progress], **dataclasses.asdict(mc.fpmc))
         return factors, factors.loss_history
     hyper = mc.hyperparams()
     params = Recommender.families()[mc.family](

@@ -230,11 +230,15 @@ def parse_events(stream) -> tuple[EventColumns, ParseSummary]:
 
 
 def open_event_stream(path):
-    """Open a raw log file for parsing; .gz paths are decompressed on the fly."""
+    r"""Open a raw log file for parsing; .gz paths are decompressed on the fly.
+
+    Lines end at "\n" only, as in a binary stream: a lone "\r" inside a
+    field stays part of it (``parse_events`` strips a trailing "\r\n").
+    """
     path = os.fspath(path)
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, "r", encoding="utf-8", errors="replace")
+        return gzip.open(path, "rt", encoding="utf-8", errors="replace", newline="\n")
+    return open(path, "r", encoding="utf-8", errors="replace", newline="\n")
 
 
 def _first_rows(codes: np.ndarray, n_codes: int) -> np.ndarray:

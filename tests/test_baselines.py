@@ -155,11 +155,11 @@ def reference_w2v(sessions, n_songs, *, d, window, negatives, lr, epochs, rng):
 class TestW2vBlocks:
     @pytest.mark.parametrize("n_songs,window,negatives,block", [(3, 2, 5, 7), (5, 3, 2, 4),
                                                                 (4, 1, 5, 1 << 14)])
-    def test_bitwise_equal_to_the_per_pair_loop(self, monkeypatch, n_songs, window,
-                                                negatives, block):
-        # a catalog of 3-5 songs makes most pairs draw a repeated row, so
-        # both the plain and the np.add.at update run; a small block makes
-        # the pairs, draws and learning rates cross many block boundaries
+    def test_minibatch_of_one_matches_the_per_pair_loop(self, monkeypatch, n_songs, window,
+                                                        negatives, block):
+        # a catalog of 3-5 songs makes most pairs draw a repeated row; a
+        # small block makes the pairs, draws and learning rates cross many
+        # block boundaries
         gen = make_rng(40)
         sessions = session_table(
             (0, gen.integers(0, n_songs, size=int(gen.integers(0, 9))).tolist()) for _ in range(40))
@@ -167,10 +167,43 @@ class TestW2vBlocks:
         ref_rng, rng = make_rng(41), make_rng(41)
         v_in, v_out, history = reference_w2v(sessions, n_songs, **kw, rng=ref_rng)
         monkeypatch.setattr(baselines, "PAIR_BLOCK", block)
+        monkeypatch.setattr(baselines, "SGNS_BATCH", 1)
         emb = w2v_train(sessions, n_songs, **kw, rng=rng)
-        assert emb.loss_history == history
-        assert np.array_equal(emb.v_in, v_in) and np.array_equal(emb.v_out, v_out)
+        assert np.allclose(emb.loss_history, history, rtol=0, atol=1e-12)
+        assert np.allclose(emb.v_in, v_in, rtol=0, atol=1e-12)
+        assert np.allclose(emb.v_out, v_out, rtol=0, atol=1e-12)
         assert rng.random() == ref_rng.random()
+
+    def test_minibatch_sums_the_updates_of_a_repeated_row(self):
+        # one session [0, 1] at window 1 gives two pairs, (0, 1) and (1, 0),
+        # and a catalog of two songs makes their rows repeat; both pairs
+        # are one minibatch. With v_out at zero every score is 0, so a
+        # pair's positive row gains lr/2 * v_in[center], each negative row
+        # loses it, and v_in does not move.
+        lr = 0.1
+        rng = make_rng(43)
+        emb = w2v_train(session_table([(0, [0, 1])]), 2, d=3, window=1, negatives=2, lr=lr,
+                        epochs=1, rng=rng)
+        draws = make_rng(43)
+        v_in = draws.uniform(-0.5 / 3, 0.5 / 3, size=(2, 3))
+        negs = np.searchsorted([0.5, 1.0], draws.random(4)).reshape(2, 2)  # equal counts
+        want = np.zeros((2, 3))
+        for (center, context), pair_negs, pair_lr in zip([(0, 1), (1, 0)], negs, [lr, lr / 2]):
+            want[context] += pair_lr / 2 * v_in[center]
+            for neg in pair_negs:
+                want[neg] -= pair_lr / 2 * v_in[center]
+        assert baselines._sgns_batch(np.array([0, 1])) == 2
+        assert np.array_equal(emb.v_in, v_in)
+        assert np.allclose(emb.v_out, want, rtol=0, atol=1e-15)
+        assert rng.random() == draws.random()
+
+    def test_minibatch_is_no_wider_than_the_effective_catalog(self):
+        assert baselines._sgns_batch(np.array([0, 1, 2] * 5)) == 3
+        assert baselines._sgns_batch(np.array([7] * 9)) == 1
+        assert baselines._sgns_batch(np.arange(10_000)) == baselines.SGNS_BATCH
+        # one song in half of 10k plays: (10k)^2 / (5k^2 + 5k) = 3.9992
+        assert baselines._sgns_batch(np.concatenate((np.zeros(5000, int),
+                                                     np.arange(1, 5001)))) == 3
 
     def test_pair_count_matches_the_window_scan(self):
         for length in range(12):
@@ -335,7 +368,91 @@ class TestFpmcScore:
             self._factors().score_catalog(0, [9])[2]
 
 
+def reference_sbpr_step(factors, u, prev, pos, neg):
+    """The per-triple S-BPR ascent step fpmc_sbpr_update replaced; returns
+    -log sigma(score_pos - score_neg) before the step."""
+    lr, lam = factors.lr, factors.lam
+    vu = factors.v_ui[u].copy()
+    vip, vin = factors.v_iu[pos].copy(), factors.v_iu[neg].copy()
+    tip, tin = factors.v_il[pos].copy(), factors.v_il[neg].copy()
+    tl = factors.v_li[prev].copy()
+    diff = vu @ (vip - vin) + (tip - tin) @ tl
+    delta = expit(-diff)
+    factors.v_ui[u] += lr * (delta * (vip - vin) - lam * vu)
+    factors.v_iu[pos] += lr * (delta * vu - lam * vip)
+    factors.v_iu[neg] += lr * (-delta * vu - lam * vin)
+    factors.v_il[pos] += lr * (delta * tl - lam * tip)
+    factors.v_il[neg] += lr * (-delta * tl - lam * tin)
+    factors.v_li[prev] += lr * (delta * (tip - tin) - lam * tl)
+    return float(np.logaddexp(0.0, -diff))
+
+
+def reference_fpmc(examples, n_users, n_songs, *, f, lr, lam, epochs, rng):
+    """The per-triple S-BPR loop fpmc_train replaced: one negative draw
+    and one step per triple, in a fresh permutation each epoch."""
+    factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
+    users, prevs, nexts = (examples.user.tolist(), examples.context[:, 0].tolist(),
+                           examples.target.tolist())
+    for _ in range(epochs):
+        total = 0.0
+        for idx in rng.permutation(len(nexts)).tolist():
+            neg = int(rng.integers(n_songs))
+            while neg == nexts[idx]:
+                neg = int(rng.integers(n_songs))
+            total += reference_sbpr_step(factors, users[idx], prevs[idx], nexts[idx], neg)
+        factors.loss_history.append(total / len(nexts))
+    return factors
+
+
+FPMC_BLOCKS = ("v_ui", "v_iu", "v_il", "v_li")
+
+
 class TestFpmcTrain:
+    def test_minibatch_of_one_matches_the_per_triple_loop(self, monkeypatch):
+        # four songs make many negatives equal their positive and be drawn again
+        gen = make_rng(56)
+        sessions = session_table((int(gen.integers(3)), gen.integers(0, 4, size=6).tolist())
+                                 for _ in range(30))
+        examples = extract_examples(sessions, 1)
+        kw = dict(f=5, lr=0.05, lam=0.01, epochs=3)
+        ref_rng, rng = make_rng(57), make_rng(57)
+        want = reference_fpmc(examples, 3, 4, **kw, rng=ref_rng)
+        monkeypatch.setattr(baselines, "SBPR_BATCH", 1)
+        got = fpmc_train(examples, 3, 4, **kw, rng=rng)
+        assert np.allclose(got.loss_history, want.loss_history, rtol=0, atol=1e-12)
+        for name in FPMC_BLOCKS:
+            assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
+        assert rng.random() == ref_rng.random()
+
+    def test_minibatch_sums_the_updates_of_a_repeated_row(self):
+        # both triples share the user, previous-song and positive rows;
+        # each must move by the sum of the two single-triple steps, both
+        # taken from the factors before the minibatch
+        rng = make_rng(58)
+        start = fpmc_init(2, 6, f=4, lr=0.1, lam=0.05, rng=rng)
+        for name in FPMC_BLOCKS:
+            getattr(start, name)[...] = rng.standard_normal(getattr(start, name).shape)
+        want = {name: getattr(start, name).copy() for name in FPMC_BLOCKS}
+        want_loss = 0.0
+        for neg in (3, 5):
+            alone = FpmcFactors(*(getattr(start, name).copy() for name in FPMC_BLOCKS),
+                                lr=0.1, lam=0.05)
+            want_loss += reference_sbpr_step(alone, 1, 2, 4, neg)
+            for name in FPMC_BLOCKS:
+                want[name] += getattr(alone, name) - getattr(start, name)
+        loss = fpmc_sbpr_update(start, np.array([1, 1]), np.array([2, 2]), np.array([4, 4]),
+                                np.array([3, 5]))
+        assert np.isclose(loss, want_loss, rtol=1e-12)
+        for name in FPMC_BLOCKS:
+            assert np.allclose(getattr(start, name), want[name], rtol=0, atol=1e-12)
+
+    def test_callbacks_get_each_epoch_loss(self):
+        seen = []
+        examples = extract_examples(session_table([(0, [1, 2, 3]), (1, [2, 3])]), 1)
+        factors = fpmc_train(examples, 2, 5, f=3, lr=0.05, lam=0.01, epochs=3, rng=make_rng(59),
+                             callbacks=[lambda epoch, model, loss: seen.append((epoch, model, loss))])
+        assert seen == [(e, factors, loss) for e, loss in enumerate(factors.loss_history)]
+
     def test_update_increases_score_difference(self):
         # exact ascent on the pairwise objective: for small lr and lam=0
         # the observed item's margin must grow
@@ -348,7 +465,7 @@ class TestFpmcTrain:
             pos = int(rng.integers(8))
             neg = (pos + 1 + int(rng.integers(7))) % 8
             before = margin(factors, u, prev, pos, neg)
-            fpmc_sbpr_update(factors, u, prev, pos, neg)
+            fpmc_sbpr_update(factors, *(np.array([x]) for x in (u, prev, pos, neg)))
             after = margin(factors, u, prev, pos, neg)
             assert after > before
 

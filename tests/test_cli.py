@@ -311,6 +311,29 @@ class TestTrainEvaluate:
             assert f"loss {float(row.split(',')[1]):.4f}," in line
             assert "pairs/s" in line and "elapsed" in line
 
+    # an "epoch" of wmf is one ALS iteration, logged with the objective
+    # after it: every second point of its history, after the initial one
+    @pytest.mark.parametrize("family,setting,unit,logged", [
+        ("fpmc", "model.fpmc.epochs", "triples", slice(None)),
+        ("wmf", "model.wmf.iters", "rows", slice(2, None, 2)),
+    ])
+    def test_fpmc_and_wmf_log_one_progress_line_per_epoch(self, prepared, caplog, family,
+                                                          setting, unit, logged):
+        tmp, config = prepared
+        out = tmp / f"{family}-progress"
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            assert run_cli("train", "--config", config, "--out", out,
+                           "--set", f"model.family={family}", "--set", f"{setting}=2",
+                           "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
+        lines = [r.getMessage() for r in caplog.records if " epoch " in r.getMessage()]
+        assert [line.split(":")[0] for line in lines] == [f"{family} epoch 1/2",
+                                                          f"{family} epoch 2/2"]
+        history = (out / "loss_history.csv").read_text().splitlines()[1:][logged]
+        assert len(history) == 2
+        for line, row in zip(lines, history):
+            assert f"loss {float(row.split(',')[1]):.4f}," in line
+            assert f"{unit}/s" in line and "elapsed" in line
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
     def test_diverging_training_exits_with_one_line(self, prepared, caplog):
         tmp, config = prepared
@@ -843,6 +866,21 @@ class TestTracedNames:
         for i, e in enumerate(rows):  # one row against a batch: equal up to rounding
             assert np.allclose(model.score_catalog(e.user, e.context), want[i], rtol=1e-9,
                                atol=1e-12)
+
+    def test_fpmc_train_reaches_the_traced_sbpr_update(self, prepared, monkeypatch):
+        # the benchmark times baselines.fpmc_sbpr_update at that name
+        tmp, config = prepared
+        calls = []
+
+        def record(*args, _fn=baselines.fpmc_sbpr_update):
+            calls.append(len(args[1]))
+            return _fn(*args)
+
+        monkeypatch.setattr(baselines, "fpmc_sbpr_update", record)
+        assert run_cli("train", "--config", config, "--out", tmp / "fpmc-traced",
+                       "--set", "model.family=fpmc",
+                       "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
+        assert calls and all(1 <= n <= baselines.SBPR_BATCH for n in calls)
 
     @pytest.mark.parametrize("family,reached", [
         ("cnnrec", ["extract_examples"]),

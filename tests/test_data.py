@@ -1,5 +1,6 @@
 import gc
 import gzip
+import io
 from collections import Counter, defaultdict
 from datetime import datetime, timezone
 from itertools import count
@@ -151,6 +152,24 @@ class TestParse:
             events, summary = parse_events(stream)
         assert summary.parsed == 1
         assert events.ts[0] == 1241478537
+
+    @pytest.mark.parametrize("name", ["plays.tsv", "plays.tsv.gz"])
+    def test_file_lines_end_where_binary_lines_end(self, tmp_path, name):
+        # a lone "\r" inside a name is part of the key, as a binary stream
+        # reads it; a "\r\n" line end is not
+        raw = (b"u1\t2009-05-04T23:08:57Z\t\tCher\t\tBel\rieve\n"
+               b"u1\t2009-05-04T23:09:57Z\t\tCher\t\tStrong\r\n"
+               b"u2\t2009-05-04T23:10:57Z\t\tA\rB\t\tC\n")
+        path = tmp_path / name
+        with (gzip.open if name.endswith(".gz") else open)(path, "wb") as fh:
+            fh.write(raw)
+        with open_event_stream(path) as stream:
+            text = parse_events(stream)
+        binary = parse_events(io.BytesIO(raw))
+        assert event_rows(text[0]) == event_rows(binary[0])
+        assert text[1] == binary[1]
+        assert [song for _, _, song in event_rows(text[0])] == [
+            f"Cher{SONG_KEY_SEP}Bel\rieve", f"Cher{SONG_KEY_SEP}Strong", f"A\rB{SONG_KEY_SEP}C"]
 
 
 # Timestamps the canonical-form fast path must either get exactly right

@@ -28,15 +28,28 @@ with one line of every malformed kind mixed in and one more user whose
 timestamps strptime accepts in non-canonical forms, under both shuffle
 units and all three overlap modes. The hashes were written by the
 parser that sent every timestamp through strptime, so a change in what
-parsing accepts, rejects or returns shows here. To rewrite the golden
-files after an intended change in results:
+parsing accepts, rejects or returns shows here.
 
-    PYTHONPATH=src:tests python3 tests/test_golden.py
+To rewrite the golden files of some families after an intended change
+in their results, name them:
+
+    PYTHONPATH=src:tests python3 tests/test_golden.py w2v fpmc
+
+A golden file belongs to the first word of its name, with ``sweep-``
+dropped (``w2v-full.json`` and ``sweep-cnnrec-comparison.csv`` to
+``w2v`` and ``cnnrec``; ``prepared.sha256`` and ``train-manifests.json``
+to ``prepared`` and ``train``); a line of ``checkpoints.sha256`` or
+``sweep-checkpoints.sha256`` belongs to the first word of its path. The
+script writes the named owners' files and lines. It writes nothing and
+exits 1, naming each file, if a file or line of any other owner would
+change.
 """
 
 import hashlib
 import json
 import os
+import re
+import sys
 
 import pytest
 
@@ -301,12 +314,81 @@ def test_fixture_ranks_against_a_real_candidate_subset(artifacts):
         assert sampled["hits"] != full["hits"]
 
 
-if __name__ == "__main__":
+HASH_FILES = ("checkpoints.sha256", "sweep-checkpoints.sha256")
+
+
+def owner(name):
+    """The family (or ``prepared``, ``train``) a golden file name or a
+    checkpoint path belongs to."""
+    return re.split(r"[-/.]", name.removeprefix("sweep-"), maxsplit=1)[0]
+
+
+def foreign_changes(built, kept, names):
+    """The golden files of ``built`` ({name: bytes}) that differ from
+    ``kept`` ({name: bytes}, missing files absent) in a file or, for
+    ``HASH_FILES``, a line whose owner is not in ``names``."""
+    changed = []
+    for name, blob in built.items():
+        if name in HASH_FILES:
+            lines = [{line.split("  ", 1)[1]: line for line in b.decode().splitlines()}
+                     for b in (blob, kept.get(name, b""))]
+            paths = {path for path in lines[0].keys() | lines[1].keys()
+                     if owner(path) not in names}
+            if any(lines[0].get(path) != lines[1].get(path) for path in paths):
+                changed.append(name)
+        elif owner(name) not in names and blob != kept.get(name):
+            changed.append(name)
+    return changed
+
+
+def test_regeneration_refuses_changes_outside_the_named_owners():
+    kept = {
+        "w2v-full.json": b"a",
+        "sweep-cnnrec-comparison.csv": b"b",
+        "checkpoints.sha256": b"1  w2v/model.ckpt\n2  wmf/model.ckpt\n",
+    }
+    assert foreign_changes(kept, kept, set()) == []
+    w2v_only = {**kept, "w2v-full.json": b"A",
+                "checkpoints.sha256": b"9  w2v/model.ckpt\n2  wmf/model.ckpt\n"}
+    assert foreign_changes(w2v_only, kept, {"w2v"}) == []
+    assert foreign_changes(w2v_only, kept, {"wmf", "cnnrec"}) == [
+        "w2v-full.json", "checkpoints.sha256"]
+    sweep = {**kept, "sweep-cnnrec-comparison.csv": b"B", "cnnrec-full.json": b"new"}
+    assert foreign_changes(sweep, kept, {"cnnrec"}) == []
+    assert foreign_changes(sweep, kept, {"nnrec"}) == ["sweep-cnnrec-comparison.csv",
+                                                       "cnnrec-full.json"]
+    lost_line = {**kept, "checkpoints.sha256": b"1  w2v/model.ckpt\n"}
+    assert foreign_changes(lost_line, kept, {"w2v"}) == ["checkpoints.sha256"]
+    assert [owner(name) for name in ("prepared.sha256", "train-manifests.json",
+                                     "sweep-nnrec/order-1/model.ckpt")] == [
+        "prepared", "train", "nnrec"]
+
+
+def regenerate(names):
+    """Rewrite the golden files of the owners in ``names``; returns the
+    exit status."""
     import tempfile
 
+    owners = {owner(name) for name in os.listdir(GOLDEN) if name not in HASH_FILES}
+    unknown = set(names) - owners
+    if not names or unknown:
+        print(f"usage: test_golden.py OWNER...; unknown: {sorted(unknown)}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         built = build_artifacts(tmp)
-    os.makedirs(GOLDEN, exist_ok=True)
+    kept = {name: golden(name) for name in os.listdir(GOLDEN)}
+    foreign = foreign_changes(built, kept, set(names))
+    for name in foreign:
+        print(f"golden file {name} would change outside {' '.join(names)}", file=sys.stderr)
+    if foreign:
+        return 1
     for name, blob in built.items():
-        with open(os.path.join(GOLDEN, name), "wb") as fh:
-            fh.write(blob)
+        if blob != kept.get(name):
+            with open(os.path.join(GOLDEN, name), "wb") as fh:
+                fh.write(blob)
+            print(f"rewrote {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))
