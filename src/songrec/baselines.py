@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .core import embed_lookup
-from .util import Recommender, checked_tensors
+from .util import Recommender, check_finite
 
 
 def _session_items(sessions):
@@ -35,14 +35,11 @@ class ItemEmbeddings(Recommender):
     """Center (v_in) and context (v_out) vectors per song."""
 
     model_type = "w2v"
+    TENSORS = {"v_in": ("n_songs", "d"), "v_out": ("n_songs", "d")}
 
     v_in: np.ndarray
     v_out: np.ndarray
     loss_history: list = field(default_factory=list)
-
-    @property
-    def n_songs(self) -> int:
-        return self.v_in.shape[0]
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Cosine of every song's center vector to the mean context vector.
@@ -57,15 +54,6 @@ class ItemEmbeddings(Recommender):
         norms = np.linalg.norm(self.v_in, axis=1)
         denom = np.maximum(qn[:, None] * norms, 1e-12)
         return (query @ self.v_in.T) / denom
-
-    def to_checkpoint(self):
-        meta = {"n_songs": self.n_songs, "d": int(self.v_in.shape[1])}
-        return self.model_type, meta, {"v_in": self.v_in, "v_out": self.v_out}
-
-    @classmethod
-    def from_checkpoint(cls, meta, tensors):
-        shape = (meta["n_songs"], meta["d"])
-        return cls(*checked_tensors(tensors, {"v_in": shape, "v_out": shape}))
 
 
 def _sgns_losses(scores: np.ndarray) -> np.ndarray:
@@ -161,7 +149,8 @@ def w2v_train(
 
     Center vectors start uniform in [-0.5/d, 0.5/d), context vectors at
     zero; epochs=0 returns that initialization untouched. After each
-    epoch, optional callbacks run as callback(epoch, emb, epoch_loss).
+    epoch a non-finite loss or vector raises ``ValueError``, then
+    optional callbacks run as callback(epoch, emb, epoch_loss).
     """
     items = sessions.items
     if not len(items):
@@ -202,6 +191,7 @@ def w2v_train(
             for loss in _sgns_losses(scores).tolist():  # summed in pair order
                 epoch_loss += loss
         emb.loss_history.append(epoch_loss / max(epoch_pairs, 1))
+        check_finite(emb, epoch, emb.loss_history[-1])
         for cb in callbacks or ():
             cb(epoch, emb, emb.loss_history[-1])
     return emb
@@ -217,40 +207,19 @@ class WmfFactors(Recommender):
     """User/item factors of the confidence-weighted binary factorization."""
 
     model_type = "wmf"
+    TENSORS = {"x": ("n_users", "f"), "y": ("n_songs", "f")}
+    SCALARS = ("alpha", "lam")
 
-    x: np.ndarray  # (U, f)
-    y: np.ndarray  # (N, f)
+    x: np.ndarray
+    y: np.ndarray
     alpha: float
     lam: float
     objective_history: list = field(default_factory=list)
-
-    @property
-    def n_songs(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.x.shape[0]
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Predicted preference of each user for every song; the sequence
         contexts are deliberately ignored."""
         return embed_lookup(users, self.x) @ self.y.T
-
-    def to_checkpoint(self):
-        meta = {
-            "n_users": self.n_users,
-            "n_songs": self.n_songs,
-            "f": self.x.shape[1],
-            "alpha": self.alpha,
-            "lam": self.lam,
-        }
-        return self.model_type, meta, {"x": self.x, "y": self.y}
-
-    @classmethod
-    def from_checkpoint(cls, meta, tensors):
-        shapes = {"x": (meta["n_users"], meta["f"]), "y": (meta["n_songs"], meta["f"])}
-        return cls(*checked_tensors(tensors, shapes), alpha=meta["alpha"], lam=meta["lam"])
 
 
 def play_count_matrix(sessions, n_users: int, n_songs: int) -> sp.csr_matrix:
@@ -316,8 +285,9 @@ def wmf_train(
     Each half-sweep solves every user's (then every item's) regularized
     normal equations exactly, so the objective never increases. The
     exact objective is recorded at initialization and after every
-    half-sweep. After each iteration (both half-sweeps), optional
-    callbacks run as callback(iteration, factors, objective).
+    half-sweep. After each iteration (both half-sweeps) a non-finite
+    objective or factor raises ``ValueError``, then optional callbacks
+    run as callback(iteration, factors, objective).
     """
     r_csr = sp.csr_matrix(r)
     if r_csr.nnz and r_csr.data.min() < 0:
@@ -333,6 +303,7 @@ def wmf_train(
         factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
         _als_half_sweep(rt_csr, y, x, alpha, lam)
         factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
+        check_finite(factors, it, factors.objective_history[-1])
         for cb in callbacks or ():
             cb(it, factors, factors.objective_history[-1])
     return factors
@@ -350,22 +321,17 @@ class FpmcFactors(Recommender):
 
     model_type = "fpmc"
     order = 1
+    TENSORS = {"v_ui": ("n_users", "f"), "v_iu": ("n_songs", "f"),
+               "v_il": ("n_songs", "f"), "v_li": ("n_songs", "f")}
+    SCALARS = ("lr", "lam")
 
-    v_ui: np.ndarray  # (U, f) user side of user-item term
-    v_iu: np.ndarray  # (N, f) item side of user-item term
-    v_il: np.ndarray  # (N, f) item side of transition term
-    v_li: np.ndarray  # (N, f) previous-item side of transition term
+    v_ui: np.ndarray  # user side of user-item term
+    v_iu: np.ndarray  # item side of user-item term
+    v_il: np.ndarray  # item side of transition term
+    v_li: np.ndarray  # previous-item side of transition term
     lr: float
     lam: float
     loss_history: list = field(default_factory=list)
-
-    @property
-    def n_songs(self) -> int:
-        return self.v_iu.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.v_ui.shape[0]
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Scores for every candidate next song given the last played one."""
@@ -373,42 +339,15 @@ class FpmcFactors(Recommender):
         return (embed_lookup(users, self.v_ui) @ self.v_iu.T
                 + embed_lookup(prev, self.v_li) @ self.v_il.T)
 
-    def to_checkpoint(self):
-        meta = {
-            "n_users": self.n_users,
-            "n_songs": self.n_songs,
-            "f": int(self.v_ui.shape[1]),
-            "lr": self.lr,
-            "lam": self.lam,
-        }
-        tensors = {
-            "v_ui": self.v_ui,
-            "v_iu": self.v_iu,
-            "v_il": self.v_il,
-            "v_li": self.v_li,
-        }
-        return self.model_type, meta, tensors
-
-    @classmethod
-    def from_checkpoint(cls, meta, tensors):
-        song_shape = (meta["n_songs"], meta["f"])
-        shapes = {"v_ui": (meta["n_users"], meta["f"]), "v_iu": song_shape,
-                  "v_il": song_shape, "v_li": song_shape}
-        return cls(*checked_tensors(tensors, shapes), lr=meta["lr"], lam=meta["lam"])
-
 
 def fpmc_init(
     n_users: int, n_songs: int, *, f: int, lr: float, lam: float, rng: np.random.Generator,
 ) -> FpmcFactors:
-    scale = 0.01
-    return FpmcFactors(
-        v_ui=scale * rng.standard_normal((n_users, f)),
-        v_iu=scale * rng.standard_normal((n_songs, f)),
-        v_il=scale * rng.standard_normal((n_songs, f)),
-        v_li=scale * rng.standard_normal((n_songs, f)),
-        lr=lr,
-        lam=lam,
-    )
+    """Every block drawn from N(0, 0.01^2), in declaration order."""
+    dims = {"n_users": n_users, "n_songs": n_songs, "f": f}
+    blocks = {name: 0.01 * rng.standard_normal(tuple(dims[key] for key in keys))
+              for name, keys in FpmcFactors.TENSORS.items()}
+    return FpmcFactors(**blocks, lr=lr, lam=lam)
 
 
 SBPR_BATCH = 128  # (user, previous, next) triples per minibatch in fpmc_train
@@ -457,11 +396,14 @@ def fpmc_train(
     Each epoch walks a fresh permutation of the triples in minibatches of
     ``SBPR_BATCH``, one :func:`fpmc_sbpr_update` each. ``examples`` is the
     record array of :func:`songrec.data.extract_examples` at context
-    length exactly 1 (first-order model). After each epoch, optional
-    callbacks run as callback(epoch, factors, epoch_loss).
+    length exactly 1 (first-order model), over two songs or more. After
+    each epoch a non-finite loss or factor raises ``ValueError``, then
+    optional callbacks run as callback(epoch, factors, epoch_loss).
     """
     if len(examples) == 0:
         raise ValueError("no training examples")
+    if n_songs < 2:
+        raise ValueError(f"fpmc needs at least two songs to draw a competitor, got {n_songs}")
     if examples.context.shape[1] != 1:
         raise ValueError("first-order model needs context length 1")
     users, prevs, nexts = examples.user, examples.context[:, 0], examples.target
@@ -478,6 +420,7 @@ def fpmc_train(
                 neg[same] = rng.integers(n_songs, size=same.size)
             total += fpmc_sbpr_update(factors, users[batch], prevs[batch], pos, neg)
         factors.loss_history.append(total / n)
+        check_finite(factors, epoch, factors.loss_history[-1])
         for cb in callbacks or ():
             cb(epoch, factors, factors.loss_history[-1])
     return factors

@@ -9,12 +9,11 @@ pass is established against central finite differences (`grad_check`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 PROB_FLOOR = 1e-12  # probabilities are clamped here before log
 _BLOCK = 16384  # elements per block of the dense Adagrad update
+ADAGRAD_EPS = 1e-8  # added to sqrt(acc) in every Adagrad step
 
 
 def glorot_init(
@@ -187,59 +186,42 @@ def softmax_xent_backward(probs: np.ndarray, targets) -> np.ndarray:
     return g
 
 
-@dataclass
-class AdagradState:
-    """Per-parameter squared-gradient accumulator.
+def adagrad_step(param: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float) -> np.ndarray:
+    """In-place update: acc += g^2; param -= (lr * g) / (sqrt(acc) + ADAGRAD_EPS).
 
-    The accumulator starts at zero and is coordinatewise non-decreasing
-    over steps, so effective learning rates only shrink.
+    ``acc`` starts at zero and only grows, so step sizes only shrink. Runs
+    over contiguous blocks of ``_BLOCK`` elements with one small scratch
+    buffer, so no full-size temporary is made. Every element sees the same
+    operations in the same order as the whole-array expression, so the
+    result is bitwise identical to it. ``grad`` is not modified.
     """
-
-    acc: np.ndarray
-    lr: float
-    eps: float = 1e-8
-
-    @classmethod
-    def for_param(cls, param: np.ndarray, lr: float, eps: float = 1e-8):
-        # np.zeros, unlike zeros_like, leaves the zeroing to the first touch
-        return cls(np.zeros(param.shape, dtype=param.dtype), lr, eps)
-
-
-def adagrad_step(param: np.ndarray, grad: np.ndarray, state: AdagradState) -> np.ndarray:
-    """In-place update: acc += g^2; param -= (lr * g) / (sqrt(acc) + eps).
-
-    Runs over contiguous blocks of ``_BLOCK`` elements with one small
-    scratch buffer, so no full-size temporary is made. Every element sees
-    the same operations in the same order as the whole-array expression,
-    so the result is bitwise identical to it. ``grad`` is not modified.
-    """
-    if param.shape != grad.shape or param.shape != state.acc.shape:
+    if param.shape != grad.shape or param.shape != acc.shape:
         raise ValueError(
-            f"shape mismatch: param {param.shape}, grad {grad.shape}, acc {state.acc.shape}"
+            f"shape mismatch: param {param.shape}, grad {grad.shape}, acc {acc.shape}"
         )
-    if not (param.flags.c_contiguous and state.acc.flags.c_contiguous):
+    if not (param.flags.c_contiguous and acc.flags.c_contiguous):
         raise ValueError("adagrad_step needs C-contiguous param and accumulator")
     p = param.reshape(-1)
-    acc = state.acc.reshape(-1)
+    a = acc.reshape(-1)
     g = grad.reshape(-1)
     n = p.shape[0]
-    scratch = np.empty((2, min(n, _BLOCK)), dtype=np.result_type(grad, state.acc))
+    scratch = np.empty((2, min(n, _BLOCK)), dtype=np.result_type(grad, acc))
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        gb, ab = g[start:stop], acc[start:stop]
+        gb, ab = g[start:stop], a[start:stop]
         step, den = scratch[:, : stop - start]
         np.multiply(gb, gb, out=step)
         ab += step
         np.sqrt(ab, out=den)
-        den += state.eps
-        np.multiply(state.lr, gb, out=step)
+        den += ADAGRAD_EPS
+        np.multiply(lr, gb, out=step)
         step /= den
         p[start:stop] -= step
     return param
 
 
 def adagrad_step_rows(
-    param: np.ndarray, rows: np.ndarray, row_grads: np.ndarray, state: AdagradState
+    param: np.ndarray, rows: np.ndarray, row_grads: np.ndarray, acc: np.ndarray, lr: float
 ) -> np.ndarray:
     """Sparse variant touching only the given rows (embedding gradients).
 
@@ -255,8 +237,8 @@ def adagrad_step_rows(
     uniq, inv = np.unique(rows, return_inverse=True)
     agg = np.zeros((uniq.shape[0],) + param.shape[1:], dtype=param.dtype)
     np.add.at(agg, inv, row_grads)
-    state.acc[uniq] += agg * agg
-    param[uniq] -= state.lr * agg / (np.sqrt(state.acc[uniq]) + state.eps)
+    acc[uniq] += agg * agg
+    param[uniq] -= lr * agg / (np.sqrt(acc[uniq]) + ADAGRAD_EPS)
     return param
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     PROB_FLOOR,
-    AdagradState,
     adagrad_step,
     adagrad_step_rows,
     affine,
@@ -39,7 +38,7 @@ from .core import (
     softmax_xent_backward,
     softmax_xent_from_probs,
 )
-from .util import Recommender, check_bounds, checked_tensors
+from .util import Recommender, check_bounds, check_finite, checked_tensors
 
 logger = logging.getLogger(__name__)
 
@@ -83,30 +82,31 @@ class Hyperparams:
 
 class _NeuralParams(Recommender):
     """Shared plumbing for both architectures: embeddings, hidden layer,
-    catalog softmax, Adagrad state, checkpoint tensors."""
+    catalog softmax, Adagrad accumulators, checkpoint tensors."""
 
-    def __init__(self, n_songs, n_users, hyper: Hyperparams, rng, dtype=np.float64):
+    # set per model by __init__, in place of Recommender's TENSORS-derived sizes
+    n_songs = n_users = None
+
+    def __init__(self, n_songs, n_users, hyper: Hyperparams, rng=None, dtype=np.float64,
+                 tensors=None):
         """Glorot-initialised weights and zero biases, drawn from ``rng``
-        in layout order."""
-        self._set_sizes(n_songs, n_users, hyper, dtype)
-        for name, (shape, fans) in self._layout().items():
-            tensor = np.zeros(shape) if fans is None else glorot_init(*fans, rng, shape)
-            setattr(self, name, tensor.astype(self.dtype, copy=False))
-        self._init_states()
-
-    def _set_sizes(self, n_songs, n_users, hyper, dtype):
+        in layout order; or, given ``tensors``, those arrays themselves,
+        each checked against the layout's shape, and nothing drawn.
+        ``acc`` holds each tensor's zero Adagrad accumulator by name."""
         if n_songs < 1 or n_users < 1:
             raise ValueError("need at least one song and one user")
-        self.n_songs = int(n_songs)
-        self.n_users = int(n_users)
-        self.hyper = hyper
-        self.dtype = np.dtype(dtype)
-
-    def _init_states(self):
-        self.states = {
-            name: AdagradState.for_param(t, lr=self.hyper.lr)
-            for name, t in self.tensors().items()
-        }
+        self.n_songs, self.n_users = int(n_songs), int(n_users)
+        self.hyper, self.dtype = hyper, np.dtype(dtype)
+        layout = self._layout()
+        if tensors is None:
+            tensors = {name: np.zeros(shape) if fans is None else glorot_init(*fans, rng, shape)
+                       for name, (shape, fans) in layout.items()}
+        else:
+            tensors = checked_tensors(tensors, {name: shape for name, (shape, _) in layout.items()})
+        for name, tensor in tensors.items():
+            setattr(self, name, tensor.astype(self.dtype, copy=False))
+        # np.zeros, unlike zeros_like, leaves the zeroing to the first touch
+        self.acc = {name: np.zeros(t.shape, t.dtype) for name, t in self.tensors().items()}
 
     # subclasses define _feature_layout, _feature_forward, _feature_backward
 
@@ -182,26 +182,14 @@ class _NeuralParams(Recommender):
         return self.forward_batch(users, contexts)[0]
 
     def to_checkpoint(self):
-        meta = {
-            "n_songs": self.n_songs,
-            "n_users": self.n_users,
-            "dtype": self.dtype.name,
-            "hyper": self.hyper.__dict__.copy(),
-        }
+        meta = {"n_songs": self.n_songs, "n_users": self.n_users, "dtype": self.dtype.name,
+                "hyper": self.hyper.__dict__.copy()}
         return self.model_type, meta, self.tensors()
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
-        """The model holding the checkpoint's tensors themselves, each
-        checked against the architecture's shape; nothing is drawn."""
-        obj = cls.__new__(cls)
-        obj._set_sizes(meta["n_songs"], meta["n_users"], Hyperparams(**meta["hyper"]),
-                       meta["dtype"])
-        shapes = {name: shape for name, (shape, _) in obj._layout().items()}
-        for name, tensor in zip(shapes, checked_tensors(tensors, shapes)):
-            setattr(obj, name, tensor.astype(obj.dtype, copy=False))
-        obj._init_states()
-        return obj
+        return cls(meta["n_songs"], meta["n_users"], Hyperparams(**meta["hyper"]),
+                   dtype=meta["dtype"], tensors=tensors)
 
 
 class CnnRecParams(_NeuralParams):
@@ -262,13 +250,13 @@ def train_step(batch, params: _NeuralParams, rng) -> float:
     probs, cache = params.forward_batch(users, contexts, train=True, rng=rng)
     losses = softmax_xent_from_probs(probs, targets)
     grads = params.backward_batch(probs, targets, cache)
-    tensors = params.tensors()
+    tensors, lr = params.tensors(), params.hyper.lr
     for name, g in grads.items():
         if isinstance(g, tuple):
             rows, row_grads = g
-            adagrad_step_rows(tensors[name], rows, row_grads, params.states[name])
+            adagrad_step_rows(tensors[name], rows, row_grads, params.acc[name], lr)
         else:
-            adagrad_step(tensors[name], g, params.states[name])
+            adagrad_step(tensors[name], g, params.acc[name], lr)
     return float(np.mean(losses))
 
 
@@ -276,12 +264,7 @@ def _check_epoch(params: _NeuralParams, epoch: int, loss: float) -> None:
     """Stop on a non-finite loss or tensor; warn on a saturated loss or,
     from the second epoch on, on a loss above log(n_songs), worse than
     a uniform guess over the catalog."""
-    bad = [name for name, t in params.tensors().items() if not np.isfinite(t).all()]
-    if bad or not math.isfinite(loss):
-        raise ValueError(
-            f"training diverged in epoch {epoch + 1}: loss {loss!r}, "
-            f"non-finite tensors: {', '.join(bad) or 'none'}"
-        )
+    check_finite(params, epoch, loss)
     if abs(loss - SATURATED_LOSS) <= 0.01 * SATURATED_LOSS:
         logger.warning(
             "epoch %d loss %.4f is within 1%% of -log(PROB_FLOOR) = %.2f: target "

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import os
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,12 +47,17 @@ class Recommender:
     keeps state for, or None when it keeps no per-user state.
     ``model_type`` names the family in configs and checkpoints. An
     out-of-range user or song index raises ``IndexError``.
+
+    A family declares its tensors once: ``TENSORS`` maps each attribute to
+    the meta keys of its dims, in checkpoint order, and ``SCALARS`` names
+    the scalar ones. Checkpoint meta, construction from a checkpoint and
+    ``n_songs``/``n_users`` all follow from that.
     """
 
     model_type: str = ""
     order: int | None = None
-    n_songs: int
-    n_users: int | None = None
+    TENSORS: ClassVar[dict] = {}
+    SCALARS: ClassVar[tuple] = ()
 
     @classmethod
     def families(cls) -> dict:
@@ -63,6 +70,32 @@ class Recommender:
             out.update(sub.families())
         return out
 
+    def tensors(self) -> dict:
+        return {name: getattr(self, name) for name in self.TENSORS}
+
+    def _dims(self) -> dict:
+        return {key: n for name, keys in self.TENSORS.items()
+                for key, n in zip(keys, getattr(self, name).shape)}
+
+    @property
+    def n_songs(self) -> int:
+        return self._dims()["n_songs"]
+
+    @property
+    def n_users(self) -> int | None:
+        return self._dims().get("n_users")
+
+    def to_checkpoint(self):
+        meta = {**self._dims(), **{key: getattr(self, key) for key in self.SCALARS}}
+        return self.model_type, meta, self.tensors()
+
+    @classmethod
+    def from_checkpoint(cls, meta, tensors):
+        """The model holding the checkpoint's tensors themselves, each
+        checked against the shape its meta dims give."""
+        shapes = {name: tuple(meta[key] for key in keys) for name, keys in cls.TENSORS.items()}
+        return cls(**checked_tensors(tensors, shapes), **{key: meta[key] for key in cls.SCALARS})
+
     def score_batch(self, users, contexts) -> np.ndarray:
         raise NotImplementedError
 
@@ -71,7 +104,16 @@ class Recommender:
         return self.score_batch([u], [context])[0]
 
 
-def checked_tensors(tensors: dict, shapes: dict) -> list:
+def check_finite(model: Recommender, epoch: int, loss: float) -> None:
+    """``ValueError`` naming the epoch when ``loss`` or any tensor of
+    ``model`` is not finite after training epoch ``epoch`` (from 0)."""
+    bad = [name for name, t in model.tensors().items() if not np.isfinite(t).all()]
+    if bad or not math.isfinite(loss):
+        raise ValueError(f"training diverged in epoch {epoch + 1}: loss {loss!r}, "
+                         f"non-finite tensors: {', '.join(bad) or 'none'}")
+
+
+def checked_tensors(tensors: dict, shapes: dict) -> dict:
     """The checkpoint ``tensors`` in the order of ``shapes`` (name ->
     shape); ``ValueError`` unless their names are those of ``shapes``
     and each array has its shape there."""
@@ -80,7 +122,7 @@ def checked_tensors(tensors: dict, shapes: dict) -> list:
     for name, shape in shapes.items():
         if tensors[name].shape != shape:
             raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {shape}")
-    return [tensors[name] for name in shapes]
+    return {name: tensors[name] for name in shapes}
 
 
 _COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}

@@ -1,5 +1,7 @@
 """Shared synthetic corpora and oracle helpers for the test suite."""
 
+import contextlib
+import signal
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,6 +23,23 @@ BOB_GAPS = [120] * 9
 # ones, interleaved so overlap deletion splits the survivors into runs
 # of lengths 1, 3, 1
 _SLOT_PATTERN = ["s0", "u0", "s1", "s2", "u1", "u2", "u3", "s3", "u4", "s4"]
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail the running test when the block is still running after
+    ``seconds`` (SIGALRM, so the main thread only). The failure is not an
+    ``Exception``, so no ``except`` in the code under test can swallow it."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def format_timestamp(epoch: int) -> str:

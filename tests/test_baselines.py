@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
-from conftest import session_table, table_rows, top_k
+from conftest import session_table, table_rows, time_limit, top_k
 from songrec import baselines
 from songrec.baselines import (
     FpmcFactors,
@@ -408,6 +408,13 @@ FPMC_BLOCKS = ("v_ui", "v_iu", "v_il", "v_li")
 
 
 class TestFpmcTrain:
+    def test_one_song_catalog_is_refused(self):
+        # every competitor drawn from one song equals its positive, so
+        # redrawing it could never end
+        examples = extract_examples(session_table([(0, [0, 0, 0])]), 1)
+        with time_limit(10), pytest.raises(ValueError, match="at least two songs"):
+            fpmc_train(examples, 1, 1, f=2, lr=0.05, lam=0.01, epochs=1, rng=make_rng(0))
+
     def test_minibatch_of_one_matches_the_per_triple_loop(self, monkeypatch):
         # four songs make many negatives equal their positive and be drawn again
         gen = make_rng(56)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,7 +6,15 @@ import pytest
 
 from conftest import markov_chain_sessions, playlist_sessions
 from songrec import checkpoint
-from songrec.baselines import fpmc_train, play_count_matrix, w2v_train, wmf_train
+from songrec.baselines import (
+    FpmcFactors,
+    ItemEmbeddings,
+    WmfFactors,
+    fpmc_train,
+    play_count_matrix,
+    w2v_train,
+    wmf_train,
+)
 from songrec.data import extract_examples
 from songrec.models import CnnRecParams, Hyperparams, NnRecParams
 from songrec.util import make_rng
@@ -106,6 +115,15 @@ class TestContainer:
 
 
 class TestModelRoundTrip:
+    @pytest.mark.parametrize("cls", [ItemEmbeddings, WmfFactors, FpmcFactors])
+    def test_fields_are_the_declared_tensors_scalars_and_history(self, cls):
+        # a field outside the declaration would be left out of checkpoints
+        fields = dataclasses.fields(cls)
+        history = [f.name for f in fields if f.name.endswith("_history")]
+        assert len(history) == 1
+        assert {f.name for f in fields} == {*cls.TENSORS, *cls.SCALARS, *history}
+        assert {f.name for f in fields if f.type == "np.ndarray"} == set(cls.TENSORS)
+
     @pytest.mark.parametrize("family", ["cnnrec", "nnrec", "w2v", "wmf", "fpmc"])
     def test_bitwise_tensor_round_trip(self, tmp_path, family):
         model = small_models()[family]

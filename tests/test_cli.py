@@ -335,14 +335,19 @@ class TestTrainEvaluate:
             assert f"{unit}/s" in line and "elapsed" in line
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
-    def test_diverging_training_exits_with_one_line(self, prepared, caplog):
+    # on this log an fpmc epoch is one minibatch, whose step stays finite
+    @pytest.mark.parametrize("family,lr,epoch", [("cnnrec", "model.lr=1e300", 1),
+                                                 ("w2v", "model.w2v.lr=1e300", 1),
+                                                 ("fpmc", "model.fpmc.lr=1e200", 2)],
+                             ids=["cnnrec", "w2v", "fpmc"])
+    def test_diverging_training_exits_with_one_line(self, prepared, caplog, family, lr, epoch):
         tmp, config = prepared
         code = run_cli("train", "--config", config, "--out", tmp / "diverge",
-                       "--set", "model.lr=1e300",
+                       "--set", f"model.family={family}", "--set", lr,
                        "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}")
         assert code == 1
         errors = [r for r in caplog.records if r.levelno == logging.ERROR]
-        assert len(errors) == 1 and "diverged in epoch 1" in errors[0].getMessage()
+        assert len(errors) == 1 and f"diverged in epoch {epoch}:" in errors[0].getMessage()
         assert "\n" not in errors[0].getMessage()
         assert not (tmp / "diverge" / "model.ckpt").exists()
 
@@ -881,6 +886,31 @@ class TestTracedNames:
                        "--set", "model.family=fpmc",
                        "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
         assert calls and all(1 <= n <= baselines.SBPR_BATCH for n in calls)
+
+    def test_adagrad_calls_pass_the_tensor_then_its_rows(self, monkeypatch):
+        # the benchmark counts adagrad_step bytes from args[0] and
+        # adagrad_step_rows rows from args[1]
+        from songrec import models
+        from test_checkpoint import TINY
+
+        params = CnnRecParams(12, 3, TINY, rng=make_rng(1))
+        calls = {"adagrad_step": [], "adagrad_step_rows": []}
+        for name in calls:
+            def record(*args, _name=name, _fn=getattr(models, name)):
+                calls[_name].append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(models, name, record)
+        users, contexts = np.array([0, 2, 0]), np.array([[1, 2, 3], [4, 5, 6], [1, 7, 7]])
+        before = {name: t.copy() for name, t in params.tensors().items()}
+        models.train_step((users, contexts, np.array([7, 8, 9])), params, make_rng(2))
+        names = {id(t): name for name, t in params.tensors().items()}
+        dense = sorted(names[id(args[0])] for args in calls["adagrad_step"])
+        assert dense == ["b1", "b2", "conv_b", "filters", "w1", "w2"]
+        rows = {names[id(args[0])]: args[1].tolist() for args in calls["adagrad_step_rows"]}
+        assert rows == {"e_song": contexts.reshape(-1).tolist(), "e_user": users.tolist()}
+        for name in [*dense, *rows]:
+            assert not np.array_equal(params.tensors()[name], before[name]), name
 
     @pytest.mark.parametrize("family,reached", [
         ("cnnrec", ["extract_examples"]),

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from songrec import models
+from songrec import core, models
 from songrec.core import (
     _BLOCK,
     PROB_FLOOR,
-    AdagradState,
     adagrad_step,
     adagrad_step_rows,
     affine,
@@ -76,13 +75,14 @@ class TestEmbedLookup:
         with pytest.raises(IndexError):
             embed_lookup(3, np.eye(3))
 
-    def test_scatter_add_gradient(self):
+    def test_scatter_add_gradient(self, monkeypatch):
         # upstream gradient lands exactly on the looked-up row
+        monkeypatch.setattr(core, "ADAGRAD_EPS", 0.0)
         e = np.zeros((4, 3))
-        state = AdagradState.for_param(e, lr=1.0, eps=0.0)
+        acc = np.zeros(e.shape)
         g = np.array([[1.0, 2.0, 3.0]])
-        adagrad_step_rows(e, np.array([2]), g, state)
-        assert np.array_equal(state.acc[2], g[0] ** 2)
+        adagrad_step_rows(e, np.array([2]), g, acc, 1.0)
+        assert np.array_equal(acc[2], g[0] ** 2)
         assert np.count_nonzero(e[[0, 1, 3]]) == 0
         assert np.count_nonzero(e[2]) == 3
 
@@ -361,43 +361,43 @@ class TestSoftmaxXent:
 class TestAdagrad:
     def test_zero_grad_no_change(self):
         p = np.array([1.0, 2.0])
-        state = AdagradState.for_param(p, lr=0.01)
-        adagrad_step(p, np.zeros(2), state)
+        acc = np.zeros(2)
+        adagrad_step(p, np.zeros(2), acc, 0.01)
         assert p.tolist() == [1.0, 2.0]
-        assert state.acc.tolist() == [0.0, 0.0]
+        assert acc.tolist() == [0.0, 0.0]
 
-    def test_first_step_moves_by_lr_sign(self):
+    def test_first_step_moves_by_lr_sign(self, monkeypatch):
         # with acc = g^2 the step is lr * g / (|g| + eps) ~ lr * sign(g)
+        monkeypatch.setattr(core, "ADAGRAD_EPS", 1e-12)
         p = np.zeros(3)
         g = np.array([2.0, -0.5, 1e3])
-        state = AdagradState.for_param(p, lr=0.01, eps=1e-12)
-        adagrad_step(p, g, state)
+        adagrad_step(p, g, np.zeros(3), 0.01)
         assert np.allclose(p, -0.01 * np.sign(g), rtol=1e-9)
 
     def test_second_identical_step_smaller(self):
         p = np.zeros(1)
         g = np.array([3.0])
-        state = AdagradState.for_param(p, lr=0.1)
-        adagrad_step(p, g, state)
+        acc = np.zeros(1)
+        adagrad_step(p, g, acc, 0.1)
         first = abs(p[0])
         before = p[0]
-        adagrad_step(p, g, state)
+        adagrad_step(p, g, acc, 0.1)
         second = abs(p[0] - before)
         assert second < first
 
     def test_accumulator_monotone_nonnegative(self):
         rng = make_rng(10)
         p = rng.standard_normal(8)
-        state = AdagradState.for_param(p, lr=0.01)
-        prev = state.acc.copy()
+        acc = np.zeros(8)
+        prev = acc.copy()
         for _ in range(20):
-            adagrad_step(p, rng.standard_normal(8), state)
-            assert (state.acc >= prev).all() and (state.acc >= 0).all()
-            prev = state.acc.copy()
+            adagrad_step(p, rng.standard_normal(8), acc, 0.01)
+            assert (acc >= prev).all() and (acc >= 0).all()
+            prev = acc.copy()
 
     def test_shape_mismatch_error(self):
         with pytest.raises(ValueError):
-            adagrad_step(np.zeros(2), np.zeros(3), AdagradState.for_param(np.zeros(2), lr=0.01))
+            adagrad_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.01)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
@@ -409,36 +409,35 @@ class TestAdagrad:
         acc0 = rng.random(shape).astype(dtype)
         g = rng.standard_normal(shape).astype(dtype)
         g_before = g.copy()
-        state = AdagradState(acc0.copy(), lr=0.01, eps=1e-8)
+        acc = acc0.copy()
         want_acc = acc0 + g * g
-        want_p = p - state.lr * g / (np.sqrt(want_acc) + state.eps)
-        out = adagrad_step(p, g, state)
+        want_p = p - 0.01 * g / (np.sqrt(want_acc) + core.ADAGRAD_EPS)
+        out = adagrad_step(p, g, acc, 0.01)
         assert out is p
-        assert p.dtype == dtype and state.acc.dtype == dtype
-        assert np.array_equal(state.acc, want_acc)
+        assert p.dtype == dtype and acc.dtype == dtype
+        assert np.array_equal(acc, want_acc)
         assert np.array_equal(p, want_p)
         assert np.array_equal(g, g_before)
 
     def test_non_contiguous_param_error(self):
         p = np.zeros((4, 6))[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
-            adagrad_step(p, np.ones(p.shape), AdagradState.for_param(np.zeros(p.shape), lr=0.01))
+            adagrad_step(p, np.ones(p.shape), np.zeros(p.shape), 0.01)
 
     def test_non_contiguous_accumulator_error(self):
         p = np.zeros((3, 4))
-        state = AdagradState(np.zeros((4, 3)).T, lr=0.1)
         with pytest.raises(ValueError, match="contiguous"):
-            adagrad_step(p, np.ones(p.shape), state)
+            adagrad_step(p, np.ones(p.shape), np.zeros((4, 3)).T, 0.1)
 
     def test_sparse_rows_aggregate_duplicates(self):
         p_sparse = np.ones((4, 2))
         p_dense = np.ones((4, 2))
         rows = np.array([1, 3, 1])
         grads = np.array([[1.0, 0.0], [0.5, 0.5], [2.0, -1.0]])
-        adagrad_step_rows(p_sparse, rows, grads, AdagradState.for_param(p_sparse, lr=0.01))
+        adagrad_step_rows(p_sparse, rows, grads, np.zeros(p_sparse.shape), 0.01)
         dense = np.zeros((4, 2))
         np.add.at(dense, rows, grads)
-        adagrad_step(p_dense, dense, AdagradState.for_param(p_dense, lr=0.01))
+        adagrad_step(p_dense, dense, np.zeros(p_dense.shape), 0.01)
         assert np.allclose(p_sparse, p_dense)
 
 
