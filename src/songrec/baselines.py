@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .core import embed_lookup
-from .util import Recommender, check_finite
+from .util import EpochLog, Recommender
 
 
 def _session_items(sessions):
@@ -132,7 +133,6 @@ def w2v_train(
     lr: float,
     epochs: int,
     rng: np.random.Generator,
-    callbacks=None,
 ) -> ItemEmbeddings:
     """Skip-gram with negative sampling over sessions-as-sentences.
 
@@ -148,9 +148,9 @@ def w2v_train(
     added up where pairs share a row.
 
     Center vectors start uniform in [-0.5/d, 0.5/d), context vectors at
-    zero; epochs=0 returns that initialization untouched. After each
-    epoch a non-finite loss or vector raises ``ValueError``, then
-    optional callbacks run as callback(epoch, emb, epoch_loss).
+    zero; epochs=0 returns that initialization untouched. Each epoch
+    ends in :meth:`songrec.util.EpochLog.end`, whose chance is
+    (1 + negatives) ln 2: every pair scores 0 at zero context vectors.
     """
     items = sessions.items
     if not len(items):
@@ -166,6 +166,8 @@ def w2v_train(
     batch_pairs = _sgns_batch(items)
     epoch_pairs = int(_pair_count(sessions.lengths, window).sum())
     total_pairs = epochs * epoch_pairs
+    log = EpochLog(emb, epochs, epoch_pairs, "pairs",
+                   chance=("(1 + negatives) ln 2", (1 + negatives) * math.log(2)))
     min_lr = lr * 1e-4
     done = 0
     for epoch in range(epochs):
@@ -191,9 +193,7 @@ def w2v_train(
             for loss in _sgns_losses(scores).tolist():  # summed in pair order
                 epoch_loss += loss
         emb.loss_history.append(epoch_loss / max(epoch_pairs, 1))
-        check_finite(emb, epoch, emb.loss_history[-1])
-        for cb in callbacks or ():
-            cb(epoch, emb, emb.loss_history[-1])
+        log.end(epoch, emb.loss_history[-1])
     return emb
 
 
@@ -278,16 +278,14 @@ def wmf_train(
     lam: float,
     iters: int,
     rng: np.random.Generator,
-    callbacks=None,
 ) -> WmfFactors:
     """Alternating least squares on the confidence-weighted objective.
 
     Each half-sweep solves every user's (then every item's) regularized
     normal equations exactly, so the objective never increases. The
     exact objective is recorded at initialization and after every
-    half-sweep. After each iteration (both half-sweeps) a non-finite
-    objective or factor raises ``ValueError``, then optional callbacks
-    run as callback(iteration, factors, objective).
+    half-sweep. Each iteration (both half-sweeps) ends in
+    :meth:`songrec.util.EpochLog.end` with the objective after it.
     """
     r_csr = sp.csr_matrix(r)
     if r_csr.nnz and r_csr.data.min() < 0:
@@ -298,14 +296,14 @@ def wmf_train(
     y = 0.01 * rng.standard_normal((n_songs, f))
     factors = WmfFactors(x, y, alpha, lam)
     factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
+    # an iteration solves every user's and every song's row once
+    log = EpochLog(factors, iters, n_users + n_songs, "rows")
     for it in range(iters):
         _als_half_sweep(r_csr, x, y, alpha, lam)
         factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
         _als_half_sweep(rt_csr, y, x, alpha, lam)
         factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
-        check_finite(factors, it, factors.objective_history[-1])
-        for cb in callbacks or ():
-            cb(it, factors, factors.objective_history[-1])
+        log.end(it, factors.objective_history[-1])
     return factors
 
 
@@ -388,7 +386,6 @@ def fpmc_train(
     lam: float,
     epochs: int,
     rng: np.random.Generator,
-    callbacks=None,
 ) -> FpmcFactors:
     """Sequential pairwise-ranking SGD over (user, previous song, next song)
     triples; the non-observed competitor is sampled uniformly per triple.
@@ -396,9 +393,9 @@ def fpmc_train(
     Each epoch walks a fresh permutation of the triples in minibatches of
     ``SBPR_BATCH``, one :func:`fpmc_sbpr_update` each. ``examples`` is the
     record array of :func:`songrec.data.extract_examples` at context
-    length exactly 1 (first-order model), over two songs or more. After
-    each epoch a non-finite loss or factor raises ``ValueError``, then
-    optional callbacks run as callback(epoch, factors, epoch_loss).
+    length exactly 1 (first-order model), over two songs or more. Each
+    epoch ends in :meth:`songrec.util.EpochLog.end`, whose chance is
+    ln 2: every triple's loss when all scores are equal.
     """
     if len(examples) == 0:
         raise ValueError("no training examples")
@@ -409,6 +406,7 @@ def fpmc_train(
     users, prevs, nexts = examples.user, examples.context[:, 0], examples.target
     factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
     n = len(nexts)
+    log = EpochLog(factors, epochs, n, "triples", chance=("ln 2", math.log(2)))
     for epoch in range(epochs):
         total = 0.0
         order = rng.permutation(n)
@@ -420,7 +418,5 @@ def fpmc_train(
                 neg[same] = rng.integers(n_songs, size=same.size)
             total += fpmc_sbpr_update(factors, users[batch], prevs[batch], pos, neg)
         factors.loss_history.append(total / n)
-        check_finite(factors, epoch, factors.loss_history[-1])
-        for cb in callbacks or ():
-            cb(epoch, factors, factors.loss_history[-1])
+        log.end(epoch, factors.loss_history[-1])
     return factors

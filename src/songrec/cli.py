@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__, checkpoint
-from .baselines import _pair_count, fpmc_train, play_count_matrix, w2v_train, wmf_train
+from .baselines import fpmc_train, play_count_matrix, w2v_train, wmf_train
 from .config import ExperimentConfig, apply_override
 from .data import (
     drop_unknown_users,
@@ -100,24 +100,6 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _epoch_progress(family: str, epochs: int, n_examples: int, unit: str = "examples"):
-    """Training callback that logs one line per epoch: loss, ``unit``/s
-    over the epoch (``n_examples`` of them per epoch), and seconds since
-    training started."""
-    start = last = time.perf_counter()
-
-    def log_epoch(epoch, params, loss):
-        nonlocal last
-        now = time.perf_counter()
-        logger.info(
-            "%s epoch %d/%d: loss %.4f, %.0f %s/s, %.1fs elapsed",
-            family, epoch + 1, epochs, loss, n_examples / (now - last), unit, now - start,
-        )
-        last = now
-
-    return log_epoch
-
-
 def fit_model(cfg: ExperimentConfig, prepared):
     """Train the configured family on the prepared training split, with
     the settings of its config section.
@@ -128,23 +110,18 @@ def fit_model(cfg: ExperimentConfig, prepared):
     split = prepared.split
     n_songs, n_users = prepared.n_songs, prepared.n_users
     if mc.family == "w2v":
-        pairs = int(_pair_count(split.train.lengths, mc.w2v.window).sum())
-        progress = _epoch_progress(mc.family, mc.w2v.epochs, pairs, "pairs")
         emb = w2v_train(split.train, n_songs, d=mc.d, rng=make_rng(cfg.subseed("train")),
-                        callbacks=[progress], **dataclasses.asdict(mc.w2v))
+                        **dataclasses.asdict(mc.w2v))
         return emb, emb.loss_history
     if mc.family == "wmf":
         counts = play_count_matrix(split.train, n_users, n_songs)
-        # an iteration solves every user's and every song's row once
-        progress = _epoch_progress(mc.family, mc.wmf.iters, n_users + n_songs, "rows")
-        factors = wmf_train(counts, rng=make_rng(cfg.subseed("init")), callbacks=[progress],
+        factors = wmf_train(counts, rng=make_rng(cfg.subseed("init")),
                             **dataclasses.asdict(mc.wmf))
         return factors, factors.objective_history
     if mc.family == "fpmc":
         examples = extract_examples(split.train, 1)  # fpmc_train refuses an empty set
-        progress = _epoch_progress(mc.family, mc.fpmc.epochs, len(examples), "triples")
         factors = fpmc_train(examples, n_users, n_songs, rng=make_rng(cfg.subseed("train")),
-                             callbacks=[progress], **dataclasses.asdict(mc.fpmc))
+                             **dataclasses.asdict(mc.fpmc))
         return factors, factors.loss_history
     hyper = mc.hyperparams()
     params = Recommender.families()[mc.family](
@@ -152,8 +129,7 @@ def fit_model(cfg: ExperimentConfig, prepared):
     examples = extract_examples(split.train, hyper.j)
     if len(examples) == 0:
         raise ValueError(f"no training examples at order j={hyper.j}; sessions too short?")
-    progress = _epoch_progress(mc.family, hyper.epochs, len(examples))
-    history = train(examples, params, make_rng(cfg.subseed("train")), [progress])
+    history = train(examples, params, make_rng(cfg.subseed("train")))
     return params, history
 
 

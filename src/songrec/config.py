@@ -150,6 +150,9 @@ class ModelConfig:
             raise ValueError(f"family must be one of {MODEL_FAMILIES}, got {self.family!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
+        if self.dtype != "float64" and self.family not in ("cnnrec", "nnrec"):
+            raise ValueError(f"config.model.dtype must be float64 for {self.family}: "
+                             f"only cnnrec and nnrec train in {self.dtype}")
         for prefix, section in (("config.model.", self), ("config.model.w2v.", self.w2v),
                                 ("config.model.wmf.", self.wmf), ("config.model.fpmc.", self.fpmc)):
             check_bounds(section, section.BOUNDS, prefix)

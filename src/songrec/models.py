@@ -11,7 +11,6 @@ the learning rate keeps its meaning across batch sizes.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -38,9 +37,7 @@ from .core import (
     softmax_xent_backward,
     softmax_xent_from_probs,
 )
-from .util import Recommender, check_bounds, check_finite, checked_tensors
-
-logger = logging.getLogger(__name__)
+from .util import EpochLog, Recommender, check_bounds, checked_tensors
 
 # the mean loss when every target probability sits at PROB_FLOOR
 SATURATED_LOSS = -math.log(PROB_FLOOR)
@@ -260,39 +257,22 @@ def train_step(batch, params: _NeuralParams, rng) -> float:
     return float(np.mean(losses))
 
 
-def _check_epoch(params: _NeuralParams, epoch: int, loss: float) -> None:
-    """Stop on a non-finite loss or tensor; warn on a saturated loss or,
-    from the second epoch on, on a loss above log(n_songs), worse than
-    a uniform guess over the catalog."""
-    check_finite(params, epoch, loss)
-    if abs(loss - SATURATED_LOSS) <= 0.01 * SATURATED_LOSS:
-        logger.warning(
-            "epoch %d loss %.4f is within 1%% of -log(PROB_FLOOR) = %.2f: target "
-            "probabilities sit at the floor; is the learning rate too high?",
-            epoch + 1, loss, SATURATED_LOSS,
-        )
-    elif epoch >= 1 and loss > math.log(params.n_songs):
-        logger.warning(
-            "epoch %d loss %.4f is above log(n_songs) = %.2f, worse than a uniform "
-            "guess over the catalog; is the learning rate too high?",
-            epoch + 1, loss, math.log(params.n_songs),
-        )
-
-
-def train(examples, params: _NeuralParams, rng, callbacks=None) -> list[float]:
+def train(examples, params: _NeuralParams, rng) -> list[float]:
     """Epoch loop: reshuffle each epoch, minibatch steps, loss history.
 
     ``examples`` is the record array of :func:`songrec.data.extract_examples`.
-    Returns per-epoch mean loss, one entry per epoch. After each epoch a
-    non-finite loss or tensor raises ``ValueError``, and a loss at
-    -log(PROB_FLOOR) or, after the first epoch, above log(n_songs) logs a
-    warning; then optional callbacks run as callback(epoch, params, epoch_loss).
+    Returns per-epoch mean loss, one entry per epoch. Each epoch ends in
+    :meth:`songrec.util.EpochLog.end`, whose chance is log(n_songs), a
+    uniform guess over the catalog, and whose ceiling is -log(PROB_FLOOR).
     """
     from .data import examples_to_arrays  # looked up per call, where a tracer can wrap it
 
     users, contexts, targets = examples_to_arrays(examples)
     hy = params.hyper
     n = len(targets)
+    log = EpochLog(params, hy.epochs, n, "examples",
+                   chance=("log(n_songs)", math.log(params.n_songs)),
+                   ceiling=("-log(PROB_FLOOR)", SATURATED_LOSS))
     history: list[float] = []
     for epoch in range(hy.epochs):
         perm = rng.permutation(n)
@@ -303,7 +283,5 @@ def train(examples, params: _NeuralParams, rng, callbacks=None) -> list[float]:
             total += loss * len(sel)
         epoch_loss = total / n
         history.append(epoch_loss)
-        _check_epoch(params, epoch, epoch_loss)
-        for cb in callbacks or ():
-            cb(epoch, params, epoch_loss)
+        log.end(epoch, epoch_loss)
     return history

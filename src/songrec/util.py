@@ -1,5 +1,5 @@
 """Shared plumbing: seeding, the scoring interface every model family
-implements, atomic file writes.
+implements, the end of every training epoch, atomic file writes.
 
 All randomness in the repository flows through ``numpy.random.Generator``
 instances backed by the PCG64 bit generator (``np.random.default_rng``).
@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import operator
 import os
+import time
 from typing import ClassVar
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 
 def derive_seed(root_seed: int, component: str) -> int:
@@ -104,13 +108,42 @@ class Recommender:
         return self.score_batch([u], [context])[0]
 
 
-def check_finite(model: Recommender, epoch: int, loss: float) -> None:
-    """``ValueError`` naming the epoch when ``loss`` or any tensor of
-    ``model`` is not finite after training epoch ``epoch`` (from 0)."""
-    bad = [name for name, t in model.tensors().items() if not np.isfinite(t).all()]
-    if bad or not math.isfinite(loss):
-        raise ValueError(f"training diverged in epoch {epoch + 1}: loss {loss!r}, "
-                         f"non-finite tensors: {', '.join(bad) or 'none'}")
+class EpochLog:
+    """Ends each of the ``epochs`` training epochs of ``model`` (ALS
+    iterations for wmf), each ``work`` ``unit``s long (examples, pairs,
+    ...). ``chance`` and ``ceiling`` are optional (name, value) pairs: the
+    loss of an untrained model and the loss at which training saturates.
+    The progress clock starts when the log is made."""
+
+    def __init__(self, model: Recommender, epochs: int, work: int, unit: str, *,
+                 chance=None, ceiling=None):
+        self.model, self.epochs, self.work, self.unit = model, epochs, work, unit
+        self.chance, self.ceiling = chance, ceiling
+        self.start = self.last = time.perf_counter()
+
+    def end(self, epoch: int, loss: float) -> None:
+        """Close epoch ``epoch`` (from 0) at mean loss ``loss``: raise
+        ``ValueError`` naming the epoch if ``loss`` or any tensor is not
+        finite; warn if the loss is within 1% of the ceiling or else, from
+        the second epoch on, more than 1% above chance, where a random
+        init's loss already sits; log one progress line."""
+        bad = [name for name, t in self.model.tensors().items() if not np.isfinite(t).all()]
+        if bad or not math.isfinite(loss):
+            raise ValueError(f"training diverged in epoch {epoch + 1}: loss {loss!r}, "
+                             f"non-finite tensors: {', '.join(bad) or 'none'}")
+        if self.ceiling and abs(loss - self.ceiling[1]) <= 0.01 * self.ceiling[1]:
+            logger.warning("epoch %d loss %.4f is within 1%% of %s = %.2f, where training "
+                           "saturates; is the learning rate too high?",
+                           epoch + 1, loss, *self.ceiling)
+        elif self.chance and epoch >= 1 and loss > 1.01 * self.chance[1]:
+            logger.warning("epoch %d loss %.4f is more than 1%% above %s = %.2f, worse than "
+                           "an untrained model; is the learning rate too high?",
+                           epoch + 1, loss, *self.chance)
+        now = time.perf_counter()
+        logger.info("%s epoch %d/%d: loss %.4f, %.0f %s/s, %.1fs elapsed",
+                    self.model.model_type, epoch + 1, self.epochs, loss,
+                    self.work / (now - self.last), self.unit, now - self.start)
+        self.last = now
 
 
 def checked_tensors(tensors: dict, shapes: dict) -> dict:

@@ -1,6 +1,7 @@
 """Shared synthetic corpora and oracle helpers for the test suite."""
 
 import contextlib
+import logging
 import signal
 from datetime import datetime, timezone
 
@@ -223,6 +224,13 @@ class PerfectScorer:
         for i, (u, context) in enumerate(zip(users, contexts)):
             scores[i, self.lookup[(int(u), tuple(int(c) for c in context))]] = 1.0
         return scores
+
+
+def progress_lines(caplog) -> list[str]:
+    """The ``<family> epoch i/E: loss x`` head of each progress line that
+    ``caplog`` holds, in order."""
+    return [r.getMessage().split(",")[0] for r in caplog.records
+            if r.levelno == logging.INFO and " epoch " in r.getMessage()]
 
 
 def top_k(scores, k):

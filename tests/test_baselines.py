@@ -1,9 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
-from conftest import session_table, table_rows, time_limit, top_k
+from conftest import progress_lines, session_table, table_rows, time_limit, top_k
 from songrec import baselines
 from songrec.baselines import (
     FpmcFactors,
@@ -212,12 +214,12 @@ class TestW2vBlocks:
                            for c in range(length))
                 assert _pair_count(length, window) == scan
 
-    def test_callbacks_get_each_epoch_loss(self):
-        seen = []
-        emb = w2v_train(session_table([(0, [0, 1, 2, 1])]), 3, d=4, window=2, negatives=2,
-                        lr=0.025, epochs=3, rng=make_rng(42),
-                        callbacks=[lambda epoch, model, loss: seen.append((epoch, model, loss))])
-        assert seen == [(e, emb, loss) for e, loss in enumerate(emb.loss_history)]
+    def test_progress_line_per_epoch_carries_its_loss(self, caplog):
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            emb = w2v_train(session_table([(0, [0, 1, 2, 1])]), 3, d=4, window=2, negatives=2,
+                            lr=0.025, epochs=3, rng=make_rng(42))
+        assert progress_lines(caplog) == [f"w2v epoch {e + 1}/3: loss {loss:.4f}"
+                                          for e, loss in enumerate(emb.loss_history)]
 
 
 class TestW2vRecommend:
@@ -453,12 +455,13 @@ class TestFpmcTrain:
         for name in FPMC_BLOCKS:
             assert np.allclose(getattr(start, name), want[name], rtol=0, atol=1e-12)
 
-    def test_callbacks_get_each_epoch_loss(self):
-        seen = []
+    def test_progress_line_per_epoch_carries_its_loss(self, caplog):
         examples = extract_examples(session_table([(0, [1, 2, 3]), (1, [2, 3])]), 1)
-        factors = fpmc_train(examples, 2, 5, f=3, lr=0.05, lam=0.01, epochs=3, rng=make_rng(59),
-                             callbacks=[lambda epoch, model, loss: seen.append((epoch, model, loss))])
-        assert seen == [(e, factors, loss) for e, loss in enumerate(factors.loss_history)]
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            factors = fpmc_train(examples, 2, 5, f=3, lr=0.05, lam=0.01, epochs=3,
+                                 rng=make_rng(59))
+        assert progress_lines(caplog) == [f"fpmc epoch {e + 1}/3: loss {loss:.4f}"
+                                          for e, loss in enumerate(factors.loss_history)]
 
     def test_update_increases_score_difference(self):
         # exact ascent on the pairwise objective: for small lr and lam=0

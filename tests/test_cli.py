@@ -13,7 +13,7 @@ import pytest
 import songrec
 from songrec import baselines, checkpoint, cli, data
 from songrec.cli import _eval_order, main
-from conftest import digit_chain_sessions, session_table, third_order_sessions
+from conftest import digit_chain_sessions, progress_lines, session_table, third_order_sessions
 from songrec.config import DataConfig, ExperimentConfig, ModelConfig, apply_override
 from songrec.data import (
     PreparedDataset,
@@ -155,6 +155,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="filter width 2 exceeds context length 1"):
             ExperimentConfig.from_dict({"model": {"family": "cnnrec", "j": 1}})
 
+    @pytest.mark.parametrize("family", ["cnnrec", "nnrec", "w2v", "wmf", "fpmc"])
+    def test_float32_only_for_the_neural_families(self, family):
+        raw = {"model": {"family": family, "dtype": "float32"}}
+        if family in ("cnnrec", "nnrec"):
+            assert ExperimentConfig.from_dict(raw).model.dtype == "float32"
+        else:
+            with pytest.raises(ValueError, match=rf"^config\.model\.dtype must be float64 "
+                                                 rf"for {family}: "):
+                ExperimentConfig.from_dict(raw)
+
     def test_sections_check_themselves_when_replaced(self):
         with pytest.raises(ValueError, match=r"^config\.model\.h must be >= 1, got 0$"):
             dataclasses.replace(ModelConfig(), h=0)
@@ -289,13 +299,16 @@ class TestTrainEvaluate:
         assert len(modes) == 13  # 6 prepared, 2 trained, 2 evaluated, 3 manifests
         assert modes == dict.fromkeys(modes, 0o640)
 
-    def test_train_logs_one_progress_line_per_epoch(self, prepared, caplog):
+    @pytest.mark.parametrize("family", ["cnnrec", "nnrec"])
+    def test_train_logs_one_progress_line_per_epoch(self, prepared, caplog, family):
         tmp, config = prepared
         with caplog.at_level(logging.INFO, logger="songrec"):
             assert run_cli("train", "--config", config, "--out", tmp / "progress",
+                           "--set", f"model.family={family}",
                            "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
         lines = [r.getMessage() for r in caplog.records if " epoch " in r.getMessage()]
-        assert [line.split(":")[0] for line in lines] == ["cnnrec epoch 1/2", "cnnrec epoch 2/2"]
+        assert [line.split(":")[0] for line in lines] == [f"{family} epoch 1/2",
+                                                          f"{family} epoch 2/2"]
         assert all("examples/s" in line and "elapsed" in line for line in lines)
 
     def test_w2v_logs_one_progress_line_per_epoch(self, prepared, caplog):
@@ -342,14 +355,18 @@ class TestTrainEvaluate:
                              ids=["cnnrec", "w2v", "fpmc"])
     def test_diverging_training_exits_with_one_line(self, prepared, caplog, family, lr, epoch):
         tmp, config = prepared
-        code = run_cli("train", "--config", config, "--out", tmp / "diverge",
-                       "--set", f"model.family={family}", "--set", lr,
-                       "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}")
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            code = run_cli("train", "--config", config, "--out", tmp / "diverge",
+                           "--set", f"model.family={family}", "--set", lr,
+                           "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}")
         assert code == 1
         errors = [r for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and f"diverged in epoch {epoch}:" in errors[0].getMessage()
         assert "\n" not in errors[0].getMessage()
         assert not (tmp / "diverge" / "model.ckpt").exists()
+        # each epoch before the diverged one logged its line, that one none
+        logged = [int(line.split(" epoch ")[1].split("/")[0]) for line in progress_lines(caplog)]
+        assert logged == list(range(1, epoch))
 
     def test_worse_than_uniform_loss_warns(self, tmp_path, caplog):
         # on the 40-song golden log, lr 1e6 gives losses of about 21.7,
@@ -366,6 +383,22 @@ class TestTrainEvaluate:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert [w.split(" loss ")[0] for w in warnings] == ["epoch 2", "epoch 3"]
         assert all("above log(n_songs) = 3.69" in w for w in warnings)
+
+    # at zero context vectors every w2v pair scores (1 + negatives) ln 2,
+    # and at equal scores every fpmc triple ln 2; lr 1e3 keeps the losses
+    # finite on this log but far above both from epoch 2 on
+    @pytest.mark.parametrize("family,chance", [("w2v", "(1 + negatives) ln 2 = 4.16"),
+                                               ("fpmc", "ln 2 = 0.69")], ids=["w2v", "fpmc"])
+    def test_baseline_loss_above_untrained_warns(self, prepared, caplog, family, chance):
+        tmp, config = prepared
+        with caplog.at_level(logging.WARNING, logger="songrec"):
+            assert run_cli("train", "--config", config, "--out", tmp / "worse",
+                           "--set", f"model.family={family}", "--set", f"model.{family}.lr=1e3",
+                           "--set", f"model.{family}.epochs=3",
+                           "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [w.split(" loss ")[0] for w in warnings] == ["epoch 2", "epoch 3"]
+        assert all(f"above {chance}," in w for w in warnings)
 
     def test_manifests_record_peak_rss_and_parse_rate(self, prepared):
         tmp, config = prepared

@@ -5,6 +5,9 @@ somewhere in ``src/`` or ``perfbench/`` other than at its own definition:
 as a name, as an attribute, or as a string constant (the benchmark
 wraps functions by the names it looks up). A helper that only a test
 needs belongs in ``tests/``, or is built there from the kernels that run.
+Every name a package module assigns at its top level must be read by
+that module, or be imported, taken as an attribute or named in a string
+constant by another file of ``src/`` or ``perfbench/``.
 """
 
 import ast
@@ -46,15 +49,20 @@ def _definitions():
                     yield f"{os.path.basename(path)}:{node.lineno}", node.name
 
 
-def _referenced_names():
+def _referenced_names(skip=None, qualified=False):
     """Every name, attribute and dotted part of a string constant used in
-    ``src/`` or ``perfbench/``."""
+    ``src/`` or ``perfbench/`` outside the file ``skip``; if ``qualified``,
+    imported names in place of the bare names."""
     used = set()
     for top in SEARCHED:
         for path in _python_files(top):
+            if path == skip:
+                continue
             for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not qualified:
                     used.add(node.id)
+                elif isinstance(node, ast.ImportFrom) and qualified:
+                    used.update(alias.name for alias in node.names)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -62,11 +70,36 @@ def _referenced_names():
     return used
 
 
+def _module_level_names(tree):
+    """(line, name) of every name ``tree`` assigns in its top-level statements."""
+    for stmt in tree.body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node.lineno, node.id
+
+
 def test_every_definition_is_named_outside_the_tests():
     used = _referenced_names()
     unused = [f"{where} {name}" for where, name in _definitions()
               if name not in used and name not in ALLOWLIST]
     assert unused == []
+
+
+def test_every_module_level_name_is_read():
+    unread = []
+    for path in _python_files(PACKAGE):
+        tree = _parse(path)
+        own = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        # a bare name elsewhere may be that file's own, as cli's logger is
+        elsewhere = _referenced_names(skip=path, qualified=True)
+        unread += [f"{os.path.basename(path)}:{line} {name}"
+                   for line, name in _module_level_names(tree)
+                   if name not in own and name not in elsewhere]
+    assert unread == []
 
 
 def test_grad_check_is_still_test_only():

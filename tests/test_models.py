@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import loss_and_dense_grads, session_table, top_k
+from conftest import loss_and_dense_grads, progress_lines, session_table, top_k
 from songrec.config import ModelConfig
 from songrec.core import grad_check
 from songrec.data import extract_examples
@@ -217,31 +217,25 @@ class TestTrainLoop:
         for k in runs[0]:
             assert np.array_equal(runs[0][k], runs[1][k]), k
 
-    def test_history_length_and_callback(self):
+    def test_history_length_and_progress_lines(self, caplog):
         hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=4, batch=2, lr=0.01,
                          dropout_p=0.0)
         params = NnRecParams(7, 3, hy, rng=make_rng(15))
-        seen = []
-        history = train(
-            _examples((0, (1, 2, 3), 4)),
-            params,
-            make_rng(16),
-            callbacks=[lambda epoch, p, loss: seen.append((epoch, loss))],
-        )
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            history = train(_examples((0, (1, 2, 3), 4)), params, make_rng(16))
         assert len(history) == 4
-        assert [e for e, _ in seen] == [0, 1, 2, 3]
-        assert [l for _, l in seen] == history
+        assert progress_lines(caplog) == [f"nnrec epoch {e + 1}/4: loss {loss:.4f}"
+                                          for e, loss in enumerate(history)]
 
-    def test_non_finite_tensor_stops_training(self):
+    def test_non_finite_tensor_stops_training(self, caplog):
         hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=3, batch=2, lr=0.01,
                          dropout_p=0.0)
         params = CnnRecParams(7, 3, hy, rng=make_rng(17))
         params.w2[2, 1] = np.nan
-        seen = []
-        with pytest.raises(ValueError, match=r"epoch 1: .*non-finite tensors: .*w2"):
-            train(_examples((0, (1, 2, 3), 4)), params, make_rng(18),
-                  callbacks=[lambda *args: seen.append(args)])
-        assert seen == []  # stopped before reporting the epoch
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            with pytest.raises(ValueError, match=r"epoch 1: .*non-finite tensors: .*w2"):
+                train(_examples((0, (1, 2, 3), 4)), params, make_rng(18))
+        assert progress_lines(caplog) == []  # stopped before reporting the epoch
 
     def test_saturated_loss_warns(self, caplog):
         hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01,
