@@ -7,8 +7,11 @@ factorization, a factorized first-order Markov chain), and the
 listening-log preparation plus top-N evaluation pipeline around them.
 """
 
+from .baselines import FpmcFactors, ItemEmbeddings, WmfFactors
+from .models import CnnRecParams, NnRecParams
+
 __version__ = "0.1.0"
 
-# defines every model family, neural first: Recommender.families()
-# lists them in this order
-from . import models, baselines  # noqa: E402,F401  isort: skip
+# model_type -> class of every model family, for configs and checkpoints
+FAMILIES = {cls.model_type: cls for cls in (CnnRecParams, NnRecParams, ItemEmbeddings,
+                                            WmfFactors, FpmcFactors)}

@@ -11,13 +11,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .core import embed_lookup
+from .core import embed_lookup, scatter_add_rows
 from .util import EpochLog, Recommender
 
 
@@ -40,7 +40,6 @@ class ItemEmbeddings(Recommender):
 
     v_in: np.ndarray
     v_out: np.ndarray
-    loss_history: list = field(default_factory=list)
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Cosine of every song's center vector to the mean context vector.
@@ -99,14 +98,6 @@ def _sgns_batch(items: np.ndarray) -> int:
     return max(1, min(SGNS_BATCH, int(counts.sum() ** 2 / (counts**2).sum())))
 
 
-def _scatter_add(param: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
-    """Add ``updates`` (one (d,) row per entry of ``rows``) to those rows of
-    the C-contiguous ``param`` in place; a repeated row gets the sum."""
-    d = param.shape[1]
-    flat = param.reshape(-1, copy=False)
-    np.add.at(flat, (rows[:, None] * d + np.arange(d)).ravel(), updates.ravel())
-
-
 def _pair_blocks(items: np.ndarray, offsets: np.ndarray, window: int):
     """Yield (centers, contexts) song arrays of the sessions at ``offsets``
     in ``items``, in (session, position, offset) order, in blocks of at
@@ -133,7 +124,7 @@ def w2v_train(
     lr: float,
     epochs: int,
     rng: np.random.Generator,
-) -> ItemEmbeddings:
+) -> tuple[ItemEmbeddings, list[float]]:
     """Skip-gram with negative sampling over sessions-as-sentences.
 
     For every (center, context) pair within the window the positive term
@@ -151,6 +142,7 @@ def w2v_train(
     zero; epochs=0 returns that initialization untouched. Each epoch
     ends in :meth:`songrec.util.EpochLog.end`, whose chance is
     (1 + negatives) ln 2: every pair scores 0 at zero context vectors.
+    Returns (embeddings, per-epoch mean pair loss).
     """
     items = sessions.items
     if not len(items):
@@ -159,9 +151,6 @@ def w2v_train(
     v_in = rng.uniform(-0.5 / d, 0.5 / d, size=(n_songs, d))
     v_out = np.zeros((n_songs, d))
     emb = ItemEmbeddings(v_in, v_out)
-    if epochs == 0:
-        return emb
-
     cum = _noise_cumdist(items, n_songs)
     batch_pairs = _sgns_batch(items)
     epoch_pairs = int(_pair_count(sessions.lengths, window).sum())
@@ -170,6 +159,7 @@ def w2v_train(
                    chance=("(1 + negatives) ln 2", (1 + negatives) * math.log(2)))
     min_lr = lr * 1e-4
     done = 0
+    history = []
     for epoch in range(epochs):
         epoch_loss = 0.0
         for centers, contexts in _pair_blocks(items, sessions.offsets, window):
@@ -188,13 +178,13 @@ def w2v_train(
                 coef = expit(batch_scores)
                 coef[:, 0] -= 1.0  # positive label
                 coef *= -step_lrs[batch, None]
-                _scatter_add(v_out, rows[batch].ravel(), coef[:, :, None] * vc[:, None, :])
-                _scatter_add(v_in, centers[batch], np.einsum("bk,bkd->bd", coef, vecs))
+                scatter_add_rows(v_out, rows[batch].ravel(), coef[:, :, None] * vc[:, None, :])
+                scatter_add_rows(v_in, centers[batch], np.einsum("bk,bkd->bd", coef, vecs))
             for loss in _sgns_losses(scores).tolist():  # summed in pair order
                 epoch_loss += loss
-        emb.loss_history.append(epoch_loss / max(epoch_pairs, 1))
-        log.end(epoch, emb.loss_history[-1])
-    return emb
+        history.append(epoch_loss / max(epoch_pairs, 1))
+        log.end(epoch, history[-1])
+    return emb, history
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +204,6 @@ class WmfFactors(Recommender):
     y: np.ndarray
     alpha: float
     lam: float
-    objective_history: list = field(default_factory=list)
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Predicted preference of each user for every song; the sequence
@@ -267,7 +256,10 @@ def _als_half_sweep(r_csr: sp.csr_matrix, this: np.ndarray, other: np.ndarray, a
         m = other[idx]
         a = gram + (m.T * (alpha * counts)) @ m
         rhs = m.T @ (1.0 + alpha * counts)
-        this[i] = np.linalg.solve(a, rhs)
+        try:
+            this[i] = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"wmf: row {i}: {exc} at alpha = {alpha!r}, lam = {lam!r}") from None
 
 
 def wmf_train(
@@ -278,7 +270,7 @@ def wmf_train(
     lam: float,
     iters: int,
     rng: np.random.Generator,
-) -> WmfFactors:
+) -> tuple[WmfFactors, list[float]]:
     """Alternating least squares on the confidence-weighted objective.
 
     Each half-sweep solves every user's (then every item's) regularized
@@ -286,6 +278,7 @@ def wmf_train(
     exact objective is recorded at initialization and after every
     half-sweep. Each iteration (both half-sweeps) ends in
     :meth:`songrec.util.EpochLog.end` with the objective after it.
+    Returns (factors, the 1 + 2 * iters recorded objectives).
     """
     r_csr = sp.csr_matrix(r)
     if r_csr.nnz and r_csr.data.min() < 0:
@@ -295,16 +288,16 @@ def wmf_train(
     x = 0.01 * rng.standard_normal((n_users, f))
     y = 0.01 * rng.standard_normal((n_songs, f))
     factors = WmfFactors(x, y, alpha, lam)
-    factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
+    history = [wmf_objective(r_csr, x, y, alpha, lam)]
     # an iteration solves every user's and every song's row once
     log = EpochLog(factors, iters, n_users + n_songs, "rows")
     for it in range(iters):
         _als_half_sweep(r_csr, x, y, alpha, lam)
-        factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
+        history.append(wmf_objective(r_csr, x, y, alpha, lam))
         _als_half_sweep(rt_csr, y, x, alpha, lam)
-        factors.objective_history.append(wmf_objective(r_csr, x, y, alpha, lam))
-        log.end(it, factors.objective_history[-1])
-    return factors
+        history.append(wmf_objective(r_csr, x, y, alpha, lam))
+        log.end(it, history[-1])
+    return factors, history
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +322,6 @@ class FpmcFactors(Recommender):
     v_li: np.ndarray  # previous-item side of transition term
     lr: float
     lam: float
-    loss_history: list = field(default_factory=list)
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Scores for every candidate next song given the last played one."""
@@ -367,12 +359,12 @@ def fpmc_sbpr_update(factors: FpmcFactors, users: np.ndarray, prevs: np.ndarray,
     dv, dt = vip - vin, tip - tin
     diff = np.einsum("bf,bf->b", vu, dv) + np.einsum("bf,bf->b", dt, tl)
     delta = expit(-diff)[:, None]  # 1 - sigma(diff)
-    _scatter_add(factors.v_ui, users, lr * (delta * dv - lam * vu))
-    _scatter_add(factors.v_iu, pos, lr * (delta * vu - lam * vip))
-    _scatter_add(factors.v_iu, neg, lr * (-delta * vu - lam * vin))
-    _scatter_add(factors.v_il, pos, lr * (delta * tl - lam * tip))
-    _scatter_add(factors.v_il, neg, lr * (-delta * tl - lam * tin))
-    _scatter_add(factors.v_li, prevs, lr * (delta * dt - lam * tl))
+    scatter_add_rows(factors.v_ui, users, lr * (delta * dv - lam * vu))
+    scatter_add_rows(factors.v_iu, pos, lr * (delta * vu - lam * vip))
+    scatter_add_rows(factors.v_iu, neg, lr * (-delta * vu - lam * vin))
+    scatter_add_rows(factors.v_il, pos, lr * (delta * tl - lam * tip))
+    scatter_add_rows(factors.v_il, neg, lr * (-delta * tl - lam * tin))
+    scatter_add_rows(factors.v_li, prevs, lr * (delta * dt - lam * tl))
     return float(np.logaddexp(0.0, -diff).sum())
 
 
@@ -386,7 +378,7 @@ def fpmc_train(
     lam: float,
     epochs: int,
     rng: np.random.Generator,
-) -> FpmcFactors:
+) -> tuple[FpmcFactors, list[float]]:
     """Sequential pairwise-ranking SGD over (user, previous song, next song)
     triples; the non-observed competitor is sampled uniformly per triple.
 
@@ -395,7 +387,8 @@ def fpmc_train(
     record array of :func:`songrec.data.extract_examples` at context
     length exactly 1 (first-order model), over two songs or more. Each
     epoch ends in :meth:`songrec.util.EpochLog.end`, whose chance is
-    ln 2: every triple's loss when all scores are equal.
+    ln 2: every triple's loss when all scores are equal. Returns
+    (factors, per-epoch mean triple loss).
     """
     if len(examples) == 0:
         raise ValueError("no training examples")
@@ -407,6 +400,7 @@ def fpmc_train(
     factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
     n = len(nexts)
     log = EpochLog(factors, epochs, n, "triples", chance=("ln 2", math.log(2)))
+    history = []
     for epoch in range(epochs):
         total = 0.0
         order = rng.permutation(n)
@@ -417,6 +411,6 @@ def fpmc_train(
             while (same := np.flatnonzero(neg == pos)).size:
                 neg[same] = rng.integers(n_songs, size=same.size)
             total += fpmc_sbpr_update(factors, users[batch], prevs[batch], pos, neg)
-        factors.loss_history.append(total / n)
-        log.end(epoch, factors.loss_history[-1])
-    return factors
+        history.append(total / n)
+        log.end(epoch, history[-1])
+    return factors, history

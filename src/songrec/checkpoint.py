@@ -18,7 +18,8 @@ import struct
 
 import numpy as np
 
-from .util import Recommender, atomic_write
+from . import FAMILIES
+from .util import atomic_write
 
 MAGIC = b"SNGREC01"
 
@@ -133,12 +134,11 @@ def load_model(path):
     """Reconstruct the right model object from a checkpoint file; a header
     whose meta the family cannot take or refuses raises ``ValueError``
     naming ``path``."""
-    families = Recommender.families()
     model_type, meta, tensors = load(path)
-    if model_type not in families:
+    if model_type not in FAMILIES:
         raise ValueError(f"unknown model type {model_type!r} in {path}")
     try:
-        return families[model_type].from_checkpoint(meta, tensors)
+        return FAMILIES[model_type].from_checkpoint(meta, tensors)
     except ValueError as exc:  # a value out of bounds, a tensor set or shape that does not fit
         raise ValueError(f"{path}: {exc}") from None
     except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong type

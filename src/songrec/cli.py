@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gzip
 import json
 import logging
 import os
 import resource
 import sys
 import time
+import zlib
 
-from . import __version__, checkpoint
+from . import FAMILIES, __version__, checkpoint
 from .baselines import fpmc_train, play_count_matrix, w2v_train, wmf_train
 from .config import ExperimentConfig, apply_override
 from .data import (
@@ -32,7 +34,7 @@ from .data import (
 )
 from .evaluation import emit_curves, evaluate
 from .models import train
-from .util import Recommender, atomic_write_json, atomic_write_text, make_rng
+from .util import atomic_write_json, atomic_write_text, make_rng
 
 logger = logging.getLogger("songrec")
 
@@ -76,8 +78,11 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     if not os.path.exists(data_cfg.raw_path):
         raise FileNotFoundError(f"raw dataset not found: {data_cfg.raw_path}")
     t0 = time.perf_counter()
-    with open_event_stream(data_cfg.raw_path) as stream:
-        events, summary = parse_events(stream)
+    try:
+        with open_event_stream(data_cfg.raw_path) as stream:
+            events, summary = parse_events(stream)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # a cut or corrupt .gz
+        raise ValueError(f"{data_cfg.raw_path}: cannot decompress: {exc}") from None
     logger.info("parsed %d events (%d lines skipped)", summary.parsed, summary.skipped)
     t_parse = time.perf_counter()
     prepared = prepare(events, data_cfg, cfg.subseed("split"))
@@ -110,21 +115,17 @@ def fit_model(cfg: ExperimentConfig, prepared):
     split = prepared.split
     n_songs, n_users = prepared.n_songs, prepared.n_users
     if mc.family == "w2v":
-        emb = w2v_train(split.train, n_songs, d=mc.d, rng=make_rng(cfg.subseed("train")),
-                        **dataclasses.asdict(mc.w2v))
-        return emb, emb.loss_history
+        return w2v_train(split.train, n_songs, d=mc.d, rng=make_rng(cfg.subseed("train")),
+                         **dataclasses.asdict(mc.w2v))
     if mc.family == "wmf":
         counts = play_count_matrix(split.train, n_users, n_songs)
-        factors = wmf_train(counts, rng=make_rng(cfg.subseed("init")),
-                            **dataclasses.asdict(mc.wmf))
-        return factors, factors.objective_history
+        return wmf_train(counts, rng=make_rng(cfg.subseed("init")), **dataclasses.asdict(mc.wmf))
     if mc.family == "fpmc":
         examples = extract_examples(split.train, 1)  # fpmc_train refuses an empty set
-        factors = fpmc_train(examples, n_users, n_songs, rng=make_rng(cfg.subseed("train")),
-                             **dataclasses.asdict(mc.fpmc))
-        return factors, factors.loss_history
+        return fpmc_train(examples, n_users, n_songs, rng=make_rng(cfg.subseed("train")),
+                          **dataclasses.asdict(mc.fpmc))
     hyper = mc.hyperparams()
-    params = Recommender.families()[mc.family](
+    params = FAMILIES[mc.family](
         n_songs, n_users, hyper, rng=make_rng(cfg.subseed("init")), dtype=mc.dtype)
     examples = extract_examples(split.train, hyper.j)
     if len(examples) == 0:
@@ -216,7 +217,7 @@ def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str) -> int:
     t_eval = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
     report_path = os.path.join(cfg.out_dir, "report.json")
-    atomic_write_text(report_path, report.to_json())
+    atomic_write_json(report_path, report.to_dict())
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
     emit_curves([report], curves_path)
     _write_manifest(
@@ -248,7 +249,7 @@ def cmd_sweep(cfg: ExperimentConfig, orders: list[int]) -> int:
         _write_trained(order_dir, model, history)
         report = _evaluate_test_split(order_cfg, model, prepared, f"j={j}")
         path = os.path.join(order_dir, "report.json")
-        atomic_write_text(path, report.to_json())
+        atomic_write_json(path, report.to_dict())
         artifacts[f"order-{j}"] = path
         reports.append(report)
     t_sweep = time.perf_counter()

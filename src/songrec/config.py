@@ -19,12 +19,13 @@ import typing
 from dataclasses import dataclass, field
 from typing import ClassVar
 
+from . import FAMILIES
 from .data import OVERLAP_MODES, SHUFFLE_UNITS
 from .evaluation import EvalConfig
 from .models import Hyperparams
-from .util import Recommender, check_bounds, config_hash, derive_seed
+from .util import check_bounds, config_hash, derive_seed
 
-MODEL_FAMILIES = tuple(Recommender.families())
+MODEL_FAMILIES = tuple(FAMILIES)
 
 
 # field annotation -> (what the value must be, its test)

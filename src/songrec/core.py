@@ -101,9 +101,7 @@ def conv1d(s: np.ndarray, filters: np.ndarray, bias: np.ndarray, stride: int = 1
         raise ValueError(f"bias shape {bias.shape} != ({m},)")
     p = (j - w) // stride + 1
     windows = np.stack([s[..., t * stride : t * stride + w, :] for t in range(p)], axis=-3)
-    pre = np.einsum("...pwd,mwd->...pm", windows, filters) + bias
-    mask = pre > 0
-    out = np.where(mask, pre, 0.0)
+    out, mask = relu(np.einsum("...pwd,mwd->...pm", windows, filters) + bias)
     return out, (windows, filters, mask, s.shape, stride)
 
 
@@ -111,7 +109,7 @@ def conv1d_backward(g: np.ndarray, cache):
     windows, filters, mask, s_shape, stride = cache
     m, w, d = filters.shape
     p = windows.shape[-3]
-    gpre = g * mask
+    gpre = relu_backward(g, mask)
     db = gpre.reshape(-1, m).sum(axis=0)
     # collapse any batch axes so the reduction over them is explicit
     df = np.einsum(
@@ -220,6 +218,14 @@ def adagrad_step(param: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float
     return param
 
 
+def scatter_add_rows(param: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """Add ``updates`` (one (d,) row per entry of ``rows``) to those rows of
+    the C-contiguous ``param`` in place; a repeated row gets the sum."""
+    d = param.shape[1]
+    flat = param.reshape(-1, copy=False)
+    np.add.at(flat, (rows[:, None] * d + np.arange(d)).ravel(), updates.ravel())
+
+
 def adagrad_step_rows(
     param: np.ndarray, rows: np.ndarray, row_grads: np.ndarray, acc: np.ndarray, lr: float
 ) -> np.ndarray:
@@ -236,7 +242,7 @@ def adagrad_step_rows(
         )
     uniq, inv = np.unique(rows, return_inverse=True)
     agg = np.zeros((uniq.shape[0],) + param.shape[1:], dtype=param.dtype)
-    np.add.at(agg, inv, row_grads)
+    scatter_add_rows(agg, inv, row_grads)
     acc[uniq] += agg * agg
     param[uniq] -= lr * agg / (np.sqrt(acc[uniq]) + ADAGRAD_EPS)
     return param

@@ -15,7 +15,7 @@ import logging
 import os
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, compress, count, islice, repeat
 from typing import TYPE_CHECKING
@@ -579,10 +579,7 @@ def prepare(events: EventColumns, settings: DataConfig, seed: int) -> PreparedDa
         "events": {k: len(v.items) for k, v in split.parts().items()},
         "deleted_overlap": deleted,
         "seed": seed,
-        "ratios": list(settings.ratios),
-        "vocab_cap": settings.vocab_cap,
-        "gap_seconds": settings.gap_seconds,
-        "overlap_mode": settings.overlap_mode,
-        "shuffle_unit": settings.shuffle_unit,
+        # every data setting but where the files are
+        **{k: v for k, v in asdict(settings).items() if k not in ("raw_path", "prepared_dir")},
     }
     return PreparedDataset(kept.song_keys, kept.user_keys, split, stats)

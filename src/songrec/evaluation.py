@@ -9,7 +9,6 @@ every rank total and reproducible.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,9 +93,6 @@ class EvalReport:
             "protocol": self.protocol,
             "config_hash": self.config_hash,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def rank_of_target(
@@ -185,8 +181,7 @@ def evaluate(
     if config.protocol == "sampled" or config.exclude_train_songs:
         if train is None:
             raise ValueError("this protocol needs the training sessions")
-        heard_keys = np.sort(_user_song_keys(train))
-        heard_keys = heard_keys[np.diff(heard_keys, prepend=-1) != 0]  # one per (user, song)
+        heard_keys = np.unique(_user_song_keys(train))  # one per (user, song)
 
     ranks = np.empty(len(targets), dtype=np.int64)
     rows = max(1, CHUNK_CELLS // n_songs)

@@ -63,17 +63,6 @@ class Recommender:
     TENSORS: ClassVar[dict] = {}
     SCALARS: ClassVar[tuple] = ()
 
-    @classmethod
-    def families(cls) -> dict:
-        """model_type -> class over every subclass that names a family, in
-        the order the package defines them: cnnrec, nnrec, w2v, wmf, fpmc."""
-        out = {}
-        for sub in cls.__subclasses__():
-            if sub.model_type:
-                out[sub.model_type] = sub
-            out.update(sub.families())
-        return out
-
     def tensors(self) -> dict:
         return {name: getattr(self, name) for name in self.TENSORS}
 
@@ -108,6 +97,11 @@ class Recommender:
         return self.score_batch([u], [context])[0]
 
 
+# a random init's loss sits at chance and a first epoch's mean may rise
+# a little above it while training settles, but never to this multiple
+CHANCE_FACTOR = 10
+
+
 class EpochLog:
     """Ends each of the ``epochs`` training epochs of ``model`` (ALS
     iterations for wmf), each ``work`` ``unit``s long (examples, pairs,
@@ -124,9 +118,9 @@ class EpochLog:
     def end(self, epoch: int, loss: float) -> None:
         """Close epoch ``epoch`` (from 0) at mean loss ``loss``: raise
         ``ValueError`` naming the epoch if ``loss`` or any tensor is not
-        finite; warn if the loss is within 1% of the ceiling or else, from
-        the second epoch on, more than 1% above chance, where a random
-        init's loss already sits; log one progress line."""
+        finite; warn if the loss is within 1% of the ceiling, or else above
+        ``CHANCE_FACTOR`` times chance or, from the second epoch on, where a
+        random init's loss already sits, 1% above it; log one progress line."""
         bad = [name for name, t in self.model.tensors().items() if not np.isfinite(t).all()]
         if bad or not math.isfinite(loss):
             raise ValueError(f"training diverged in epoch {epoch + 1}: loss {loss!r}, "
@@ -135,10 +129,9 @@ class EpochLog:
             logger.warning("epoch %d loss %.4f is within 1%% of %s = %.2f, where training "
                            "saturates; is the learning rate too high?",
                            epoch + 1, loss, *self.ceiling)
-        elif self.chance and epoch >= 1 and loss > 1.01 * self.chance[1]:
-            logger.warning("epoch %d loss %.4f is more than 1%% above %s = %.2f, worse than "
-                           "an untrained model; is the learning rate too high?",
-                           epoch + 1, loss, *self.chance)
+        elif self.chance and loss > (1.01 if epoch else CHANCE_FACTOR) * self.chance[1]:
+            logger.warning("epoch %d loss %.4f is above %s = %.2f, worse than an untrained "
+                           "model; is the learning rate too high?", epoch + 1, loss, *self.chance)
         now = time.perf_counter()
         logger.info("%s epoch %d/%d: loss %.4f, %.0f %s/s, %.1fs elapsed",
                     self.model.model_type, epoch + 1, self.epochs, loss,

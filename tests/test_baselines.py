@@ -59,8 +59,9 @@ class TestW2vTrain:
     def test_zero_epochs_returns_initialization(self):
         sessions = session_table([(0, [0, 1, 2])])
         kw = dict(d=4, window=5, negatives=5, lr=0.025, epochs=0)
-        a = w2v_train(sessions, 5, **kw, rng=make_rng(3))
-        b = w2v_train(sessions, 5, **kw, rng=make_rng(3))
+        a, history = w2v_train(sessions, 5, **kw, rng=make_rng(3))
+        b, _ = w2v_train(sessions, 5, **kw, rng=make_rng(3))
+        assert history == []
         assert np.array_equal(a.v_in, b.v_in)
         assert np.array_equal(a.v_out, np.zeros((5, 4)))
         assert np.abs(a.v_in).max() <= 0.5 / 4
@@ -86,8 +87,8 @@ class TestW2vTrain:
                 pair = [0, 1] if rng.random() < 0.5 else [1, 0]
                 items = items[:pos] + pair * 2 + items[pos:]
             sessions.append((0, items))
-        emb = w2v_train(session_table(sessions), 20, d=8, window=2, negatives=5, lr=0.05,
-                        epochs=5, rng=make_rng(31))
+        emb, _ = w2v_train(session_table(sessions), 20, d=8, window=2, negatives=5, lr=0.05,
+                           epochs=5, rng=make_rng(31))
         unit = emb.v_in / np.linalg.norm(emb.v_in, axis=1, keepdims=True)
         cos_pair = float(unit[0] @ unit[1])
         cos_rest = float(np.mean(unit[2:] @ unit[0]))
@@ -95,15 +96,15 @@ class TestW2vTrain:
 
     def test_loss_history_decreases(self):
         sessions = session_table((0, [0, 1, 2, 0, 1, 2, 0, 1]) for _ in range(50))
-        emb = w2v_train(sessions, 3, d=6, window=2, negatives=5, lr=0.025, epochs=4,
-                        rng=make_rng(32))
-        assert emb.loss_history[-1] < emb.loss_history[0]
+        _, history = w2v_train(sessions, 3, d=6, window=2, negatives=5, lr=0.025, epochs=4,
+                               rng=make_rng(32))
+        assert history[-1] < history[0]
 
     def test_deterministic_given_seed(self):
         sessions = session_table([(0, [0, 1, 2, 3])])
         kw = dict(d=4, window=5, negatives=5, lr=0.025, epochs=2)
-        a = w2v_train(sessions, 4, **kw, rng=make_rng(33))
-        b = w2v_train(sessions, 4, **kw, rng=make_rng(33))
+        a, _ = w2v_train(sessions, 4, **kw, rng=make_rng(33))
+        b, _ = w2v_train(sessions, 4, **kw, rng=make_rng(33))
         assert np.array_equal(a.v_in, b.v_in) and np.array_equal(a.v_out, b.v_out)
 
 
@@ -167,11 +168,11 @@ class TestW2vBlocks:
             (0, gen.integers(0, n_songs, size=int(gen.integers(0, 9))).tolist()) for _ in range(40))
         kw = dict(d=5, window=window, negatives=negatives, lr=0.05, epochs=3)
         ref_rng, rng = make_rng(41), make_rng(41)
-        v_in, v_out, history = reference_w2v(sessions, n_songs, **kw, rng=ref_rng)
+        v_in, v_out, want_history = reference_w2v(sessions, n_songs, **kw, rng=ref_rng)
         monkeypatch.setattr(baselines, "PAIR_BLOCK", block)
         monkeypatch.setattr(baselines, "SGNS_BATCH", 1)
-        emb = w2v_train(sessions, n_songs, **kw, rng=rng)
-        assert np.allclose(emb.loss_history, history, rtol=0, atol=1e-12)
+        emb, history = w2v_train(sessions, n_songs, **kw, rng=rng)
+        assert np.allclose(history, want_history, rtol=0, atol=1e-12)
         assert np.allclose(emb.v_in, v_in, rtol=0, atol=1e-12)
         assert np.allclose(emb.v_out, v_out, rtol=0, atol=1e-12)
         assert rng.random() == ref_rng.random()
@@ -184,8 +185,8 @@ class TestW2vBlocks:
         # loses it, and v_in does not move.
         lr = 0.1
         rng = make_rng(43)
-        emb = w2v_train(session_table([(0, [0, 1])]), 2, d=3, window=1, negatives=2, lr=lr,
-                        epochs=1, rng=rng)
+        emb, _ = w2v_train(session_table([(0, [0, 1])]), 2, d=3, window=1, negatives=2, lr=lr,
+                           epochs=1, rng=rng)
         draws = make_rng(43)
         v_in = draws.uniform(-0.5 / 3, 0.5 / 3, size=(2, 3))
         negs = np.searchsorted([0.5, 1.0], draws.random(4)).reshape(2, 2)  # equal counts
@@ -216,10 +217,10 @@ class TestW2vBlocks:
 
     def test_progress_line_per_epoch_carries_its_loss(self, caplog):
         with caplog.at_level(logging.INFO, logger="songrec"):
-            emb = w2v_train(session_table([(0, [0, 1, 2, 1])]), 3, d=4, window=2, negatives=2,
-                            lr=0.025, epochs=3, rng=make_rng(42))
+            _, history = w2v_train(session_table([(0, [0, 1, 2, 1])]), 3, d=4, window=2,
+                                   negatives=2, lr=0.025, epochs=3, rng=make_rng(42))
         assert progress_lines(caplog) == [f"w2v epoch {e + 1}/3: loss {loss:.4f}"
-                                          for e, loss in enumerate(emb.loss_history)]
+                                          for e, loss in enumerate(history)]
 
 
 class TestW2vRecommend:
@@ -290,8 +291,7 @@ class TestWmf:
     def test_objective_monotone_over_half_sweeps(self):
         rng = make_rng(42)
         r, _ = random_counts((20, 30), 0.25, 5, rng)
-        factors = wmf_train(r, f=5, alpha=40, lam=0.1, iters=8, rng=make_rng(43))
-        h = factors.objective_history
+        _, h = wmf_train(r, f=5, alpha=40, lam=0.1, iters=8, rng=make_rng(43))
         assert len(h) == 17  # init + 16 half-sweeps
         assert all(b <= a + 1e-9 * abs(a) for a, b in zip(h, h[1:]))
 
@@ -299,8 +299,8 @@ class TestWmf:
         # every user played song 2: observed cells should reconstruct ~1
         dense = np.zeros((6, 5))
         dense[:, 2] = 1.0
-        factors = wmf_train(sp.csr_matrix(dense), f=2, alpha=40, lam=1e-3,
-                            iters=10, rng=make_rng(44))
+        factors, _ = wmf_train(sp.csr_matrix(dense), f=2, alpha=40, lam=1e-3,
+                               iters=10, rng=make_rng(44))
         recon = factors.x @ factors.y.T
         assert (recon[:, 2] > 0.9).all()
 
@@ -391,8 +391,10 @@ def reference_sbpr_step(factors, u, prev, pos, neg):
 
 def reference_fpmc(examples, n_users, n_songs, *, f, lr, lam, epochs, rng):
     """The per-triple S-BPR loop fpmc_train replaced: one negative draw
-    and one step per triple, in a fresh permutation each epoch."""
+    and one step per triple, in a fresh permutation each epoch. Returns
+    (factors, loss history)."""
     factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
+    history = []
     users, prevs, nexts = (examples.user.tolist(), examples.context[:, 0].tolist(),
                            examples.target.tolist())
     for _ in range(epochs):
@@ -402,8 +404,8 @@ def reference_fpmc(examples, n_users, n_songs, *, f, lr, lam, epochs, rng):
             while neg == nexts[idx]:
                 neg = int(rng.integers(n_songs))
             total += reference_sbpr_step(factors, users[idx], prevs[idx], nexts[idx], neg)
-        factors.loss_history.append(total / len(nexts))
-    return factors
+        history.append(total / len(nexts))
+    return factors, history
 
 
 FPMC_BLOCKS = ("v_ui", "v_iu", "v_il", "v_li")
@@ -425,10 +427,10 @@ class TestFpmcTrain:
         examples = extract_examples(sessions, 1)
         kw = dict(f=5, lr=0.05, lam=0.01, epochs=3)
         ref_rng, rng = make_rng(57), make_rng(57)
-        want = reference_fpmc(examples, 3, 4, **kw, rng=ref_rng)
+        want, want_history = reference_fpmc(examples, 3, 4, **kw, rng=ref_rng)
         monkeypatch.setattr(baselines, "SBPR_BATCH", 1)
-        got = fpmc_train(examples, 3, 4, **kw, rng=rng)
-        assert np.allclose(got.loss_history, want.loss_history, rtol=0, atol=1e-12)
+        got, history = fpmc_train(examples, 3, 4, **kw, rng=rng)
+        assert np.allclose(history, want_history, rtol=0, atol=1e-12)
         for name in FPMC_BLOCKS:
             assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
         assert rng.random() == ref_rng.random()
@@ -458,10 +460,10 @@ class TestFpmcTrain:
     def test_progress_line_per_epoch_carries_its_loss(self, caplog):
         examples = extract_examples(session_table([(0, [1, 2, 3]), (1, [2, 3])]), 1)
         with caplog.at_level(logging.INFO, logger="songrec"):
-            factors = fpmc_train(examples, 2, 5, f=3, lr=0.05, lam=0.01, epochs=3,
-                                 rng=make_rng(59))
+            _, history = fpmc_train(examples, 2, 5, f=3, lr=0.05, lam=0.01, epochs=3,
+                                    rng=make_rng(59))
         assert progress_lines(caplog) == [f"fpmc epoch {e + 1}/3: loss {loss:.4f}"
-                                          for e, loss in enumerate(factors.loss_history)]
+                                          for e, loss in enumerate(history)]
 
     def test_update_increases_score_difference(self):
         # exact ascent on the pairwise objective: for small lr and lam=0
@@ -481,8 +483,8 @@ class TestFpmcTrain:
 
     def test_zero_lr_no_change(self):
         examples = extract_examples(session_table([(0, [1, 2]), (1, [2, 3])]), 1)
-        factors = fpmc_train(examples, 2, 5, f=3, lr=0.0, lam=0.0, epochs=3,
-                             rng=make_rng(52))
+        factors, _ = fpmc_train(examples, 2, 5, f=3, lr=0.0, lam=0.0, epochs=3,
+                                rng=make_rng(52))
         fresh = fpmc_init(2, 5, f=3, lr=0.0, lam=0.0, rng=make_rng(52))
         for a, b in zip(
             (factors.v_ui, factors.v_iu, factors.v_il, factors.v_li),

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gzip
 import json
 import logging
 import os
@@ -13,7 +14,13 @@ import pytest
 import songrec
 from songrec import baselines, checkpoint, cli, data
 from songrec.cli import _eval_order, main
-from conftest import digit_chain_sessions, progress_lines, session_table, third_order_sessions
+from conftest import (
+    digit_chain_sessions,
+    lastfm_fixture_lines,
+    progress_lines,
+    session_table,
+    third_order_sessions,
+)
 from songrec.config import DataConfig, ExperimentConfig, ModelConfig, apply_override
 from songrec.data import (
     PreparedDataset,
@@ -386,10 +393,12 @@ class TestTrainEvaluate:
 
     # at zero context vectors every w2v pair scores (1 + negatives) ln 2,
     # and at equal scores every fpmc triple ln 2; lr 1e3 keeps the losses
-    # finite on this log but far above both from epoch 2 on
-    @pytest.mark.parametrize("family,chance", [("w2v", "(1 + negatives) ln 2 = 4.16"),
-                                               ("fpmc", "ln 2 = 0.69")], ids=["w2v", "fpmc"])
-    def test_baseline_loss_above_untrained_warns(self, prepared, caplog, family, chance):
+    # finite on this log but far above both from epoch 2 on, and w2v's
+    # above ten times chance from epoch 1 on
+    @pytest.mark.parametrize("family,chance,epochs",
+                             [("w2v", "(1 + negatives) ln 2 = 4.16", [1, 2, 3]),
+                              ("fpmc", "ln 2 = 0.69", [2, 3])], ids=["w2v", "fpmc"])
+    def test_baseline_loss_above_untrained_warns(self, prepared, caplog, family, chance, epochs):
         tmp, config = prepared
         with caplog.at_level(logging.WARNING, logger="songrec"):
             assert run_cli("train", "--config", config, "--out", tmp / "worse",
@@ -397,8 +406,21 @@ class TestTrainEvaluate:
                            "--set", f"model.{family}.epochs=3",
                            "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert [w.split(" loss ")[0] for w in warnings] == ["epoch 2", "epoch 3"]
+        assert [w.split(" loss ")[0] for w in warnings] == [f"epoch {e}" for e in epochs]
         assert all(f"above {chance}," in w for w in warnings)
+
+    def test_one_epoch_diverging_run_warns(self, prepared, caplog):
+        # lr 1e6 drives w2v's single epoch to a loss of about 6e150, far
+        # above ten times chance but still finite
+        tmp, config = prepared
+        with caplog.at_level(logging.WARNING, logger="songrec"):
+            assert run_cli("train", "--config", config, "--out", tmp / "one",
+                           "--set", "model.family=w2v", "--set", "model.w2v.lr=1e6",
+                           "--set", "model.w2v.epochs=1",
+                           "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}") == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [w.split(" loss ")[0] for w in warnings] == ["epoch 1"]
+        assert "above (1 + negatives) ln 2 = 4.16," in warnings[0]
 
     def test_manifests_record_peak_rss_and_parse_rate(self, prepared):
         tmp, config = prepared
@@ -816,6 +838,37 @@ class TestCliErrors:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and "\n" not in errors[0]
         assert errors[0].startswith(f"{path}: ")
+
+    GZ_DAMAGE = {
+        "cut in half": lambda blob: blob[:len(blob) // 2],
+        "bytes 200-259 flipped": lambda blob: (blob[:200] + bytes(b ^ 0x5A for b in blob[200:260])
+                                               + blob[260:]),
+        "not gzipped": gzip.decompress,
+    }
+
+    @pytest.mark.parametrize("damage", GZ_DAMAGE)
+    def test_broken_gzip_log_exits_with_one_line(self, tmp_path, caplog, damage):
+        text = "\n".join(lastfm_fixture_lines() * 10) + "\n"  # 2,000 lines
+        path = tmp_path / "plays.tsv.gz"
+        path.write_bytes(self.GZ_DAMAGE[damage](gzip.compress(text.encode("utf-8"), mtime=0)))
+        code = run_cli("prepare", "--out", tmp_path / "o", "--set", f"data.raw_path={path}")
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert errors[0].startswith(f"{path}: ")
+
+    def test_singular_wmf_solve_exits_with_one_line(self, prepared, caplog):
+        # at alpha 1e300 a row's normal equations overflow to a singular system
+        tmp, config = prepared
+        code = run_cli("train", "--config", config, "--out", tmp / "singular",
+                       "--set", "model.family=wmf", "--set", "model.wmf.alpha=1e300",
+                       "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}")
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert errors[0].startswith("wmf: row ")
+        assert errors[0].endswith(" at alpha = 1e+300, lam = 0.1")
+        assert not (tmp / "singular" / "model.ckpt").exists()
 
     def test_train_without_prepared_dir_fails(self, tmp_path):
         config = write_config(tmp_path / "c.json", **{"out_dir": str(tmp_path / "o")})

@@ -440,6 +440,23 @@ class TestAdagrad:
         adagrad_step(p_dense, dense, np.zeros(p_dense.shape), 0.01)
         assert np.allclose(p_sparse, p_dense)
 
+    def test_sparse_rows_match_the_row_form_aggregate_bitwise(self):
+        # the row-form np.add.at over unique-row positions that the
+        # flattened scatter-add replaced: each element is summed in the
+        # same order, so the step is bitwise the same
+        rng = make_rng(12)
+        rows = rng.integers(0, 30, size=250)
+        grads = rng.standard_normal((250, 60))
+        param, acc = rng.standard_normal((30, 60)), rng.random((30, 60))
+        want_param, want_acc = param.copy(), acc.copy()
+        uniq, inv = np.unique(rows, return_inverse=True)
+        agg = np.zeros((len(uniq), 60))
+        np.add.at(agg, inv, grads)
+        want_acc[uniq] += agg * agg
+        want_param[uniq] -= 0.05 * agg / (np.sqrt(want_acc[uniq]) + core.ADAGRAD_EPS)
+        adagrad_step_rows(param, rows, grads, acc, 0.05)
+        assert np.array_equal(param, want_param) and np.array_equal(acc, want_acc)
+
 
 class TestGradCheck:
     def test_linear_function_near_exact(self):

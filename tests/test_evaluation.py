@@ -144,7 +144,7 @@ class TestEvaluate:
         whole = evaluate(model, examples, cfg, seed=9, train=train)
         monkeypatch.setattr(evaluation, "CHUNK_CELLS", 1)  # one example per chunk
         single = evaluate(model, examples, cfg, seed=9, train=train)
-        assert whole.to_json() == single.to_json()
+        assert whole.to_dict() == single.to_dict()
 
     @pytest.mark.parametrize("protocol", ["full", "sampled"])
     def test_non_finite_scores_raise(self, protocol):

@@ -13,16 +13,11 @@ constant by another file of ``src/`` or ``perfbench/``.
 import ast
 import os
 
-from songrec.util import Recommender
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "songrec")
 SEARCHED = (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"))
 
 ALLOWLIST = {
-    # Recommender.families() finds every model family as a subclass, so
-    # nothing needs to name a family's class
-    *(cls.__name__ for cls in Recommender.families().values()),
     # the finite-difference reference every backward-pass test compares
     # against; moving it to tests/ would not make the code smaller
     "grad_check",

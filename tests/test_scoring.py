@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import songrec
 from songrec.config import MODEL_FAMILIES
 from songrec.util import Recommender
 from test_checkpoint import small_models
@@ -50,7 +51,17 @@ class TestScoreBatch:
         assert orders == {"cnnrec": 3, "nnrec": 3, "w2v": None, "wmf": None, "fpmc": 1}
 
     def test_checkpoint_registry_covers_every_family(self):
-        families = Recommender.families()
-        assert tuple(families) == MODEL_FAMILIES == tuple(FAMILIES)
+        assert tuple(songrec.FAMILIES) == MODEL_FAMILIES == tuple(FAMILIES)
         for fam, model in small_models().items():
-            assert families[fam] is type(model)
+            assert songrec.FAMILIES[fam] is type(model)
+
+    def test_family_table_names_every_recommender_subclass(self):
+        # a new family class must be added to songrec.FAMILIES by hand
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        named = {cls.model_type: cls for cls in subclasses(Recommender) if cls.model_type}
+        assert songrec.FAMILIES == named
+        assert list(songrec.FAMILIES) == FAMILIES  # cnnrec, nnrec, w2v, wmf, fpmc
