@@ -52,8 +52,13 @@ class ItemEmbeddings(Recommender):
         query = embed_lookup(contexts, self.v_in).mean(axis=1)
         qn = np.linalg.norm(query, axis=1)
         norms = np.linalg.norm(self.v_in, axis=1)
-        denom = np.maximum(qn[:, None] * norms, 1e-12)
-        return (query @ self.v_in.T) / denom
+        scores = query @ self.v_in.T
+        # the same operations as (query @ v_in.T) / max(qn * norms, 1e-12),
+        # holding two (B, N) arrays instead of four
+        denom = np.multiply(qn[:, None], norms, out=np.empty_like(scores))
+        np.maximum(denom, 1e-12, out=denom)
+        scores /= denom
+        return scores
 
 
 def _sgns_losses(scores: np.ndarray) -> np.ndarray:
@@ -326,8 +331,9 @@ class FpmcFactors(Recommender):
     def score_batch(self, users, contexts) -> np.ndarray:
         """Scores for every candidate next song given the last played one."""
         prev = np.asarray(contexts)[:, -1]
-        return (embed_lookup(users, self.v_ui) @ self.v_iu.T
-                + embed_lookup(prev, self.v_li) @ self.v_il.T)
+        scores = embed_lookup(users, self.v_ui) @ self.v_iu.T
+        scores += embed_lookup(prev, self.v_li) @ self.v_il.T
+        return scores
 
 
 def fpmc_init(

@@ -225,6 +225,7 @@ def cmd_evaluate(cfg: ExperimentConfig, ckpt_path: str) -> int:
         "evaluate",
         {"checkpoint": ckpt_path, "report": report_path, "curves": curves_path},
         {"evaluate": t_eval - t0},
+        examples_per_s=round(report.n_examples / (t_eval - t0)),
     )
     return 0
 

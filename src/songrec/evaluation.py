@@ -20,9 +20,10 @@ DEFAULT_KS = (1, 5, 10, 20, 50, 100, 150, 200, 500)
 
 PROTOCOLS = ("full", "sampled")
 
-# most score cells (examples x catalog) one evaluation chunk holds: this
-# bounds evaluation memory whatever the test set or catalog size
-CHUNK_CELLS = 2**18
+# most score cells (examples x catalog) one evaluation chunk holds: one
+# float64 score matrix of 4 MiB (two while w2v or fpmc builds it), and
+# only one chunk is alive at a time, whatever the test set or catalog size
+CHUNK_CELLS = 2**19
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,21 @@ def rank_of_target(
     """
     targets = np.asarray(targets)
     rows = np.arange(targets.shape[0])
+    if mask is not None and not mask[rows, targets].all():
+        raise ValueError("target not among candidates")
     st = scores[rows, targets][:, None]
-    ahead = (scores > st) | ((scores == st) & (np.arange(scores.shape[1]) < targets[:, None]))
+    # at most two (B, N) boolean arrays at a time: the mask and one count
+    higher = scores > st
     if mask is not None:
-        if not mask[rows, targets].all():
-            raise ValueError("target not among candidates")
-        ahead &= mask
-    return 1 + np.count_nonzero(ahead, axis=1)
+        higher &= mask
+    ranks = 1 + np.count_nonzero(higher, axis=1)
+    del higher
+    tied = scores == st  # the target itself included
+    if mask is not None:
+        tied &= mask
+    for i in np.flatnonzero(np.count_nonzero(tied, axis=1) > 1):
+        ranks[i] += np.count_nonzero(tied[i, :targets[i]])
+    return ranks
 
 
 # perfbench/spans.py looks these two names up when it installs its
@@ -170,8 +179,8 @@ def evaluate(
     protocol (and the exclude-train-songs flag) needs ``train``, the
     training sessions, for the songs each user heard. ``seed`` draws the
     sampled negatives and goes into the report's config hash. Examples
-    are scored in chunks of at most ``CHUNK_CELLS`` score cells; a
-    non-finite score raises ``ValueError``.
+    are scored in chunks of at most ``CHUNK_CELLS`` score cells, one
+    chunk at a time; a non-finite score raises ``ValueError``.
     """
     users, contexts, targets = examples_to_arrays(examples)  # refuses an empty set
     n_songs = model.n_songs
@@ -197,6 +206,8 @@ def evaluate(
             mask = _candidate_mask(heard_keys, users[chunk], targets[chunk], start, n_songs,
                                    config, seed)
         ranks[chunk] = rank_of_target(scores, targets[chunk], mask)
+        # free this chunk's scores and mask before the next chunk is scored
+        del scores, mask
 
     hits = {k: int(np.count_nonzero(ranks <= k)) for k in config.ks}
     return EvalReport(

@@ -435,6 +435,22 @@ class TestTrainEvaluate:
             assert json.loads(path.read_text())["peak_rss_mb"] > 0, path
         assert json.loads(manifests[0].read_text())["parse_lines_per_s"] > 0
 
+    def test_evaluate_manifest_records_example_rate(self, prepared):
+        tmp, config = prepared
+        out = tmp / "eval-rate"
+        common = ["--config", config, "--out", out, "--set", "model.family=wmf",
+                  "--set", f"data.prepared_dir={tmp / 'run' / 'prepared'}"]
+        assert run_cli("train", *common) == 0
+        assert run_cli("evaluate", *common, "--checkpoint", out / "model.ckpt") == 0
+        manifest = json.loads((out / "evaluate_manifest.json").read_text())
+        n_examples = json.loads((out / "report.json").read_text())["n_examples"]
+        rate = manifest["examples_per_s"]
+        assert isinstance(rate, int) and rate > 0
+        # the rate and the evaluate timing describe the same call: the rate
+        # is rounded to a whole example per second, the timing to 1 ms
+        seconds = manifest["timings_sec"]["evaluate"]
+        assert abs(n_examples / rate - seconds) <= 0.0005 + (seconds + 0.0005) / (2 * rate)
+
     def test_zero_epochs_checkpoint_equals_initialization(self, prepared):
         tmp, config = prepared
         out = tmp / "train-zero"

@@ -1,8 +1,19 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from conftest import PerfectScorer, StatelessScorer, UniformScorer, session_table, table_rows
+from conftest import (
+    PerfectScorer,
+    StatelessScorer,
+    UniformScorer,
+    playlist_sessions,
+    session_table,
+    table_rows,
+)
 from songrec import evaluation
+from songrec.baselines import fpmc_train, play_count_matrix, w2v_train, wmf_train
 from songrec.data import extract_examples
 from songrec.evaluation import (
     EvalConfig,
@@ -11,7 +22,9 @@ from songrec.evaluation import (
     evaluate,
     rank_of_target,
 )
+from songrec.models import CnnRecParams, NnRecParams
 from songrec.util import derive_seed, make_rng
+from test_checkpoint import TINY
 
 
 def make_examples(n, n_songs, j=2, seed=0, n_users=3):
@@ -83,6 +96,21 @@ class TestRankOfTarget:
             want = [int(np.flatnonzero(np.lexsort((np.arange(n), -row)) == t)[0]) + 1
                     for row, t in zip(scores, targets)]
             assert rank_of_target(scores, targets).tolist() == want
+
+    def test_masked_rows_match_per_row_sort_position(self):
+        # several rows at once, each with its own candidates and ties
+        rng = make_rng(3)
+        for _ in range(20):
+            b, n = int(rng.integers(1, 8)), int(rng.integers(2, 40))
+            scores = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(b, n))  # force ties
+            mask = rng.random((b, n)) < 0.5
+            targets = rng.integers(0, n, size=b)
+            mask[np.arange(b), targets] = True
+            want = []
+            for row, keep, t in zip(scores, mask, targets):
+                order = sorted(np.flatnonzero(keep).tolist(), key=lambda i: (-row[i], i))
+                want.append(order.index(int(t)) + 1)
+            assert rank_of_target(scores, targets, mask).tolist() == want
 
     def test_target_absent_error(self):
         with pytest.raises(ValueError):
@@ -236,6 +264,100 @@ class TestEvaluate:
         assert evaluate(Biased(), examples, cfg_in, seed=0).recall[1] == 0.0
         excluded = evaluate(Biased(), examples, cfg_ex, seed=0, train=train)
         assert excluded.recall[1] == 1.0
+
+
+@pytest.mark.parametrize("protocol,exclude",
+                         [("full", False), ("full", True), ("sampled", False)])
+def test_one_chunk_alive_at_a_time(monkeypatch, protocol, exclude):
+    # every earlier chunk's scores and candidate mask must be freed before
+    # the next chunk is scored
+    n_songs = 40
+    refs = []
+    candidate_mask = evaluation._candidate_mask
+
+    def recording_mask(*args):
+        mask = candidate_mask(*args)
+        refs.append(weakref.ref(mask))
+        return mask
+
+    class RecordingScorer(StatelessScorer):
+        def score_batch(self, users, contexts):
+            assert all(ref() is None for ref in refs), "an earlier chunk is still alive"
+            scores = super().score_batch(users, contexts)
+            refs.append(weakref.ref(scores))
+            return scores
+
+    monkeypatch.setattr(evaluation, "_candidate_mask", recording_mask)
+    monkeypatch.setattr(evaluation, "CHUNK_CELLS", 3 * n_songs)
+    examples = make_examples(20, n_songs, seed=4)
+    cfg = EvalConfig(ks=(1, 5), protocol=protocol, n_neg=10, exclude_train_songs=exclude)
+    train = session_table((u, list(range(5))) for u in range(3))
+    evaluate(RecordingScorer(n_songs), examples, cfg, seed=0, train=train)
+    assert len(refs) == (14 if protocol == "sampled" or exclude else 7)
+
+
+def test_full_protocol_peak_memory_is_one_score_chunk():
+    # 200 examples over a 10k catalog are four chunks at the default
+    # CHUNK_CELLS; a scorer that allocates exactly one (rows, N) array per
+    # call then leaves evaluate's traced peak at 1.13 x one chunk's float64
+    # scores (measured with numpy 2.4; the rest is the rank's boolean
+    # counts). Two live chunks read about 2.0 x.
+    n_songs = 10_000
+    table = make_rng(5).random((16, n_songs))
+
+    class OneArrayScorer:
+        def __init__(self):
+            self.n_songs = n_songs
+
+        def score_batch(self, users, contexts):
+            return table[np.asarray(contexts)[:, -1] % len(table)]
+
+    examples = make_examples(200, n_songs, seed=6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(OneArrayScorer(), examples, EvalConfig(ks=(1, 10, 100)), seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * evaluation.CHUNK_CELLS
+
+
+def real_family_models(n_songs, n_users):
+    """One model of each family over an ``n_songs`` catalog, briefly
+    trained (the baselines) or freshly initialised (the neural ones), and
+    the training sessions."""
+    sessions = playlist_sessions(n_users=n_users, n_songs=n_songs, cycle=60, repeats=2, seed=8)
+    return {
+        "cnnrec": CnnRecParams(n_songs, n_users, TINY, rng=make_rng(1)),
+        "nnrec": NnRecParams(n_songs, n_users, TINY, rng=make_rng(2)),
+        "w2v": w2v_train(sessions, n_songs, d=4, window=3, negatives=5, lr=0.025, epochs=1,
+                         rng=make_rng(3))[0],
+        "wmf": wmf_train(play_count_matrix(sessions, n_users, n_songs), f=3, alpha=40.0,
+                         lam=0.1, iters=2, rng=make_rng(4))[0],
+        "fpmc": fpmc_train(extract_examples(sessions, 1), n_users, n_songs, f=3, lr=0.05,
+                           lam=0.01, epochs=1, rng=make_rng(5))[0],
+    }, sessions
+
+
+@pytest.mark.parametrize("protocol,exclude",
+                         [("full", False), ("full", True), ("sampled", False)])
+def test_real_families_report_the_same_whatever_the_chunk_size(monkeypatch, protocol, exclude):
+    # a 240-song catalog splits 60 test examples into 20 or 9 chunks, or
+    # leaves them in one at the default size; reports, not score bits, are
+    # compared, because BLAS may round a row differently at another row count
+    n_songs, n_users = 240, 6
+    models, train = real_family_models(n_songs, n_users)
+    cfg = EvalConfig(ks=(1, 5, 20, 100), protocol=protocol, n_neg=50,
+                     exclude_train_songs=exclude)
+    for family, model in models.items():
+        examples = make_examples(60, n_songs, j=model.order or 3, seed=9, n_users=n_users)
+        reports = []
+        for cells in (3 * n_songs, 7 * n_songs, evaluation.CHUNK_CELLS):
+            monkeypatch.setattr(evaluation, "CHUNK_CELLS", cells)
+            reports.append(evaluate(model, examples, cfg, seed=2, train=train).to_dict())
+        monkeypatch.undo()
+        assert reports[0] == reports[1] == reports[2], family
 
 
 def oracle_candidates(train, users, targets, n_songs, config, seed):
