@@ -76,15 +76,20 @@ class TestRankOfTarget:
         assert rank_of_target(scores, [0, 3]).tolist() == [1, 4]
 
     def test_matches_brute_force_sort_position(self):
+        # several rows at once, each with its own candidates and ties
         rng = make_rng(1)
         for _ in range(50):
-            n = int(rng.integers(3, 30))
-            scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)  # force ties
-            candidates = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-            target = int(rng.choice(candidates))
-            order = sorted(candidates.tolist(), key=lambda i: (-scores[i], i))
-            rank = rank_of_target(scores[None], [target], candidate_mask(n, candidates))
-            assert rank.tolist() == [order.index(target) + 1]
+            b, n = int(rng.integers(1, 6)), int(rng.integers(3, 30))
+            scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(b, n))  # force ties
+            mask = np.zeros((b, n), dtype=bool)
+            targets, want = [], []
+            for row, keep in zip(scores, mask):
+                candidates = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                keep[candidates] = True
+                targets.append(int(rng.choice(candidates)))
+                order = sorted(candidates.tolist(), key=lambda i: (-row[i], i))
+                want.append(order.index(targets[-1]) + 1)
+            assert rank_of_target(scores, targets, mask).tolist() == want
 
     def test_agrees_with_lexsort_order_on_ties(self):
         rng = make_rng(2)
@@ -96,21 +101,6 @@ class TestRankOfTarget:
             want = [int(np.flatnonzero(np.lexsort((np.arange(n), -row)) == t)[0]) + 1
                     for row, t in zip(scores, targets)]
             assert rank_of_target(scores, targets).tolist() == want
-
-    def test_masked_rows_match_per_row_sort_position(self):
-        # several rows at once, each with its own candidates and ties
-        rng = make_rng(3)
-        for _ in range(20):
-            b, n = int(rng.integers(1, 8)), int(rng.integers(2, 40))
-            scores = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(b, n))  # force ties
-            mask = rng.random((b, n)) < 0.5
-            targets = rng.integers(0, n, size=b)
-            mask[np.arange(b), targets] = True
-            want = []
-            for row, keep, t in zip(scores, mask, targets):
-                order = sorted(np.flatnonzero(keep).tolist(), key=lambda i: (-row[i], i))
-                want.append(order.index(int(t)) + 1)
-            assert rank_of_target(scores, targets, mask).tolist() == want
 
     def test_target_absent_error(self):
         with pytest.raises(ValueError):
@@ -273,10 +263,10 @@ def test_one_chunk_alive_at_a_time(monkeypatch, protocol, exclude):
     # the next chunk is scored
     n_songs = 40
     refs = []
-    candidate_mask = evaluation._candidate_mask
+    build_mask = evaluation._candidate_mask
 
     def recording_mask(*args):
-        mask = candidate_mask(*args)
+        mask = build_mask(*args)
         refs.append(weakref.ref(mask))
         return mask
 
