@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .core import embed_lookup, scatter_add_rows
-from .util import EpochLog, Recommender
+from .util import Recommender, fit
 
 
 def _session_items(sessions):
@@ -144,9 +144,9 @@ def w2v_train(
     added up where pairs share a row.
 
     Center vectors start uniform in [-0.5/d, 0.5/d), context vectors at
-    zero; epochs=0 returns that initialization untouched. Each epoch
-    ends in :meth:`songrec.util.EpochLog.end`, whose chance is
+    zero; epochs=0 returns that initialization untouched. Chance is
     (1 + negatives) ln 2: every pair scores 0 at zero context vectors.
+    ``ValueError`` if the sessions hold no pair within the window.
     Returns (embeddings, per-epoch mean pair loss).
     """
     items = sessions.items
@@ -159,13 +159,14 @@ def w2v_train(
     cum = _noise_cumdist(items, n_songs)
     batch_pairs = _sgns_batch(items)
     epoch_pairs = int(_pair_count(sessions.lengths, window).sum())
+    if not epoch_pairs:
+        raise ValueError(f"w2v: the sessions hold no (center, context) pair within window {window}")
     total_pairs = epochs * epoch_pairs
-    log = EpochLog(emb, epochs, epoch_pairs, "pairs",
-                   chance=("(1 + negatives) ln 2", (1 + negatives) * math.log(2)))
     min_lr = lr * 1e-4
     done = 0
-    history = []
-    for epoch in range(epochs):
+
+    def epoch():
+        nonlocal done
         epoch_loss = 0.0
         for centers, contexts in _pair_blocks(items, sessions.offsets, window):
             b = len(centers)
@@ -187,9 +188,10 @@ def w2v_train(
                 scatter_add_rows(v_in, centers[batch], np.einsum("bk,bkd->bd", coef, vecs))
             for loss in _sgns_losses(scores).tolist():  # summed in pair order
                 epoch_loss += loss
-        history.append(epoch_loss / max(epoch_pairs, 1))
-        log.end(epoch, history[-1])
-    return emb, history
+        return [epoch_loss / epoch_pairs]
+
+    return emb, fit(emb, epochs, epoch, epoch_pairs, "pairs",
+                    chance=("(1 + negatives) ln 2", (1 + negatives) * math.log(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +283,9 @@ def wmf_train(
     Each half-sweep solves every user's (then every item's) regularized
     normal equations exactly, so the objective never increases. The
     exact objective is recorded at initialization and after every
-    half-sweep. Each iteration (both half-sweeps) ends in
-    :meth:`songrec.util.EpochLog.end` with the objective after it.
-    Returns (factors, the 1 + 2 * iters recorded objectives).
+    half-sweep; an iteration (both half-sweeps) is one epoch, whose loss
+    is the objective after it. Returns (factors, the 1 + 2 * iters
+    recorded objectives).
     """
     r_csr = sp.csr_matrix(r)
     if r_csr.nnz and r_csr.data.min() < 0:
@@ -293,16 +295,16 @@ def wmf_train(
     x = 0.01 * rng.standard_normal((n_users, f))
     y = 0.01 * rng.standard_normal((n_songs, f))
     factors = WmfFactors(x, y, alpha, lam)
-    history = [wmf_objective(r_csr, x, y, alpha, lam)]
-    # an iteration solves every user's and every song's row once
-    log = EpochLog(factors, iters, n_users + n_songs, "rows")
-    for it in range(iters):
+    initial = wmf_objective(r_csr, x, y, alpha, lam)
+
+    def iteration():
         _als_half_sweep(r_csr, x, y, alpha, lam)
-        history.append(wmf_objective(r_csr, x, y, alpha, lam))
+        after_users = wmf_objective(r_csr, x, y, alpha, lam)
         _als_half_sweep(rt_csr, y, x, alpha, lam)
-        history.append(wmf_objective(r_csr, x, y, alpha, lam))
-        log.end(it, history[-1])
-    return factors, history
+        return [after_users, wmf_objective(r_csr, x, y, alpha, lam)]
+
+    # an iteration solves every user's and every song's row once
+    return factors, [initial, *fit(factors, iters, iteration, n_users + n_songs, "rows")]
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +393,8 @@ def fpmc_train(
     Each epoch walks a fresh permutation of the triples in minibatches of
     ``SBPR_BATCH``, one :func:`fpmc_sbpr_update` each. ``examples`` is the
     record array of :func:`songrec.data.extract_examples` at context
-    length exactly 1 (first-order model), over two songs or more. Each
-    epoch ends in :meth:`songrec.util.EpochLog.end`, whose chance is
-    ln 2: every triple's loss when all scores are equal. Returns
+    length exactly 1 (first-order model), over two songs or more. Chance
+    is ln 2: every triple's loss when all scores are equal. Returns
     (factors, per-epoch mean triple loss).
     """
     if len(examples) == 0:
@@ -405,9 +406,8 @@ def fpmc_train(
     users, prevs, nexts = examples.user, examples.context[:, 0], examples.target
     factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
     n = len(nexts)
-    log = EpochLog(factors, epochs, n, "triples", chance=("ln 2", math.log(2)))
-    history = []
-    for epoch in range(epochs):
+
+    def epoch():
         total = 0.0
         order = rng.permutation(n)
         for lo in range(0, n, SBPR_BATCH):
@@ -417,6 +417,6 @@ def fpmc_train(
             while (same := np.flatnonzero(neg == pos)).size:
                 neg[same] = rng.integers(n_songs, size=same.size)
             total += fpmc_sbpr_update(factors, users[batch], prevs[batch], pos, neg)
-        history.append(total / n)
-        log.end(epoch, history[-1])
-    return factors, history
+        return [total / n]
+
+    return factors, fit(factors, epochs, epoch, n, "triples", chance=("ln 2", math.log(2)))

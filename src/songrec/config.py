@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -31,7 +32,8 @@ MODEL_FAMILIES = tuple(FAMILIES)
 # field annotation -> (what the value must be, its test)
 _LEAF_TYPES = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: (isinstance(v, int) and not isinstance(v, bool))
+            or (isinstance(v, float) and math.isfinite(v))),
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     list: ("a list", lambda v: isinstance(v, list)),
@@ -81,7 +83,8 @@ class DataConfig:
         is_number = _LEAF_TYPES[float][1]
         check_bounds(self, self.BOUNDS, "config.data.")
         if len(self.ratios) != 3 or not all(map(is_number, self.ratios)):
-            raise ValueError(f"config.data.ratios must be three numbers, got {self.ratios!r}")
+            raise ValueError(f"config.data.ratios must be three finite numbers, "
+                             f"got {self.ratios!r}")
         if any(r < 0 for r in self.ratios):
             raise ValueError("need three non-negative ratios")
         if abs(sum(self.ratios) - 1.0) > 1e-9:

@@ -17,6 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import data
 from .core import (
     PROB_FLOOR,
     adagrad_step,
@@ -37,7 +38,7 @@ from .core import (
     softmax_xent_backward,
     softmax_xent_from_probs,
 )
-from .util import EpochLog, Recommender, check_bounds, checked_tensors
+from .util import Recommender, check_bounds, checked_tensors, fit
 
 # the mean loss when every target probability sits at PROB_FLOOR
 SATURATED_LOSS = -math.log(PROB_FLOOR)
@@ -258,30 +259,26 @@ def train_step(batch, params: _NeuralParams, rng) -> float:
 
 
 def train(examples, params: _NeuralParams, rng) -> list[float]:
-    """Epoch loop: reshuffle each epoch, minibatch steps, loss history.
+    """Reshuffle each epoch, take minibatch steps; returns per-epoch mean
+    loss, one entry per epoch.
 
     ``examples`` is the record array of :func:`songrec.data.extract_examples`.
-    Returns per-epoch mean loss, one entry per epoch. Each epoch ends in
-    :meth:`songrec.util.EpochLog.end`, whose chance is log(n_songs), a
-    uniform guess over the catalog, and whose ceiling is -log(PROB_FLOOR).
+    Chance is log(n_songs), a uniform guess over the catalog, and
+    training saturates at -log(PROB_FLOOR).
     """
-    from .data import examples_to_arrays  # looked up per call, where a tracer can wrap it
-
-    users, contexts, targets = examples_to_arrays(examples)
+    users, contexts, targets = data.examples_to_arrays(examples)
     hy = params.hyper
     n = len(targets)
-    log = EpochLog(params, hy.epochs, n, "examples",
-                   chance=("log(n_songs)", math.log(params.n_songs)),
-                   ceiling=("-log(PROB_FLOOR)", SATURATED_LOSS))
-    history: list[float] = []
-    for epoch in range(hy.epochs):
+
+    def epoch():
         perm = rng.permutation(n)
         total = 0.0
         for start in range(0, n, hy.batch):
             sel = perm[start : start + hy.batch]
             loss = train_step((users[sel], contexts[sel], targets[sel]), params, rng)
             total += loss * len(sel)
-        epoch_loss = total / n
-        history.append(epoch_loss)
-        log.end(epoch, epoch_loss)
-    return history
+        return [total / n]
+
+    return fit(params, hy.epochs, epoch, n, "examples",
+               chance=("log(n_songs)", math.log(params.n_songs)),
+               ceiling=("-log(PROB_FLOOR)", SATURATED_LOSS))

@@ -1,5 +1,5 @@
 """Shared plumbing: seeding, the scoring interface every model family
-implements, the end of every training epoch, atomic file writes.
+implements, the epoch loop of every trainer, atomic file writes.
 
 All randomness in the repository flows through ``numpy.random.Generator``
 instances backed by the PCG64 bit generator (``np.random.default_rng``).
@@ -102,41 +102,40 @@ class Recommender:
 CHANCE_FACTOR = 10
 
 
-class EpochLog:
-    """Ends each of the ``epochs`` training epochs of ``model`` (ALS
-    iterations for wmf), each ``work`` ``unit``s long (examples, pairs,
-    ...). ``chance`` and ``ceiling`` are optional (name, value) pairs: the
-    loss of an untrained model and the loss at which training saturates.
-    The progress clock starts when the log is made."""
+def fit(model: Recommender, epochs: int, epoch, work: int, unit: str, *,
+        chance=None, ceiling=None) -> list[float]:
+    """Train ``model`` for ``epochs`` epochs (ALS iterations for wmf), each
+    one call of ``epoch()``, ``work`` ``unit``s long (examples, pairs,
+    ...), which returns that epoch's history entries as Python floats;
+    the last of them is its loss. ``chance`` and ``ceiling`` are optional
+    (name, value) pairs: the loss of an untrained model and the loss at
+    which training saturates. Returns every entry, in order.
 
-    def __init__(self, model: Recommender, epochs: int, work: int, unit: str, *,
-                 chance=None, ceiling=None):
-        self.model, self.epochs, self.work, self.unit = model, epochs, work, unit
-        self.chance, self.ceiling = chance, ceiling
-        self.start = self.last = time.perf_counter()
-
-    def end(self, epoch: int, loss: float) -> None:
-        """Close epoch ``epoch`` (from 0) at mean loss ``loss``: raise
-        ``ValueError`` naming the epoch if ``loss`` or any tensor is not
-        finite; warn if the loss is within 1% of the ceiling, or else above
-        ``CHANCE_FACTOR`` times chance or, from the second epoch on, where a
-        random init's loss already sits, 1% above it; log one progress line."""
-        bad = [name for name, t in self.model.tensors().items() if not np.isfinite(t).all()]
+    Each epoch k (from 1) ends here: ``ValueError`` naming k if its loss
+    or any tensor is not finite; a warning if the loss is within 1% of the
+    ceiling, or else above ``CHANCE_FACTOR`` times chance or, from the
+    second epoch on, where a random init's loss already sits, 1% above it;
+    then one progress line, timed from the call."""
+    history: list[float] = []
+    start = last = time.perf_counter()
+    for k in range(1, epochs + 1):
+        history += epoch()
+        loss = history[-1]
+        bad = [name for name, t in model.tensors().items() if not np.isfinite(t).all()]
         if bad or not math.isfinite(loss):
-            raise ValueError(f"training diverged in epoch {epoch + 1}: loss {loss!r}, "
+            raise ValueError(f"training diverged in epoch {k}: loss {loss!r}, "
                              f"non-finite tensors: {', '.join(bad) or 'none'}")
-        if self.ceiling and abs(loss - self.ceiling[1]) <= 0.01 * self.ceiling[1]:
+        if ceiling and abs(loss - ceiling[1]) <= 0.01 * ceiling[1]:
             logger.warning("epoch %d loss %.4f is within 1%% of %s = %.2f, where training "
-                           "saturates; is the learning rate too high?",
-                           epoch + 1, loss, *self.ceiling)
-        elif self.chance and loss > (1.01 if epoch else CHANCE_FACTOR) * self.chance[1]:
+                           "saturates; is the learning rate too high?", k, loss, *ceiling)
+        elif chance and loss > (1.01 if k > 1 else CHANCE_FACTOR) * chance[1]:
             logger.warning("epoch %d loss %.4f is above %s = %.2f, worse than an untrained "
-                           "model; is the learning rate too high?", epoch + 1, loss, *self.chance)
+                           "model; is the learning rate too high?", k, loss, *chance)
         now = time.perf_counter()
         logger.info("%s epoch %d/%d: loss %.4f, %.0f %s/s, %.1fs elapsed",
-                    self.model.model_type, epoch + 1, self.epochs, loss,
-                    self.work / (now - self.last), self.unit, now - self.start)
-        self.last = now
+                    model.model_type, k, epochs, loss, work / (now - last), unit, now - start)
+        last = now
+    return history
 
 
 def checked_tensors(tensors: dict, shapes: dict) -> dict:

@@ -71,6 +71,14 @@ class TestW2vTrain:
             w2v_train(session_table([]), 5, d=4, window=5, negatives=5, lr=0.025, epochs=5,
                       rng=make_rng(0))
 
+    def test_sessions_without_a_pair_are_refused(self):
+        # sessions of one song each: nothing to train, and a loss of 0
+        # would read as better than chance
+        with pytest.raises(ValueError, match=r"^w2v: .* no \(center, context\) pair "
+                                             r"within window 2$"):
+            w2v_train(session_table([(0, [1]), (1, [2])]), 3, d=4, window=2, negatives=2,
+                      lr=0.025, epochs=2, rng=make_rng(0))
+
     def test_always_adjacent_songs_become_similar(self):
         # songs 0 and 1 only ever appear as a repeated adjacent block
         # (repeat listening) inside otherwise random sessions, so they
@@ -295,6 +303,14 @@ class TestWmf:
         assert len(h) == 17  # init + 16 half-sweeps
         assert all(b <= a + 1e-9 * abs(a) for a, b in zip(h, h[1:]))
 
+    def test_progress_line_per_iteration_carries_its_objective(self, caplog):
+        r, _ = random_counts((6, 8), 0.4, 5, make_rng(45))
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            _, h = wmf_train(r, f=2, alpha=40, lam=0.1, iters=3, rng=make_rng(46))
+        assert len(h) == 1 + 2 * 3
+        assert progress_lines(caplog) == [f"wmf epoch {i + 1}/3: loss {h[2 * i + 2]:.4f}"
+                                          for i in range(3)]
+
     def test_rank_one_reconstruction(self):
         # every user played song 2: observed cells should reconstruct ~1
         dense = np.zeros((6, 5))
@@ -412,6 +428,17 @@ FPMC_BLOCKS = ("v_ui", "v_iu", "v_il", "v_li")
 
 
 class TestFpmcTrain:
+    def test_zero_epochs_returns_initialization(self, caplog):
+        examples = extract_examples(session_table([(0, [1, 2, 3]), (1, [2, 3])]), 1)
+        with caplog.at_level(logging.INFO, logger="songrec"):
+            got, history = fpmc_train(examples, 2, 5, f=3, lr=0.05, lam=0.01, epochs=0,
+                                      rng=make_rng(60))
+        want = fpmc_init(2, 5, f=3, lr=0.05, lam=0.01, rng=make_rng(60))
+        assert history == []
+        for name in FPMC_BLOCKS:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert progress_lines(caplog) == []
+
     def test_one_song_catalog_is_refused(self):
         # every competitor drawn from one song equals its positive, so
         # redrawing it could never end

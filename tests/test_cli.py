@@ -121,6 +121,15 @@ class TestConfig:
             "data": {"ratios": [0.5, 0.25, 0.25]},
         }
 
+    @pytest.mark.parametrize("text,value", [("Infinity", "inf"), ("-Infinity", "-inf"),
+                                            ("NaN", "nan")])
+    def test_non_finite_number_named_by_its_key(self, text, value):
+        raw = {}
+        apply_override(raw, f"model.wmf.alpha={text}")
+        with pytest.raises(ValueError, match=rf"^config\.model\.wmf\.alpha must be a finite "
+                                             rf"number, got {value}$"):
+            ExperimentConfig.from_dict(raw)
+
     def test_subseeds_differ_by_component_and_root(self):
         cfg = ExperimentConfig.from_dict({"seed": 5})
         assert cfg.subseed("train") != cfg.subseed("init")
@@ -1056,3 +1065,21 @@ class TestTracedNames:
             if name == "fpmc_train":
                 assert args[0] is results["extract_examples"]
                 assert kwargs["epochs"] == 2
+
+
+@pytest.mark.parametrize("family", ["cnnrec", "nnrec"])
+def test_neural_trainers_reach_examples_to_arrays_on_data(prepared, monkeypatch, family):
+    # the benchmark times data.examples_to_arrays at that name on songrec.data
+    _, config = prepared
+    calls = []
+
+    def record(examples, _fn=data.examples_to_arrays):
+        calls.append(len(examples))
+        return _fn(examples)
+
+    monkeypatch.setattr(data, "examples_to_arrays", record)
+    raw = json.loads(config.read_text())
+    raw["model"]["family"] = family
+    cfg = ExperimentConfig.from_dict(raw)
+    cli.fit_model(cfg, read_prepared(cfg.prepared_dir()))
+    assert len(calls) == 1 and calls[0] > 0
