@@ -113,7 +113,8 @@ def _good_entry(entry) -> bool:
 
 def _checked_header(path, blob: bytes) -> dict:
     """The parsed header; ``ValueError`` naming ``path`` unless it is an
-    object with a model type, a meta object and a list of good entries."""
+    object with a model type, a meta object and a list of good entries,
+    no two of them with one name."""
     def malformed(detail):
         return ValueError(f"{path}: malformed checkpoint header: {detail}")
 
@@ -127,6 +128,9 @@ def _checked_header(path, blob: bytes) -> dict:
     bad = [entry for entry in header["tensors"] if not _good_entry(entry)]
     if bad:
         raise malformed(f"bad tensor entry {bad[0]!r}")
+    names = [entry["name"] for entry in header["tensors"]]
+    if len(set(names)) < len(names):
+        raise malformed(f"a tensor name is listed twice in {names}")
     return header
 
 

@@ -124,12 +124,11 @@ def fit_model(cfg: ExperimentConfig, prepared):
         examples = extract_examples(split.train, 1)  # fpmc_train refuses an empty set
         return fpmc_train(examples, n_users, n_songs, rng=make_rng(cfg.subseed("train")),
                           **dataclasses.asdict(mc.fpmc))
-    hyper = mc.hyperparams()
     params = FAMILIES[mc.family](
-        n_songs, n_users, hyper, rng=make_rng(cfg.subseed("init")), dtype=mc.dtype)
-    examples = extract_examples(split.train, hyper.j)
+        n_songs, n_users, mc, rng=make_rng(cfg.subseed("init")), dtype=mc.dtype)
+    examples = extract_examples(split.train, mc.j)
     if len(examples) == 0:
-        raise ValueError(f"no training examples at order j={hyper.j}; sessions too short?")
+        raise ValueError(f"no training examples at order j={mc.j}; sessions too short?")
     history = train(examples, params, make_rng(cfg.subseed("train")))
     return params, history
 

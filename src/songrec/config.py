@@ -2,21 +2,22 @@
 
 Defaults reproduce the reference experimental setup. Each section has
 one settings type, the only place its reference values are written: the
-dataclasses here for ``data`` and ``model``, and
-:class:`songrec.evaluation.EvalConfig` for ``eval``. The type of every
-setting is checked when the config loads, and its value whenever a
-section is built (``dataclasses.replace`` too), so a bad one fails
-before any data is read. Unknown keys are rejected so
-typos cannot silently fall back to defaults. All randomness fans out from the single
-root seed via named subseeds (see :func:`songrec.util.derive_seed`).
+dataclasses here for ``data`` and ``model`` (which extends
+:class:`songrec.models.Hyperparams`), and :class:`songrec.evaluation.EvalConfig`
+for ``eval``. The type of every setting is checked when the config loads,
+and its value whenever a ``data``, ``model`` or ``eval`` section is built
+(``dataclasses.replace`` too), so a bad one fails before any data is read;
+``w2v``, ``wmf`` and ``fpmc`` are checked as part of ``model``, not alone.
+Unknown keys are rejected so typos cannot silently fall back to defaults.
+All randomness fans out from the single root seed via named subseeds (see
+:func:`songrec.util.derive_seed`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import typing
+import os
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -24,46 +25,9 @@ from . import FAMILIES
 from .data import OVERLAP_MODES, SHUFFLE_UNITS
 from .evaluation import EvalConfig
 from .models import Hyperparams
-from .util import check_bounds, config_hash, derive_seed
+from .util import LEAF_TYPES, check_bounds, config_hash, dataclass_from_dict, derive_seed
 
 MODEL_FAMILIES = tuple(FAMILIES)
-
-
-# field annotation -> (what the value must be, its test)
-_LEAF_TYPES = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a finite number", lambda v: (isinstance(v, int) and not isinstance(v, bool))
-            or (isinstance(v, float) and math.isfinite(v))),
-    str: ("a string", lambda v: isinstance(v, str)),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    list: ("a list", lambda v: isinstance(v, list)),
-    tuple: ("a list", lambda v: isinstance(v, list)),
-    str | None: ("a string or null", lambda v: v is None or isinstance(v, str)),
-}
-
-
-def _from_dict(cls, d: dict, path: str):
-    if not isinstance(d, dict):
-        raise ValueError(f"{path} must be a JSON object, got {type(d).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
-    if unknown:
-        raise ValueError(f"unknown config key(s) under {path}: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in d:
-            continue
-        value = d[f.name]
-        key = f"{path}.{f.name}"
-        if dataclasses.is_dataclass(hints[f.name]):
-            value = _from_dict(hints[f.name], value, key)
-        else:
-            what, ok = _LEAF_TYPES[hints[f.name]]
-            if not ok(value):
-                raise ValueError(f"{key} must be {what}, got {value!r}")
-        kwargs[f.name] = value
-    return cls(**kwargs)
 
 
 @dataclass
@@ -80,7 +44,7 @@ class DataConfig:
     BOUNDS: ClassVar = (("vocab_cap", ">=", 1), ("gap_seconds", ">=", 1))
 
     def __post_init__(self):
-        is_number = _LEAF_TYPES[float][1]
+        is_number = LEAF_TYPES[float][1]
         check_bounds(self, self.BOUNDS, "config.data.")
         if len(self.ratios) != 3 or not all(map(is_number, self.ratios)):
             raise ValueError(f"config.data.ratios must be three finite numbers, "
@@ -126,30 +90,17 @@ class FpmcConfig:
     BOUNDS: ClassVar = (("f", ">=", 1), ("lr", ">", 0), ("lam", ">=", 0), ("epochs", ">=", 0))
 
 
-@dataclass
-class ModelConfig:
+@dataclass(frozen=True)
+class ModelConfig(Hyperparams):
+    # the neural settings, read by cnnrec and nnrec (d by w2v too) and
+    # checked for every family, come from Hyperparams
     family: str = "cnnrec"
-    d: int = 60
-    j: int = 5
-    h: int = 300
-    m: int = 325
-    w: int = 2
-    stride: int = 1
-    epochs: int = 25
-    batch: int = 50
-    lr: float = 0.01
-    dropout: float = 0.7
     dtype: str = "float64"
     w2v: W2vConfig = field(default_factory=W2vConfig)
     wmf: WmfConfig = field(default_factory=WmfConfig)
     fpmc: FpmcConfig = field(default_factory=FpmcConfig)
 
-    # neural settings, read by cnnrec and nnrec (d by w2v too) and checked
-    # for every family: Hyperparams' table, dropout_p under its key here
-    BOUNDS: ClassVar = tuple(("dropout" if key == "dropout_p" else key, op, bound)
-                             for key, op, bound in Hyperparams.BOUNDS)
-
-    def __post_init__(self):
+    def __post_init__(self):  # in place of Hyperparams' check, which refuses w > j
         if self.family not in MODEL_FAMILIES:
             raise ValueError(f"family must be one of {MODEL_FAMILIES}, got {self.family!r}")
         if self.dtype not in ("float64", "float32"):
@@ -164,15 +115,6 @@ class ModelConfig:
             raise ValueError(f"config.model.w must be <= config.model.j: filter width "
                              f"{self.w} exceeds context length {self.j}")
 
-    def hyperparams(self) -> Hyperparams:
-        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(Hyperparams)
-                  if f.name != "dropout_p"}
-        if self.family != "cnnrec":
-            # only cnnrec has filters, so for every other family the
-            # filter width must not bind the context length
-            values["w"] = min(self.w, self.j)
-        return Hyperparams(**values, dropout_p=self.dropout)
-
 
 @dataclass
 class ExperimentConfig:
@@ -184,7 +126,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return _from_dict(cls, d, "config")
+        return dataclass_from_dict(cls, d, "config")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -196,8 +138,6 @@ class ExperimentConfig:
         return derive_seed(self.seed, component)
 
     def prepared_dir(self) -> str:
-        import os
-
         return self.data.prepared_dir or os.path.join(self.out_dir, "prepared")
 
 

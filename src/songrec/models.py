@@ -12,7 +12,7 @@ the learning rate keeps its meaning across batch sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -38,7 +38,7 @@ from .core import (
     softmax_xent_backward,
     softmax_xent_from_probs,
 )
-from .util import Recommender, check_bounds, checked_tensors, fit
+from .util import Recommender, check_bounds, checked_tensors, dataclass_from_dict, fit
 
 # the mean loss when every target probability sits at PROB_FLOOR
 SATURATED_LOSS = -math.log(PROB_FLOOR)
@@ -46,26 +46,25 @@ SATURATED_LOSS = -math.log(PROB_FLOOR)
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Architecture and training settings of the neural families, checked
-    here; their reference values are those of ``config.ModelConfig``."""
+    """Architecture and training settings of the neural families, with
+    their reference values; ``config.ModelConfig`` extends it."""
 
-    d: int  # embedding dimension (songs and users)
-    j: int  # context length (order of the Markov chain)
-    h: int  # hidden units
-    m: int  # convolution filters
-    w: int  # filter width
-    stride: int
-    epochs: int
-    batch: int
-    lr: float
-    dropout_p: float  # drop probability, inverted scaling
+    d: int = 60  # embedding dimension (songs and users)
+    j: int = 5  # context length (order of the Markov chain)
+    h: int = 300  # hidden units
+    m: int = 325  # convolution filters
+    w: int = 2  # filter width
+    stride: int = 1
+    epochs: int = 25
+    batch: int = 50
+    lr: float = 0.01
+    dropout: float = 0.7  # drop probability, inverted scaling
 
-    # (setting, comparison, bound): the one table of neural bounds, which
-    # config.ModelConfig also checks when the config loads
+    # (setting, comparison, bound): the one table of neural bounds
     BOUNDS: ClassVar = (("d", ">=", 1), ("j", ">=", 1), ("h", ">=", 1), ("m", ">=", 1),
                         ("w", ">=", 1), ("stride", ">=", 1), ("epochs", ">=", 0),
-                        ("batch", ">=", 1), ("lr", ">", 0), ("dropout_p", ">=", 0),
-                        ("dropout_p", "<", 1))
+                        ("batch", ">=", 1), ("lr", ">", 0), ("dropout", ">=", 0),
+                        ("dropout", "<", 1))
 
     def __post_init__(self):
         check_bounds(self, self.BOUNDS)
@@ -141,7 +140,7 @@ class _NeuralParams(Recommender):
         contexts = np.asarray(contexts)
         if contexts.ndim != 2 or contexts.shape[1] != hy.j:
             raise ValueError(f"contexts must be (B, {hy.j}), got {contexts.shape}")
-        if train and hy.dropout_p > 0 and rng is None:
+        if train and hy.dropout > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
         s = embed_lookup(contexts, self.e_song)  # (B, j, d)
         uvec = embed_lookup(users, self.e_user)  # (B, d)
@@ -149,7 +148,7 @@ class _NeuralParams(Recommender):
         z, widths = concat([feat, uvec])
         h_pre, aff1 = affine(z, self.w1, self.b1)
         a1, relu_mask = relu(h_pre)
-        a1d, drop = dropout(a1, hy.dropout_p, rng, train)
+        a1d, drop = dropout(a1, hy.dropout, rng, train)
         logits, aff2 = affine(a1d, self.w2, self.b2)
         probs = softmax_inplace(logits)
         cache = (users, contexts, feat_cache, widths, aff1, relu_mask, drop, aff2)
@@ -180,14 +179,26 @@ class _NeuralParams(Recommender):
         return self.forward_batch(users, contexts)[0]
 
     def to_checkpoint(self):
+        """The ten settings, ``dropout`` under ``dropout_p`` and ``w`` as
+        ``min(w, j)``: a config lets ``w`` exceed ``j`` for nnrec."""
+        hy = self.hyper
+        hyper = {f.name: getattr(hy, f.name) for f in fields(Hyperparams)}
+        hyper.update(dropout_p=hyper.pop("dropout"), w=min(hy.w, hy.j))
         meta = {"n_songs": self.n_songs, "n_users": self.n_users, "dtype": self.dtype.name,
-                "hyper": self.hyper.__dict__.copy()}
+                "hyper": hyper}
         return self.model_type, meta, self.tensors()
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
-        return cls(meta["n_songs"], meta["n_users"], Hyperparams(**meta["hyper"]),
-                   dtype=meta["dtype"], tensors=tensors)
+        """``KeyError`` unless ``hyper`` holds exactly the ten settings, as no
+        default may fill one in; a value of the wrong type is malformed."""
+        stored = meta["hyper"]
+        keys = {"dropout_p" if f.name == "dropout" else f.name: f.name for f in fields(Hyperparams)}
+        if set(stored) != set(keys):
+            raise KeyError(f"hyper keys {sorted(stored)} != {sorted(keys)}")
+        hyper = dataclass_from_dict(Hyperparams, {name: stored[key] for key, name in keys.items()},
+                                    "malformed checkpoint header: hyper")
+        return cls(meta["n_songs"], meta["n_users"], hyper, dtype=meta["dtype"], tensors=tensors)
 
 
 class CnnRecParams(_NeuralParams):

@@ -8,6 +8,7 @@ Identical seeds give identical streams.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -15,6 +16,7 @@ import math
 import operator
 import os
 import time
+import typing
 from typing import ClassVar
 
 import numpy as np
@@ -148,6 +150,46 @@ def checked_tensors(tensors: dict, shapes: dict) -> dict:
         if tensors[name].shape != shape:
             raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {shape}")
     return {name: tensors[name] for name in shapes}
+
+
+# field annotation -> (what the value must be, its test)
+LEAF_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: (isinstance(v, int) and not isinstance(v, bool))
+            or (isinstance(v, float) and math.isfinite(v))),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    tuple: ("a list", lambda v: isinstance(v, list)),
+    str | None: ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
+def dataclass_from_dict(cls, d: dict, path: str):
+    """``cls`` built from the JSON object ``d``, a nested dataclass field
+    from its own object; ``ValueError`` naming ``path`` plus the key for
+    an unknown key or a value that is not of its field's type."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path} must be a JSON object, got {type(d).__name__}")
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(d) - names
+    if unknown:
+        raise ValueError(f"unknown config key(s) under {path}: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in d:
+            continue
+        value = d[f.name]
+        key = f"{path}.{f.name}"
+        if dataclasses.is_dataclass(hints[f.name]):
+            value = dataclass_from_dict(hints[f.name], value, key)
+        else:
+            what, ok = LEAF_TYPES[hints[f.name]]
+            if not ok(value):
+                raise ValueError(f"{key} must be {what}, got {value!r}")
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 _COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}

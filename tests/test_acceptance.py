@@ -32,7 +32,7 @@ from songrec.baselines import (
     w2v_train,
     wmf_train,
 )
-from songrec.config import DataConfig, ModelConfig
+from songrec.config import DataConfig
 from songrec.core import grad_check
 from songrec.data import (
     build_user_index,
@@ -62,7 +62,7 @@ def _recall_at_1(model, examples):
 
 
 def test_c01_gradient_fidelity():
-    hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01, dropout_p=0.0)
+    hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01, dropout=0.0)
     users = np.array([0, 2])
     contexts = np.array([[1, 3, 5], [2, 0, 6]])
     targets = np.array([4, 1])
@@ -90,7 +90,7 @@ def test_c01_gradient_fidelity():
 
 
 def test_c02_architecture_dimensions():
-    hy = ModelConfig().hyperparams()  # reference values
+    hy = Hyperparams()  # reference values
     cnn = CnnRecParams(50, 4, hy, rng=make_rng(0))
     nn = NnRecParams(50, 4, hy, rng=make_rng(0))
     probs, cache = cnn.forward_batch(np.array([1]), np.arange(5).reshape(1, 5))
@@ -114,7 +114,7 @@ def test_c03_overfit_sanity():
     recalls = {}
     for cls in (CnnRecParams, NnRecParams):
         hy = Hyperparams(d=16, j=5, h=32, m=16, w=2, stride=1, epochs=200, batch=50, lr=0.01,
-                         dropout_p=0.0)
+                         dropout=0.0)
         params = cls(50, 20, hy, rng=make_rng(5))
         train(examples, params, make_rng(6))
         recalls[cls.model_type] = _recall_at_1(params, examples)
@@ -135,7 +135,7 @@ def test_c04_order_effect_trend():
     recall = {}
     for j in (1, 3):
         hy = Hyperparams(d=16, j=j, h=32, m=16, w=min(2, j), stride=1, epochs=30, batch=50,
-                         lr=0.01, dropout_p=0.0)
+                         lr=0.01, dropout=0.0)
         params = NnRecParams(30, 1, hy, rng=make_rng(20))
         train(extract_examples(train_sessions, j), params, make_rng(21))
         recall[j] = _recall_at_1(params, extract_examples(test_sessions, j))

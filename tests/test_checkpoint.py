@@ -19,7 +19,7 @@ from songrec.data import extract_examples
 from songrec.models import CnnRecParams, Hyperparams, NnRecParams
 from songrec.util import make_rng
 
-TINY = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01, dropout_p=0.0)
+TINY = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01, dropout=0.0)
 
 
 def small_models():

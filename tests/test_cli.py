@@ -30,7 +30,7 @@ from songrec.data import (
     read_prepared,
     write_prepared,
 )
-from songrec.models import CnnRecParams
+from songrec.models import CnnRecParams, Hyperparams, NnRecParams
 from songrec.util import make_rng
 from test_golden import CONFIG as GOLDEN_CONFIG
 from test_golden import golden_log_lines
@@ -93,9 +93,9 @@ class TestConfig:
         assert cfg.data.vocab_cap == 10000
         assert cfg.data.gap_seconds == 3600
         assert cfg.data.ratios == [0.7, 0.1, 0.2]
-        hy = cfg.model.hyperparams()
+        hy = cfg.model
         assert (hy.d, hy.j, hy.h, hy.m, hy.w) == (60, 5, 300, 325, 2)
-        assert (hy.epochs, hy.batch, hy.lr, hy.dropout_p) == (25, 50, 0.01, 0.7)
+        assert (hy.epochs, hy.batch, hy.lr, hy.dropout) == (25, 50, 0.01, 0.7)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -165,7 +165,10 @@ class TestConfig:
     @pytest.mark.parametrize("family", ["nnrec", "w2v", "wmf", "fpmc"])
     def test_family_without_filters_loads_at_order_one(self, family):
         cfg = ExperimentConfig.from_dict({"model": {"family": family, "j": 1}})
-        assert cfg.model.hyperparams().w == 1
+        assert (cfg.model.j, cfg.model.w) == (1, 2)
+        # only cnnrec has filters: an nnrec writes the width it can use
+        _, meta, _ = NnRecParams(5, 2, cfg.model, rng=make_rng(0)).to_checkpoint()
+        assert (meta["hyper"]["j"], meta["hyper"]["w"]) == (1, 1)
 
     def test_cnnrec_filters_must_fit_the_context(self):
         with pytest.raises(ValueError, match="filter width 2 exceeds context length 1"):
@@ -471,7 +474,7 @@ class TestTrainEvaluate:
         model = checkpoint.load_model(out / "model.ckpt")
         cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
         fresh = CnnRecParams(
-            110, 2, cfg.model.hyperparams(), rng=make_rng(cfg.subseed("init"))
+            110, 2, cfg.model, rng=make_rng(cfg.subseed("init"))
         )
         for name, tensor in fresh.tensors().items():
             assert np.array_equal(model.tensors()[name], tensor), name
@@ -584,10 +587,8 @@ class TestTrainEvaluate:
         tmp, config = prepared
         out = tmp / "mismatch"
         os.makedirs(out, exist_ok=True)
-        from songrec.models import Hyperparams, NnRecParams
-
         tiny = NnRecParams(7, 2, Hyperparams(d=4, j=2, h=5, m=3, w=2, stride=1, epochs=25,
-                                             batch=50, lr=0.01, dropout_p=0.7), rng=make_rng(0))
+                                             batch=50, lr=0.01, dropout=0.7), rng=make_rng(0))
         checkpoint.save(out / "model.ckpt", *tiny.to_checkpoint())
         code = run_cli("evaluate", "--config", config, "--out", out,
                        "--checkpoint", out / "model.ckpt",
@@ -809,15 +810,18 @@ class TestCliErrors:
         "no tensors key": lambda h: {k: v for k, v in h.items() if k != "tensors"},
         "negative dimension": lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [-7, 4]},
                                                           *h["tensors"][1:]]},
+        "tensor listed twice": lambda h: {**h, "tensors": [*h["tensors"], h["tensors"][0]]},
     }
 
-    @pytest.mark.parametrize("change", ["extra hyper key", "missing hyper key", "unknown dtype",
-                                        "song count as a string", *HEADER_CHANGES])
-    def test_malformed_checkpoint_header_exits_with_one_line(self, tmp_path, change):
-        from songrec.models import Hyperparams, NnRecParams
+    # hyper values of the wrong type, each refused as the config refuses it
+    HYPER_TYPES = {"d is true": ("d", True), "epochs is 2.5": ("epochs", 2.5),
+                   "batch is true": ("batch", True), "lr is true": ("lr", True)}
 
+    @pytest.mark.parametrize("change", ["extra hyper key", "missing hyper key", "unknown dtype",
+                                        "song count as a string", *HEADER_CHANGES, *HYPER_TYPES])
+    def test_malformed_checkpoint_header_exits_with_one_line(self, tmp_path, change):
         hyper = Hyperparams(d=4, j=2, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01,
-                            dropout_p=0.0)
+                            dropout=0.0)
         model_type, meta, tensors = NnRecParams(7, 2, hyper, rng=make_rng(0)).to_checkpoint()
         if change == "extra hyper key":
             meta["hyper"]["extra"] = 1
@@ -827,6 +831,9 @@ class TestCliErrors:
             meta["dtype"] = "nope"
         elif change == "song count as a string":
             meta["n_songs"] = "7"
+        elif change in self.HYPER_TYPES:
+            key, value = self.HYPER_TYPES[change]
+            meta["hyper"][key] = value
         ckpt = tmp_path / "bad.ckpt"
         checkpoint.save(ckpt, model_type, meta, tensors)
         if change in self.HEADER_CHANGES:
@@ -842,6 +849,8 @@ class TestCliErrors:
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if " ERROR " in line]
         assert len(errors) == 1 and f"{ckpt}: malformed checkpoint header" in errors[0]
+        if change in self.HYPER_TYPES:
+            assert f"hyper.{self.HYPER_TYPES[change][0]} must be " in errors[0]
 
     PREPARED_DAMAGE = {
         "repeated song key": ("vocab.txt", lambda text: text + text.split(b"\n", 1)[0] + b"\n"),

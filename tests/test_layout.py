@@ -7,7 +7,8 @@ wraps functions by the names it looks up). A helper that only a test
 needs belongs in ``tests/``, or is built there from the kernels that run.
 Every name a package module assigns at its top level must be read by
 that module, or be imported, taken as an attribute or named in a string
-constant by another file of ``src/`` or ``perfbench/``.
+constant by another file of ``src/`` or ``perfbench/``. Every import in the
+package runs when its module loads, none inside a function.
 """
 
 import ast
@@ -95,6 +96,16 @@ def test_every_module_level_name_is_read():
                    for line, name in _module_level_names(tree)
                    if name not in own and name not in elsewhere]
     assert unread == []
+
+
+def test_no_import_inside_a_function():
+    late = []
+    for path in _python_files(PACKAGE):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                late += [f"{os.path.basename(path)}:{inner.lineno}" for inner in ast.walk(node)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert late == []
 
 
 def test_grad_check_is_still_test_only():
