@@ -15,10 +15,14 @@ import gzip
 import json
 import logging
 import os
+import platform
 import resource
 import sys
 import time
 import zlib
+
+import numpy as np
+import scipy
 
 from . import FAMILIES, __version__, checkpoint
 from .baselines import fpmc_train, play_count_matrix, w2v_train, wmf_train
@@ -40,12 +44,27 @@ logger = logging.getLogger("songrec")
 
 SEED_COMPONENTS = ("split", "init", "train", "eval")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _seeds(cfg: ExperimentConfig) -> dict:
     seeds = {"root": cfg.seed}
     seeds.update({name: cfg.subseed(name) for name in SEED_COMPONENTS})
     return seeds
+
+
+def _environment() -> dict:
+    """What a run's bits and speed depend on beside its config: the Python,
+    numpy and scipy versions, numpy's BLAS build, the BLAS thread
+    variables (null when unset) and the CPU count."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+        "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _write_manifest(
@@ -161,6 +180,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         "train",
         {"checkpoint": ckpt_path, "loss_history": loss_path},
         {"train": t_train - t0},
+        # w2v trains on pairs and wmf on a count matrix, neither on examples
+        examples_per_epoch=prepared.split.train.n_examples(model.order) if model.order else None,
+        environment=_environment(),
     )
     return 0
 

@@ -21,8 +21,9 @@ def glorot_init(
 ) -> np.ndarray:
     """Uniform init on [-L, L], L = sqrt(6 / (fan_in + fan_out)).
 
-    ``shape`` defaults to (fan_out, fan_in), the layout of a weight
-    applied as y = W x; pass an explicit shape for embedding tables or
+    ``shape`` defaults to (fan_out, fan_in), the order in which a dense
+    weight is drawn and checkpointed; :func:`affine` takes its transpose,
+    (fan_in, fan_out). Pass an explicit shape for embedding tables or
     filter banks (the bound depends only on the fans).
     """
     if fan_in < 1 or fan_out < 1:
@@ -50,22 +51,27 @@ def embed_lookup(indices, table: np.ndarray) -> np.ndarray:
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """y = x W^T + b, with x shaped (..., in) and w shaped (out, in)."""
-    if x.shape[-1] != w.shape[1] or b.shape != (w.shape[0],):
+    """y = x W + b, with x shaped (..., in) and w shaped (in, out).
+
+    At the output layer's shape (300 x 10k) both the forward product and
+    the weight gradient x^T g run faster on W held (in, out) than on W
+    held (out, in).
+    """
+    if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ValueError(
             f"affine shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}"
         )
-    y = x @ w.T
+    y = x @ w
     y += b
     return y, (x, w)
 
 
 def affine_backward(g: np.ndarray, cache):
     x, w = cache
-    dx = g @ w
-    g2 = g.reshape(-1, w.shape[0])
-    x2 = x.reshape(-1, w.shape[1])
-    dw = g2.T @ x2
+    dx = g @ w.T
+    g2 = g.reshape(-1, w.shape[1])
+    x2 = x.reshape(-1, w.shape[0])
+    dw = x2.T @ g2
     db = g2.sum(axis=0)
     return dx, dw, db
 
@@ -88,6 +94,8 @@ def conv1d(s: np.ndarray, filters: np.ndarray, bias: np.ndarray, stride: int = 1
     output has shape (..., p, m) with p = (j - w) // stride + 1 and
 
         out[t, f] = relu(bias[f] + sum_{a, b} s[t * stride + a, b] * filters[f, a, b])
+
+    computed as one (B p, w d) @ (w d, m) product over the stacked windows.
     """
     m, w, d = filters.shape
     j = s.shape[-2]
@@ -101,7 +109,9 @@ def conv1d(s: np.ndarray, filters: np.ndarray, bias: np.ndarray, stride: int = 1
         raise ValueError(f"bias shape {bias.shape} != ({m},)")
     p = (j - w) // stride + 1
     windows = np.stack([s[..., t * stride : t * stride + w, :] for t in range(p)], axis=-3)
-    out, mask = relu(np.einsum("...pwd,mwd->...pm", windows, filters) + bias)
+    pre = windows.reshape(-1, w * d) @ filters.reshape(m, w * d).T
+    pre += bias
+    out, mask = relu(pre.reshape(s.shape[:-2] + (p, m)))
     return out, (windows, filters, mask, s.shape, stride)
 
 
@@ -109,17 +119,15 @@ def conv1d_backward(g: np.ndarray, cache):
     windows, filters, mask, s_shape, stride = cache
     m, w, d = filters.shape
     p = windows.shape[-3]
-    gpre = relu_backward(g, mask)
-    db = gpre.reshape(-1, m).sum(axis=0)
-    # collapse any batch axes so the reduction over them is explicit
-    df = np.einsum(
-        "bpm,bpwd->mwd", gpre.reshape(-1, p, m), windows.reshape(-1, p, w, d)
-    )
+    gpre = relu_backward(g, mask).reshape(-1, m)  # (B p, m)
+    db = gpre.sum(axis=0)
+    df = (gpre.T @ windows.reshape(-1, w * d)).reshape(m, w, d)
+    dwin = (gpre @ filters.reshape(m, w * d)).reshape(windows.shape)
+    # tap a of position t reads row t * stride + a: one strided slice per tap
     ds = np.zeros(s_shape, dtype=g.dtype)
-    for t in range(p):
-        ds[..., t * stride : t * stride + w, :] += np.einsum(
-            "...m,mwd->...wd", gpre[..., t, :], filters
-        )
+    span = (p - 1) * stride + 1
+    for a in range(w):
+        ds[..., a : a + span : stride, :] += dwin[..., a, :]
     return ds, df, db
 
 

@@ -99,6 +99,10 @@ class SessionTable:
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def n_examples(self, j: int) -> int:
+        """``len(extract_examples(self, j))``, without building them."""
+        return int(np.maximum(self.lengths - j, 0).sum())
+
     def item_users(self) -> np.ndarray:
         """The user of every play in ``items``."""
         return np.repeat(self.users, self.lengths)

@@ -83,12 +83,15 @@ class _NeuralParams(Recommender):
 
     # set per model by __init__, in place of Recommender's TENSORS-derived sizes
     n_songs = n_users = None
+    # dense weights held (in, out) for affine, drawn and checkpointed (out, in)
+    HELD_TRANSPOSED = ("w1", "w2")
 
     def __init__(self, n_songs, n_users, hyper: Hyperparams, rng=None, dtype=np.float64,
                  tensors=None):
         """Glorot-initialised weights and zero biases, drawn from ``rng``
         in layout order; or, given ``tensors``, those arrays themselves,
-        each checked against the layout's shape, and nothing drawn.
+        each checked against the layout's shape, and nothing drawn. The
+        ``HELD_TRANSPOSED`` weights are then held as a transposed copy.
         ``acc`` holds each tensor's zero Adagrad accumulator by name."""
         if n_songs < 1 or n_users < 1:
             raise ValueError("need at least one song and one user")
@@ -101,7 +104,9 @@ class _NeuralParams(Recommender):
         else:
             tensors = checked_tensors(tensors, {name: shape for name, (shape, _) in layout.items()})
         for name, tensor in tensors.items():
-            setattr(self, name, tensor.astype(self.dtype, copy=False))
+            if name in self.HELD_TRANSPOSED:
+                tensor = tensor.T
+            setattr(self, name, np.ascontiguousarray(tensor, dtype=self.dtype))
         # np.zeros, unlike zeros_like, leaves the zeroing to the first touch
         self.acc = {name: np.zeros(t.shape, t.dtype) for name, t in self.tensors().items()}
 
@@ -112,8 +117,8 @@ class _NeuralParams(Recommender):
         return self.hyper.j
 
     def _layout(self) -> dict:
-        """name -> (shape, Glorot fans or None for a zero bias) of every
-        tensor, in initialisation and checkpoint order."""
+        """name -> (checkpoint shape, Glorot fans or None for a zero bias)
+        of every tensor, in initialisation and checkpoint order."""
         hy, n = self.hyper, self.n_songs
         features, feature_len = self._feature_layout()
         return {
@@ -180,13 +185,16 @@ class _NeuralParams(Recommender):
 
     def to_checkpoint(self):
         """The ten settings, ``dropout`` under ``dropout_p`` and ``w`` as
-        ``min(w, j)``: a config lets ``w`` exceed ``j`` for nnrec."""
+        ``min(w, j)``: a config lets ``w`` exceed ``j`` for nnrec. The
+        ``HELD_TRANSPOSED`` weights go out (out, in), as views."""
         hy = self.hyper
         hyper = {f.name: getattr(hy, f.name) for f in fields(Hyperparams)}
         hyper.update(dropout_p=hyper.pop("dropout"), w=min(hy.w, hy.j))
         meta = {"n_songs": self.n_songs, "n_users": self.n_users, "dtype": self.dtype.name,
                 "hyper": hyper}
-        return self.model_type, meta, self.tensors()
+        tensors = {name: t.T if name in self.HELD_TRANSPOSED else t
+                   for name, t in self.tensors().items()}
+        return self.model_type, meta, tensors
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):

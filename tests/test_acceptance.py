@@ -96,8 +96,8 @@ def test_c02_architecture_dimensions():
     probs, cache = cnn.forward_batch(np.array([1]), np.arange(5).reshape(1, 5))
     windows = cache[2][0]
     conv_shape = (windows.shape[1], hy.m)  # positions x filters
-    hidden_cnn = cnn.w1.shape[1]
-    hidden_nn = nn.w1.shape[1]
+    hidden_cnn = cnn.w1.shape[0]  # w1 is held (in, out)
+    hidden_nn = nn.w1.shape[0]
     ok = conv_shape == (4, 325) and hidden_cnn == 1360 and hidden_nn == 360
     check(
         "criterion 2 architecture dimensions",

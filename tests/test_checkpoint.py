@@ -15,6 +15,7 @@ from songrec.baselines import (
     w2v_train,
     wmf_train,
 )
+from songrec.core import conv1d, glorot_init
 from songrec.data import extract_examples
 from songrec.models import CnnRecParams, Hyperparams, NnRecParams
 from songrec.util import make_rng
@@ -181,3 +182,86 @@ class TestModelRoundTrip:
         checkpoint.save(path, "mystery", {}, {"t": np.ones(1)})
         with pytest.raises(ValueError, match="unknown model type"):
             checkpoint.load_model(path)
+
+
+def earlier_layout_tensors(family, n_songs=12, n_users=3):
+    """Hand-made tensors at TINY, each dense weight (out, in), as every
+    checkpoint stores them, including those written while the models
+    held them that way in memory."""
+    rng = make_rng(30)
+    hy = TINY
+    tensors = {"e_song": rng.standard_normal((n_songs, hy.d)),
+               "e_user": rng.standard_normal((n_users, hy.d))}
+    if family == "cnnrec":
+        tensors["filters"] = rng.standard_normal((hy.m, hy.w, hy.d))
+        tensors["conv_b"] = rng.standard_normal(hy.m)
+        features = (hy.j - hy.w + 1) * hy.m
+    else:
+        features = hy.j * hy.d
+    tensors["w1"] = rng.standard_normal((hy.h, features + hy.d))
+    tensors["b1"] = rng.standard_normal(hy.h)
+    tensors["w2"] = rng.standard_normal((n_songs, hy.h))
+    tensors["b2"] = rng.standard_normal(n_songs)
+    return tensors
+
+
+def earlier_layout_scores(family, t, users, contexts):
+    """softmax(x @ w.T + b) through both dense layers, in numpy, from the
+    (out, in) tensors; the conv is the kernel's, as it has one layout."""
+    s = t["e_song"][contexts]
+    if family == "cnnrec":
+        s = conv1d(s, t["filters"], t["conv_b"], TINY.stride)[0]
+    z = np.concatenate([s.reshape(len(users), -1), t["e_user"][users]], axis=1)
+    hidden = z @ t["w1"].T + t["b1"]
+    hidden = np.where(hidden > 0, hidden, 0.0)
+    logits = hidden @ t["w2"].T + t["b2"]
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+class TestEarlierLayout:
+    """Checkpoints keep each dense weight (out, in) while the models hold
+    it (in, out)."""
+
+    @pytest.mark.parametrize("family", ["cnnrec", "nnrec"])
+    def test_loads_and_scores_bitwise_as_numpy(self, tmp_path, family):
+        model_type, meta, _ = small_models()[family].to_checkpoint()
+        tensors = earlier_layout_tensors(family)
+        path = tmp_path / "earlier.ckpt"
+        checkpoint.save(path, model_type, meta, tensors)
+        model = checkpoint.load_model(path)
+        assert model.w1.shape == tensors["w1"].T.shape
+        # two rows and more run as GEMM on both sides; a one-row batch runs
+        # as GEMV, which sums in another order and differs in the last bits
+        for n in (2, 3, 7):
+            users = np.arange(n) % 3
+            contexts = (np.arange(n * TINY.j).reshape(n, TINY.j) * 5) % 12
+            want = earlier_layout_scores(family, tensors, users, contexts)
+            assert np.array_equal(model.score_batch(users, contexts), want), n
+
+    @pytest.mark.parametrize("family", ["cnnrec", "nnrec"])
+    def test_save_load_save_byte_identical(self, tmp_path, family):
+        model_type, meta, _ = small_models()[family].to_checkpoint()
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        checkpoint.save(first, model_type, meta, earlier_layout_tensors(family))
+        checkpoint.save(second, *checkpoint.load_model(first).to_checkpoint())
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("cls", [CnnRecParams, NnRecParams])
+    def test_fresh_model_checkpoints_its_glorot_draws(self, cls):
+        hy, draw = TINY, make_rng(6)
+        features = (hy.j - hy.w + 1) * hy.m if cls is CnnRecParams else hy.j * hy.d
+        want = {"e_song": glorot_init(12, hy.d, draw, (12, hy.d)),
+                "e_user": glorot_init(3, hy.d, draw, (3, hy.d))}
+        if cls is CnnRecParams:
+            want["filters"] = glorot_init(hy.w * hy.d, hy.m, draw, (hy.m, hy.w, hy.d))
+            want["conv_b"] = np.zeros(hy.m)
+        want["w1"] = glorot_init(features + hy.d, hy.h, draw)  # drawn (out, in)
+        want["b1"] = np.zeros(hy.h)
+        want["w2"] = glorot_init(hy.h, 12, draw)
+        want["b2"] = np.zeros(12)
+        _, _, tensors = cls(12, 3, hy, rng=make_rng(6)).to_checkpoint()
+        assert list(tensors) == list(want)
+        for name, tensor in tensors.items():
+            assert np.array_equal(tensor, want[name]), name

@@ -4,6 +4,7 @@ import gzip
 import json
 import logging
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -462,6 +463,29 @@ class TestTrainEvaluate:
         # is rounded to a whole example per second, the timing to 1 ms
         seconds = manifest["timings_sec"]["evaluate"]
         assert abs(n_examples / rate - seconds) <= 0.0005 + (seconds + 0.0005) / (2 * rate)
+
+    @pytest.mark.parametrize("family,order", [("cnnrec", 2), ("fpmc", 1), ("w2v", None),
+                                              ("wmf", None)])
+    def test_train_manifest_records_examples_and_environment(self, prepared, monkeypatch,
+                                                             family, order):
+        tmp, config = prepared
+        out, prepared_dir = tmp / f"manifest-{family}", tmp / "run" / "prepared"
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")  # recorded only; numpy runs OpenBLAS here
+        assert run_cli("train", "--config", config, "--out", out,
+                       "--set", f"model.family={family}",
+                       "--set", f"data.prepared_dir={prepared_dir}") == 0
+        manifest = json.loads((out / "train_manifest.json").read_text())
+        train = read_prepared(prepared_dir).split.train
+        want = None if order is None else len(extract_examples(train, order))
+        assert manifest["examples_per_epoch"] == want
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads", "cpu_count"}
+        assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
+        assert isinstance(env["scipy"], str) and env["cpu_count"] == os.cpu_count()
+        assert isinstance(env["blas"], dict) and "name" in env["blas"]
+        assert env["threads"] == {"OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2",
+                                  "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
     def test_zero_epochs_checkpoint_equals_initialization(self, prepared):
         tmp, config = prepared
@@ -1031,6 +1055,34 @@ class TestTracedNames:
         assert rows == {"e_song": contexts.reshape(-1).tolist(), "e_user": users.tolist()}
         for name in [*dense, *rows]:
             assert not np.array_equal(params.tensors()[name], before[name]), name
+
+    def test_train_step_calls_the_traced_kernels(self, monkeypatch):
+        # the benchmark times the kernels at their names on songrec.models;
+        # a product written inline would read 0 in core.affine.* or
+        # core.conv1d.*, and the output weight must be stepped in the
+        # layout the model holds, the one to_checkpoint transposes
+        from songrec import models
+        from test_checkpoint import TINY
+
+        params = CnnRecParams(12, 3, TINY, rng=make_rng(1))
+        kernels = ("affine", "affine_backward", "conv1d", "conv1d_backward", "adagrad_step")
+        calls = {name: [] for name in kernels}
+        for name in kernels:
+            def record(*args, _name=name, _fn=getattr(models, name)):
+                calls[_name].append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(models, name, record)
+        users, contexts = np.array([0, 2, 0]), np.array([[1, 2, 3], [4, 5, 6], [1, 7, 7]])
+        models.train_step((users, contexts, np.array([7, 8, 9])), params, make_rng(2))
+        assert {name: len(args) for name, args in calls.items()} == {
+            "affine": 2, "affine_backward": 2, "conv1d": 1, "conv1d_backward": 1,
+            "adagrad_step": 6}
+        assert [args[1] is params.w1 for args in calls["affine"]] == [True, False]
+        assert calls["affine"][1][1] is params.w2
+        stored_w2 = params.to_checkpoint()[2]["w2"]
+        assert stored_w2.shape == (12, TINY.h) and stored_w2.base is params.w2
+        assert sum(args[0] is params.w2 for args in calls["adagrad_step"]) == 1
 
     @pytest.mark.parametrize("family,reached", [
         ("cnnrec", ["extract_examples"]),

@@ -94,8 +94,8 @@ class TestAffine:
         assert np.array_equal(y, x)
 
     def test_hand_case(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        y, _ = affine(np.array([1.0, 1.0]), w, np.array([0.0, 1.0]))
+        w = np.array([[1.0, 2.0], [3.0, 4.0]])  # (out, in)
+        y, _ = affine(np.array([1.0, 1.0]), w.T, np.array([0.0, 1.0]))
         assert y.tolist() == [3.0, 8.0]
 
     def test_shape_mismatch_error(self):
@@ -104,7 +104,8 @@ class TestAffine:
 
     def test_gradient_vs_central_differences(self):
         rng = make_rng(11)
-        w0 = rng.standard_normal((3, 4))
+        # (in, out), contiguous so grad_check perturbs it in place
+        w0 = np.ascontiguousarray(rng.standard_normal((3, 4)).T)
         x0 = rng.standard_normal(4)
         b0 = rng.standard_normal(3)
         probe = rng.standard_normal(3)
@@ -156,6 +157,32 @@ def conv_reference(s, filters, bias, stride):
     return out
 
 
+def conv_einsum(s, filters, bias, stride):
+    """The einsum form of conv1d and conv1d_backward, kept as an oracle for
+    the matrix-product kernels: the output and a function from the
+    upstream gradient to (ds, dfilters, dbias)."""
+    m, w, d = filters.shape
+    p = (s.shape[-2] - w) // stride + 1
+    windows = np.stack([s[..., t * stride : t * stride + w, :] for t in range(p)], axis=-3)
+    pre = np.einsum("...pwd,mwd->...pm", windows, filters) + bias
+
+    def backward(g):
+        gpre = g * (pre > 0)
+        df = np.einsum("bpm,bpwd->mwd", gpre.reshape(-1, p, m), windows.reshape(-1, p, w, d))
+        ds = np.zeros(s.shape)
+        for t in range(p):
+            ds[..., t * stride : t * stride + w, :] += np.einsum(
+                "...m,mwd->...wd", gpre[..., t, :], filters)
+        return ds, df, gpre.reshape(-1, m).sum(axis=0)
+
+    return np.maximum(pre, 0.0), backward
+
+
+def assert_relative_close(got, want, tol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
 class TestConv1d:
     def test_default_dims_4x325(self):
         rng = make_rng(0)
@@ -194,6 +221,26 @@ class TestConv1d:
         bias = rng.standard_normal(3)
         out, _ = conv1d(s, filters, bias, 2)
         assert np.allclose(out, conv_reference(s, filters, bias, 2), rtol=1e-12)
+
+    @pytest.mark.parametrize("case", range(36))
+    def test_matches_einsum_oracle_forward_and_backward(self, case):
+        # every (width, stride, batched) combination twice; the width is
+        # random, the whole context or a single row
+        rng = make_rng(1000 + case)
+        j = int(rng.integers(1, 9))
+        w = [int(rng.integers(1, j + 1)), j, 1][case % 3]
+        stride = 1 + case // 3 % 3
+        batch = (int(rng.integers(1, 5)),) if case // 9 % 2 else ()
+        d, m = int(rng.integers(1, 8)), int(rng.integers(1, 7))
+        s = rng.standard_normal(batch + (j, d))
+        filters = rng.standard_normal((m, w, d))
+        bias = rng.standard_normal(m)
+        out, cache = conv1d(s, filters, bias, stride)
+        want, backward = conv_einsum(s, filters, bias, stride)
+        assert_relative_close(out, want)
+        g = rng.standard_normal(out.shape)
+        for got, expected in zip(conv1d_backward(g, cache), backward(g)):
+            assert_relative_close(got, expected)
 
     def test_width_exceeds_length_error(self):
         with pytest.raises(ValueError):

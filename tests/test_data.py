@@ -515,6 +515,7 @@ class TestExtractExamples:
         for j in (1, 2, 5):
             want = sum(max(0, len(items) - j) for _, items in sessions)
             assert len(extract_examples(session_table(sessions), j)) == want
+            assert session_table(sessions).n_examples(j) == want
 
     def test_bad_order_error(self):
         with pytest.raises(ValueError):

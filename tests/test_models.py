@@ -65,15 +65,15 @@ class TestArchitectureDims:
         params = CnnRecParams(50, 4, hy, rng=make_rng(0))
         assert params.filters.shape == (325, 2, 60)
         assert hy.conv_positions * hy.m == 1300
-        assert params.w1.shape == (300, 1360)  # 4*325 conv output + 60 user dims
+        assert params.w1.shape == (1360, 300)  # 4*325 conv output + 60 user dims
 
     def test_plain_hidden_input_360(self):
         params = NnRecParams(50, 4, REFERENCE, rng=make_rng(0))
-        assert params.w1.shape == (300, 360)  # 5*60 song dims + 60 user dims
+        assert params.w1.shape == (360, 300)  # 5*60 song dims + 60 user dims
 
     def test_output_layer_covers_catalog(self):
         params = CnnRecParams(50, 4, REFERENCE, rng=make_rng(0))
-        assert params.w2.shape == (50, 300) and params.b2.shape == (50,)
+        assert params.w2.shape == (300, 50) and params.b2.shape == (50,)
 
 
 class TestForward:
