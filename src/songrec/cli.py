@@ -24,7 +24,7 @@ import zlib
 import numpy as np
 import scipy
 
-from . import FAMILIES, __version__, checkpoint
+from . import FAMILIES, __version__, checkpoint, core
 from .baselines import fpmc_train, play_count_matrix, w2v_train, wmf_train
 from .config import ExperimentConfig, apply_override
 from .data import (
@@ -56,7 +56,8 @@ def _seeds(cfg: ExperimentConfig) -> dict:
 def _environment() -> dict:
     """What a run's bits and speed depend on beside its config: the Python,
     numpy and scipy versions, numpy's BLAS build, the BLAS thread
-    variables (null when unset) and the CPU count."""
+    variables (null when unset) and the CPU count; and what its speed
+    alone depends on: the threads the kernels run on."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -64,6 +65,7 @@ def _environment() -> dict:
         "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
         "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
+        "kernel_threads": core.kernel_threads(),
     }
 
 

@@ -5,15 +5,95 @@ takes the upstream gradient plus the cache and returns gradients for
 every input. Inputs may be single vectors or carry leading batch axes
 where noted. Everything is plain numpy; correctness of each backward
 pass is established against central finite differences (`grad_check`).
+
+Where the process may run on a second CPU, the weight-gradient products
+of :func:`affine_backward` and the blocks of :func:`adagrad_step` are
+shared with one helper thread. Only work whose result cannot depend on
+the thread that does it is shared, and BLAS stays single-threaded, so
+the bits are the same with the helper on or off.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 PROB_FLOOR = 1e-12  # probabilities are clamped here before log
-_BLOCK = 16384  # elements per block of the dense Adagrad update
+_BLOCK_BYTES = 128 * 1024  # bytes per block of the dense Adagrad update
 ADAGRAD_EPS = 1e-8  # added to sqrt(acc) in every Adagrad step
+
+# below these sizes handing work to the helper costs more than it saves
+# (tens of microseconds per hand-off, measured on 2 cores)
+_SHARE_MIN_MACS = 1 << 21  # multiply-adds of affine_backward's dW product
+_SHARE_MIN_BYTES = 1 << 20  # bytes of an adagrad_step tensor
+
+_UNSTARTED = object()
+# the one-thread executor on the second CPU; None when the process has
+# one CPU (or a test turns it off); made on first use
+_HELPER = _UNSTARTED
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _helper():
+    global _HELPER
+    if _HELPER is _UNSTARTED:
+        _HELPER = None
+        if _cpus() > 1:  # the executor starts its thread on the first submit
+            _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="songrec-core")
+    return _HELPER
+
+
+def _forget_helper() -> None:
+    # a forked child has no helper thread: submitting to the inherited
+    # executor would queue work that no thread runs
+    global _HELPER
+    _HELPER = _UNSTARTED
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def kernel_threads() -> int:
+    """Threads the kernels may run on: 2 with the helper, 1 without.
+    Says which without starting it."""
+    if _HELPER is _UNSTARTED:
+        return 2 if _cpus() > 1 else 1
+    return 1 if _HELPER is None else 2
+
+
+def _both(first, second, share: bool):
+    """Run the no-argument callables ``first`` and ``second``, which write
+    disjoint memory, and return what ``second`` returns once both are
+    done: with ``share`` set, ``first`` on the helper while ``second`` runs
+    here. A helper that has not started ``first`` by then is not waited
+    for; ``first`` runs here instead."""
+    helper = _helper() if share else None
+    if helper is None:
+        first()
+        return second()
+    pending = helper.submit(first)
+    try:
+        out = second()
+    except BaseException:
+        if not pending.cancel():
+            pending.exception()  # wait: the helper writes the caller's arrays
+        raise
+    if pending.cancel():
+        first()
+    else:
+        pending.result()
+    return out
 
 
 def glorot_init(
@@ -67,11 +147,16 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def affine_backward(g: np.ndarray, cache):
+    """(dx, dW, db) = (g W^T, x^T g, sum of g); for a large enough dW
+    product, dW is computed on the helper while dx is computed here."""
     x, w = cache
-    dx = g @ w.T
     g2 = g.reshape(-1, w.shape[1])
     x2 = x.reshape(-1, w.shape[0])
-    dw = x2.T @ g2
+    # allocated here, not on the helper, so the freed gradient goes back
+    # to this thread's malloc arena instead of being cached in another
+    dw = np.empty((x2.shape[1], g2.shape[1]), dtype=np.result_type(x2, g2))
+    dx = _both(lambda: np.matmul(x2.T, g2, out=dw), lambda: g @ w.T,
+               x2.shape[0] * dw.size >= _SHARE_MIN_MACS)
     db = g2.sum(axis=0)
     return dx, dw, db
 
@@ -196,10 +281,12 @@ def adagrad_step(param: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float
     """In-place update: acc += g^2; param -= (lr * g) / (sqrt(acc) + ADAGRAD_EPS).
 
     ``acc`` starts at zero and only grows, so step sizes only shrink. Runs
-    over contiguous blocks of ``_BLOCK`` elements with one small scratch
-    buffer, so no full-size temporary is made. Every element sees the same
-    operations in the same order as the whole-array expression, so the
-    result is bitwise identical to it. ``grad`` is not modified.
+    over contiguous blocks of ``_BLOCK_BYTES`` with one small scratch
+    buffer per thread, so no full-size temporary is made. The caller and,
+    for a large enough tensor, the helper take blocks from one shared
+    counter. Every element sees the same operations in the same order as
+    the whole-array expression, so the result is bitwise identical to it.
+    ``grad`` is not modified.
     """
     if param.shape != grad.shape or param.shape != acc.shape:
         raise ValueError(
@@ -211,18 +298,30 @@ def adagrad_step(param: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float
     a = acc.reshape(-1)
     g = grad.reshape(-1)
     n = p.shape[0]
-    scratch = np.empty((2, min(n, _BLOCK)), dtype=np.result_type(grad, acc))
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        gb, ab = g[start:stop], a[start:stop]
-        step, den = scratch[:, : stop - start]
-        np.multiply(gb, gb, out=step)
-        ab += step
-        np.sqrt(ab, out=den)
-        den += ADAGRAD_EPS
-        np.multiply(lr, gb, out=step)
-        step /= den
-        p[start:stop] -= step
+    dtype = np.result_type(grad, acc)
+    block = _BLOCK_BYTES // dtype.itemsize
+    share = param.nbytes >= _SHARE_MIN_BYTES
+    # one (step, den) pair per thread, allocated here for the reason
+    # affine_backward allocates dW here
+    scratch = np.empty((2 if share else 1, 2, min(n, block)), dtype=dtype)
+    starts = itertools.count(0, block)  # next() on it is atomic under the GIL
+
+    def update(step_den):
+        for start in starts:
+            if start >= n:
+                return
+            stop = min(start + block, n)
+            gb, ab = g[start:stop], a[start:stop]
+            step, den = step_den[:, : stop - start]
+            np.multiply(gb, gb, out=step)
+            ab += step
+            np.sqrt(ab, out=den)
+            den += ADAGRAD_EPS
+            np.multiply(lr, gb, out=step)
+            step /= den
+            p[start:stop] -= step
+
+    _both(lambda: update(scratch[-1]), lambda: update(scratch[0]), share)
     return param
 
 

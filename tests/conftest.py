@@ -3,11 +3,14 @@
 import contextlib
 import logging
 import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from songrec import core
 from songrec.core import softmax_xent_from_probs
 from songrec.data import SessionTable, parse_events
 from songrec.evaluation import rank_of_target
@@ -41,6 +44,34 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+HELPER_MODES = ("on", "off", "lagging")
+
+
+@pytest.fixture
+def core_helper(monkeypatch):
+    """``use(mode)`` gives ``songrec.core`` a helper thread for the rest of
+    the test, whatever the CPU count: "on" a fresh one, "off" none, and
+    "lagging" one whose first job sleeps 5 ms, so the caller starts alone
+    and the helper joins late or, for short work, not at all. The helper
+    is offered work of every size, however small."""
+    pools = []
+
+    def use(mode):
+        pool = None
+        if mode != "off":
+            pool = ThreadPoolExecutor(max_workers=1)
+            pools.append(pool)
+            if mode == "lagging":
+                pool.submit(time.sleep, 0.005)
+        monkeypatch.setattr(core, "_HELPER", pool)
+        monkeypatch.setattr(core, "_SHARE_MIN_MACS", 0)
+        monkeypatch.setattr(core, "_SHARE_MIN_BYTES", 0)
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
 
 
 def format_timestamp(epoch: int) -> str:

@@ -480,9 +480,11 @@ class TestTrainEvaluate:
         want = None if order is None else len(extract_examples(train, order))
         assert manifest["examples_per_epoch"] == want
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "threads", "cpu_count"}
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads", "cpu_count",
+                            "kernel_threads"}
         assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
         assert isinstance(env["scipy"], str) and env["cpu_count"] == os.cpu_count()
+        assert env["kernel_threads"] == (2 if len(os.sched_getaffinity(0)) > 1 else 1)
         assert isinstance(env["blas"], dict) and "name" in env["blas"]
         assert env["threads"] == {"OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2",
                                   "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}

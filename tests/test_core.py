@@ -1,9 +1,16 @@
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from conftest import HELPER_MODES
 from songrec import core, models
 from songrec.core import (
-    _BLOCK,
+    _BLOCK_BYTES,
     PROB_FLOOR,
     adagrad_step,
     adagrad_step_rows,
@@ -448,7 +455,9 @@ class TestAdagrad:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
-        "shape", [(1,), (325,), (_BLOCK,), (_BLOCK + 1,), (10000, 300)], ids=str
+        # one float64 block and one past it, then the same for float32
+        "shape", [(1,), (325,), (_BLOCK_BYTES // 8,), (_BLOCK_BYTES // 8 + 1,),
+                  (_BLOCK_BYTES // 4,), (_BLOCK_BYTES // 4 + 1,), (10000, 300)], ids=str
     )
     def test_blocked_update_equals_reference_bitwise(self, shape, dtype):
         rng = make_rng(12)
@@ -503,6 +512,172 @@ class TestAdagrad:
         want_param[uniq] -= 0.05 * agg / (np.sqrt(want_acc[uniq]) + core.ADAGRAD_EPS)
         adagrad_step_rows(param, rows, grads, acc, 0.05)
         assert np.array_equal(param, want_param) and np.array_equal(acc, want_acc)
+
+
+def _adagrad_reference(p, g, acc, lr):
+    """The whole-array Adagrad expression that adagrad_step blocks."""
+    acc = acc + g * g
+    return p - lr * g / (np.sqrt(acc) + core.ADAGRAD_EPS), acc
+
+
+def _adagrad_in_child(conn, p, g, acc, inherited):
+    core.adagrad_step(p, g, acc, 0.01)
+    conn.send((p, acc, core._HELPER is not inherited))
+    conn.close()
+
+
+class TestHelper:
+    """The kernels that share work with core's helper thread give the same
+    bits with it on, off, or late."""
+
+    @pytest.mark.parametrize("mode", HELPER_MODES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("blocks", [1, 2, 7.5, "(300, 10000)"], ids=str)
+    def test_adagrad_step_bitwise(self, blocks, dtype, mode, core_helper):
+        per_block = _BLOCK_BYTES // np.dtype(dtype).itemsize
+        shape = (300, 10000) if isinstance(blocks, str) else (int(blocks * per_block),)
+        rng = make_rng(13)
+        p = rng.standard_normal(shape).astype(dtype)
+        acc = rng.random(shape).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        want_p, want_acc = _adagrad_reference(p, g, acc, 0.01)
+        core_helper(mode)
+        core.adagrad_step(p, g, acc, 0.01)
+        assert np.array_equal(p, want_p) and np.array_equal(acc, want_acc)
+
+    def test_adagrad_step_shares_blocks_under_fast_switching(self, monkeypatch, core_helper):
+        # 125 blocks of 8 elements drawn by two threads that switch every
+        # microsecond: a block run twice or skipped changes acc
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 64)
+        rng = make_rng(14)
+        p, acc, g = rng.standard_normal(1000), rng.random(1000), rng.standard_normal(1000)
+        core_helper("on")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                want_p, want_acc = _adagrad_reference(p, g, acc, 0.01)
+                core.adagrad_step(p, g, acc, 0.01)
+                assert np.array_equal(p, want_p) and np.array_equal(acc, want_acc)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("mode", HELPER_MODES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape, n_out", [((50, 300), 10000), ((4, 3, 20), 7), ((1, 30), 40)],
+                             ids=str)
+    def test_affine_backward_bitwise(self, x_shape, n_out, dtype, mode, core_helper):
+        rng = make_rng(15)
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = rng.standard_normal((x_shape[-1], n_out)).astype(dtype)
+        g = rng.standard_normal(x_shape[:-1] + (n_out,)).astype(dtype)
+        core_helper(mode)
+        dx, dw, db = affine_backward(g, (x, w))
+        x2, g2 = x.reshape(-1, x_shape[-1]), g.reshape(-1, n_out)
+        assert dw.dtype == dx.dtype == dtype
+        assert np.array_equal(dx, g @ w.T)
+        assert np.array_equal(dw, x2.T @ g2)
+        assert np.array_equal(db, g2.sum(axis=0))
+
+    def test_both_runs_first_here_when_the_helper_is_busy(self, core_helper):
+        core_helper("on")
+        release = threading.Event()
+        core._HELPER.submit(release.wait, 30)
+        ran = []
+        try:
+            out = core._both(lambda: ran.append(("first", threading.get_ident())),
+                             lambda: ran.append(("second", threading.get_ident())) or 7, True)
+        finally:
+            release.set()
+        here = threading.get_ident()
+        assert out == 7 and ran == [("second", here), ("first", here)]
+
+    def test_both_raises_what_the_helper_raised(self, core_helper):
+        core_helper("on")
+
+        def fail():
+            raise ArithmeticError("in the helper")
+
+        started = threading.Event()
+        with pytest.raises(ArithmeticError, match="in the helper"):
+            # second waits until the helper has taken first, so it cannot be cancelled
+            core._both(lambda: started.set() or fail(), lambda: started.wait(30), True)
+        assert started.is_set()
+
+    def test_both_waits_for_a_started_helper_when_the_caller_raises(self, core_helper):
+        core_helper("on")
+        started, done = threading.Event(), threading.Event()
+
+        def first():
+            started.set()
+            time.sleep(0.05)
+            done.set()
+
+        def second():
+            started.wait(30)
+            raise ArithmeticError("here")
+
+        with pytest.raises(ArithmeticError, match="here"):
+            core._both(first, second, True)
+        assert done.is_set()
+
+    def test_small_work_stays_on_the_caller(self, monkeypatch):
+        pool = ThreadPoolExecutor(max_workers=1)
+        submitted = []
+        submit = pool.submit
+        monkeypatch.setattr(pool, "submit", lambda fn: submitted.append(fn) or submit(fn))
+        monkeypatch.setattr(core, "_HELPER", pool)
+        try:
+            for n, shared in [(core._SHARE_MIN_BYTES // 8 - 1, False),
+                              (core._SHARE_MIN_BYTES // 8, True)]:
+                submitted.clear()
+                core.adagrad_step(np.zeros(n), np.ones(n), np.zeros(n), 0.01)
+                assert len(submitted) == shared
+            # rows * in * out multiply-adds in the dW product
+            assert 8 * 512 * 512 == core._SHARE_MIN_MACS
+            for n_out, shared in [(511, False), (512, True)]:
+                submitted.clear()
+                affine_backward(np.ones((8, n_out)), (np.ones((8, 512)), np.ones((512, n_out))))
+                assert len(submitted) == shared
+        finally:
+            pool.shutdown()
+
+    def test_helper_starts_lazily_and_only_with_a_second_cpu(self, monkeypatch):
+        monkeypatch.setattr(core, "_HELPER", core._UNSTARTED)
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert core.kernel_threads() == 1 and core._helper() is None
+        assert core.kernel_threads() == 1
+        monkeypatch.setattr(core, "_HELPER", core._UNSTARTED)
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert core.kernel_threads() == 2 and core._HELPER is core._UNSTARTED
+        helper = core._helper()
+        try:
+            assert isinstance(helper, ThreadPoolExecutor) and core._helper() is helper
+            assert core.kernel_threads() == 2
+        finally:
+            helper.shutdown()
+
+    def test_forked_child_makes_its_own_helper(self, core_helper):
+        core_helper("on")
+        inherited = core._HELPER
+        n = 3 * _BLOCK_BYTES // 8
+        rng = make_rng(16)
+        p, acc, g = rng.standard_normal(n), rng.random(n), rng.standard_normal(n)
+        want_p, want_acc = p.copy(), acc.copy()
+        core.adagrad_step(want_p, g, want_acc, 0.01)  # the parent's helper thread now runs
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_adagrad_in_child, args=(send, p, g, acc, inherited))
+        child.start()
+        try:
+            assert recv.poll(60), "the forked child's adagrad_step did not finish"
+            got_p, got_acc, fresh = recv.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+        assert not child.is_alive() and child.exitcode == 0
+        assert fresh and np.array_equal(got_p, want_p) and np.array_equal(got_acc, want_acc)
 
 
 class TestGradCheck:

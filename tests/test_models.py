@@ -192,6 +192,31 @@ class TestTrainStep:
         assert params.score_catalog(0, [1, 2, 3, 4, 5])[6] > 0.9
 
 
+    @pytest.mark.parametrize("mode", ["on", "lagging"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cls", [CnnRecParams, NnRecParams])
+    def test_three_steps_bitwise_with_the_helper_on_and_off(self, cls, dtype, mode,
+                                                            core_helper):
+        # w2 is (40, 2000): several Adagrad blocks at both dtypes
+        hy = Hyperparams(d=8, j=3, h=40, m=6, w=2, batch=16, dropout=0.5)
+
+        def three_steps(helper_mode):
+            core_helper(helper_mode)
+            params = cls(2000, 5, hy, rng=make_rng(3), dtype=dtype)
+            data, rng = make_rng(4), make_rng(5)
+            losses = [train_step((data.integers(0, 5, 16), data.integers(0, 2000, (16, 3)),
+                                  data.integers(0, 2000, 16)), params, rng)
+                      for _ in range(3)]
+            return losses, params.tensors(), params.acc
+
+        want_losses, want_tensors, want_acc = three_steps("off")
+        losses, tensors, acc = three_steps(mode)
+        assert losses == want_losses
+        for name, t in want_tensors.items():
+            assert tensors[name].dtype == dtype
+            assert np.array_equal(tensors[name], t) and np.array_equal(acc[name], want_acc[name])
+
+
 class TestTrainLoop:
     def test_zero_epochs_no_change(self):
         hy = Hyperparams(d=4, j=3, h=5, m=3, w=2, stride=1, epochs=0, batch=2, lr=0.01,
