@@ -205,12 +205,9 @@ class WmfFactors(Recommender):
 
     model_type = "wmf"
     TENSORS = {"x": ("n_users", "f"), "y": ("n_songs", "f")}
-    SCALARS = ("alpha", "lam")
 
     x: np.ndarray
     y: np.ndarray
-    alpha: float
-    lam: float
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Predicted preference of each user for every song; the sequence
@@ -294,7 +291,7 @@ def wmf_train(
     n_users, n_songs = r_csr.shape
     x = 0.01 * rng.standard_normal((n_users, f))
     y = 0.01 * rng.standard_normal((n_songs, f))
-    factors = WmfFactors(x, y, alpha, lam)
+    factors = WmfFactors(x, y)
     initial = wmf_objective(r_csr, x, y, alpha, lam)
 
     def iteration():
@@ -321,14 +318,11 @@ class FpmcFactors(Recommender):
     order = 1
     TENSORS = {"v_ui": ("n_users", "f"), "v_iu": ("n_songs", "f"),
                "v_il": ("n_songs", "f"), "v_li": ("n_songs", "f")}
-    SCALARS = ("lr", "lam")
 
     v_ui: np.ndarray  # user side of user-item term
     v_iu: np.ndarray  # item side of user-item term
     v_il: np.ndarray  # item side of transition term
     v_li: np.ndarray  # previous-item side of transition term
-    lr: float
-    lam: float
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Scores for every candidate next song given the last played one."""
@@ -338,28 +332,26 @@ class FpmcFactors(Recommender):
         return scores
 
 
-def fpmc_init(
-    n_users: int, n_songs: int, *, f: int, lr: float, lam: float, rng: np.random.Generator,
-) -> FpmcFactors:
+def fpmc_init(n_users: int, n_songs: int, *, f: int, rng: np.random.Generator) -> FpmcFactors:
     """Every block drawn from N(0, 0.01^2), in declaration order."""
     dims = {"n_users": n_users, "n_songs": n_songs, "f": f}
     blocks = {name: 0.01 * rng.standard_normal(tuple(dims[key] for key in keys))
               for name, keys in FpmcFactors.TENSORS.items()}
-    return FpmcFactors(**blocks, lr=lr, lam=lam)
+    return FpmcFactors(**blocks)
 
 
 SBPR_BATCH = 128  # (user, previous, next) triples per minibatch in fpmc_train
 
 
 def fpmc_sbpr_update(factors: FpmcFactors, users: np.ndarray, prevs: np.ndarray,
-                     pos: np.ndarray, neg: np.ndarray) -> float:
-    """One pairwise-ranking ascent step on each (pos over neg) triple of a
-    minibatch. Every gradient is taken at the factors as they stood before
-    the minibatch, and the steps of triples that share a row add up.
+                     pos: np.ndarray, neg: np.ndarray, lr: float, lam: float) -> float:
+    """One pairwise-ranking ascent step, at learning rate ``lr`` and L2
+    weight ``lam``, on each (pos over neg) triple of a minibatch. Every
+    gradient is taken at the factors as they stood before the minibatch,
+    and the steps of triples that share a row add up.
 
     Returns the summed -log sigma(score_pos - score_neg) before the update.
     """
-    lr, lam = factors.lr, factors.lam
     vu = factors.v_ui[users]
     vip, vin = factors.v_iu[pos], factors.v_iu[neg]
     tip, tin = factors.v_il[pos], factors.v_il[neg]
@@ -404,7 +396,7 @@ def fpmc_train(
     if examples.context.shape[1] != 1:
         raise ValueError("first-order model needs context length 1")
     users, prevs, nexts = examples.user, examples.context[:, 0], examples.target
-    factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
+    factors = fpmc_init(n_users, n_songs, f=f, rng=rng)
     n = len(nexts)
 
     def epoch():
@@ -416,7 +408,7 @@ def fpmc_train(
             neg = rng.integers(n_songs, size=len(batch))
             while (same := np.flatnonzero(neg == pos)).size:
                 neg[same] = rng.integers(n_songs, size=same.size)
-            total += fpmc_sbpr_update(factors, users[batch], prevs[batch], pos, neg)
+            total += fpmc_sbpr_update(factors, users[batch], prevs[batch], pos, neg, lr, lam)
         return [total / n]
 
     return factors, fit(factors, epochs, epoch, n, "triples", chance=("ln 2", math.log(2)))

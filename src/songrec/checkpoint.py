@@ -3,10 +3,11 @@
 Layout: 8 magic bytes ``SNGREC01``, a little-endian uint64 header
 length, a UTF-8 JSON header, then raw little-endian IEEE-754 tensor
 payloads in manifest order. The header carries the model type, its
-hyperparameter dict, and a tensor manifest (name, dims, dtype, byte
-offset relative to the payload section). Loading validates every
-manifest entry against the actual payload bytes, and model
-reconstruction re-validates shapes against the architecture.
+meta dict (the tensor dims, and for cnnrec/nnrec their settings), and
+a tensor manifest (name, dims, dtype, byte offset relative to the
+payload section). Loading validates every manifest entry against the
+actual payload bytes, and model reconstruction re-validates shapes
+against the architecture.
 """
 
 from __future__ import annotations

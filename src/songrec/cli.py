@@ -73,7 +73,8 @@ def _write_manifest(
     cfg: ExperimentConfig, command: str, artifacts: dict, timings: dict, **measured
 ):
     """Write ``<command>_manifest.json``; ``measured`` adds command-specific
-    figures next to the timings and the process's peak RSS so far."""
+    figures next to the timings, the process's peak RSS so far and the
+    :func:`_environment`."""
     peak_rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     manifest = {
         "command": command,
@@ -84,6 +85,7 @@ def _write_manifest(
         "timings_sec": {k: round(v, 3) for k, v in timings.items()},
         "peak_rss_mb": round(peak_rss_kib / 1024, 1),
         **measured,
+        "environment": _environment(),
         "version": f"songrec {__version__}",
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -184,7 +186,6 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         {"train": t_train - t0},
         # w2v trains on pairs and wmf on a count matrix, neither on examples
         examples_per_epoch=prepared.split.train.n_examples(model.order) if model.order else None,
-        environment=_environment(),
     )
     return 0
 

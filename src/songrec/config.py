@@ -27,8 +27,6 @@ from .evaluation import EvalConfig
 from .models import Hyperparams
 from .util import LEAF_TYPES, check_bounds, config_hash, dataclass_from_dict, derive_seed
 
-MODEL_FAMILIES = tuple(FAMILIES)
-
 
 @dataclass
 class DataConfig:
@@ -101,8 +99,8 @@ class ModelConfig(Hyperparams):
     fpmc: FpmcConfig = field(default_factory=FpmcConfig)
 
     def __post_init__(self):  # in place of Hyperparams' check, which refuses w > j
-        if self.family not in MODEL_FAMILIES:
-            raise ValueError(f"family must be one of {MODEL_FAMILIES}, got {self.family!r}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
         if self.dtype != "float64" and self.family not in ("cnnrec", "nnrec"):

@@ -96,21 +96,17 @@ def _both(first, second, share: bool):
     return out
 
 
-def glorot_init(
-    fan_in: int, fan_out: int, rng: np.random.Generator, shape=None
-) -> np.ndarray:
-    """Uniform init on [-L, L], L = sqrt(6 / (fan_in + fan_out)).
+def glorot_init(fan_in: int, fan_out: int, rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform init of ``shape`` on [-L, L], L = sqrt(6 / (fan_in + fan_out)).
 
-    ``shape`` defaults to (fan_out, fan_in), the order in which a dense
-    weight is drawn and checkpointed; :func:`affine` takes its transpose,
-    (fan_in, fan_out). Pass an explicit shape for embedding tables or
-    filter banks (the bound depends only on the fans).
+    A dense weight is drawn and checkpointed (fan_out, fan_in);
+    :func:`affine` takes its transpose, (fan_in, fan_out). Embedding
+    tables and filter banks take their own shapes (the bound depends
+    only on the fans).
     """
     if fan_in < 1 or fan_out < 1:
         raise ValueError(f"fans must be >= 1, got ({fan_in}, {fan_out})")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_out, fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
 
@@ -171,7 +167,7 @@ def relu_backward(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return g * mask
 
 
-def conv1d(s: np.ndarray, filters: np.ndarray, bias: np.ndarray, stride: int = 1):
+def conv1d(s: np.ndarray, filters: np.ndarray, bias: np.ndarray, stride: int):
     """Valid 1-D convolution over stacked rows, with per-filter bias and ReLU.
 
     ``s`` is (j, d) or (B, j, d): one row per sequence position, filters

@@ -22,7 +22,10 @@ PROTOCOLS = ("full", "sampled")
 
 # most score cells (examples x catalog) one evaluation chunk holds: one
 # float64 score matrix of 4 MiB (two while w2v or fpmc builds it), and
-# only one chunk is alive at a time, whatever the test set or catalog size
+# only one chunk is alive at a time, whatever the test set or catalog size.
+# Part of a report's identity: the chunk's row count picks the BLAS kernel,
+# whose last bits can break a near-tie, so a change to this constant must
+# show the golden reports and the benchmark reports unchanged
 CHUNK_CELLS = 2**19
 
 

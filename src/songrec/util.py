@@ -55,15 +55,14 @@ class Recommender:
     out-of-range user or song index raises ``IndexError``.
 
     A family declares its tensors once: ``TENSORS`` maps each attribute to
-    the meta keys of its dims, in checkpoint order, and ``SCALARS`` names
-    the scalar ones. Checkpoint meta, construction from a checkpoint and
-    ``n_songs``/``n_users`` all follow from that.
+    the meta keys of its dims, in checkpoint order. Checkpoint meta (the
+    dims alone), construction from a checkpoint and ``n_songs``/``n_users``
+    all follow from that.
     """
 
     model_type: str = ""
     order: int | None = None
     TENSORS: ClassVar[dict] = {}
-    SCALARS: ClassVar[tuple] = ()
 
     def tensors(self) -> dict:
         return {name: getattr(self, name) for name in self.TENSORS}
@@ -81,15 +80,15 @@ class Recommender:
         return self._dims().get("n_users")
 
     def to_checkpoint(self):
-        meta = {**self._dims(), **{key: getattr(self, key) for key in self.SCALARS}}
-        return self.model_type, meta, self.tensors()
+        return self.model_type, self._dims(), self.tensors()
 
     @classmethod
     def from_checkpoint(cls, meta, tensors):
         """The model holding the checkpoint's tensors themselves, each
-        checked against the shape its meta dims give."""
+        checked against the shape its meta dims give; other meta keys are
+        ignored."""
         shapes = {name: tuple(meta[key] for key in keys) for name, keys in cls.TENSORS.items()}
-        return cls(**checked_tensors(tensors, shapes), **{key: meta[key] for key in cls.SCALARS})
+        return cls(**checked_tensors(tensors, shapes))
 
     def score_batch(self, users, contexts) -> np.ndarray:
         raise NotImplementedError

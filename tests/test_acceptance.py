@@ -181,7 +181,7 @@ def test_c06_fpmc_learning():
     # across them), so chance level is averaged over fresh inits
     chance = np.mean(
         [
-            pairwise_auc(fpmc_init(5, 20, f=32, lr=0.05, lam=0.01, rng=make_rng(1000 + i)),
+            pairwise_auc(fpmc_init(5, 20, f=32, rng=make_rng(1000 + i)),
                          examples, 20)
             for i in range(25)
         ]

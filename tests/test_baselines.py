@@ -335,23 +335,22 @@ class TestWmf:
 class TestWmfRecommend:
     def test_k_equals_catalog_is_permutation(self):
         rng = make_rng(45)
-        factors = WmfFactors(rng.standard_normal((3, 2)), rng.standard_normal((6, 2)),
-                             alpha=40.0, lam=0.1)
+        factors = WmfFactors(rng.standard_normal((3, 2)), rng.standard_normal((6, 2)))
         assert sorted(recommend(factors, 1, [0], 6).tolist()) == list(range(6))
 
     def test_rigged_rank_one_ordering(self):
         x = np.array([[2.0]])
         y = np.array([[0.5], [3.0], [-1.0], [1.0]])
-        factors = WmfFactors(x, y, alpha=40.0, lam=0.1)
+        factors = WmfFactors(x, y)
         # scores: 1, 6, -2, 2 -> order 1, 3, 0, 2
         assert recommend(factors, 0, [0], 4).tolist() == [1, 3, 0, 2]
 
     def test_equal_scores_prefer_lower_index(self):
-        factors = WmfFactors(np.ones((1, 1)), np.ones((4, 1)), alpha=40.0, lam=0.1)
+        factors = WmfFactors(np.ones((1, 1)), np.ones((4, 1)))
         assert recommend(factors, 0, [0], 2).tolist() == [0, 1]
 
     def test_unknown_user_error(self):
-        factors = WmfFactors(np.ones((2, 1)), np.ones((3, 1)), alpha=40.0, lam=0.1)
+        factors = WmfFactors(np.ones((2, 1)), np.ones((3, 1)))
         with pytest.raises(IndexError):
             recommend(factors, 5, [0], 1)
 
@@ -359,7 +358,7 @@ class TestWmfRecommend:
 class TestFpmcScore:
     def _factors(self, f=1):
         z = lambda *shape: np.zeros(shape)
-        return FpmcFactors(z(3, f), z(6, f), z(6, f), z(6, f), lr=0.05, lam=0.01)
+        return FpmcFactors(z(3, f), z(6, f), z(6, f), z(6, f))
 
     def test_all_zero_factors_score_zero(self):
         assert self._factors().score_catalog(0, [1])[2] == 0.0
@@ -374,7 +373,7 @@ class TestFpmcScore:
 
     def test_linear_in_item_preference_factor(self):
         rng = make_rng(50)
-        factors = fpmc_init(3, 6, f=4, lr=0.05, lam=0.01, rng=rng)
+        factors = fpmc_init(3, 6, f=4, rng=rng)
         base = factors.score_catalog(1, [2])[4]
         factors.v_iu[4] *= 3.0
         tripled = factors.score_catalog(1, [2])[4]
@@ -386,10 +385,9 @@ class TestFpmcScore:
             self._factors().score_catalog(0, [9])[2]
 
 
-def reference_sbpr_step(factors, u, prev, pos, neg):
+def reference_sbpr_step(factors, u, prev, pos, neg, lr, lam):
     """The per-triple S-BPR ascent step fpmc_sbpr_update replaced; returns
     -log sigma(score_pos - score_neg) before the step."""
-    lr, lam = factors.lr, factors.lam
     vu = factors.v_ui[u].copy()
     vip, vin = factors.v_iu[pos].copy(), factors.v_iu[neg].copy()
     tip, tin = factors.v_il[pos].copy(), factors.v_il[neg].copy()
@@ -409,7 +407,7 @@ def reference_fpmc(examples, n_users, n_songs, *, f, lr, lam, epochs, rng):
     """The per-triple S-BPR loop fpmc_train replaced: one negative draw
     and one step per triple, in a fresh permutation each epoch. Returns
     (factors, loss history)."""
-    factors = fpmc_init(n_users, n_songs, f=f, lr=lr, lam=lam, rng=rng)
+    factors = fpmc_init(n_users, n_songs, f=f, rng=rng)
     history = []
     users, prevs, nexts = (examples.user.tolist(), examples.context[:, 0].tolist(),
                            examples.target.tolist())
@@ -419,7 +417,7 @@ def reference_fpmc(examples, n_users, n_songs, *, f, lr, lam, epochs, rng):
             neg = int(rng.integers(n_songs))
             while neg == nexts[idx]:
                 neg = int(rng.integers(n_songs))
-            total += reference_sbpr_step(factors, users[idx], prevs[idx], nexts[idx], neg)
+            total += reference_sbpr_step(factors, users[idx], prevs[idx], nexts[idx], neg, lr, lam)
         history.append(total / len(nexts))
     return factors, history
 
@@ -433,7 +431,7 @@ class TestFpmcTrain:
         with caplog.at_level(logging.INFO, logger="songrec"):
             got, history = fpmc_train(examples, 2, 5, f=3, lr=0.05, lam=0.01, epochs=0,
                                       rng=make_rng(60))
-        want = fpmc_init(2, 5, f=3, lr=0.05, lam=0.01, rng=make_rng(60))
+        want = fpmc_init(2, 5, f=3, rng=make_rng(60))
         assert history == []
         for name in FPMC_BLOCKS:
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -467,19 +465,18 @@ class TestFpmcTrain:
         # each must move by the sum of the two single-triple steps, both
         # taken from the factors before the minibatch
         rng = make_rng(58)
-        start = fpmc_init(2, 6, f=4, lr=0.1, lam=0.05, rng=rng)
+        start = fpmc_init(2, 6, f=4, rng=rng)
         for name in FPMC_BLOCKS:
             getattr(start, name)[...] = rng.standard_normal(getattr(start, name).shape)
         want = {name: getattr(start, name).copy() for name in FPMC_BLOCKS}
         want_loss = 0.0
         for neg in (3, 5):
-            alone = FpmcFactors(*(getattr(start, name).copy() for name in FPMC_BLOCKS),
-                                lr=0.1, lam=0.05)
-            want_loss += reference_sbpr_step(alone, 1, 2, 4, neg)
+            alone = FpmcFactors(*(getattr(start, name).copy() for name in FPMC_BLOCKS))
+            want_loss += reference_sbpr_step(alone, 1, 2, 4, neg, 0.1, 0.05)
             for name in FPMC_BLOCKS:
                 want[name] += getattr(alone, name) - getattr(start, name)
         loss = fpmc_sbpr_update(start, np.array([1, 1]), np.array([2, 2]), np.array([4, 4]),
-                                np.array([3, 5]))
+                                np.array([3, 5]), 0.1, 0.05)
         assert np.isclose(loss, want_loss, rtol=1e-12)
         for name in FPMC_BLOCKS:
             assert np.allclose(getattr(start, name), want[name], rtol=0, atol=1e-12)
@@ -497,14 +494,14 @@ class TestFpmcTrain:
         # the observed item's margin must grow
         rng = make_rng(51)
         for _ in range(100):
-            factors = fpmc_init(4, 8, f=5, lr=1e-2, lam=0.0, rng=rng)
+            factors = fpmc_init(4, 8, f=5, rng=rng)
             for t in (factors.v_ui, factors.v_iu, factors.v_il, factors.v_li):
                 t[...] = rng.standard_normal(t.shape)
             u, prev = int(rng.integers(4)), int(rng.integers(8))
             pos = int(rng.integers(8))
             neg = (pos + 1 + int(rng.integers(7))) % 8
             before = margin(factors, u, prev, pos, neg)
-            fpmc_sbpr_update(factors, *(np.array([x]) for x in (u, prev, pos, neg)))
+            fpmc_sbpr_update(factors, *(np.array([x]) for x in (u, prev, pos, neg)), 1e-2, 0.0)
             after = margin(factors, u, prev, pos, neg)
             assert after > before
 
@@ -512,7 +509,7 @@ class TestFpmcTrain:
         examples = extract_examples(session_table([(0, [1, 2]), (1, [2, 3])]), 1)
         factors, _ = fpmc_train(examples, 2, 5, f=3, lr=0.0, lam=0.0, epochs=3,
                                 rng=make_rng(52))
-        fresh = fpmc_init(2, 5, f=3, lr=0.0, lam=0.0, rng=make_rng(52))
+        fresh = fpmc_init(2, 5, f=3, rng=make_rng(52))
         for a, b in zip(
             (factors.v_ui, factors.v_iu, factors.v_il, factors.v_li),
             (fresh.v_ui, fresh.v_iu, fresh.v_il, fresh.v_li),
@@ -532,12 +529,12 @@ class TestFpmcTrain:
 
 class TestFpmcRecommend:
     def test_k_equals_catalog_is_permutation(self):
-        factors = fpmc_init(2, 7, f=3, lr=0.05, lam=0.01, rng=make_rng(53))
+        factors = fpmc_init(2, 7, f=3, rng=make_rng(53))
         assert sorted(recommend(factors, 0, [3], 7).tolist()) == list(range(7))
 
     def test_matches_brute_force_sort(self):
         rng = make_rng(54)
-        factors = fpmc_init(3, 8, f=4, lr=0.05, lam=0.01, rng=rng)
+        factors = fpmc_init(3, 8, f=4, rng=rng)
         for t in (factors.v_ui, factors.v_iu, factors.v_il, factors.v_li):
             t[...] = rng.standard_normal(t.shape)
         scores = [float(factors.v_ui[1] @ factors.v_iu[i] + factors.v_il[i] @ factors.v_li[5])
@@ -546,11 +543,11 @@ class TestFpmcRecommend:
         assert recommend(factors, 1, [5], 8).tolist() == want
 
     def test_uniform_factors_give_index_order(self):
-        factors = FpmcFactors(*(np.ones((n, 2)) for n in (2, 6, 6, 6)), lr=0.05, lam=0.01)
+        factors = FpmcFactors(*(np.ones((n, 2)) for n in (2, 6, 6, 6)))
         assert recommend(factors, 0, [1], 6).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_inference_deterministic(self):
-        factors = fpmc_init(2, 9, f=3, lr=0.05, lam=0.01, rng=make_rng(55))
+        factors = fpmc_init(2, 9, f=3, rng=make_rng(55))
         a = recommend(factors, 1, [4], 9)
         b = recommend(factors, 1, [4], 9)
         assert np.array_equal(a, b)

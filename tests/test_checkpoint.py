@@ -119,10 +119,37 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize("cls", [ItemEmbeddings, WmfFactors, FpmcFactors])
     def test_fields_are_the_declared_tensors_scalars_and_history(self, cls):
         # a field outside the declaration would be left out of checkpoints;
-        # the trainers return the loss or objective history beside the model
+        # the model holds no scalars (the training settings stay in the
+        # config) and no history (returned beside the model)
         fields = dataclasses.fields(cls)
-        assert {f.name for f in fields} == {*cls.TENSORS, *cls.SCALARS}
-        assert {f.name for f in fields if f.type == "np.ndarray"} == set(cls.TENSORS)
+        assert [f.name for f in fields] == list(cls.TENSORS)
+        assert all(f.type == "np.ndarray" for f in fields)
+
+    @pytest.mark.parametrize("family,dims", [("w2v", {"n_songs": 12, "d": 4}),
+                                             ("wmf", {"n_users": 3, "n_songs": 12, "f": 3}),
+                                             ("fpmc", {"n_users": 2, "n_songs": 8, "f": 3})])
+    def test_baseline_meta_is_its_dims(self, tmp_path, family, dims):
+        path = tmp_path / f"{family}.ckpt"
+        checkpoint.save(path, *small_models()[family].to_checkpoint())
+        assert checkpoint.load(path)[1] == dims
+
+    @pytest.mark.parametrize("family,settings", [("wmf", {"alpha": 40.0, "lam": 0.1}),
+                                                 ("fpmc", {"lr": 0.05, "lam": 0.01})])
+    def test_checkpoint_with_training_settings_in_meta_still_loads(self, tmp_path, family,
+                                                                    settings):
+        # checkpoints written before the settings left the model carry
+        # them in meta; loading reads the dims and ignores the rest
+        model = small_models()[family]
+        model_type, meta, tensors = model.to_checkpoint()
+        path = tmp_path / f"{family}.ckpt"
+        checkpoint.save(path, model_type, {**meta, **settings}, tensors)
+        loaded = checkpoint.load_model(path)
+        assert type(loaded) is type(model)
+        for name, tensor in loaded.tensors().items():
+            assert np.array_equal(tensor, tensors[name]), name
+        users, contexts = np.array([0, 1, 1]), np.array([[2], [1], [3]])
+        assert np.array_equal(loaded.score_batch(users, contexts),
+                              model.score_batch(users, contexts))
 
     @pytest.mark.parametrize("family", ["cnnrec", "nnrec", "w2v", "wmf", "fpmc"])
     def test_bitwise_tensor_round_trip(self, tmp_path, family):
@@ -257,9 +284,10 @@ class TestEarlierLayout:
         if cls is CnnRecParams:
             want["filters"] = glorot_init(hy.w * hy.d, hy.m, draw, (hy.m, hy.w, hy.d))
             want["conv_b"] = np.zeros(hy.m)
-        want["w1"] = glorot_init(features + hy.d, hy.h, draw)  # drawn (out, in)
+        # dense weights are drawn (out, in)
+        want["w1"] = glorot_init(features + hy.d, hy.h, draw, (hy.h, features + hy.d))
         want["b1"] = np.zeros(hy.h)
-        want["w2"] = glorot_init(hy.h, 12, draw)
+        want["w2"] = glorot_init(hy.h, 12, draw, (12, hy.h))
         want["b2"] = np.zeros(12)
         _, _, tensors = cls(12, 3, hy, rng=make_rng(6)).to_checkpoint()
         assert list(tensors) == list(want)

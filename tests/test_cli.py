@@ -36,6 +36,9 @@ from songrec.util import make_rng
 from test_golden import CONFIG as GOLDEN_CONFIG
 from test_golden import golden_log_lines
 
+# the environment block every manifest records
+ENVIRONMENT_KEYS = {"python", "numpy", "scipy", "blas", "threads", "cpu_count", "kernel_threads"}
+
 
 def run_cli(*args):
     return main([str(a) for a in args])
@@ -110,7 +113,7 @@ class TestConfig:
         from songrec.baselines import fpmc_init
 
         cfg = ExperimentConfig.from_dict({"model": {"family": "fpmc"}})
-        assert _eval_order(fpmc_init(2, 5, f=2, lr=0.05, lam=0.01, rng=make_rng(0)), cfg) == 1
+        assert _eval_order(fpmc_init(2, 5, f=2, rng=make_rng(0)), cfg) == 1
 
     def test_apply_override_parses_json_values(self):
         raw = {}
@@ -445,7 +448,9 @@ class TestTrainEvaluate:
         manifests = [tmp / "run" / "prepare_manifest.json", out / "train_manifest.json",
                      out / "evaluate_manifest.json"]
         for path in manifests:
-            assert json.loads(path.read_text())["peak_rss_mb"] > 0, path
+            manifest = json.loads(path.read_text())
+            assert manifest["peak_rss_mb"] > 0, path
+            assert set(manifest["environment"]) == ENVIRONMENT_KEYS, path
         assert json.loads(manifests[0].read_text())["parse_lines_per_s"] > 0
 
     def test_evaluate_manifest_records_example_rate(self, prepared):
@@ -480,8 +485,7 @@ class TestTrainEvaluate:
         want = None if order is None else len(extract_examples(train, order))
         assert manifest["examples_per_epoch"] == want
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "threads", "cpu_count",
-                            "kernel_threads"}
+        assert set(env) == ENVIRONMENT_KEYS
         assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
         assert isinstance(env["scipy"], str) and env["cpu_count"] == os.cpu_count()
         assert env["kernel_threads"] == (2 if len(os.sched_getaffinity(0)) > 1 else 1)
@@ -575,8 +579,7 @@ class TestTrainEvaluate:
         examples = extract_examples(pre.split.test, 1)
         v_li = np.zeros((n, n))
         v_li[examples.context[:, 0], examples.target] = 1.0
-        rigged = FpmcFactors(np.zeros((u, n)), np.zeros((n, n)), np.eye(n), v_li,
-                             lr=0.05, lam=0.01)
+        rigged = FpmcFactors(np.zeros((u, n)), np.zeros((n, n)), np.eye(n), v_li)
         out = tmp / "oracle"
         os.makedirs(out, exist_ok=True)
         checkpoint.save(out / "model.ckpt", *rigged.to_checkpoint())
@@ -688,6 +691,8 @@ class TestSweep:
             assert (out / f"order-{j}" / "model.ckpt").exists()
             report = json.loads((out / f"order-{j}" / "report.json").read_text())
             assert report["label"] == f"j={j}"
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert set(manifest["environment"]) == ENVIRONMENT_KEYS
 
     def test_sweep_sampled_protocol(self, prepared):
         tmp, config = prepared

@@ -37,26 +37,26 @@ from songrec.util import make_rng
 class TestGlorot:
     def test_unit_limit_case(self):
         # fan_in = fan_out = 3 gives L = sqrt(6/6) = 1
-        w = glorot_init(3, 3, make_rng(0))
+        w = glorot_init(3, 3, make_rng(0), (3, 3))
         assert w.shape == (3, 3)
         assert np.abs(w).max() <= 1.0
 
     def test_monte_carlo_bound_and_mean(self):
         # 10000 samples, fans summing to 100: L = sqrt(0.06)
         limit = np.sqrt(6 / 100)
-        w = glorot_init(40, 60, make_rng(1), shape=(100, 100))
+        w = glorot_init(40, 60, make_rng(1), (100, 100))
         assert np.abs(w).max() <= limit
         sigma_mean = limit / np.sqrt(3 * w.size)
         assert abs(w.mean()) <= 3 * sigma_mean
 
     def test_same_seed_identical(self):
-        a = glorot_init(5, 7, make_rng(9))
-        b = glorot_init(5, 7, make_rng(9))
+        a = glorot_init(5, 7, make_rng(9), (7, 5))
+        b = glorot_init(5, 7, make_rng(9), (7, 5))
         assert np.array_equal(a, b)
 
     def test_zero_fan_error(self):
         with pytest.raises(ValueError):
-            glorot_init(0, 3, make_rng(0))
+            glorot_init(0, 3, make_rng(0), (3, 0))
 
 
 class TestEmbedLookup:
