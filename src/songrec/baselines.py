@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
-from .core import embed_lookup, scatter_add_rows
+from .core import embed_lookup, scatter_add_rows, sigmoid
+from .data import _user_song_keys
 from .util import Recommender, fit
 
 
@@ -181,7 +180,7 @@ def w2v_train(
                 vc = v_in[centers[batch]]
                 vecs = v_out[rows[batch]]
                 batch_scores = np.einsum("bd,bkd->bk", vc, vecs, out=scores[batch])
-                coef = expit(batch_scores)
+                coef = sigmoid(batch_scores)
                 coef[:, 0] -= 1.0  # positive label
                 coef *= -step_lrs[batch, None]
                 scatter_add_rows(v_out, rows[batch].ravel(), coef[:, :, None] * vc[:, None, :])
@@ -215,16 +214,20 @@ class WmfFactors(Recommender):
         return embed_lookup(users, self.x) @ self.y.T
 
 
-def play_count_matrix(sessions, n_users: int, n_songs: int) -> sp.csr_matrix:
-    """(user, song) play counts aggregated over the whole training split."""
-    return sp.csr_matrix((np.ones(len(sessions.items)), (sessions.item_users(), sessions.items)),
-                         shape=(n_users, n_songs))
+def play_count_matrix(sessions, n_users: int, n_songs: int):
+    """(user, song) play counts over the whole training split, as arrays
+    (users, songs, counts) sorted by (user, song); refuses an index outside the shape."""
+    for name, idx, n in (("user", sessions.item_users(), n_users), ("song", sessions.items, n_songs)):
+        if len(idx) and not 0 <= idx.min() <= idx.max() < n:
+            raise ValueError(f"{name} index outside [0, {n}): {idx.min()}..{idx.max()}")
+    keys, counts = np.unique(_user_song_keys(sessions), return_counts=True)
+    return keys >> 32, keys & 0xFFFFFFFF, counts
 
 
 OBJECTIVE_CHUNK = 4096  # observed cells per gather in wmf_objective
 
 
-def wmf_objective(r: sp.spmatrix, x: np.ndarray, y: np.ndarray, alpha: float, lam: float) -> float:
+def wmf_objective(plays, x: np.ndarray, y: np.ndarray, alpha: float, lam: float) -> float:
     """Exact weighted objective over ALL user-item cells.
 
     sum_{u,i} c_ui (p_ui - x_u . y_i)^2 + lam (|X|^2 + |Y|^2), with
@@ -232,34 +235,34 @@ def wmf_objective(r: sp.spmatrix, x: np.ndarray, y: np.ndarray, alpha: float, la
     is tr((X^T X)(Y^T Y)) plus observed-cell corrections, so no dense
     U x N matrix is formed.
     """
-    coo = sp.coo_matrix(r)
+    users, songs, counts = plays
     # the (nnz, f) gathers go chunk by chunk, so the transient stays small
-    shat = np.empty(coo.nnz, dtype=np.result_type(x, y))
-    for lo in range(0, coo.nnz, OBJECTIVE_CHUNK):
+    shat = np.empty(len(counts), dtype=np.result_type(x, y))
+    for lo in range(0, len(counts), OBJECTIVE_CHUNK):
         hi = lo + OBJECTIVE_CHUNK
-        shat[lo:hi] = np.einsum("ij,ij->i", x[coo.row[lo:hi]], y[coo.col[lo:hi]])
-    conf = 1.0 + alpha * coo.data
+        shat[lo:hi] = np.einsum("ij,ij->i", x[users[lo:hi]], y[songs[lo:hi]])
+    conf = 1.0 + alpha * counts
     full = np.trace((x.T @ x) @ (y.T @ y))
     corr = np.sum(conf * (1.0 - shat) ** 2 - shat**2)
     reg = lam * (np.sum(x * x) + np.sum(y * y))
     return float(full + corr + reg)
 
 
-def _als_half_sweep(r_csr: sp.csr_matrix, this: np.ndarray, other: np.ndarray, alpha: float, lam: float):
+def _als_half_sweep(rows, cols, counts, this: np.ndarray, other: np.ndarray, alpha: float, lam: float):
     """Solve the exact f x f normal equations for every row of ``this``
-    with ``other`` frozen."""
+    with ``other`` frozen, from the played (rows, cols, counts) sorted by row."""
     f = other.shape[1]
     gram = other.T @ other + lam * np.eye(f)
+    bounds = np.searchsorted(rows, np.arange(this.shape[0] + 1))
     for i in range(this.shape[0]):
-        lo, hi = r_csr.indptr[i], r_csr.indptr[i + 1]
-        idx = r_csr.indices[lo:hi]
-        if idx.size == 0:
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
             this[i] = 0.0  # unconstrained row: regularizer alone wins
             continue
-        counts = r_csr.data[lo:hi]
-        m = other[idx]
-        a = gram + (m.T * (alpha * counts)) @ m
-        rhs = m.T @ (1.0 + alpha * counts)
+        row_counts = counts[lo:hi]
+        m = other[cols[lo:hi]]
+        a = gram + (m.T * (alpha * row_counts)) @ m
+        rhs = m.T @ (1.0 + alpha * row_counts)
         try:
             this[i] = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError as exc:
@@ -267,7 +270,7 @@ def _als_half_sweep(r_csr: sp.csr_matrix, this: np.ndarray, other: np.ndarray, a
 
 
 def wmf_train(
-    r: sp.spmatrix,
+    plays, n_users: int, n_songs: int,
     *,
     f: int,
     alpha: float,
@@ -275,7 +278,8 @@ def wmf_train(
     iters: int,
     rng: np.random.Generator,
 ) -> tuple[WmfFactors, list[float]]:
-    """Alternating least squares on the confidence-weighted objective.
+    """Alternating least squares on the confidence-weighted objective, over
+    the (users, songs, counts) of :func:`play_count_matrix`, sorted by (user, song).
 
     Each half-sweep solves every user's (then every item's) regularized
     normal equations exactly, so the objective never increases. The
@@ -284,21 +288,21 @@ def wmf_train(
     is the objective after it. Returns (factors, the 1 + 2 * iters
     recorded objectives).
     """
-    r_csr = sp.csr_matrix(r)
-    if r_csr.nnz and r_csr.data.min() < 0:
-        raise ValueError("count matrix must be non-negative")
-    rt_csr = sp.csr_matrix(r.T)
-    n_users, n_songs = r_csr.shape
+    users, songs, counts = plays
+    if len(counts) and counts.min() < 0:
+        raise ValueError("play counts must be non-negative")
+    by_song = np.argsort(songs, kind="stable")
+    song_major = songs[by_song], users[by_song], counts[by_song]
     x = 0.01 * rng.standard_normal((n_users, f))
     y = 0.01 * rng.standard_normal((n_songs, f))
     factors = WmfFactors(x, y)
-    initial = wmf_objective(r_csr, x, y, alpha, lam)
+    initial = wmf_objective(plays, x, y, alpha, lam)
 
     def iteration():
-        _als_half_sweep(r_csr, x, y, alpha, lam)
-        after_users = wmf_objective(r_csr, x, y, alpha, lam)
-        _als_half_sweep(rt_csr, y, x, alpha, lam)
-        return [after_users, wmf_objective(r_csr, x, y, alpha, lam)]
+        _als_half_sweep(*plays, x, y, alpha, lam)
+        after_users = wmf_objective(plays, x, y, alpha, lam)
+        _als_half_sweep(*song_major, y, x, alpha, lam)
+        return [after_users, wmf_objective(plays, x, y, alpha, lam)]
 
     # an iteration solves every user's and every song's row once
     return factors, [initial, *fit(factors, iters, iteration, n_users + n_songs, "rows")]
@@ -358,7 +362,7 @@ def fpmc_sbpr_update(factors: FpmcFactors, users: np.ndarray, prevs: np.ndarray,
     tl = factors.v_li[prevs]
     dv, dt = vip - vin, tip - tin
     diff = np.einsum("bf,bf->b", vu, dv) + np.einsum("bf,bf->b", dt, tl)
-    delta = expit(-diff)[:, None]  # 1 - sigma(diff)
+    delta = sigmoid(-diff)[:, None]  # 1 - sigma(diff)
     scatter_add_rows(factors.v_ui, users, lr * (delta * dv - lam * vu))
     scatter_add_rows(factors.v_iu, pos, lr * (delta * vu - lam * vip))
     scatter_add_rows(factors.v_iu, neg, lr * (-delta * vu - lam * vin))

@@ -22,7 +22,6 @@ import time
 import zlib
 
 import numpy as np
-import scipy
 
 from . import FAMILIES, __version__, checkpoint, core
 from .baselines import fpmc_train, play_count_matrix, w2v_train, wmf_train
@@ -54,14 +53,13 @@ def _seeds(cfg: ExperimentConfig) -> dict:
 
 
 def _environment() -> dict:
-    """What a run's bits and speed depend on beside its config: the Python,
-    numpy and scipy versions, numpy's BLAS build, the BLAS thread
-    variables (null when unset) and the CPU count; and what its speed
-    alone depends on: the threads the kernels run on."""
+    """What a run's bits and speed depend on beside its config: the Python
+    and numpy versions, numpy's BLAS build, the BLAS thread variables
+    (null when unset) and the CPU count; and what its speed alone depends
+    on: the threads the kernels run on."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
         "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
@@ -141,8 +139,8 @@ def fit_model(cfg: ExperimentConfig, prepared):
         return w2v_train(split.train, n_songs, d=mc.d, rng=make_rng(cfg.subseed("train")),
                          **dataclasses.asdict(mc.w2v))
     if mc.family == "wmf":
-        counts = play_count_matrix(split.train, n_users, n_songs)
-        return wmf_train(counts, rng=make_rng(cfg.subseed("init")), **dataclasses.asdict(mc.wmf))
+        return wmf_train(play_count_matrix(split.train, n_users, n_songs), n_users, n_songs,
+                         rng=make_rng(cfg.subseed("init")), **dataclasses.asdict(mc.wmf))
     if mc.family == "fpmc":
         examples = extract_examples(split.train, 1)  # fpmc_train refuses an empty set
         return fpmc_train(examples, n_users, n_songs, rng=make_rng(cfg.subseed("train")),

@@ -247,6 +247,13 @@ def dropout_backward(g: np.ndarray, cache) -> np.ndarray:
     return g * mask / keep
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), the formula of ``scipy.special.expit``: exactly 0
+    and 1 at the ends, where exp(-x) overflows without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def softmax_inplace(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in ``x`` itself (returned).
 

@@ -20,6 +20,7 @@ import typing
 from typing import ClassVar
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; here it loads with the package
 
 logger = logging.getLogger(__name__)
 

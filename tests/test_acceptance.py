@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import (
     UniformScorer,
@@ -154,9 +153,10 @@ def test_c05_wmf_descent():
     dense = np.where(
         rng.random((50, 80)) < 0.2, rng.integers(1, 6, size=(50, 80)), 0
     ).astype(float)
+    users, songs = np.nonzero(dense)
     t0 = time.time()
     _, h = wmf_train(
-        sp.csr_matrix(dense), f=10, alpha=40, lam=0.1, iters=15,
+        (users, songs, dense[users, songs]), *dense.shape, f=10, alpha=40, lam=0.1, iters=15,
         rng=make_rng(7),
     )
     elapsed = time.time() - t0

@@ -261,11 +261,17 @@ class TestW2vRecommend:
             recommend(emb, 0, [], 1)
 
 
+def played_cells(dense):
+    """The (users, songs, counts) arrays of wmf_train from a dense count matrix."""
+    users, songs = np.nonzero(dense)
+    return users, songs, dense[users, songs]
+
+
 def random_counts(shape, density, max_count, rng):
     dense = np.where(
         rng.random(shape) < density, rng.integers(1, max_count + 1, size=shape), 0
     ).astype(float)
-    return sp.csr_matrix(dense), dense
+    return played_cells(dense), dense
 
 
 def dense_objective(dense, x, y, alpha, lam):
@@ -299,14 +305,14 @@ class TestWmf:
     def test_objective_monotone_over_half_sweeps(self):
         rng = make_rng(42)
         r, _ = random_counts((20, 30), 0.25, 5, rng)
-        _, h = wmf_train(r, f=5, alpha=40, lam=0.1, iters=8, rng=make_rng(43))
+        _, h = wmf_train(r, 20, 30, f=5, alpha=40, lam=0.1, iters=8, rng=make_rng(43))
         assert len(h) == 17  # init + 16 half-sweeps
         assert all(b <= a + 1e-9 * abs(a) for a, b in zip(h, h[1:]))
 
     def test_progress_line_per_iteration_carries_its_objective(self, caplog):
         r, _ = random_counts((6, 8), 0.4, 5, make_rng(45))
         with caplog.at_level(logging.INFO, logger="songrec"):
-            _, h = wmf_train(r, f=2, alpha=40, lam=0.1, iters=3, rng=make_rng(46))
+            _, h = wmf_train(r, 6, 8, f=2, alpha=40, lam=0.1, iters=3, rng=make_rng(46))
         assert len(h) == 1 + 2 * 3
         assert progress_lines(caplog) == [f"wmf epoch {i + 1}/3: loss {h[2 * i + 2]:.4f}"
                                           for i in range(3)]
@@ -315,21 +321,52 @@ class TestWmf:
         # every user played song 2: observed cells should reconstruct ~1
         dense = np.zeros((6, 5))
         dense[:, 2] = 1.0
-        factors, _ = wmf_train(sp.csr_matrix(dense), f=2, alpha=40, lam=1e-3,
+        factors, _ = wmf_train(played_cells(dense), *dense.shape, f=2, alpha=40, lam=1e-3,
                                iters=10, rng=make_rng(44))
         recon = factors.x @ factors.y.T
         assert (recon[:, 2] > 0.9).all()
 
     def test_negative_counts_rejected(self):
-        r = sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]))
+        r = played_cells(np.array([[1.0, -2.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            wmf_train(r, f=2, alpha=40.0, lam=0.1, iters=15, rng=make_rng(0))
+            wmf_train(r, 2, 2, f=2, alpha=40.0, lam=0.1, iters=15, rng=make_rng(0))
 
     def test_play_count_matrix(self):
         sessions = session_table([(0, [1, 1, 2]), (1, [2]), (0, [1])])
-        r = play_count_matrix(sessions, 2, 4)
-        assert r.shape == (2, 4)
-        assert r.toarray().tolist() == [[0, 3, 1, 0], [0, 0, 1, 0]]
+        users, songs, counts = play_count_matrix(sessions, 2, 4)
+        dense = np.zeros((2, 4), dtype=int)
+        dense[users, songs] = counts
+        assert dense.tolist() == [[0, 3, 1, 0], [0, 0, 1, 0]]
+
+    def test_play_counts_match_scipy_in_both_orders(self, monkeypatch):
+        # repeated plays, an empty session (user 1's only one), and users 1
+        # and 2 and songs 3 and 5 without a play
+        sessions = session_table([(3, [4, 1, 4, 0]), (0, [6, 4, 6, 6]), (1, []), (0, [1, 6]),
+                                  (3, [0, 2])])
+        users, songs, counts = play_count_matrix(sessions, 4, 7)
+        r = sp.csr_matrix((np.ones(len(sessions.items)), (sessions.item_users(), sessions.items)),
+                          shape=(4, 7))
+        coo = r.tocoo()
+        assert np.array_equal(users, coo.row) and np.array_equal(songs, coo.col)
+        assert np.array_equal(counts, coo.data)
+        sweeps = []
+        sweep = baselines._als_half_sweep
+        monkeypatch.setattr(baselines, "_als_half_sweep",
+                            lambda *args: sweeps.append(args[:3]) or sweep(*args))
+        wmf_train((users, songs, counts), 4, 7, f=2, alpha=40.0, lam=0.1, iters=1,
+                  rng=make_rng(0))
+        rows, cols, song_counts = sweeps[1]
+        rt = sp.csr_matrix(r.T)
+        assert np.array_equal(np.searchsorted(rows, np.arange(8)), rt.indptr)
+        assert np.array_equal(cols, rt.indices) and np.array_equal(song_counts, rt.data)
+
+    @pytest.mark.parametrize("user,song", [(2, 0), (-1, 0), (0, 4), (0, -1), (0, 1 << 32)])
+    def test_play_count_matrix_refuses_an_index_outside_the_shape(self, user, song):
+        # unchecked, song 2^32 would land in the user bits of the key and
+        # -1 would wrap around
+        sessions = session_table([(0, [1, 2]), (user, [song])])
+        with pytest.raises(ValueError, match="outside"):
+            play_count_matrix(sessions, 2, 4)
 
 
 class TestWmfRecommend:

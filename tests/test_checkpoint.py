@@ -34,7 +34,7 @@ def small_models():
         "nnrec": NnRecParams(12, 3, TINY, rng=make_rng(2)),
         "w2v": w2v_train(sessions, 12, d=4, window=5, negatives=5, lr=0.025, epochs=1,
                          rng=make_rng(3))[0],
-        "wmf": wmf_train(counts, f=3, alpha=40.0, lam=0.1, iters=2, rng=make_rng(4))[0],
+        "wmf": wmf_train(counts, 3, 12, f=3, alpha=40.0, lam=0.1, iters=2, rng=make_rng(4))[0],
         "fpmc": fpmc_train(fpmc_examples, 2, 8, f=3, lr=0.05, lam=0.01, epochs=1,
                            rng=make_rng(5))[0],
     }

@@ -2,10 +2,12 @@ import multiprocessing
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import HELPER_MODES
 from songrec import core, models
@@ -27,6 +29,7 @@ from songrec.core import (
     grad_check,
     relu,
     relu_backward,
+    sigmoid,
     softmax_inplace,
     softmax_xent_backward,
     softmax_xent_from_probs,
@@ -410,6 +413,22 @@ class TestSoftmaxXent:
         probs = np.array([[0.25, 0.75, 0.0], [0.0, 0.0, 1.0]])
         losses = softmax_xent_from_probs(probs, [1, 0])
         assert np.array_equal(losses, [-np.log(0.75), -np.log(PROB_FLOOR)])
+
+
+class TestSigmoid:
+    def test_matches_expit_and_is_exact_at_the_ends(self):
+        # expit evaluates the same 1 / (1 + exp(-x)) with libm's exp, which
+        # differs from numpy's by 1 ulp on a few percent of inputs; the sum
+        # and the division may then round apart, and the two results differ
+        # by up to 2 ulps on this grid and 4 near x = -37
+        x = np.concatenate((np.linspace(-800.0, 800.0, 400_001),
+                            make_rng(0).uniform(-40.0, 40.0, 400_000)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(x)
+        want = expit(x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(got, want)))
+        assert got[0] == 0.0 and got[400_000] == 1.0
 
 
 class TestAdagrad:

@@ -323,8 +323,8 @@ def real_family_models(n_songs, n_users):
         "nnrec": NnRecParams(n_songs, n_users, TINY, rng=make_rng(2)),
         "w2v": w2v_train(sessions, n_songs, d=4, window=3, negatives=5, lr=0.025, epochs=1,
                          rng=make_rng(3))[0],
-        "wmf": wmf_train(play_count_matrix(sessions, n_users, n_songs), f=3, alpha=40.0,
-                         lam=0.1, iters=2, rng=make_rng(4))[0],
+        "wmf": wmf_train(play_count_matrix(sessions, n_users, n_songs), n_users, n_songs, f=3,
+                         alpha=40.0, lam=0.1, iters=2, rng=make_rng(4))[0],
         "fpmc": fpmc_train(extract_examples(sessions, 1), n_users, n_songs, f=3, lr=0.05,
                            lam=0.01, epochs=1, rng=make_rng(5))[0],
     }, sessions

@@ -8,11 +8,14 @@ needs belongs in ``tests/``, or is built there from the kernels that run.
 Every name a package module assigns at its top level must be read by
 that module, or be imported, taken as an attribute or named in a string
 constant by another file of ``src/`` or ``perfbench/``. Every import in the
-package runs when its module loads, none inside a function.
+package runs when its module loads, none inside a function. The package
+runs on numpy alone: importing the CLI loads no scipy module.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "songrec")
@@ -112,3 +115,11 @@ def test_grad_check_is_still_test_only():
     # once src/ or perfbench/ calls it, its allowlist entry goes
     assert "grad_check" in {name for _, name in _definitions()}
     assert "grad_check" not in _referenced_names()
+
+
+def test_the_cli_loads_no_scipy():
+    path = os.pathsep.join(filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))))
+    code = "import sys, songrec.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
