@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import embed_lookup, scatter_add_rows, sigmoid
-from .data import _user_song_keys
 from .util import Recommender, fit
 
 
@@ -215,13 +214,12 @@ class WmfFactors(Recommender):
 
 
 def play_count_matrix(sessions, n_users: int, n_songs: int):
-    """(user, song) play counts over the whole training split, as arrays
-    (users, songs, counts) sorted by (user, song); refuses an index outside the shape."""
+    """(user, song) play counts over the whole training split, the arrays
+    (users, songs, counts) of ``sessions.plays()``; refuses an index outside the shape."""
     for name, idx, n in (("user", sessions.item_users(), n_users), ("song", sessions.items, n_songs)):
         if len(idx) and not 0 <= idx.min() <= idx.max() < n:
             raise ValueError(f"{name} index outside [0, {n}): {idx.min()}..{idx.max()}")
-    keys, counts = np.unique(_user_song_keys(sessions), return_counts=True)
-    return keys >> 32, keys & 0xFFFFFFFF, counts
+    return sessions.plays()
 
 
 OBJECTIVE_CHUNK = 4096  # observed cells per gather in wmf_objective

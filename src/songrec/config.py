@@ -98,14 +98,13 @@ class ModelConfig(Hyperparams):
     wmf: WmfConfig = field(default_factory=WmfConfig)
     fpmc: FpmcConfig = field(default_factory=FpmcConfig)
 
-    def __post_init__(self):  # in place of Hyperparams' check, which refuses w > j
+    def __post_init__(self):  # in place of Hyperparams' check, naming each key in full
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be float64 or float32")
-        if self.dtype != "float64" and self.family not in ("cnnrec", "nnrec"):
-            raise ValueError(f"config.model.dtype must be float64 for {self.family}: "
-                             f"only cnnrec and nnrec train in {self.dtype}")
+        dtypes = FAMILIES[self.family].DTYPES
+        if self.dtype not in dtypes:
+            raise ValueError(f"config.model.dtype must be {' or '.join(dtypes)} for "
+                             f"{self.family}: got {self.dtype!r}")
         for prefix, section in (("config.model.", self), ("config.model.w2v.", self.w2v),
                                 ("config.model.wmf.", self.wmf), ("config.model.fpmc.", self.fpmc)):
             check_bounds(section, section.BOUNDS, prefix)

@@ -2,9 +2,11 @@
 
 Raw play logs go through: parse -> vocabulary build -> filter ->
 sessionize -> split -> train-overlap deletion -> context/target example
-extraction. Every step is a pure function; the split is a pure function
-of (sessions, ratios, seed). The settings are checked where the ``data``
-config section loads (:class:`songrec.config.DataConfig`), not here.
+extraction. Every step is a pure function; the split is one pure function
+of (sessions or plays, ratios, seed) for both shuffle units. Only this
+module builds and takes apart the (user, song) key ``user << 32 | song``.
+The settings are checked where the ``data`` config section loads
+(:class:`songrec.config.DataConfig`), not here.
 """
 
 from __future__ import annotations
@@ -106,6 +108,12 @@ class SessionTable:
     def item_users(self) -> np.ndarray:
         """The user of every play in ``items``."""
         return np.repeat(self.users, self.lengths)
+
+    def plays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(users, songs, counts) of every played (user, song) pair, sorted
+        by (user, song): the play-count cells of the table."""
+        keys, counts = np.unique(_user_song_keys(self), return_counts=True)
+        return keys >> 32, keys & 0xFFFFFFFF, counts
 
     def take(self, rows) -> SessionTable:
         """The sessions at ``rows`` (indices or a mask), in that order."""
@@ -310,33 +318,21 @@ def sessionize(events: EventColumns, gap_seconds: int) -> SessionTable:
                         events.song[order].astype(np.int64))
 
 
-def split_dataset(sessions: SessionTable, ratios: Sequence[float], seed: int) -> SplitDataset:
-    """Shuffle whole sessions and cut them into train/val/test with
-    :func:`_split_rows`; within-session order is never disturbed."""
-    return SplitDataset(*map(sessions.take, _split_rows(len(sessions), ratios, seed)))
-
-
-def split_events(events: EventColumns, ratios: Sequence[float], seed: int
-                 ) -> tuple[EventColumns, EventColumns, EventColumns]:
-    """Shuffle single plays and cut them into train/val/test with
-    :func:`_split_rows`; each part is then sessionized on its own."""
-    return tuple(events.take(rows) for rows in _split_rows(len(events), ratios, seed))
-
-
-def _split_rows(n: int, ratios: Sequence[float], seed: int) -> tuple[np.ndarray, ...]:
-    """The cut of both shuffle units: a seeded permutation of ``n``
-    sessions or plays, cut into train/val/test index arrays.
+def split_dataset(table, ratios: Sequence[float], seed: int) -> tuple:
+    """The train/val/test parts of ``table``, sessions or single plays
+    (anything with ``len`` and ``take``): a seeded permutation of its rows,
+    cut in that order; within-session order is never disturbed.
 
     ``ratios`` are three non-negative numbers summing to 1. Validation
     and test sizes are floors of their ratios; train takes the remainder.
     """
+    n = len(table)
     if n < 3:
         raise ValueError(f"need at least 3 sessions or plays to split, got {n}")
     n_val = int(ratios[1] * n)
     n_test = int(ratios[2] * n)
-    n_train = n - n_val - n_test
-    order = make_rng(seed).permutation(n)
-    return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
+    cuts = [n - n_val - n_test, n - n_test]
+    return tuple(map(table.take, np.split(make_rng(seed).permutation(n), cuts)))
 
 
 def _user_song_keys(sessions: SessionTable) -> np.ndarray:
@@ -555,9 +551,10 @@ def prepare(events: EventColumns, settings: DataConfig, seed: int) -> PreparedDa
     """Full pipeline: vocabulary, filter, sessionize, split, overlap deletion,
     under the ``data`` config section ``settings``; ``seed`` drives the split.
 
-    ``settings.shuffle_unit`` picks what gets shuffled before the cut: whole
-    sessions (the reference, preserves the sequences the models consume) or
-    single records (each part is then sessionized on its own).
+    ``settings.shuffle_unit`` picks what :func:`split_dataset` shuffles
+    before the cut: whole sessions (the reference, preserves the sequences
+    the models consume), or single records, sessionized after the cut,
+    each part on its own.
     """
     kept = filter_to_vocab(events, build_vocab(events, settings.vocab_cap))
     if not kept:
@@ -565,10 +562,11 @@ def prepare(events: EventColumns, settings: DataConfig, seed: int) -> PreparedDa
     kept = build_user_index(kept)
 
     if settings.shuffle_unit == "session":
-        split = split_dataset(sessionize(kept, settings.gap_seconds), settings.ratios, seed)
+        parts = split_dataset(sessionize(kept, settings.gap_seconds), settings.ratios, seed)
     else:
-        parts = split_events(kept, settings.ratios, seed)
-        split = SplitDataset(*(sessionize(p, settings.gap_seconds) for p in parts))
+        parts = [sessionize(p, settings.gap_seconds)
+                 for p in split_dataset(kept, settings.ratios, seed)]
+    split = SplitDataset(*parts)
     n_sessions_in = sum(map(len, split.parts().values()))
 
     split, deleted = delete_train_overlap(split, settings.overlap_mode)

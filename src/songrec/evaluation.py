@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SessionTable, _user_song_keys, examples_to_arrays
+from .data import SessionTable, examples_to_arrays
 from .util import atomic_write_text, check_bounds, config_hash, derive_seed, make_rng
 
 DEFAULT_KS = (1, 5, 10, 20, 50, 100, 150, 200, 500)
@@ -135,23 +135,23 @@ _example_rank = rank_of_target
 _full_catalog_rank = rank_of_target
 
 
-def _candidate_mask(heard_keys: np.ndarray, users, targets, start: int, n_songs: int,
+def _candidate_mask(heard_users, heard_songs, users, targets, start: int, n_songs: int,
                     config: EvalConfig, seed: int) -> np.ndarray:
     """(B, N) boolean candidates of the examples at ``start`` onwards: the
     target plus every song the user did not hear in training or, under
     the sampled protocol, ``n_neg`` of those drawn without replacement.
 
-    ``heard_keys`` holds the sorted ``user << 32 | song`` keys of the
-    training plays, so a user's songs are the keys between ``u << 32`` and
-    ``(u + 1) << 32``.
+    ``heard_users`` and ``heard_songs`` are the training plays, sorted by
+    (user, song) (:meth:`songrec.data.SessionTable.plays`), so a user's
+    songs are one run of them.
     """
-    lo = np.searchsorted(heard_keys, users << 32)
-    counts = np.searchsorted(heard_keys, (users + 1) << 32) - lo
-    # row i's keys are heard_keys[lo[i]:lo[i] + counts[i]], gathered at once
+    lo = np.searchsorted(heard_users, users)
+    counts = np.searchsorted(heard_users, users, "right") - lo
+    # row i's songs are heard_songs[lo[i]:lo[i] + counts[i]], gathered at once
     rows = np.repeat(np.arange(len(users)), counts)
-    keys = heard_keys[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    songs = heard_songs[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
     mask = np.ones((len(users), n_songs), dtype=bool)
-    mask[rows, keys & 0xFFFFFFFF] = False
+    mask[rows, songs] = False
     every = np.arange(len(users))
     mask[every, targets] = False
     if config.protocol == "sampled":
@@ -189,11 +189,11 @@ def evaluate(
     n_songs = model.n_songs
     if config.ks[-1] > n_songs:
         raise ValueError(f"max cutoff {config.ks[-1]} exceeds catalog size {n_songs}")
-    heard_keys = None
+    heard = None
     if config.protocol == "sampled" or config.exclude_train_songs:
         if train is None:
             raise ValueError("this protocol needs the training sessions")
-        heard_keys = np.unique(_user_song_keys(train))  # one per (user, song)
+        heard = train.plays()[:2]  # (users, songs)
 
     ranks = np.empty(len(targets), dtype=np.int64)
     rows = max(1, CHUNK_CELLS // n_songs)
@@ -205,8 +205,8 @@ def evaluate(
             position = start + int(np.argmin(finite))
             raise ValueError(f"non-finite scores for test example {position}")
         mask = None
-        if heard_keys is not None:
-            mask = _candidate_mask(heard_keys, users[chunk], targets[chunk], start, n_songs,
+        if heard is not None:
+            mask = _candidate_mask(*heard, users[chunk], targets[chunk], start, n_songs,
                                    config, seed)
         ranks[chunk] = rank_of_target(scores, targets[chunk], mask)
         # free this chunk's scores and mask before the next chunk is scored
@@ -218,7 +218,8 @@ def evaluate(
         ks=config.ks,
         hits=hits,
         n_examples=len(examples),
-        protocol=config.protocol if config.protocol == "full" else f"sampled({config.n_neg})",
+        protocol=(f"sampled({config.n_neg})" if config.protocol == "sampled"
+                  else "full(exclude_train_songs)" if config.exclude_train_songs else "full"),
         config_hash=config_hash({**dataclasses.asdict(config), "seed": seed}),
     )
 

@@ -68,8 +68,6 @@ class Hyperparams:
 
     def __post_init__(self):
         check_bounds(self, self.BOUNDS)
-        if self.w > self.j:
-            raise ValueError(f"filter width {self.w} exceeds context length {self.j}")
 
     @property
     def conv_positions(self) -> int:
@@ -83,6 +81,7 @@ class _NeuralParams(Recommender):
 
     # set per model by __init__, in place of Recommender's TENSORS-derived sizes
     n_songs = n_users = None
+    DTYPES = ("float64", "float32")
     # dense weights held (in, out) for affine, drawn and checkpointed (out, in)
     HELD_TRANSPOSED = ("w1", "w2")
 
@@ -90,19 +89,22 @@ class _NeuralParams(Recommender):
                  tensors=None):
         """Glorot-initialised weights and zero biases, drawn from ``rng``
         in layout order; or, given ``tensors``, those arrays themselves,
-        each checked against the layout's shape, and nothing drawn. The
-        ``HELD_TRANSPOSED`` weights are then held as a transposed copy.
-        ``acc`` holds each tensor's zero Adagrad accumulator by name."""
+        each checked against the layout's shape and ``dtype``, and nothing
+        drawn. The ``HELD_TRANSPOSED`` weights are then held as a transposed
+        copy. ``acc`` holds each tensor's zero Adagrad accumulator by name."""
         if n_songs < 1 or n_users < 1:
             raise ValueError("need at least one song and one user")
         self.n_songs, self.n_users = int(n_songs), int(n_users)
         self.hyper, self.dtype = hyper, np.dtype(dtype)
+        if self.dtype.name not in self.DTYPES:
+            raise ValueError(f"dtype must be one of {self.DTYPES}, got {self.dtype.name}")
         layout = self._layout()
         if tensors is None:
             tensors = {name: np.zeros(shape) if fans is None else glorot_init(*fans, rng, shape)
                        for name, (shape, fans) in layout.items()}
         else:
-            tensors = checked_tensors(tensors, {name: shape for name, (shape, _) in layout.items()})
+            tensors = checked_tensors(tensors, {name: shape for name, (shape, _) in layout.items()},
+                                      self.dtype)
         for name, tensor in tensors.items():
             if name in self.HELD_TRANSPOSED:
                 tensor = tensor.T
@@ -184,12 +186,10 @@ class _NeuralParams(Recommender):
         return self.forward_batch(users, contexts)[0]
 
     def to_checkpoint(self):
-        """The ten settings, ``dropout`` under ``dropout_p`` and ``w`` as
-        ``min(w, j)``: a config lets ``w`` exceed ``j`` for nnrec. The
+        """The ten settings, ``dropout`` under ``dropout_p``. The
         ``HELD_TRANSPOSED`` weights go out (out, in), as views."""
-        hy = self.hyper
-        hyper = {f.name: getattr(hy, f.name) for f in fields(Hyperparams)}
-        hyper.update(dropout_p=hyper.pop("dropout"), w=min(hy.w, hy.j))
+        hyper = {f.name: getattr(self.hyper, f.name) for f in fields(Hyperparams)}
+        hyper["dropout_p"] = hyper.pop("dropout")
         meta = {"n_songs": self.n_songs, "n_users": self.n_users, "dtype": self.dtype.name,
                 "hyper": hyper}
         tensors = {name: t.T if name in self.HELD_TRANSPOSED else t

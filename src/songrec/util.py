@@ -58,12 +58,13 @@ class Recommender:
     A family declares its tensors once: ``TENSORS`` maps each attribute to
     the meta keys of its dims, in checkpoint order. Checkpoint meta (the
     dims alone), construction from a checkpoint and ``n_songs``/``n_users``
-    all follow from that.
+    all follow from that. ``DTYPES`` names the dtypes its tensors may have.
     """
 
     model_type: str = ""
     order: int | None = None
     TENSORS: ClassVar[dict] = {}
+    DTYPES: ClassVar[tuple] = ("float64",)
 
     def tensors(self) -> dict:
         return {name: getattr(self, name) for name in self.TENSORS}
@@ -86,10 +87,10 @@ class Recommender:
     @classmethod
     def from_checkpoint(cls, meta, tensors):
         """The model holding the checkpoint's tensors themselves, each
-        checked against the shape its meta dims give; other meta keys are
-        ignored."""
+        checked against the shape its meta dims give and float64; other
+        meta keys are ignored."""
         shapes = {name: tuple(meta[key] for key in keys) for name, keys in cls.TENSORS.items()}
-        return cls(**checked_tensors(tensors, shapes))
+        return cls(**checked_tensors(tensors, shapes, "float64"))
 
     def score_batch(self, users, contexts) -> np.ndarray:
         raise NotImplementedError
@@ -140,15 +141,17 @@ def fit(model: Recommender, epochs: int, epoch, work: int, unit: str, *,
     return history
 
 
-def checked_tensors(tensors: dict, shapes: dict) -> dict:
+def checked_tensors(tensors: dict, shapes: dict, dtype) -> dict:
     """The checkpoint ``tensors`` in the order of ``shapes`` (name ->
     shape); ``ValueError`` unless their names are those of ``shapes``
-    and each array has its shape there."""
+    and each array has its shape there and ``dtype``."""
     if set(tensors) != set(shapes):
         raise ValueError(f"tensors {sorted(tensors)} != {sorted(shapes)}")
     for name, shape in shapes.items():
         if tensors[name].shape != shape:
             raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {shape}")
+        if tensors[name].dtype != dtype:
+            raise ValueError(f"tensor {name}: dtype {tensors[name].dtype} != {dtype}")
     return {name: tensors[name] for name in shapes}
 
 

@@ -260,8 +260,7 @@ def test_c09_pipeline_fixture(tmp_path):
     sessions = sessionize(kept, 3600)
     # 3599 s gap held, every exact 3600 s (and larger) gap split
     session_shape = len(sessions) == 20 and bool((sessions.lengths == 10).all())
-    split = split_dataset(sessions, (0.7, 0.1, 0.2), seed=5)
-    sizes = (len(split.train), len(split.val), len(split.test))
+    sizes = tuple(map(len, split_dataset(sessions, (0.7, 0.1, 0.2), seed=5)))
     prepared = prepare(events, DataConfig(), seed=5)
     stats = prepared.stats
     survivors_ok = (

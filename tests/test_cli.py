@@ -36,6 +36,10 @@ from songrec.util import make_rng
 from test_golden import CONFIG as GOLDEN_CONFIG
 from test_golden import golden_log_lines
 
+# a small nnrec (and, with w <= j, cnnrec) architecture for hand-made model files
+TINY_HYPER = Hyperparams(d=4, j=2, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01,
+                         dropout=0.0)
+
 # the environment block every manifest records
 ENVIRONMENT_KEYS = {"python", "numpy", "blas", "threads", "cpu_count", "kernel_threads"}
 
@@ -170,9 +174,9 @@ class TestConfig:
     def test_family_without_filters_loads_at_order_one(self, family):
         cfg = ExperimentConfig.from_dict({"model": {"family": family, "j": 1}})
         assert (cfg.model.j, cfg.model.w) == (1, 2)
-        # only cnnrec has filters: an nnrec writes the width it can use
+        # only cnnrec has filters: an nnrec records the configured width
         _, meta, _ = NnRecParams(5, 2, cfg.model, rng=make_rng(0)).to_checkpoint()
-        assert (meta["hyper"]["j"], meta["hyper"]["w"]) == (1, 1)
+        assert (meta["hyper"]["j"], meta["hyper"]["w"]) == (1, 2)
 
     def test_cnnrec_filters_must_fit_the_context(self):
         with pytest.raises(ValueError, match="filter width 2 exceeds context length 1"):
@@ -187,6 +191,11 @@ class TestConfig:
             with pytest.raises(ValueError, match=rf"^config\.model\.dtype must be float64 "
                                                  rf"for {family}: "):
                 ExperimentConfig.from_dict(raw)
+
+    def test_dtype_outside_the_family_table_refused(self):
+        with pytest.raises(ValueError, match=r"^config\.model\.dtype must be float64 or float32 "
+                                             r"for nnrec: got 'float16'$"):
+            ExperimentConfig.from_dict({"model": {"family": "nnrec", "dtype": "float16"}})
 
     def test_sections_check_themselves_when_replaced(self):
         with pytest.raises(ValueError, match=r"^config\.model\.h must be >= 1, got 0$"):
@@ -851,9 +860,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("change", ["extra hyper key", "missing hyper key", "unknown dtype",
                                         "song count as a string", *HEADER_CHANGES, *HYPER_TYPES])
     def test_malformed_checkpoint_header_exits_with_one_line(self, tmp_path, change):
-        hyper = Hyperparams(d=4, j=2, h=5, m=3, w=2, stride=1, epochs=1, batch=2, lr=0.01,
-                            dropout=0.0)
-        model_type, meta, tensors = NnRecParams(7, 2, hyper, rng=make_rng(0)).to_checkpoint()
+        model_type, meta, tensors = NnRecParams(7, 2, TINY_HYPER, rng=make_rng(0)).to_checkpoint()
         if change == "extra hyper key":
             meta["hyper"]["extra"] = 1
         elif change == "missing hyper key":
@@ -882,6 +889,50 @@ class TestCliErrors:
         assert len(errors) == 1 and f"{ckpt}: malformed checkpoint header" in errors[0]
         if change in self.HYPER_TYPES:
             assert f"hyper.{self.HYPER_TYPES[change][0]} must be " in errors[0]
+
+    UNHELD_FILES = ["meta dtype float16", "meta dtype int64", "tensor dtype <i8",
+                    "tensor dtype <c16", "tensor dtype <f2", "wmf with float32 tensors",
+                    "cnnrec with w 3 over j 2"]
+
+    @pytest.mark.parametrize("case", UNHELD_FILES)
+    def test_model_file_no_family_holds_exits_with_one_line(self, tmp_path, case):
+        # a prepared dataset the file's 12 songs and 2 users fit, so that a
+        # file that loads is scored
+        sessions = {"train": [(0, [0, 1, 2, 3, 4]), (1, [5, 6, 7, 8, 9])], "val": [(0, [1, 2])],
+                    "test": [(0, [2, 3, 4, 5]), (1, [6, 7, 8, 9, 10])]}
+        split = SplitDataset(**{name: session_table(rows) for name, rows in sessions.items()})
+        write_prepared(tmp_path / "prepared",
+                       PreparedDataset([f"s{i}" for i in range(12)], ["u0", "u1"], split))
+        if case == "wmf with float32 tensors":
+            rng = make_rng(0)
+            model = baselines.WmfFactors(rng.random((2, 3), np.float32),
+                                         rng.random((12, 3), np.float32))
+        else:
+            width = 3 if case.startswith("cnnrec") else 2
+            family = CnnRecParams if case.startswith("cnnrec") else NnRecParams
+            model = family(12, 2, dataclasses.replace(TINY_HYPER, w=width), rng=make_rng(0))
+        model_type, meta, tensors = model.to_checkpoint()
+        if case.startswith("meta dtype "):
+            meta["dtype"] = case.removeprefix("meta dtype ")
+        elif case.startswith("tensor dtype "):
+            tensors["e_song"] = tensors["e_song"].astype(case.removeprefix("tensor dtype "))
+        ckpt = tmp_path / "odd.ckpt"
+        checkpoint.save(ckpt, model_type, meta, tensors)
+        config = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "o"),
+                              **{"data.prepared_dir": str(tmp_path / "prepared")})
+        proc = subprocess.run(
+            [sys.executable, "-m", "songrec.cli", "evaluate", "--config", str(config),
+             "--checkpoint", str(ckpt)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(songrec.__file__))},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if " ERROR " in line]
+        # cnnrec alone has filters; conv1d refuses the width when the file is scored
+        named = "filter width 3 exceeds " if case.startswith("cnnrec") else f"{ckpt}: "
+        assert len(errors) == 1 and named in errors[0]
+        assert not (tmp_path / "o" / "report.json").exists()
 
     PREPARED_DAMAGE = {
         "repeated song key": ("vocab.txt", lambda text: text + text.split(b"\n", 1)[0] + b"\n"),

@@ -37,7 +37,6 @@ from songrec.data import (
     read_prepared,
     sessionize,
     split_dataset,
-    split_events,
     write_prepared,
 )
 from songrec.util import make_rng
@@ -390,25 +389,24 @@ class TestSplit:
         return session_table((0, [i, i + 1]) for i in range(n))
 
     def test_sizes_7_1_2(self):
-        split = split_dataset(self._sessions(10), RATIOS, seed=0)
-        assert (len(split.train), len(split.val), len(split.test)) == (7, 1, 2)
+        train, val, test = split_dataset(self._sessions(10), RATIOS, seed=0)
+        assert (len(train), len(val), len(test)) == (7, 1, 2)
 
     def test_deterministic(self):
-        a = split_dataset(self._sessions(10), RATIOS, seed=42)
-        b = split_dataset(self._sessions(10), RATIOS, seed=42)
-        assert table_rows(a.train) == table_rows(b.train)
-        assert table_rows(a.test) == table_rows(b.test)
+        a_train, _, a_test = split_dataset(self._sessions(10), RATIOS, seed=42)
+        b_train, _, b_test = split_dataset(self._sessions(10), RATIOS, seed=42)
+        assert table_rows(a_train) == table_rows(b_train)
+        assert table_rows(a_test) == table_rows(b_test)
 
     def test_seed_changes_permutation_not_sizes(self):
-        a = split_dataset(self._sessions(40), RATIOS, seed=1)
-        b = split_dataset(self._sessions(40), RATIOS, seed=2)
-        assert len(a.train) == len(b.train)
-        assert table_rows(a.train) != table_rows(b.train)
+        a_train = split_dataset(self._sessions(40), RATIOS, seed=1)[0]
+        b_train = split_dataset(self._sessions(40), RATIOS, seed=2)[0]
+        assert len(a_train) == len(b_train)
+        assert table_rows(a_train) != table_rows(b_train)
 
     def test_partition_no_loss_no_duplication(self):
         sessions = self._sessions(23)
-        split = split_dataset(sessions, RATIOS, seed=3)
-        got = [tuple(items) for part in (split.train, split.val, split.test)
+        got = [tuple(items) for part in split_dataset(sessions, RATIOS, seed=3)
                for _, items in table_rows(part)]
         assert sorted(got) == sorted(tuple(items) for _, items in table_rows(sessions))
 
@@ -424,7 +422,7 @@ class TestSplit:
 
     def test_record_level_split(self):
         events = events_from_rows(("u", i * 10, f"s{i}") for i in range(20))
-        train, val, test = split_events(events, RATIOS, seed=0)
+        train, val, test = split_dataset(events, RATIOS, seed=0)
         assert (len(train), len(val), len(test)) == (14, 2, 4)
         assert sorted(e[2] for part in (train, val, test) for e in event_rows(part)) == sorted(
             e[2] for e in event_rows(events)
@@ -601,7 +599,7 @@ class TestPipeline:
         # plays drop-seen deletion removed, cut at the session lengths
         seen = {(user, i) for user, items in table_rows(prepared.split.train) for i in items}
         kept = filter_to_vocab(fixture_events, song_codes(fixture_events, prepared.song_keys))
-        parts = split_events(kept, settings.ratios, seed=5)
+        parts = split_dataset(kept, settings.ratios, seed=5)
         for (name, sessions), events in zip(prepared.split.parts().items(), parts):
             rows = sorted_plays(events, prepared.user_keys, prepared.song_keys)
             if name != "train":

@@ -9,7 +9,8 @@ Every name a package module assigns at its top level must be read by
 that module, or be imported, taken as an attribute or named in a string
 constant by another file of ``src/`` or ``perfbench/``. Every import in the
 package runs when its module loads, none inside a function. The package
-runs on numpy alone: importing the CLI loads no scipy module.
+runs on numpy alone: importing the CLI loads no scipy module. Only
+``data.py`` encodes or decodes the ``user << 32 | song`` key.
 """
 
 import ast
@@ -123,3 +124,15 @@ def test_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_data_shifts_or_masks_the_user_song_key():
+    # the (user, song) key ``user << 32 | song`` is built and taken apart
+    # in data.py alone; every other module reads SessionTable.plays()
+    found = []
+    for path in _python_files(PACKAGE):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        found += [(os.path.basename(path), op) for op in ("<< 32", ">> 32", "0xFFFFFFFF")
+                  if op in text]
+    assert {name for name, _ in found} == {"data.py"}, found

@@ -36,9 +36,12 @@ class TestHyperparams:
         assert (hy.epochs, hy.batch, hy.lr, hy.dropout) == (25, 50, 0.01, 0.7)
         assert hy.conv_positions == 4
 
-    def test_width_exceeding_order_rejected(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(REFERENCE, j=1, w=2)
+    def test_width_may_exceed_the_order_outside_cnnrec(self):
+        # only cnnrec has filters, and the config refuses w > j for it alone
+        hy = dataclasses.replace(REFERENCE, d=4, h=5, j=1, w=2)
+        params = NnRecParams(7, 2, hy, rng=make_rng(0))
+        scores = params.score_batch([0, 1], [[3], [6]])
+        assert scores.shape == (2, 7) and np.allclose(scores.sum(axis=1), 1.0)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
