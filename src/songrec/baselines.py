@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +28,11 @@ def _session_items(sessions):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ItemEmbeddings(Recommender):
     """Center (v_in) and context (v_out) vectors per song."""
 
     model_type = "w2v"
     TENSORS = {"v_in": ("n_songs", "d"), "v_out": ("n_songs", "d")}
-
-    v_in: np.ndarray
-    v_out: np.ndarray
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Cosine of every song's center vector to the mean context vector.
@@ -197,15 +192,11 @@ def w2v_train(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class WmfFactors(Recommender):
     """User/item factors of the confidence-weighted binary factorization."""
 
     model_type = "wmf"
     TENSORS = {"x": ("n_users", "f"), "y": ("n_songs", "f")}
-
-    x: np.ndarray
-    y: np.ndarray
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Predicted preference of each user for every song; the sequence
@@ -311,20 +302,15 @@ def wmf_train(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FpmcFactors(Recommender):
-    """Four factor blocks: user<->item preference (v_ui, v_iu) and
-    previous-item -> item transition (v_li, v_il); all share rank f."""
+    """Four factor blocks, all of rank f: the user-item term's user side
+    (v_ui) and item side (v_iu), and the transition term's item side
+    (v_il) and previous-item side (v_li)."""
 
     model_type = "fpmc"
     order = 1
     TENSORS = {"v_ui": ("n_users", "f"), "v_iu": ("n_songs", "f"),
                "v_il": ("n_songs", "f"), "v_li": ("n_songs", "f")}
-
-    v_ui: np.ndarray  # user side of user-item term
-    v_iu: np.ndarray  # item side of user-item term
-    v_il: np.ndarray  # item side of transition term
-    v_li: np.ndarray  # previous-item side of transition term
 
     def score_batch(self, users, contexts) -> np.ndarray:
         """Scores for every candidate next song given the last played one."""
@@ -337,9 +323,8 @@ class FpmcFactors(Recommender):
 def fpmc_init(n_users: int, n_songs: int, *, f: int, rng: np.random.Generator) -> FpmcFactors:
     """Every block drawn from N(0, 0.01^2), in declaration order."""
     dims = {"n_users": n_users, "n_songs": n_songs, "f": f}
-    blocks = {name: 0.01 * rng.standard_normal(tuple(dims[key] for key in keys))
-              for name, keys in FpmcFactors.TENSORS.items()}
-    return FpmcFactors(**blocks)
+    return FpmcFactors(*(0.01 * rng.standard_normal(tuple(dims[key] for key in keys))
+                         for keys in FpmcFactors.TENSORS.values()))
 
 
 SBPR_BATCH = 128  # (user, previous, next) triples per minibatch in fpmc_train

@@ -8,6 +8,9 @@ for ``eval``. The type of every setting is checked when the config loads,
 and its value whenever a ``data``, ``model`` or ``eval`` section is built
 (``dataclasses.replace`` too), so a bad one fails before any data is read;
 ``w2v``, ``wmf`` and ``fpmc`` are checked as part of ``model``, not alone.
+Each value rule is a :func:`songrec.util.check_bounds` row of the type that
+owns it; a family's own (cnnrec's filter width) are its model class's
+``BOUNDS``, met by its models too. Every error names the setting's key.
 Unknown keys are rejected so typos cannot silently fall back to defaults.
 All randomness fans out from the single root seed via named subseeds (see
 :func:`songrec.util.derive_seed`).
@@ -39,22 +42,19 @@ class DataConfig:
     shuffle_unit: str = "session"
 
     # (setting, comparison, bound), checked when the section is built
-    BOUNDS: ClassVar = (("vocab_cap", ">=", 1), ("gap_seconds", ">=", 1))
+    BOUNDS: ClassVar = (("vocab_cap", ">=", 1), ("gap_seconds", ">=", 1),
+                        ("overlap_mode", "one of", OVERLAP_MODES),
+                        ("shuffle_unit", "one of", SHUFFLE_UNITS))
 
     def __post_init__(self):
         is_number = LEAF_TYPES[float][1]
         check_bounds(self, self.BOUNDS, "config.data.")
-        if len(self.ratios) != 3 or not all(map(is_number, self.ratios)):
-            raise ValueError(f"config.data.ratios must be three finite numbers, "
+        if len(self.ratios) != 3 or not all(is_number(r) and r >= 0 for r in self.ratios):
+            raise ValueError(f"config.data.ratios must be three finite non-negative numbers, "
                              f"got {self.ratios!r}")
-        if any(r < 0 for r in self.ratios):
-            raise ValueError("need three non-negative ratios")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"ratios must sum to 1, got {sum(self.ratios)}")
-        if self.overlap_mode not in OVERLAP_MODES:
-            raise ValueError(f"overlap_mode must be one of {OVERLAP_MODES}")
-        if self.shuffle_unit not in SHUFFLE_UNITS:
-            raise ValueError(f"shuffle_unit must be one of {SHUFFLE_UNITS}")
+            raise ValueError(f"config.data.ratios must be fractions that sum to 1, "
+                             f"got {self.ratios!r}")
 
 
 @dataclass
@@ -98,19 +98,17 @@ class ModelConfig(Hyperparams):
     wmf: WmfConfig = field(default_factory=WmfConfig)
     fpmc: FpmcConfig = field(default_factory=FpmcConfig)
 
+    BOUNDS: ClassVar = (("family", "one of", tuple(FAMILIES)), *Hyperparams.BOUNDS)
+
     def __post_init__(self):  # in place of Hyperparams' check, naming each key in full
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
-        dtypes = FAMILIES[self.family].DTYPES
-        if self.dtype not in dtypes:
-            raise ValueError(f"config.model.dtype must be {' or '.join(dtypes)} for "
-                             f"{self.family}: got {self.dtype!r}")
         for prefix, section in (("config.model.", self), ("config.model.w2v.", self.w2v),
                                 ("config.model.wmf.", self.wmf), ("config.model.fpmc.", self.fpmc)):
             check_bounds(section, section.BOUNDS, prefix)
-        if self.family == "cnnrec" and self.w > self.j:  # only cnnrec has filters
-            raise ValueError(f"config.model.w must be <= config.model.j: filter width "
-                             f"{self.w} exceeds context length {self.j}")
+        family = FAMILIES[self.family]
+        if self.dtype not in family.DTYPES:
+            raise ValueError(f"config.model.dtype must be {' or '.join(family.DTYPES)} for "
+                             f"{self.family}: got {self.dtype!r}")
+        check_bounds(self, family.BOUNDS, "config.model.")
 
 
 @dataclass

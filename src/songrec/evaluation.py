@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,15 +47,15 @@ class EvalConfig:
     n_neg: int = 1000
     exclude_train_songs: bool = False
 
+    BOUNDS: ClassVar = (("protocol", "one of", PROTOCOLS), ("n_neg", ">=", 1))
+
     def __post_init__(self):
         ks = tuple(self.ks)
         object.__setattr__(self, "ks", ks)
         whole = all(isinstance(k, int) and not isinstance(k, bool) for k in ks)
         if not ks or not whole or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError(f"config.eval.ks must be strictly ascending positive ints, got {ks}")
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        check_bounds(self, (("n_neg", ">=", 1),), "config.eval.")
+        check_bounds(self, self.BOUNDS, "config.eval.")
         if self.exclude_train_songs and self.protocol == "sampled":
             raise ValueError("config.eval.exclude_train_songs applies to the full protocol only: "
                              "sampled candidates never include training songs")

@@ -12,6 +12,7 @@ the learning rate keeps its meaning across batch sizes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -91,10 +92,12 @@ class _NeuralParams(Recommender):
         in layout order; or, given ``tensors``, those arrays themselves,
         each checked against the layout's shape and ``dtype``, and nothing
         drawn. The ``HELD_TRANSPOSED`` weights are then held as a transposed
-        copy. ``acc`` holds each tensor's zero Adagrad accumulator by name."""
-        if n_songs < 1 or n_users < 1:
+        copy. ``acc`` holds each tensor's zero Adagrad accumulator by name.
+        ``hyper`` must meet ``BOUNDS``; ``TypeError`` for a fractional count."""
+        self.n_songs, self.n_users = operator.index(n_songs), operator.index(n_users)
+        if self.n_songs < 1 or self.n_users < 1:
             raise ValueError("need at least one song and one user")
-        self.n_songs, self.n_users = int(n_songs), int(n_users)
+        check_bounds(hyper, self.BOUNDS)
         self.hyper, self.dtype = hyper, np.dtype(dtype)
         if self.dtype.name not in self.DTYPES:
             raise ValueError(f"dtype must be one of {self.DTYPES}, got {self.dtype.name}")
@@ -220,6 +223,7 @@ class CnnRecParams(_NeuralParams):
     """
 
     model_type = "cnnrec"
+    BOUNDS = (("w", "<=", "j"),)  # the filters fit the context
 
     def _feature_layout(self):
         hy = self.hyper

@@ -56,15 +56,21 @@ class Recommender:
     out-of-range user or song index raises ``IndexError``.
 
     A family declares its tensors once: ``TENSORS`` maps each attribute to
-    the meta keys of its dims, in checkpoint order. Checkpoint meta (the
-    dims alone), construction from a checkpoint and ``n_songs``/``n_users``
-    all follow from that. ``DTYPES`` names the dtypes its tensors may have.
+    the meta keys of its dims, in constructor and checkpoint order; meta
+    (the dims alone), loading and ``n_songs``/``n_users`` follow. ``DTYPES``
+    names the dtypes its tensors may have, and ``BOUNDS`` the family's rules
+    on the settings, met by its config and by each model built or loaded.
     """
 
     model_type: str = ""
     order: int | None = None
     TENSORS: ClassVar[dict] = {}
     DTYPES: ClassVar[tuple] = ("float64",)
+    BOUNDS: ClassVar[tuple] = ()
+
+    def __init__(self, *tensors):
+        for name, tensor in zip(self.TENSORS, tensors, strict=True):
+            setattr(self, name, tensor)
 
     def tensors(self) -> dict:
         return {name: getattr(self, name) for name in self.TENSORS}
@@ -88,9 +94,10 @@ class Recommender:
     def from_checkpoint(cls, meta, tensors):
         """The model holding the checkpoint's tensors themselves, each
         checked against the shape its meta dims give and float64; other
-        meta keys are ignored."""
-        shapes = {name: tuple(meta[key] for key in keys) for name, keys in cls.TENSORS.items()}
-        return cls(**checked_tensors(tensors, shapes, "float64"))
+        meta keys are ignored; ``TypeError`` for a fractional dim."""
+        shapes = {name: tuple(operator.index(meta[key]) for key in keys)
+                  for name, keys in cls.TENSORS.items()}
+        return cls(*checked_tensors(tensors, shapes, "float64").values())
 
     def score_batch(self, users, contexts) -> np.ndarray:
         raise NotImplementedError
@@ -195,17 +202,21 @@ def dataclass_from_dict(cls, d: dict, path: str):
     return cls(**kwargs)
 
 
-_COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_COMPARISONS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le,
+                "one of": lambda value, choices: value in choices}
 
 
 def check_bounds(settings, bounds, prefix: str = "") -> None:
     """``ValueError`` naming ``prefix + key`` at the first (key, comparison,
     bound) of ``bounds`` that the setting ``key`` of ``settings`` fails;
-    NaN fails every comparison."""
+    NaN fails every comparison. ``"one of"`` takes a tuple of choices; a
+    string bound is the name of another setting, whose value is the bound."""
     for key, op, bound in bounds:
         value = getattr(settings, key)
-        if not _COMPARISONS[op](value, bound):
-            raise ValueError(f"{prefix}{key} must be {op} {bound}, got {value!r}")
+        limit, shown = ((getattr(settings, bound), prefix + bound) if isinstance(bound, str)
+                        else (bound, bound))
+        if not _COMPARISONS[op](value, limit):
+            raise ValueError(f"{prefix}{key} must be {op} {shown}, got {value!r}")
 
 
 def config_hash(obj) -> str:

@@ -150,7 +150,8 @@ class TestConfig:
         assert a.hash() == b.hash()
 
     def test_bad_ratios_error(self):
-        with pytest.raises(ValueError, match="ratios must sum to 1"):
+        with pytest.raises(ValueError,
+                           match=r"^config\.data\.ratios must be fractions that sum to 1"):
             ExperimentConfig.from_dict({"data": {"ratios": [0.5, 0.2, 0.2]}})
 
     def test_unknown_mode_error(self):
@@ -179,7 +180,8 @@ class TestConfig:
         assert (meta["hyper"]["j"], meta["hyper"]["w"]) == (1, 2)
 
     def test_cnnrec_filters_must_fit_the_context(self):
-        with pytest.raises(ValueError, match="filter width 2 exceeds context length 1"):
+        with pytest.raises(ValueError,
+                           match=r"^config\.model\.w must be <= config\.model\.j, got 2$"):
             ExperimentConfig.from_dict({"model": {"family": "cnnrec", "j": 1}})
 
     @pytest.mark.parametrize("family", ["cnnrec", "nnrec", "w2v", "wmf", "fpmc"])
@@ -200,7 +202,7 @@ class TestConfig:
     def test_sections_check_themselves_when_replaced(self):
         with pytest.raises(ValueError, match=r"^config\.model\.h must be >= 1, got 0$"):
             dataclasses.replace(ModelConfig(), h=0)
-        with pytest.raises(ValueError, match="ratios must sum to 1"):
+        with pytest.raises(ValueError, match=r"^config\.data\.ratios must be fractions that sum"):
             dataclasses.replace(DataConfig(), ratios=[0.5, 0.2, 0.2])
 
     def test_readme_config_block_is_the_defaults(self):
@@ -264,7 +266,8 @@ class TestPrepare:
                        "--set", "data.ratios=[1.2,-0.1,-0.1]")
         assert code == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert errors == ["need three non-negative ratios"]
+        assert errors == ["config.data.ratios must be three finite non-negative numbers, "
+                          "got [1.2, -0.1, -0.1]"]
         assert not (tmp / "run" / "prepared").exists()
 
     def test_bad_ratios_fail_before_parsing(self, tmp_path, caplog):
@@ -274,7 +277,8 @@ class TestPrepare:
                        "--set", "data.ratios=[0.5,0.2,0.2]")
         assert code == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert len(errors) == 1 and errors[0].startswith("ratios must sum to 1")
+        assert len(errors) == 1
+        assert errors[0].startswith("config.data.ratios must be fractions that sum to 1")
 
     def test_prepared_dir_outside_a_new_out_dir(self, workspace):
         tmp, config = workspace
@@ -795,13 +799,20 @@ class TestCliErrors:
                                             'data.ratios=["a",0.5,0.5]', "data.ratios=[true,0,0]",
                                             'eval.ks=[1.5,5,"10"]', "model.fpmc.f=0",
                                             "model.wmf.f=0", "model.w2v.epochs=-1",
-                                            "model.wmf.alpha=-1", "model.fpmc.lr=-1"])
+                                            "model.wmf.alpha=-1", "model.fpmc.lr=-1",
+                                            'data.overlap_mode="x"', 'data.shuffle_unit="x"',
+                                            'eval.protocol="x"', 'model.family="x"',
+                                            "data.ratios=[1.2,-0.1,-0.1]",
+                                            "data.ratios=[0.5,0.2,0.2]", "model.j=1"])
     def test_wrong_config_type_exit_code(self, tmp_path, caplog, assignment):
         code = run_cli("prepare", "--set", assignment, "--out", tmp_path)
         assert code == 1
         key = assignment.split("=")[0]
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert len(errors) == 1 and errors[0].startswith(f"config.{key} must be")
+        # cnnrec's filter width is checked on w, against the j that was set
+        checked = {"model.j": "model.w"}.get(key, key)
+        assert len(errors) == 1 and errors[0].startswith(f"config.{checked} must be")
+        assert f"config.{key}" in errors[0]
         assert "\n" not in errors[0]
 
     @pytest.mark.parametrize("family", ["cnnrec", "w2v", "wmf"])
@@ -857,10 +868,22 @@ class TestCliErrors:
     HYPER_TYPES = {"d is true": ("d", True), "epochs is 2.5": ("epochs", 2.5),
                    "batch is true": ("batch", True), "lr is true": ("lr", True)}
 
+    # model-file dims that are not whole numbers, none of them rounded down
+    FRACTIONAL_DIMS = {"user count 2.5": ("n_users", 2.5), "song count 7.99": ("n_songs", 7.99),
+                       "wmf song count 7.0": ("n_songs", 7.0)}
+
     @pytest.mark.parametrize("change", ["extra hyper key", "missing hyper key", "unknown dtype",
-                                        "song count as a string", *HEADER_CHANGES, *HYPER_TYPES])
+                                        "song count as a string", *HEADER_CHANGES, *HYPER_TYPES,
+                                        *FRACTIONAL_DIMS])
     def test_malformed_checkpoint_header_exits_with_one_line(self, tmp_path, change):
         model_type, meta, tensors = NnRecParams(7, 2, TINY_HYPER, rng=make_rng(0)).to_checkpoint()
+        if change in self.FRACTIONAL_DIMS:
+            key, value = self.FRACTIONAL_DIMS[change]
+            if change.startswith("wmf"):
+                rng = make_rng(0)
+                model_type, meta, tensors = baselines.WmfFactors(
+                    rng.random((2, 3)), rng.random((7, 3))).to_checkpoint()
+            meta[key] = value
         if change == "extra hyper key":
             meta["hyper"]["extra"] = 1
         elif change == "missing hyper key":
@@ -903,15 +926,20 @@ class TestCliErrors:
         split = SplitDataset(**{name: session_table(rows) for name, rows in sessions.items()})
         write_prepared(tmp_path / "prepared",
                        PreparedDataset([f"s{i}" for i in range(12)], ["u0", "u1"], split))
+        rng = make_rng(0)
         if case == "wmf with float32 tensors":
-            rng = make_rng(0)
-            model = baselines.WmfFactors(rng.random((2, 3), np.float32),
-                                         rng.random((12, 3), np.float32))
+            model_type, meta, tensors = baselines.WmfFactors(
+                rng.random((2, 3), np.float32), rng.random((12, 3), np.float32)).to_checkpoint()
+        elif case.startswith("cnnrec"):
+            # no cnnrec model takes filters wider than its context, so the
+            # file is built by hand: width 3 over j 2 leaves no convolution
+            # positions, and w1 reads the user embedding alone
+            model_type, meta, tensors = CnnRecParams(12, 2, TINY_HYPER, rng=rng).to_checkpoint()
+            meta["hyper"]["w"] = 3
+            tensors["filters"] = rng.random((TINY_HYPER.m, 3, TINY_HYPER.d))
+            tensors["w1"] = rng.random((TINY_HYPER.h, TINY_HYPER.d))
         else:
-            width = 3 if case.startswith("cnnrec") else 2
-            family = CnnRecParams if case.startswith("cnnrec") else NnRecParams
-            model = family(12, 2, dataclasses.replace(TINY_HYPER, w=width), rng=make_rng(0))
-        model_type, meta, tensors = model.to_checkpoint()
+            model_type, meta, tensors = NnRecParams(12, 2, TINY_HYPER, rng=rng).to_checkpoint()
         if case.startswith("meta dtype "):
             meta["dtype"] = case.removeprefix("meta dtype ")
         elif case.startswith("tensor dtype "):
@@ -929,9 +957,7 @@ class TestCliErrors:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if " ERROR " in line]
-        # cnnrec alone has filters; conv1d refuses the width when the file is scored
-        named = "filter width 3 exceeds " if case.startswith("cnnrec") else f"{ckpt}: "
-        assert len(errors) == 1 and named in errors[0]
+        assert len(errors) == 1 and f"{ckpt}: " in errors[0]
         assert not (tmp_path / "o" / "report.json").exists()
 
     PREPARED_DAMAGE = {

@@ -10,13 +10,17 @@ that module, or be imported, taken as an attribute or named in a string
 constant by another file of ``src/`` or ``perfbench/``. Every import in the
 package runs when its module loads, none inside a function. The package
 runs on numpy alone: importing the CLI loads no scipy module. Only
-``data.py`` encodes or decodes the ``user << 32 | song`` key.
+``data.py`` encodes or decodes the ``user << 32 | song`` key. Only
+``cli.py`` compares a setting with a family name: every other rule of a
+family sits on its class.
 """
 
 import ast
 import os
 import subprocess
 import sys
+
+import songrec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "songrec")
@@ -136,3 +140,25 @@ def test_only_data_shifts_or_masks_the_user_song_key():
         found += [(os.path.basename(path), op) for op in ("<< 32", ">> 32", "0xFFFFFFFF")
                   if op in text]
     assert {name for name, _ in found} == {"data.py"}, found
+
+
+def _family_names(node):
+    """The family names ``node`` spells out as a string constant or a
+    tuple of them, or an empty set."""
+    parts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    names = {p.value for p in parts if isinstance(p, ast.Constant)}
+    return names if names and names <= set(songrec.FAMILIES) else set()
+
+
+def test_only_the_cli_compares_with_a_family_name():
+    # cli.fit_model and cmd_sweep pick a trainer by family; a rule of one
+    # family is a row of that family class's BOUNDS or DTYPES instead
+    found = []
+    for path in _python_files(PACKAGE):
+        if os.path.basename(path) == "cli.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Compare) and any(map(_family_names,
+                                                          [node.left, *node.comparators])):
+                found.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert found == []

@@ -37,11 +37,13 @@ class TestHyperparams:
         assert hy.conv_positions == 4
 
     def test_width_may_exceed_the_order_outside_cnnrec(self):
-        # only cnnrec has filters, and the config refuses w > j for it alone
+        # only cnnrec has filters: its class, not Hyperparams, refuses w > j
         hy = dataclasses.replace(REFERENCE, d=4, h=5, j=1, w=2)
         params = NnRecParams(7, 2, hy, rng=make_rng(0))
         scores = params.score_batch([0, 1], [[3], [6]])
         assert scores.shape == (2, 7) and np.allclose(scores.sum(axis=1), 1.0)
+        with pytest.raises(ValueError, match=r"^w must be <= j, got 2$"):
+            CnnRecParams(7, 2, hy, rng=make_rng(0))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
